@@ -183,42 +183,6 @@ class Nfa:
             current = frozenset(nxt)
         return bool(current & self.final)
 
-    def matcher(self):
-        """A fast membership test with all lookup tables resolved up front.
-
-        Returns a callable ``run(word) -> bool``; the word must already be a
-        tuple of valid symbols.  Used in sampling loops where ``accepts`` would
-        re-validate on every call.
-        """
-        closure = self._closure
-        # per-state symbol map with closures folded into the targets
-        step: list[dict[str, frozenset[int]]] = []
-        for q in self.states:
-            row = {}
-            for sym, dsts in self._out[q].items():
-                acc: set[int] = set()
-                for d in dsts:
-                    acc |= closure[d]
-                row[sym] = frozenset(acc)
-            step.append(row)
-        start = self.epsilon_closure(self.initial)
-        final = self.final
-
-        def run(word: Word) -> bool:
-            current = start
-            for sym in word:
-                nxt: set[int] = set()
-                for q in current:
-                    hit = step[q].get(sym)
-                    if hit:
-                        nxt |= hit
-                if not nxt:
-                    return False
-                current = nxt  # type: ignore[assignment]
-            return not final.isdisjoint(current)
-
-        return run
-
     # -- language-level helpers ---------------------------------------------
 
     def words_up_to(self, max_len: int) -> set[Word]:
@@ -693,19 +657,9 @@ class Trellis(Dfa):
                     f"declared {self.length}"
                 )
 
-    @classmethod
-    def _raw(cls, **kwargs):
-        # trim() and similar rebuilds drop back to plain automata
-        if len(kwargs["initial"]) == 1:
-            return Dfa(**kwargs)
-        return Nfa(**kwargs)
-
     @property
     def final_state(self) -> "int | None":
         return next(iter(self.final)) if self.final else None
-
-    def words(self) -> list[Word]:
-        return list(self.iter_words())
 
     def add_word(self, word: "str | Iterable[str]") -> "Trellis":
         """Trellis accepting C(self) | {word}.
@@ -749,20 +703,17 @@ class Trellis(Dfa):
             num += 1
             i += 1
         transitions.append((q, w[-1], new_final))
-        return Trellis(
-            self.alphabet,
-            num,
-            self.initial,
-            frozenset({new_final}),
-            tuple(transitions),
+        # splicing one word of the right length into a valid trellis keeps it
+        # trim, acyclic and layered, so validation is skipped; plain tuple
+        # order is the canonical order here (no epsilon labels), so the result
+        # equals the validated trellis with the same fields
+        grown = object.__new__(Trellis)
+        grown.__dict__.update(
+            alphabet=self.alphabet, num_states=num, initial=self.initial,
+            final=frozenset({new_final}), transitions=tuple(sorted(transitions)),
             length=self.length,
         )
-
-    def to_text(self) -> str:
-        return Dfa(
-            self.alphabet, self.num_states, self.initial, self.final,
-            self.transitions,
-        ).to_text()
+        return grown
 
 
 def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:

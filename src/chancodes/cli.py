@@ -96,25 +96,28 @@ def _read_trellis_file(path: str, alphabet: Alphabet) -> Trellis:
         raise _CliFailure(f"bad trellis file {path!r}: {exc}", EXIT_ERROR) from exc
 
 
-def _build_universe(args, alphabet: Alphabet, length: int) -> "tuple[Trellis | None, str]":
+def _build_universe(alphabet: Alphabet, length: int, spec: "str | None",
+                    end: "str | None") -> "tuple[Trellis | None, str]":
+    """The sampling universe for ``--universe spec`` and ``--end end``, with
+    its report label; (None, "full") when neither is given."""
     universe = None
     label = "full"
-    if getattr(args, "universe", None):
-        if args.universe == "of":
+    if spec:
+        if spec == "of":
             universe = overlap_free_trellis(alphabet, length)
             label = "of"
         else:
-            universe = _read_trellis_file(args.universe, alphabet)
-            label = args.universe
-    if getattr(args, "end", None):
-        suffix = suffix_universe(alphabet, length, args.end)
+            universe = _read_trellis_file(spec, alphabet)
+            label = spec
+    if end:
+        suffix = suffix_universe(alphabet, length, end)
         if universe is None:
             universe = suffix
-            label = f"end={args.end}"
+            label = f"end={end}"
         else:
             universe = as_trellis(universe.intersect(suffix).trim(),
                                   length=length)
-            label = f"{label}&end={args.end}"
+            label = f"{label}&end={end}"
     return universe, label
 
 
@@ -152,7 +155,7 @@ def _cmd_gen(args) -> int:
         length = seed_code.length
     if length is None:
         raise _CliFailure("--len is required without --seed-code", EXIT_ERROR)
-    universe, label = _build_universe(args, alphabet, length)
+    universe, label = _build_universe(alphabet, length, args.universe, args.end)
     try:
         report = make_code(
             channel,
@@ -201,7 +204,8 @@ def _cmd_maximal(args) -> int:
     witness = detection_witness(code, channel)
     if witness:
         raise _CliFailure(f"code is not detecting: {witness}", EXIT_PRECONDITION)
-    universe, _ = _build_universe(args, alphabet, code.length)
+    universe, _ = _build_universe(alphabet, code.length, args.universe,
+                                  args.end)
     found = maximality_witness(code, channel, universe)
     if found:
         _witness_payload(found, args.format, args.output)
@@ -237,17 +241,7 @@ def _experiment_cell(payload) -> tuple[int, int]:
      seed, rep) = payload
     alphabet = Alphabet(alphabet_symbols)
     channel = _combined_channel(list(spec_list), alphabet)
-    universe = None
-    label = "full"
-    if universe_kind == "of":
-        universe = overlap_free_trellis(alphabet, length)
-        label = "of"
-    if end:
-        suffix = suffix_universe(alphabet, length, end)
-        universe = suffix if universe is None else as_trellis(
-            universe.intersect(suffix).trim(), length=length
-        )
-        label = f"end={end}"
+    universe, label = _build_universe(alphabet, length, universe_kind, end)
     report = make_code(
         channel, n, length, alphabet=alphabet, f=f, eps=eps,
         seed=derive_seed(seed, rep), universe=universe, universe_label=label,

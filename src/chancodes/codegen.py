@@ -5,6 +5,8 @@ first one outside the exclusion language (channel | channel^-1)(C) and outside
 C itself; after n = 1 + floor(1 / (4 eps (1-f)^2)) failed trials it gives up.
 When the code is not yet f-maximal with respect to the universe, the give-up
 probability is below eps (a Chebyshev bound on the binomial trial count).
+Each draw is tested by a search on the current trellis (``Exclusion``); no
+exclusion automaton is built.
 
 ``make_code`` repeats that until the requested number of words is added or a
 give-up ends the run; the grown code is detecting by construction, and an
@@ -26,7 +28,6 @@ from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words, 
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
 from .properties import detection_witness
-from .transducers import product
 
 RNG_NAME = "python-random-mt19937"
 MAX_TRIALS = 10**9
@@ -68,6 +69,65 @@ class NextWord(NamedTuple):
     empty_universe: bool = False
 
 
+class Exclusion:
+    """Membership in the exclusion language T(C) | C, T = sigma | sigma^-1,
+    for one code C that only grows between calls.
+
+    T is its own inverse, so w is in T(C) exactly when T(w) meets C: a
+    depth-first search over (position in w, T state, trellis state) in which
+    T reads w and its outputs walk the trellis.  A blocked word stays blocked
+    while C grows, so blocked words are kept in ``blocked``; an open draw
+    joins the code, so open verdicts are not kept.
+    """
+
+    def __init__(self, channel: Channel):
+        t = channel.self_union_inverse().standard_form()
+        self.alphabet = channel.alphabet
+        self.blocked: set[Word] = set()
+        self._initial = tuple(sorted(t.initial))
+        self._final = t.final
+        # per T state: input symbol -> [(output symbol or None, target)], and
+        # the epsilon-input edges in the same shape
+        self._on: list[dict[str, list]] = [{} for _ in t.states]
+        self._silent: list[list] = [[] for _ in t.states]
+        for src, inp, out, dst in t.transitions:
+            edge = (out[0] if out else None, dst)
+            if inp:
+                self._on[src].setdefault(inp[0], []).append(edge)
+            else:
+                self._silent[src].append(edge)
+
+    def excludes(self, code: Trellis, w: Word) -> bool:
+        """True when ``w`` is in T(C) | C; ``w`` must be a valid word."""
+        if w in self.blocked:
+            return True
+        if code.accepts(w) or self._image_meets(code, w):
+            self.blocked.add(w)
+            return True
+        return False
+
+    def _image_meets(self, code: Trellis, w: Word) -> bool:
+        """True when T(w) and C share a word."""
+        delta, code_final, n = code.delta, code.final, len(w)
+        on, silent, t_final = self._on, self._silent, self._final
+        stack = [(0, t, code.initial_state) for t in self._initial]
+        seen = set(stack)
+        while stack:
+            i, t, q = stack.pop()
+            if i == n and q in code_final and t in t_final:
+                return True
+            for j, edges in ((i, silent[t]),
+                             (i + 1, on[t].get(w[i], ()) if i < n else ())):
+                for out, dst in edges:
+                    r = q if out is None else delta.get((q, out))
+                    if r is not None:
+                        key = (j, dst, r)
+                        if key not in seen:
+                            seen.add(key)
+                            stack.append(key)
+        return False
+
+
 def next_word(
     channel: Channel,
     code: Trellis,
@@ -75,11 +135,15 @@ def next_word(
     eps=DEFAULT_EPS,
     rng: "random.Random | None" = None,
     universe: "Trellis | None" = None,
+    *,
+    exclusion: "Exclusion | None" = None,
 ) -> NextWord:
     """One attempt to find a word that can join the code.
 
-    Builds the exclusion automaton once, then samples uniformly from the
-    universe (default: all words of the code's length) with replacement.
+    Samples uniformly from the universe (default: all words of the code's
+    length) with replacement and tests each draw against the current trellis.
+    ``exclusion`` carries ``channel``'s edge index and blocked words across
+    the calls of one run; pass the same one only while the code grows.
     """
     n = trial_bound(f, eps)
     if rng is None:
@@ -94,23 +158,14 @@ def next_word(
         )
     if universe.count_words() == 0:
         return NextWord(None, 0, empty_universe=True)
-    excluded = product(code, channel.self_union_inverse())
-    in_excluded = excluded.matcher()
-    delta = code.delta
-    q0 = code.initial_state
-    finals = code.final
-
-    def in_code(w: Word) -> bool:
-        q = q0
-        for sym in w:
-            q = delta.get((q, sym))
-            if q is None:
-                return False
-        return q in finals
-
+    if exclusion is None:
+        exclusion = Exclusion(channel)
+    if exclusion.alphabet != code.alphabet:
+        raise AlphabetMismatchError("channel alphabet differs from the code's")
+    excludes = exclusion.excludes
     for tr in range(1, n + 1):
         w = universe.sample_uniform(rng)
-        if not in_excluded(w) and not in_code(w):
+        if not excludes(code, w):
             return NextWord(w, tr)
     return NextWord(None, n)
 
@@ -126,7 +181,7 @@ class GenReport:
     f: str
     eps: str
     trial_bound: int
-    seed: Optional[int]
+    seed: int
     rng: str
     universe: str
     trellis: Trellis
@@ -203,8 +258,10 @@ def make_code(
 
     Starts from ``seed_code`` when given (it must itself be detecting), else
     from the empty code, in which case ``length`` (and ``alphabet``, default
-    binary) are required.  The exclusion automaton is rebuilt from scratch
-    against the grown trellis on every iteration.
+    binary) are required.  The universe trellis and one ``Exclusion`` are
+    built once per run; each added word comes from one ``next_word`` call.
+    Without a ``seed`` one is drawn from OS entropy and recorded in the
+    report, so every run can be repeated.
     """
     if n_words < 0:
         raise ParameterError("requested word count must be >= 0")
@@ -228,14 +285,21 @@ def make_code(
     if code.alphabet != channel.alphabet:
         raise AlphabetMismatchError("code alphabet differs from the channel's")
 
+    if seed is None:
+        seed = random.SystemRandom().getrandbits(64)
     rng = random.Random(seed)
     started = time.perf_counter()
+    label = universe_label or ("full" if universe is None else "custom")
+    if universe is None:
+        universe = universe_trellis(code.alphabet, code.length)
+    exclusion = Exclusion(channel)
     words: list[Word] = []
     trials: list[int] = []
     exhausted = False
     empty_universe = False
     while len(words) < n_words:
-        outcome = next_word(channel, code, f, eps, rng, universe)
+        outcome = next_word(channel, code, f, eps, rng, universe,
+                            exclusion=exclusion)
         if outcome.word is None:
             exhausted = True
             empty_universe = outcome.empty_universe
@@ -250,12 +314,12 @@ def make_code(
         alphabet=code.alphabet,
         length=code.length,
         requested=n_words,
-        f=_param_str(f),
-        eps=_param_str(eps),
+        f=str(f),
+        eps=str(eps),
         trial_bound=n,
         seed=seed,
         rng=RNG_NAME,
-        universe=universe_label or ("full" if universe is None else "custom"),
+        universe=label,
         trellis=code,
         words=tuple(words),
         trials_per_word=tuple(trials),
@@ -263,10 +327,6 @@ def make_code(
         empty_universe=empty_universe,
         wall_time=time.perf_counter() - started,
     )
-
-
-def _param_str(x) -> str:
-    return str(x)
 
 
 def derive_seed(seed: "int | None", index: int) -> int:

@@ -64,10 +64,6 @@ class Transducer:
             len(i) <= 1 and len(o) <= 1 for _, i, o, _ in self.transitions
         )
 
-    @cached_property
-    def has_epsilon_input(self) -> bool:
-        return any(len(i) == 0 for _, i, _, _ in self.transitions)
-
     # -- core operations -----------------------------------------------------
 
     def standard_form(self) -> "Transducer":
@@ -233,9 +229,6 @@ class Transducer:
     def image_set(self, word: "str | Iterable[str]", max_len: int) -> set[Word]:
         """self(word) restricted to outputs of length <= max_len."""
         return self.image(word).words_up_to(max_len)
-
-    def domain_nonempty_on(self, word: "str | Iterable[str]") -> bool:
-        return not self.image(word).is_empty()
 
     def is_input_preserving(self, up_to_length: int) -> bool:
         """Bounded check: x in self(x) whenever self(x) is non-empty, for all

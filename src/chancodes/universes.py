@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .automata import Alphabet, Trellis, Word, trellis_from_words, universe_trellis
+from .automata import Alphabet, Trellis, Word, trellis_from_words
 from .errors import ParameterError
 
 MAX_ENUMERATED_LENGTH = 20
@@ -62,6 +62,3 @@ def suffix_universe(alphabet: Alphabet, length: int,
         length=length,
     )
 
-
-def full_universe(alphabet: Alphabet, length: int) -> Trellis:
-    return universe_trellis(alphabet, length)

@@ -209,8 +209,31 @@ class TestAddWord:
             for w in sorted(words):
                 t = t.add_word(w)
                 expected.add(w)
-                assert isinstance(t, Trellis)  # construction re-validates
+                assert isinstance(t, Trellis)
                 assert {format_word(x) for x in t.iter_words()} == expected
+
+    def test_trusted_result_equals_validated_trellis(self):
+        # add_word skips the trim/acyclicity/depth checks; rebuilding the same
+        # fields through the validating constructor must succeed and compare
+        # equal, so the skipped checks would have passed
+        rng = random.Random(47)
+        alphabets = [BINARY, Alphabet(("a", "bc", "d"))]
+        for _ in range(60):
+            alphabet = rng.choice(alphabets)
+            ell = rng.randint(1, 7)
+            start = [
+                tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                for _ in range(rng.randint(0, 5))
+            ]
+            t = trellis_from_words(start, alphabet, length=ell)
+            for _ in range(rng.randint(1, 25)):
+                w = tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                t = t.add_word(w)
+                validated = Trellis(alphabet, t.num_states, t.initial, t.final,
+                                    t.transitions, length=t.length)
+                assert validated == t
+                assert validated.delta == t.delta
+                assert validated.count_words() == t.count_words()
 
 
 class TestCountingAndSampling:

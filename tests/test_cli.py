@@ -1,9 +1,11 @@
+import hashlib
 import json
 from itertools import product as iproduct
 
 import pytest
 
 from chancodes.cli import main
+from chancodes.codegen import derive_seed
 
 HAMMING = [
     "0000000", "1000110", "0100101", "0010011", "0001111",
@@ -136,6 +138,47 @@ class TestGen:
         assert out_explicit == out_env
 
 
+    def test_unseeded_run_records_a_seed_that_reproduces_it(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("CHANCODES_SEED", raising=False)
+        args = ("gen", "--channel", "id:1", "--len", "7", "--n", "20")
+        code, first, _ = run(capsys, *args)
+        assert code == 0
+        (line,) = [ln for ln in first.splitlines() if ln.startswith("seed: ")]
+        seed = line.split()[1]
+        assert seed.isdigit()
+        code, again, _ = run(capsys, *args, "--seed", seed)
+        assert code == 0
+        assert again == first
+
+
+# SHA-256 of `gen ... --n 100 --seed 7 --format json` reports as produced by
+# the product-based generator; the reports must stay byte-identical.
+PINNED_GEN_REPORTS = [
+    ("sub:2", "7", (),
+     "3ebf0947c4d4fc2537339787066d3e251223bdb3ef4aa7ff6d9d4e5a31d57d00"),
+    ("del1", "8", (),
+     "3113d857da493b945120c79980c4cfcda5910f00d1a8d530f0ebc057ec422a58"),
+    ("id:2", "8", (),
+     "a32f5afc08697cb5e238c6a5e4dc850726272db97c68007975002149f5493d8f"),
+    ("ov", "8", ("--universe", "of"),
+     "f93e93fdb764264f40389254eaf321dd56ff5f1c2fc18d423dea984c6578870c"),
+    ("del1", "8", ("--end", "01"),
+     "dda2bddbd46334e83b873bc87e33955cc1b34d79baa4bdfd6ac753a615d42d5c"),
+]
+
+
+@pytest.mark.parametrize("channel,length,extra,digest", PINNED_GEN_REPORTS)
+def test_gen_report_digest_is_pinned(capsys, channel, length, extra, digest):
+    code, out, _ = run(
+        capsys, "gen", "--channel", channel, "--len", length, "--n", "100",
+        "--seed", "7", "--format", "json", *extra,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCheck:
     def test_hamming_sub2_ok(self, capsys, hamming_file):
         code, out, _ = run(capsys, "check", "--channel", "sub:2", hamming_file)
@@ -243,6 +286,32 @@ class TestExperiment:
         assert len(lines) == 2
         assert lines[0].startswith("channel=sub:2")
         assert lines[1].startswith("channel=id:2")
+
+    def test_overlap_free_universe_with_suffix(self, capsys):
+        # experiment builds its universe like gen does; only sizes are
+        # printed, so gen's "of&end=01" label never shows here
+        args = ("--len", "8", "--n", "100", "--universe", "of", "--end", "01")
+        code, out, _ = run(
+            capsys, "experiment", "--channel", "del1", "--channel", "ov",
+            *args, "--reps", "3", "--seed", "5",
+        )
+        assert code == 0
+        assert out == (
+            "channel=del1 len=8 n=100 end=01 universe=of reps=3"
+            " min=11 median=11 max=11 sizes=11,11,11\n"
+            "channel=ov len=8 n=100 end=01 universe=of reps=3"
+            " min=1 median=5 max=5 sizes=5,5,1\n"
+        )
+        sizes = []
+        for rep in range(3):
+            _, report, _ = run(
+                capsys, "gen", "--channel", "ov", *args,
+                "--seed", str(derive_seed(5, rep)), "--format", "json",
+            )
+            payload = json.loads(report)
+            assert payload["universe"] == "of&end=01"
+            sizes.append(payload["size"])
+        assert sizes == [5, 5, 1]
 
     def test_caps_enforced(self, capsys):
         code, _, err = run(

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from chancodes import (
+    Alphabet,
     BINARY,
+    Channel,
     NotDetectingError,
     ParameterError,
     detection_witness,
@@ -18,11 +20,14 @@ from chancodes import (
     maximality_index,
     next_word,
     overlap_free_trellis,
+    Transducer,
     trellis_from_words,
     trial_bound,
     universe_trellis,
 )
-from chancodes.codegen import derive_seed
+from chancodes.codegen import Exclusion, derive_seed
+
+import oracles
 
 
 class TestTrialBound:
@@ -183,3 +188,162 @@ class TestSeedDerivation:
         assert a != derive_seed(7, 1)
         assert derive_seed(None, 0) == derive_seed(None, 0)
         assert derive_seed(8, 0) != derive_seed(7, 0)
+
+
+def random_channel(rng: random.Random, alphabet: Alphabet) -> Channel:
+    """A small transducer with labels of length 0-2 on either side, so it has
+    epsilon-input and epsilon-output edges, cycles, and several initial and
+    final states more often than not; it need not be input-preserving."""
+    n = rng.randint(1, 4)
+    transitions = []
+    for _ in range(rng.randint(n, 3 * n + 2)):
+        inp, out = (
+            tuple(rng.choice(alphabet.symbols)
+                  for _ in range(rng.choice((0, 1, 1, 2))))
+            for _ in range(2)
+        )
+        transitions.append((rng.randrange(n), inp, out, rng.randrange(n)))
+    initial = rng.sample(range(n), rng.randint(1, n))
+    final = rng.sample(range(n), rng.randint(1, n))
+    return Channel("random", Transducer(alphabet, n, initial, final,
+                                        tuple(transitions)))
+
+
+def brute_excluded(channel: Channel, code: set, length: int) -> set:
+    """Words of the block length in (sigma | sigma^-1)(C) | C, by path
+    enumeration over the raw transducer."""
+    t = channel.transducer
+    out = set(code)
+    for w in channel.alphabet.words_of_length(length):
+        if any(w in oracles.enumerate_image(t, c, length) for c in code):
+            out.add(w)
+        if oracles.enumerate_image(t, w, length) & code:
+            out.add(w)
+    return out
+
+
+def _features(t: Transducer, alphabet: Alphabet, length: int) -> set:
+    found = set()
+    for _, inp, out, _ in t.transitions:
+        found.add("eps-in" if not inp else "in")
+        found.add("eps-out" if not out else "out")
+        if len(inp) > 1 or len(out) > 1:
+            found.add("long-label")
+    if len(t.initial) > 1:
+        found.add("initials")
+    if len(t.final) > 1:
+        found.add("finals")
+    if any(src == dst for src, _, _, dst in t.transitions) or any(
+        a[3] == b[0] and b[3] == a[0] and a != b
+        for a in t.transitions for b in t.transitions
+    ):
+        found.add("cycle")
+    for w in alphabet.words_of_length(length):
+        image = oracles.enumerate_image(t, w, length + 2)
+        if image and w not in image:
+            found.add("not-input-preserving")
+    if any(len(s) > 1 for s in alphabet.symbols):
+        found.add("long-symbol")
+    return found
+
+
+class TestExclusion:
+    def test_matches_brute_force_on_random_transducers(self):
+        rng = random.Random(2024)
+        alphabets = [BINARY, Alphabet(("a", "bc"))]
+        seen_features: set = set()
+        outcomes = set()
+        for _ in range(150):
+            alphabet = rng.choice(alphabets)
+            channel = random_channel(rng, alphabet)
+            ell = rng.randint(1, 4)
+            pool = list(alphabet.words_of_length(ell))
+            code = set(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+            trellis = trellis_from_words(code, alphabet, length=ell)
+            expected = brute_excluded(channel, code, ell)
+            exclusion = Exclusion(channel)
+            got = {w for w in pool if exclusion.excludes(trellis, w)}
+            assert got == expected, (channel.transducer.to_text(), code)
+            seen_features |= _features(channel.transducer, alphabet, ell)
+            outcomes |= {"open" if len(got) < len(pool) else "full",
+                         "blocked" if got - code else "code-only"}
+        assert seen_features == {
+            "eps-in", "in", "eps-out", "out", "long-label", "initials",
+            "finals", "cycle", "not-input-preserving", "long-symbol",
+        }
+        assert outcomes == {"open", "full", "blocked", "code-only"}
+
+    def test_matches_brute_force_on_builtin_channels(self):
+        rng = random.Random(5)
+        for channel in (make_sub(2), make_id(2), make_del1_insend(),
+                        make_overlap()):
+            for _ in range(5):
+                pool = list(BINARY.words_of_length(5))
+                code = set(rng.sample(pool, rng.randint(1, 4)))
+                trellis = trellis_from_words(code, BINARY)
+                exclusion = Exclusion(channel)
+                got = {w for w in pool if exclusion.excludes(trellis, w)}
+                assert got == brute_excluded(channel, code, 5), channel.name
+
+    def test_blocked_cache_never_changes_a_verdict(self):
+        # grow codes one open word at a time, reusing one Exclusion, and
+        # compare every verdict with a fresh, empty-cache Exclusion
+        rng = random.Random(77)
+        hits = 0
+        for _ in range(12):
+            alphabet = rng.choice([BINARY, Alphabet(("a", "bc", "d"))])
+            channel = rng.choice(
+                [random_channel(rng, alphabet), make_sub(1, alphabet),
+                 make_id(1, alphabet)]
+            )
+            ell = rng.randint(2, 5 - len(alphabet) // 2)
+            pool = list(alphabet.words_of_length(ell))
+            code = trellis_from_words([], alphabet, length=ell)
+            cached = Exclusion(channel)
+            while True:
+                fresh = Exclusion(channel)
+                truth = {w: fresh.excludes(code, w) for w in pool}
+                draws = [rng.choice(pool) for _ in range(len(pool))]
+                hits += sum(w in cached.blocked for w in draws)
+                for w in draws:
+                    assert cached.excludes(code, w) == truth[w]
+                open_words = sorted(w for w in pool if not truth[w])
+                if not open_words:
+                    break
+                grown = code.add_word(rng.choice(open_words))
+                assert grown is not code, "a codeword was judged open"
+                code = grown
+        assert hits > 0
+
+    def test_make_code_matches_uncached_growth(self):
+        # the same run with a fresh Exclusion per next_word call
+        rng = random.Random(3)
+        for _ in range(10):
+            channel = random_channel(rng, BINARY)
+            ell = rng.randint(2, 5)
+            report = make_code(channel, 20, ell, seed=11)
+            code = trellis_from_words([], BINARY, length=ell)
+            draw = random.Random(11)
+            words = []
+            while len(words) < 20:
+                out = next_word(channel, code, rng=draw)
+                if out.word is None:
+                    break
+                code = code.add_word(out.word)
+                words.append(out.word)
+            assert tuple(words) == report.words
+
+
+class TestUnseededRuns:
+    def test_seed_is_drawn_and_recorded(self):
+        a = make_code(make_sub(1), 6, 6)
+        b = make_code(make_sub(1), 6, 6)
+        assert isinstance(a.seed, int) and isinstance(b.seed, int)
+        assert a.seed != b.seed
+        assert f"seed: {a.seed}\n" in a.to_text()
+
+    def test_recorded_seed_reproduces_report(self):
+        first = make_code(make_id(1), 20, 7)
+        again = make_code(make_id(1), 20, 7, seed=first.seed)
+        assert again.to_text() == first.to_text()
+        assert again.to_json() == first.to_json()
