@@ -84,12 +84,32 @@ def format_word(w: Word) -> str:
     return " ".join(w)
 
 
+class StateIds(dict):
+    """Numbers the states of a construction in discovery order.
+
+    Looking up an unseen state gives it the next id and appends it to
+    ``order``; iterating ``order`` while it grows visits every state reachable
+    from the ones looked up first, breadth-first.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.order: list = []
+
+    def __missing__(self, state) -> int:
+        idx = self[state] = len(self.order)
+        self.order.append(state)
+        return idx
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic finite automaton with optional epsilon transitions.
 
     States are the dense integers ``0 .. num_states-1``.  Transitions are kept
     sorted and deduplicated so that structurally equal automata compare equal.
+    The constructor normalizes and validates its input; internal operations
+    build their results through ``_trusted`` instead.
     """
 
     alphabet: Alphabet
@@ -111,12 +131,31 @@ class Nfa:
             if sym is not None and sym not in self.alphabet:
                 raise ValueError(f"transition label {sym!r} not in alphabet")
 
-    def _normalize(self, transitions) -> tuple[tuple[int, "str | None", int], ...]:
+    @staticmethod
+    def _normalize(transitions) -> tuple[tuple[int, "str | None", int], ...]:
+        """Deduplicated, sorted by (source, epsilon first, label, target)."""
         def key(tr):
             src, sym, dst = tr
             return (src, sym is not None, sym or "", dst)
 
         return tuple(sorted(set(transitions), key=key))
+
+    @classmethod
+    def _trusted(cls, alphabet, num_states, initial, final, transitions,
+                 **extra):
+        """Build an internal result without ``__post_init__``.
+
+        The caller guarantees what validation would establish: frozenset
+        ``initial`` / ``final`` in range, and ``transitions`` a tuple already
+        in ``_normalize`` order that satisfies the class invariants.  The
+        result equals (``==``) the validated object with the same fields.
+        """
+        machine = object.__new__(cls)
+        machine.__dict__.update(
+            alphabet=alphabet, num_states=num_states, initial=initial,
+            final=final, transitions=transitions, **extra,
+        )
+        return machine
 
     # -- basic structure ---------------------------------------------------
 
@@ -238,29 +277,27 @@ class Nfa:
             stack.extend(rev_in[q])
         keep = sorted(fwd & bwd)
         remap = {q: i for i, q in enumerate(keep)}
-        return type(self)._raw(
-            alphabet=self.alphabet,
-            num_states=len(keep),
-            initial=frozenset(remap[q] for q in self.initial if q in remap),
-            final=frozenset(remap[q] for q in self.final if q in remap),
-            transitions=tuple(
+        initial = frozenset(remap[q] for q in self.initial if q in remap)
+        # a DFA stays one unless its initial state was trimmed away (empty
+        # language); the order-preserving remap keeps transitions canonical
+        cls = Dfa if isinstance(self, Dfa) and initial else Nfa
+        return cls._trusted(
+            self.alphabet,
+            len(keep),
+            initial,
+            frozenset(remap[q] for q in self.final if q in remap),
+            tuple(
                 (remap[s], a, remap[d])
                 for s, a, d in self.transitions
                 if s in remap and d in remap
             ),
         )
 
-    @classmethod
-    def _raw(cls, **kwargs) -> "Nfa":
-        return Nfa(**kwargs)
-
     def remove_epsilon(self) -> "Nfa":
-        """Equivalent automaton without epsilon transitions (states preserved)."""
+        """Equivalent automaton without epsilon transitions (states preserved);
+        ``self`` when there are none."""
         if not any(sym is None for _, sym, _ in self.transitions):
-            return Nfa(
-                self.alphabet, self.num_states, self.initial, self.final,
-                self.transitions,
-            )
+            return self
         transitions = []
         finals = set()
         for p in self.states:
@@ -271,39 +308,29 @@ class Nfa:
                 for sym, dsts in self._out[r].items():
                     for d in dsts:
                         transitions.append((p, sym, d))
-        return Nfa(
+        return Nfa._trusted(
             self.alphabet, self.num_states, self.initial, frozenset(finals),
-            tuple(transitions),
+            Nfa._normalize(transitions),
         )
 
     def determinize(self) -> "Dfa":
         """Subset construction; discovery order is deterministic."""
-        start = self.epsilon_closure(self.initial)
-        numbering: dict[frozenset[int], int] = {start: 0}
-        order: list[frozenset[int]] = [start]
-        transitions: list[tuple[int, "str | None", int]] = []
-        i = 0
-        while i < len(order):
-            subset = order[i]
+        ids = StateIds()
+        ids[self.epsilon_closure(self.initial)]
+        transitions: list[tuple[int, str, int]] = []
+        for i, subset in enumerate(ids.order):
             for sym in self.alphabet:
                 reach: set[int] = set()
                 for q in subset:
                     for dst in self._out[q].get(sym, ()):
                         reach |= self._closure[dst]
-                if not reach:
-                    continue
-                target = frozenset(reach)
-                if target not in numbering:
-                    numbering[target] = len(order)
-                    order.append(target)
-                transitions.append((i, sym, numbering[target]))
-            i += 1
+                if reach:
+                    transitions.append((i, sym, ids[frozenset(reach)]))
         finals = frozenset(
-            idx for subset, idx in numbering.items() if subset & self.final
+            i for i, subset in enumerate(ids.order) if subset & self.final
         )
-        return Dfa(
-            self.alphabet, len(order), frozenset({0}), finals, tuple(transitions)
-        )
+        return Dfa._trusted(self.alphabet, len(ids.order), frozenset({0}),
+                            finals, tuple(sorted(transitions)))
 
     @staticmethod
     def union_automata(a: "Nfa", b: "Nfa") -> "Nfa":
@@ -376,12 +403,6 @@ class Dfa(Nfa):
                 raise ValueError(f"nondeterministic at state {src} on {sym!r}")
             seen.add((src, sym))
 
-    @classmethod
-    def _raw(cls, **kwargs) -> "Nfa":
-        if len(kwargs["initial"]) == 1:
-            return Dfa(**kwargs)
-        return Nfa(**kwargs)  # trimming away the initial state demotes to NFA
-
     @property
     def initial_state(self) -> int:
         return next(iter(self.initial))
@@ -405,7 +426,7 @@ class Dfa(Nfa):
     def complement(self, length: "int | None" = None) -> "Dfa":
         """Complement within Sigma* or, if ``length`` is given, within Sigma^length."""
         completed = self._completed()
-        flipped = Dfa(
+        flipped = Dfa._trusted(
             completed.alphabet,
             completed.num_states,
             completed.initial,
@@ -428,42 +449,35 @@ class Dfa(Nfa):
         sink = self.num_states
         extra = [(q, a, sink) for q, a in missing]
         extra += [(sink, a, sink) for a in self.alphabet]
-        return Dfa(
+        return Dfa._trusted(
             self.alphabet,
             self.num_states + 1,
             self.initial,
             self.final,
-            self.transitions + tuple(extra),
+            tuple(sorted(self.transitions + tuple(extra))),
         )
 
     def intersect(self, other: "Dfa") -> "Dfa":
+        """Product automaton for L(self) & L(other); only pairs reachable from
+        the initial pair are built, so the result may have dead states."""
         if self.alphabet != other.alphabet:
             raise WordError("automata alphabets differ")
-        start = (self.initial_state, other.initial_state)
-        numbering = {start: 0}
-        order = [start]
-        transitions: list[tuple[int, "str | None", int]] = []
-        i = 0
-        while i < len(order):
-            p, q = order[i]
+        ids = StateIds()
+        ids[(self.initial_state, other.initial_state)]
+        transitions: list[tuple[int, str, int]] = []
+        for i, (p, q) in enumerate(ids.order):
             for sym in self.alphabet:
                 pd = self.delta.get((p, sym))
                 qd = other.delta.get((q, sym))
-                if pd is None or qd is None:
-                    continue
-                t = (pd, qd)
-                if t not in numbering:
-                    numbering[t] = len(order)
-                    order.append(t)
-                transitions.append((i, sym, numbering[t]))
-            i += 1
+                if pd is not None and qd is not None:
+                    transitions.append((i, sym, ids[(pd, qd)]))
         finals = frozenset(
-            idx
-            for (p, q), idx in numbering.items()
+            i
+            for i, (p, q) in enumerate(ids.order)
             if p in self.final and q in other.final
         )
-        return Dfa(self.alphabet, len(order), frozenset({0}), finals,
-                   tuple(transitions))
+        return Dfa._trusted(self.alphabet, len(ids.order), frozenset({0}),
+                            finals, tuple(sorted(transitions)))
 
     # -- counting and sampling --------------------------------------------------
 
@@ -621,11 +635,7 @@ class Trellis(Dfa):
             raise ValueError("block length must be >= 0")
         if len(self.final) > 1:
             raise ValueError("trellis must have at most one final state")
-        trimmed = Nfa(
-            self.alphabet, self.num_states, self.initial, self.final,
-            self.transitions,
-        ).trim()
-        if self.final and trimmed.num_states != self.num_states:
+        if self.final and self.trim().num_states != self.num_states:
             raise ValueError("trellis must be trim")
         if self.final and not self.is_acyclic:
             raise ValueError("trellis must be acyclic")
@@ -704,16 +714,11 @@ class Trellis(Dfa):
             i += 1
         transitions.append((q, w[-1], new_final))
         # splicing one word of the right length into a valid trellis keeps it
-        # trim, acyclic and layered, so validation is skipped; plain tuple
-        # order is the canonical order here (no epsilon labels), so the result
-        # equals the validated trellis with the same fields
-        grown = object.__new__(Trellis)
-        grown.__dict__.update(
-            alphabet=self.alphabet, num_states=num, initial=self.initial,
-            final=frozenset({new_final}), transitions=tuple(sorted(transitions)),
-            length=self.length,
-        )
-        return grown
+        # trim, acyclic and layered; plain tuple order is the canonical order
+        # here (no epsilon labels)
+        return Trellis._trusted(self.alphabet, num, self.initial,
+                                frozenset({new_final}), tuple(sorted(transitions)),
+                                length=self.length)
 
 
 def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:
@@ -784,18 +789,17 @@ def as_trellis(machine: Nfa, length: "int | None" = None) -> Trellis:
     """Trim/determinize an automaton and validate it as a trellis."""
     dfa = machine if isinstance(machine, Dfa) else machine.determinize()
     d = dfa.trim()
-    if d.num_states == 0 or not isinstance(d, Dfa):
+    if d.num_states == 0:
         # trimming removed the initial state: the language is empty
         if length is None:
             raise WordError("empty language needs an explicit block length")
         return trellis_from_words((), machine.alphabet, length)
     if not d.is_acyclic:
         raise WordError("automaton is cyclic; not a block code")
-    if d.count_words() == 0:
-        if length is None:
-            raise WordError("empty language needs an explicit block length")
-        return trellis_from_words((), machine.alphabet, length)
     ell = len(d.first_word())
+    if d.intersect(universe_trellis(d.alphabet, ell)).count_words() \
+            != d.count_words():
+        raise WordError("language has mixed lengths; not a block code")
     if length is not None and length != ell:
         raise WordError(f"language has length {ell}, declared {length}")
     if len(d.final) == 1:
@@ -811,8 +815,6 @@ def as_trellis(machine: Nfa, length: "int | None" = None) -> Trellis:
         frozenset({fresh}),
         tuple((s, a, fresh if t in d.final else t) for s, a, t in d.transitions),
     ).trim()
-    if not isinstance(merged, Dfa):
-        merged = merged.determinize().trim()
     return Trellis(merged.alphabet, merged.num_states, merged.initial,
                    merged.final, merged.transitions, length=ell)
 

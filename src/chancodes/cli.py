@@ -115,8 +115,7 @@ def _build_universe(alphabet: Alphabet, length: int, spec: "str | None",
             universe = suffix
             label = f"end={end}"
         else:
-            universe = as_trellis(universe.intersect(suffix).trim(),
-                                  length=length)
+            universe = as_trellis(universe.intersect(suffix), length=length)
             label = f"{label}&end={end}"
     return universe, label
 

@@ -27,7 +27,7 @@ from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words, 
     universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
-from .properties import detection_witness
+from .properties import _require_universe_fits, detection_witness
 
 RNG_NAME = "python-random-mt19937"
 MAX_TRIALS = 10**9
@@ -150,12 +150,7 @@ def next_word(
         rng = random.Random()
     if universe is None:
         universe = universe_trellis(code.alphabet, code.length)
-    if universe.alphabet != code.alphabet:
-        raise AlphabetMismatchError("universe alphabet differs from the code's")
-    if universe.length != code.length:
-        raise ParameterError(
-            f"universe length {universe.length} != code length {code.length}"
-        )
+    _require_universe_fits(code, universe)
     if universe.count_words() == 0:
         return NextWord(None, 0, empty_universe=True)
     if exclusion is None:

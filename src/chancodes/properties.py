@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import Dfa, Nfa, Trellis, Word, format_word, universe_trellis
+from .automata import Nfa, StateIds, Trellis, Word, format_word, \
+    universe_trellis
 from .channels import Channel
-from .errors import AlphabetMismatchError, NotDetectingError
+from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
 from .transducers import Transducer, product
 
 NONE_KIND = "none"
@@ -95,24 +96,17 @@ def _identity_violation(code: Trellis, sigma: Transducer):
         row.sort(key=lambda e: (e[0] is not None, e[0] or "",
                                 e[1] is not None, e[1] or "", e[2]))
 
-    start_states = [
-        (code.initial_state, q, code.initial_state) for q in sorted(t.initial)
-    ]
+    ids = StateIds()
+    starts = [ids[(code.initial_state, q, code.initial_state)]
+              for q in sorted(t.initial)]
     finals = set()
-    # forward discovery
-    numbering: dict[tuple[int, int, int], int] = {}
-    order: list[tuple[int, int, int]] = []
-    edges: list[list[tuple[Optional[str], Optional[str], int]]] = []
-    for s in start_states:
-        numbering[s] = len(order)
-        order.append(s)
-        edges.append([])
-    i = 0
     code_final = code.final_state
-    while i < len(order):
-        p, q, r = order[i]
+    # forward discovery; edges[i] holds the out-edges of state i
+    edges: list[list[tuple[Optional[str], Optional[str], int]]] = []
+    for i, (p, q, r) in enumerate(ids.order):
         if p == code_final and q in t.final and r == code_final:
             finals.add(i)
+        out: list[tuple[Optional[str], Optional[str], int]] = []
         for x, y, qd in t_edges[q]:
             if x is None:
                 pd = p
@@ -126,21 +120,14 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 rd = code_delta.get((r, y))
                 if rd is None:
                     continue
-            key = (pd, qd, rd)
-            idx = numbering.get(key)
-            if idx is None:
-                idx = len(order)
-                numbering[key] = idx
-                order.append(key)
-                edges.append([])
-            edges[i].append((x, y, idx))
-        i += 1
+            out.append((x, y, ids[(pd, qd, rd)]))
+        edges.append(out)
     # co-reachability prune
-    rev: list[list[int]] = [[] for _ in order]
+    rev: list[list[int]] = [[] for _ in edges]
     for s_idx, es in enumerate(edges):
         for _, _, d_idx in es:
             rev[d_idx].append(s_idx)
-    alive = [False] * len(order)
+    alive = [False] * len(edges)
     stack = sorted(finals)
     for f in stack:
         alive[f] = True
@@ -213,8 +200,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
 
     delays: dict[int, tuple[Word, Word]] = {}
     queue: list[int] = []
-    for s in start_states:
-        idx = numbering[s]
+    for idx in starts:
         if alive[idx]:
             delays[idx] = _SYNCED
             queue.append(idx)
@@ -264,6 +250,15 @@ def _require_same_alphabet(code: Trellis, channel: Channel):
         )
 
 
+def _require_universe_fits(code: Trellis, universe: Trellis):
+    if universe.alphabet != code.alphabet:
+        raise AlphabetMismatchError("universe alphabet differs from the code's")
+    if universe.length != code.length:
+        raise ParameterError(
+            f"universe length {universe.length} != code length {code.length}"
+        )
+
+
 def detection_witness(code: Trellis, channel: Channel) -> Witness:
     """NONE iff no codeword maps through the channel to a different codeword;
     otherwise a concrete violating pair (u, v) with v in channel(u)."""
@@ -291,14 +286,12 @@ def correction_witness(code: Trellis, channel: Channel) -> Witness:
 
 
 def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
-    common = sigma.image(u).determinize().intersect(
+    z = sigma.image(u).determinize().intersect(
         sigma.image(v).determinize()
-    ).trim()
-    if isinstance(common, Dfa):
-        z = common.least_word()
-        if z is not None:
-            return z
-    raise AssertionError("composed violation without a shared channel output")
+    ).least_word()
+    if z is None:
+        raise AssertionError("composed violation without a shared channel output")
+    return z
 
 
 def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
@@ -313,18 +306,17 @@ def maximality_witness(
     keeping it detecting, or NONE when the code is maximal in that universe.
 
     Exact but worst-case exponential (determinization), hence meant for small
-    block lengths.  The default universe is all words of the code's length.
+    block lengths.  The default universe is all words of the code's length; a
+    given one must share the code's alphabet and length.
     """
     _require_same_alphabet(code, channel)
     if universe is None:
         universe = universe_trellis(code.alphabet, code.length)
+    _require_universe_fits(code, universe)
     excluded = Nfa.union_automata(exclusion_automaton(code, channel), code)
     blocked = excluded.determinize()
-    candidates = universe.intersect(
-        blocked.complement(length=code.length)
-    ).trim()
-    if candidates.num_states == 0 or not isinstance(candidates, Dfa) \
-            or candidates.count_words() == 0:
+    candidates = universe.intersect(blocked.complement(length=code.length))
+    if candidates.count_words() == 0:
         return Witness.none()
     return Witness.addable(candidates.first_word())
 
@@ -344,6 +336,5 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
         )
     universe = universe_trellis(code.alphabet, code.length)
     excluded = exclusion_automaton(code, channel).determinize()
-    used = universe.intersect(excluded).trim()
-    count = used.count_words() if isinstance(used, Dfa) and used.num_states else 0
-    return Fraction(count, len(code.alphabet) ** code.length)
+    used = universe.intersect(excluded)
+    return Fraction(used.count_words(), len(code.alphabet) ** code.length)

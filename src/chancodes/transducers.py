@@ -16,6 +16,7 @@ from .automata import (
     Alphabet,
     EPSILON_TOKEN,
     Nfa,
+    StateIds,
     Word,
     _number_states,
     _parse_automaton_text,
@@ -124,7 +125,8 @@ class Transducer:
 
         ``inner`` runs first.  Built on standard-form operands; a transition of
         the pair state advances both sides on a matching middle symbol, or one
-        side alone on an epsilon-output / epsilon-input move.
+        side alone on an epsilon-output / epsilon-input move.  Only the pairs
+        reachable from the initial pairs are built, then the result is trimmed.
         """
         if self.alphabet != inner.alphabet:
             raise AlphabetMismatchError(
@@ -132,46 +134,45 @@ class Transducer:
             )
         t = inner.standard_form()
         s = self.standard_form()
-        t_out: dict[str, list[tuple[int, Word, int]]] = {}
-        t_silent: list[tuple[int, Word, int]] = []  # output-epsilon moves of t
-        for src, inp, out, dst in t.transitions:
-            if out:
-                t_out.setdefault(out[0], []).append((src, inp, dst))
+        t_moves: list[list[tuple[Word, Word, int]]] = [[] for _ in t.states]
+        for src, inp, mid, dst in t.transitions:
+            t_moves[src].append((inp, mid, dst))
+        # per state of s: input-epsilon moves, and moves by input symbol
+        s_silent: list[list[tuple[Word, int]]] = [[] for _ in s.states]
+        s_in: list[dict[str, list[tuple[Word, int]]]] = [{} for _ in s.states]
+        for src, mid, out, dst in s.transitions:
+            if mid:
+                s_in[src].setdefault(mid[0], []).append((out, dst))
             else:
-                t_silent.append((src, inp, dst))
-        s_in: dict[str, list[tuple[int, Word, int]]] = {}
-        s_silent: list[tuple[int, Word, int]] = []  # input-epsilon moves of s
-        for src, inp, out, dst in s.transitions:
-            if inp:
-                s_in.setdefault(inp[0], []).append((src, out, dst))
-            else:
-                s_silent.append((src, out, dst))
+                s_silent[src].append((out, dst))
 
-        def pair_id(p: int, q: int) -> int:
-            return p * s.num_states + q
-
-        transitions: list[tuple[int, Word, Word, int]] = []
-        for p in t.states:
-            for q in s.states:
-                pq = pair_id(p, q)
-                for src, inp, dst in t_silent:
-                    if src == p:
-                        transitions.append((pq, inp, (), pair_id(dst, q)))
-                for src, out, dst in s_silent:
-                    if src == q:
-                        transitions.append((pq, (), out, pair_id(p, dst)))
-        for mid, t_edges in t_out.items():
-            for (tp, inp, td) in t_edges:
-                for (sp, out, sd) in s_in.get(mid, ()):
-                    transitions.append(
-                        (pair_id(tp, sp), inp, out, pair_id(td, sd))
-                    )
+        ids = StateIds()
+        for p in sorted(t.initial):
+            for q in sorted(s.initial):
+                ids[(p, q)]
+        edges: list[tuple[int, Word, Word, int]] = []
+        for i, (p, q) in enumerate(ids.order):
+            for inp, mid, td in t_moves[p]:
+                if not mid:  # output-epsilon move: s stands still
+                    edges.append((i, inp, (), ids[(td, q)]))
+                    continue
+                for out, sd in s_in[q].get(mid[0], ()):
+                    edges.append((i, inp, out, ids[(td, sd)]))
+            for out, sd in s_silent[q]:
+                edges.append((i, (), out, ids[(p, sd)]))
+        # number the reachable pairs in (inner, outer) order, not discovery
+        # order: witness tie-breaks downstream go by state number
+        rank = {pair: k for k, pair in enumerate(sorted(ids.order))}
+        new_id = [rank[pair] for pair in ids.order]
         composed = Transducer(
             self.alphabet,
-            t.num_states * s.num_states,
-            frozenset(pair_id(p, q) for p in t.initial for q in s.initial),
-            frozenset(pair_id(p, q) for p in t.final for q in s.final),
-            tuple(transitions),
+            len(new_id),
+            frozenset(rank[(p, q)] for p in t.initial for q in s.initial),
+            frozenset(
+                rank[(p, q)] for p, q in ids.order
+                if p in t.final and q in s.final
+            ),
+            tuple((new_id[a], x, y, new_id[b]) for a, x, y, b in edges),
         )
         return composed.trim()
 
@@ -323,17 +324,13 @@ def product(a: Nfa, t: Transducer) -> Nfa:
     for src, inp, out, dst in t2.transitions:
         t_edges[src].append((inp, out, dst))
 
-    numbering: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
+    ids = StateIds()
     for p in sorted(a2.initial):
         for q in sorted(t2.initial):
-            if (p, q) not in numbering:
-                numbering[(p, q)] = len(order)
-                order.append((p, q))
+            ids[(p, q)]
+    initials = frozenset(range(len(ids.order)))
     transitions: list[tuple[int, "str | None", int]] = []
-    i = 0
-    while i < len(order):
-        p, q = order[i]
+    for i, (p, q) in enumerate(ids.order):
         for inp, out, dst in t_edges[q]:
             label = out[0] if out else None
             if inp:
@@ -341,19 +338,12 @@ def product(a: Nfa, t: Transducer) -> Nfa:
             else:
                 targets = (p,)
             for ap in targets:
-                key = (ap, dst)
-                if key not in numbering:
-                    numbering[key] = len(order)
-                    order.append(key)
-                transitions.append((i, label, numbering[key]))
-        i += 1
+                transitions.append((i, label, ids[(ap, dst)]))
     finals = frozenset(
-        idx
-        for (p, q), idx in numbering.items()
+        i
+        for i, (p, q) in enumerate(ids.order)
         if p in a2.final and q in t2.final
     )
-    initials = frozenset(
-        numbering[(p, q)] for p in sorted(a2.initial) for q in sorted(t2.initial)
-    )
-    raw = Nfa(a.alphabet, len(order), initials, finals, tuple(transitions))
+    raw = Nfa._trusted(a.alphabet, len(ids.order), initials, finals,
+                       Nfa._normalize(transitions))
     return raw.trim()

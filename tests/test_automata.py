@@ -10,6 +10,7 @@ from chancodes import (
     Nfa,
     Trellis,
     WordError,
+    as_trellis,
     format_word,
     trellis_from_words,
     universe_trellis,
@@ -174,6 +175,39 @@ class TestTrellisFromWords:
             trellis_from_words([], BINARY)
         t = trellis_from_words([], BINARY, length=3)
         assert t.count_words() == 0 and t.length == 3
+
+
+# {0, 01}: two final states, one of them with an outgoing edge;
+# {01, 1}: one final state, reached by paths of two lengths
+MIXED_LENGTH_FILES = [
+    "@DFA 1 2 * 0\n0 0 1\n1 1 2\n",
+    "@DFA 2 * 0\n0 0 1\n1 1 2\n0 1 2\n",
+]
+
+
+class TestAsTrellis:
+    @pytest.mark.parametrize("text", MIXED_LENGTH_FILES)
+    def test_mixed_lengths_rejected(self, text):
+        with pytest.raises(WordError, match="mixed lengths"):
+            as_trellis(Nfa.from_text(text, BINARY))
+
+    def test_several_finals_merged(self):
+        # {00, 11} with one final state per word, through an NFA
+        a = Nfa(BINARY, 5, frozenset({0}), frozenset({3, 4}),
+                ((0, "0", 1), (0, "1", 2), (1, "0", 3), (2, "1", 4)))
+        t = as_trellis(a)
+        assert isinstance(t, Trellis) and len(t.final) == 1
+        assert t == trellis_from_words(["00", "11"], BINARY)
+
+    def test_empty_language_needs_length(self):
+        a = Nfa(BINARY, 2, frozenset({0}), frozenset(), ((0, "0", 1),))
+        with pytest.raises(WordError):
+            as_trellis(a)
+        assert as_trellis(a, length=3).count_words() == 0
+
+    def test_declared_length_checked(self):
+        with pytest.raises(WordError):
+            as_trellis(universe_trellis(BINARY, 3), length=4)
 
 
 class TestAddWord:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import random
 from itertools import product as iproduct
 
 import pytest
 
+from chancodes import BINARY, channel_from_spec, format_word, make_code, \
+    universe_trellis
 from chancodes.cli import main
 from chancodes.codegen import derive_seed
 
@@ -99,6 +102,20 @@ class TestGen:
         assert code == 0
         assert all(w.endswith("1") for w in json.loads(out)["words"])
 
+    @pytest.mark.parametrize("text", [
+        "@DFA 1 2 * 0\n0 0 1\n1 1 2\n",         # {0, 01}
+        "@DFA 2 * 0\n0 0 1\n1 1 2\n0 1 2\n",   # {01, 1}
+    ])
+    def test_mixed_length_universe_file_exits_1(self, capsys, tmp_path, text):
+        universe_file = tmp_path / "mixed.aut"
+        universe_file.write_text(text)
+        code, out, err = run(
+            capsys, "gen", "--channel", "sub:1", "--len", "1", "--n", "1",
+            "--universe", str(universe_file), "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert "bad trellis file" in err and "mixed lengths" in err
+
     def test_universe_and_end_combine(self, capsys):
         code, out, _ = run(
             capsys, "gen", "--channel", "ov", "--universe", "of",
@@ -177,6 +194,72 @@ def test_gen_report_digest_is_pinned(capsys, channel, length, extra, digest):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the check / correct-check / maximal / index transcript of one
+# (channel, length) cell; each transcript holds violating and NONE answers,
+# ADDABLE and MAXIMAL, and indices below and at 1.  Witness tie-breaks go by
+# state number, so these also pin how the pair-state constructions number
+# their states.
+PINNED_DECISIONS = [
+    ("sub:2", 6, 1,
+     "0f6b45c97ee46f27d83b4e7a0efb064c80aca7754893de8c6bf251b879927e9c"),
+    ("sub:2", 8, 2,
+     "4e5ceebeebdd36af4000fe3f9df4444b9eed30ba8211a8b6c15d269bb87b2a92"),
+    ("id:2", 7, 3,
+     "e28cda70b0671c1d14f27357fabdb8640b2a7d9a7c7ba2c813abf9a16daa43a1"),
+    ("id:2", 8, 4,
+     "0b689fd250c54e0a677ed4556c637b0cd86bebf0af117ad620d2a5af44524af4"),
+    ("del1", 6, 5,
+     "f206441db1188be92a85a4149f64d02e8cb0f251d8b5aaf23f167d7e64251466"),
+    ("del1", 8, 6,
+     "2fc713c43c15e3b5c08683c7641162d3bb16b028f735382e75e196bd51697381"),
+    ("bsid2", 6, 7,
+     "0bd0ef11c8cbbd5497160c55772e9b74018e8a8b56752f968977a313b0d3927e"),
+    ("bsid2", 7, 8,
+     "5c8bb6c010fae6366cf2491b4071fa38fed91b2b0e3c65897248b0975850ef64"),
+    ("ov", 7, 9,
+     "86c0f2f02a21786f1a7c479a64d803ae97783cba2547e8e637a4fed54a2f5eaa"),
+    ("ov", 8, 10,
+     "ef0d345651f646b0c91580b0f6f4a56250d804aa721c41e2c46898c6864767c3"),
+]
+
+
+def decision_transcript(capsys, tmp_path, channel, length, seed) -> str:
+    """Every decision command on three codes: 12 random words, a greedy
+    code grown until it gives up, and the first half of that code."""
+    rng = random.Random(seed)
+    codes = {"random": sorted({
+        "".join(rng.choice("01") for _ in range(length)) for _ in range(12)
+    })}
+    report = make_code(channel_from_spec(channel), 200, length, seed=seed)
+    codes["greedy"] = [format_word(w) for w in report.words]
+    codes["half"] = codes["greedy"][: len(codes["greedy"]) // 2]
+    files = {}
+    for name, words in codes.items():
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text("\n".join(words) + "\n")
+    lines = []
+    for cmd in ("check", "correct-check", "maximal", "index"):
+        for name in ("random", "greedy", "half"):
+            if cmd in ("maximal", "index") and name == "random":
+                continue  # not detecting: a precondition failure
+            code, out, _ = run(capsys, cmd, "--channel", channel,
+                               str(files[name]))
+            lines.append(f"{cmd} {name}: {code} {out}")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("channel,length,seed,digest", PINNED_DECISIONS)
+def test_decision_outputs_are_pinned(capsys, tmp_path, channel, length, seed,
+                                     digest):
+    transcript = decision_transcript(capsys, tmp_path, channel, length, seed)
+    assert "check greedy: 0 NONE" in transcript
+    assert "check random: 3 DETECT-VIOLATION" in transcript
+    assert "maximal greedy: 0 MAXIMAL" in transcript
+    assert "maximal half: 0 ADDABLE" in transcript
+    got = hashlib.sha256(transcript.encode()).hexdigest()
+    assert got == digest, transcript
 
 
 class TestCheck:
@@ -265,6 +348,19 @@ class TestMaximalAndIndex:
             word = out.split()[1]
             assert is_overlap_free(word)
             assert is_solid_code(["00011", "00101", word])
+
+    def test_universe_of_another_length_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "code.txt"
+        f.write_text("0000\n1111\n")
+        u3 = tmp_path / "u3.aut"
+        u3.write_text(universe_trellis(BINARY, 3).to_text())
+        code, out, _ = run(capsys, "maximal", "--channel", "sub:1", str(f))
+        assert (code, out) == (0, "ADDABLE 0011\n")
+        code, out, err = run(
+            capsys, "maximal", "--channel", "sub:1", str(f), "--universe", str(u3)
+        )
+        assert code == 1 and out == ""
+        assert "universe length 3 != code length 4" in err
 
 
 class TestExperiment:

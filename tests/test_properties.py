@@ -6,7 +6,10 @@ import pytest
 
 from chancodes import (
     BINARY,
+    Alphabet,
+    AlphabetMismatchError,
     NotDetectingError,
+    ParameterError,
     Witness,
     correction_witness,
     detection_witness,
@@ -224,6 +227,14 @@ class TestMaximality:
         assert w.kind == "addable"
         assert format_word(w.w).endswith("1")
         assert oracles.hamming_distance(w.w, BINARY.word("0001")) >= 2
+
+    def test_universe_must_fit_the_code(self):
+        t = trellis_from_words(["0000", "1111"], BINARY)
+        with pytest.raises(ParameterError):
+            maximality_witness(t, make_sub(1), universe_trellis(BINARY, 3))
+        abc = Alphabet(("a", "b"))
+        with pytest.raises(AlphabetMismatchError):
+            maximality_witness(t, make_sub(1), universe_trellis(abc, 4))
 
     def test_index_equals_exclusion_probability(self):
         # empirical check of the probabilistic reading of the index

@@ -1,0 +1,72 @@
+"""Internal operations build their results without re-validation; each such
+result must equal the object the validating constructor builds from the same
+fields, so the skipped checks would have passed."""
+
+import dataclasses
+import random
+
+from chancodes import BINARY, Alphabet, Dfa, Nfa, Trellis, trellis_from_words
+from chancodes.transducers import product
+
+from test_automata import random_nfa
+from test_codegen import random_channel
+
+REVERSED = Alphabet(("1", "0"))
+
+
+def assert_trusted(result):
+    validated = dataclasses.replace(result)  # runs __post_init__
+    assert type(validated) is type(result)
+    assert validated == result
+    if isinstance(result, Dfa):
+        assert validated.delta == result.delta
+
+
+def random_code(rng: random.Random, alphabet: Alphabet) -> Trellis:
+    ell = rng.randint(1, 4)
+    words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+             for _ in range(rng.randint(0, 6))]
+    return trellis_from_words(words, alphabet, length=ell)
+
+
+def test_automaton_operations_on_random_nfas():
+    rng = random.Random(2024)
+    trimmed_kinds, had_epsilon = set(), set()
+    for k in range(300):
+        a, b = random_nfa(rng), random_nfa(rng)
+        if k % 2:  # symbol order differs from string order
+            a = dataclasses.replace(a, alphabet=REVERSED)
+            b = dataclasses.replace(b, alphabet=REVERSED)
+        da, db = a.determinize(), b.determinize()
+        results = [a.trim(), a.remove_epsilon(), da, da.trim(),
+                   da.intersect(db), da.complement(), da.complement(length=3)]
+        for r in results:
+            assert_trusted(r)
+        trimmed_kinds.add(type(da.trim()))
+        had_epsilon.add(any(sym is None for _, sym, _ in a.transitions))
+    # trimming a DFA whose language is empty leaves an NFA without states
+    assert trimmed_kinds == {Dfa, Nfa} and had_epsilon == {True, False}
+
+
+def test_transducer_operations_on_random_channels():
+    rng = random.Random(77)
+    for k in range(150):
+        alphabet = BINARY if k % 3 else Alphabet(("bc", "a"))
+        t = random_channel(rng, alphabet).transducer
+        code = random_code(rng, alphabet)
+        word = tuple(rng.choice(alphabet.symbols) for _ in range(code.length))
+        image = product(code, t)
+        for r in (t.compose(t), t.inverse().compose(t), image,
+                  image.determinize(), image.determinize().intersect(
+                      product(random_code(rng, alphabet), t).determinize()),
+                  code.trim(), code.add_word(word)):
+            assert_trusted(r)
+
+
+def test_product_of_an_epsilon_nfa():
+    rng = random.Random(5)
+    t = random_channel(rng, BINARY).transducer
+    for _ in range(100):
+        a = random_nfa(rng)
+        assert_trusted(product(a, t))
+        assert_trusted(product(a, t).determinize())
