@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyLanguageError, FormatError, WordError
+from .errors import EmptyLanguageError, FormatError, ParameterError, WordError
 
 Word = tuple[str, ...]
 
@@ -411,6 +411,14 @@ class Dfa(Nfa):
     def delta(self) -> dict[tuple[int, str], int]:
         return {(s, a): d for s, a, d in self.transitions}
 
+    @cached_property
+    def _rows(self) -> tuple[dict[str, int], ...]:
+        """Per state, its successor on each symbol that has one."""
+        table: list[dict[str, int]] = [{} for _ in self.states]
+        for s, a, d in self.transitions:
+            table[s][a] = d
+        return tuple(table)
+
     def accepts(self, word: "str | Iterable[str]") -> bool:
         w = self.alphabet.word(word)
         q = self.initial_state
@@ -671,6 +679,56 @@ class Trellis(Dfa):
     def final_state(self) -> "int | None":
         return next(iter(self.final)) if self.final else None
 
+    @cached_property
+    def minimal(self) -> "tuple[Trellis, tuple[int, ...]]":
+        """The minimal trellis of the same code, and the class of each state.
+
+        One bottom-up pass over the depth layers (Revuz, TCS 1992): a state's
+        signature is its final flag plus the class of its successor on each
+        symbol, so two states share a signature exactly when they have the
+        same right language.  Classes are numbered breadth-first from the
+        initial state, symbols in alphabet order.  ``cls[q]`` is the class
+        of state ``q``; it maps the initial state to 0 and every transition
+        to a transition.  The empty code maps every state to a lone state.
+        """
+        if not self.final:
+            return (Trellis._trusted(self.alphabet, 1, frozenset({0}),
+                                     frozenset(), (), length=self.length),
+                    (0,) * self.num_states)
+        # breadth-first order is by depth, since every path to a state has
+        # the same length; reversed, it lists successors before predecessors
+        reached = StateIds()
+        reached[self.initial_state]
+        for q in reached.order:
+            for d in self._succ[q]:
+                reached[d]
+        rows = self._rows
+        signatures: dict = {}
+        layered = [0] * self.num_states  # class ids in bottom-up order
+        members: list[int] = []  # one state per class
+        for q in reversed(reached.order):
+            sig = (q in self.final,
+                   tuple((a, layered[d]) for a, d in rows[q].items()))
+            c = signatures.get(sig)
+            if c is None:
+                c = signatures[sig] = len(members)
+                members.append(q)
+            layered[q] = c
+        ids = StateIds()
+        ids[layered[self.initial_state]]
+        transitions: list[tuple[int, str, int]] = []
+        for i, c in enumerate(ids.order):
+            row = rows[members[c]]
+            for a in self.alphabet:
+                if a in row:
+                    transitions.append((i, a, ids[layered[row[a]]]))
+        machine = Trellis._trusted(
+            self.alphabet, len(ids.order), frozenset({0}),
+            frozenset({ids[layered[self.final_state]]}),
+            tuple(sorted(transitions)), length=self.length,
+        )
+        return machine, tuple(ids[c] for c in layered)
+
     def add_word(self, word: "str | Iterable[str]") -> "Trellis":
         """Trellis accepting C(self) | {word}.
 
@@ -725,7 +783,7 @@ def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:
     """The trellis accepting every word of the given length: a chain of
     length+1 states with the full symbol fan at each step."""
     if length < 0:
-        raise ValueError("length must be >= 0")
+        raise ParameterError(f"block length must be >= 0, got {length}")
     transitions = tuple(
         (i, sym, i + 1) for i in range(length) for sym in alphabet
     )
@@ -746,6 +804,8 @@ def trellis_from_words(
 ) -> Trellis:
     """Prefix tree with a single merged final state, accepting exactly the
     given equal-length words.  An empty collection needs an explicit length."""
+    if length is not None and length < 0:
+        raise ParameterError(f"block length must be >= 0, got {length}")
     coerced = sorted({alphabet.word(w) for w in words})
     if not coerced:
         if length is None:

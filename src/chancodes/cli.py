@@ -250,6 +250,8 @@ def _experiment_cell(payload) -> tuple[int, int]:
 
 def _cmd_experiment(args) -> int:
     alphabet = _alphabet_from_arg(args.alphabet)
+    if args.reps < 1:
+        raise _CliFailure(f"--reps must be >= 1, got {args.reps}", EXIT_ERROR)
     if args.len > args.max_len or args.n > args.max_n:
         raise _CliFailure(
             f"cell exceeds the default caps (len <= {args.max_len}, "

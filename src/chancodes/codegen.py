@@ -260,6 +260,8 @@ def make_code(
     """
     if n_words < 0:
         raise ParameterError("requested word count must be >= 0")
+    if length is not None and length < 0:
+        raise ParameterError(f"block length must be >= 0, got {length}")
     n = trial_bound(f, eps)
     if seed_code is not None:
         code = seed_code

@@ -76,17 +76,55 @@ class Witness:
 _SYNCED = ((), ())
 
 
+def _live_triples(machine: Trellis, t: Transducer, t_edges) -> set:
+    """The states of machine x t x machine on some accepted path: a forward
+    build from the start triples, then a co-reachability prune."""
+    rows = machine._rows
+    final = machine.final_state
+    ids = StateIds()
+    for q in sorted(t.initial):
+        ids[(machine.initial_state, q, machine.initial_state)]
+    rev: list[list[int]] = [[] for _ in ids.order]
+    stack = []
+    for i, (p, q, r) in enumerate(ids.order):
+        if p == final and q in t.final and r == final:
+            stack.append(i)
+        for x, y, qd in t_edges[q]:
+            pd = p if x is None else rows[p].get(x)
+            rd = r if y is None else rows[r].get(y)
+            if pd is None or rd is None:
+                continue
+            n = len(ids.order)
+            j = ids[(pd, qd, rd)]
+            if j == n:
+                rev.append([])
+            rev[j].append(i)
+    alive = set(stack)
+    while stack:
+        for i in rev[stack.pop()]:
+            if i not in alive:
+                alive.add(i)
+                stack.append(i)
+    return {ids.order[i] for i in alive}
+
+
 def _identity_violation(code: Trellis, sigma: Transducer):
     """Search code x sigma x code for an accepted pair (u, v) with u != v.
 
     Returns None when every accepted pair is an identity pair (the code is
     detecting), else the pair.  Deterministic: states and edges are explored
     in sorted order, so ties always resolve the same way.
+
+    Only live triples (those on some accepted path) are built.  The code's
+    minimal trellis has the same right languages, so ``(p, q, r)`` is live
+    exactly when ``(cls[p], q, cls[r])`` is live in the small product
+    minimal x sigma x minimal.  Every predecessor of a live triple is live,
+    so the breadth-first search below meets the live triples in the same
+    order, from the same parents, as a search of the full product would.
     """
     if not code.final:
         return None
     t = sigma.standard_form()
-    code_delta = code.delta
     t_edges: list[list[tuple[Optional[str], Optional[str], int]]] = [
         [] for _ in t.states
     ]
@@ -95,53 +133,91 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     for row in t_edges:
         row.sort(key=lambda e: (e[0] is not None, e[0] or "",
                                 e[1] is not None, e[1] or "", e[2]))
+    minimal, cls = code.minimal
+    live = _live_triples(minimal, t, t_edges)
 
-    ids = StateIds()
-    starts = [ids[(code.initial_state, q, code.initial_state)]
-              for q in sorted(t.initial)]
-    finals = set()
+    def advance(delay, x, y):
+        pin, pout = delay
+        if x is not None:
+            pin = pin + (x,)
+        if y is not None:
+            pout = pout + (y,)
+        while pin and pout:
+            if pin[0] != pout[0]:
+                return None
+            pin = pin[1:]
+            pout = pout[1:]
+        return (pin, pout)
+
+    # one breadth-first pass numbers the live triples and carries the
+    # overhangs; after the first conflict it only numbers the rest, which
+    # the completion hops need for their tie-breaks
+    code_rows = code._rows
     code_final = code.final_state
-    # forward discovery; edges[i] holds the out-edges of state i
+    start = code.initial_state
+    ids = StateIds()
+    delays: list[tuple[Word, Word]] = []
+    for q in sorted(t.initial):
+        if (cls[start], q, cls[start]) in live:
+            ids[(start, q, start)]
+            delays.append(_SYNCED)
+    parent: dict[int, tuple[int, Optional[str], Optional[str]]] = {}
+    finals: list[int] = []
+    # edges[i] holds the out-edges of state i
     edges: list[list[tuple[Optional[str], Optional[str], int]]] = []
+    conflict = None
     for i, (p, q, r) in enumerate(ids.order):
         if p == code_final and q in t.final and r == code_final:
-            finals.add(i)
+            finals.append(i)
         out: list[tuple[Optional[str], Optional[str], int]] = []
         for x, y, qd in t_edges[q]:
-            if x is None:
-                pd = p
-            else:
-                pd = code_delta.get((p, x))
-                if pd is None:
-                    continue
-            if y is None:
-                rd = r
-            else:
-                rd = code_delta.get((r, y))
-                if rd is None:
-                    continue
-            out.append((x, y, ids[(pd, qd, rd)]))
+            pd = p if x is None else code_rows[p].get(x)
+            rd = r if y is None else code_rows[r].get(y)
+            if pd is None or rd is None or (cls[pd], qd, cls[rd]) not in live:
+                continue
+            n = len(ids.order)
+            j = ids[(pd, qd, rd)]
+            out.append((x, y, j))
+            if conflict is not None:
+                continue
+            nd = advance(delays[i], x, y)
+            if nd is None:
+                # mismatch at an aligned position
+                conflict = (i, x, y, j, True)
+            elif j == n:
+                delays.append(nd)
+                parent[j] = (i, x, y)
+            elif delays[j] != nd:
+                # two inconsistent overhangs
+                conflict = (i, x, y, j, False)
         edges.append(out)
-    # co-reachability prune
+
+    def path_words(s_idx: int) -> tuple[Word, Word]:
+        xs: list[str] = []
+        ys: list[str] = []
+        while s_idx in parent:
+            p_idx, x, y = parent[s_idx]
+            if x is not None:
+                xs.append(x)
+            if y is not None:
+                ys.append(y)
+            s_idx = p_idx
+        return tuple(reversed(xs)), tuple(reversed(ys))
+
+    if conflict is None:
+        for f in finals:
+            if delays[f] != _SYNCED:
+                return path_words(f)
+        return None
+
+    # completion hops toward a final state (shortest, deterministic)
     rev: list[list[int]] = [[] for _ in edges]
     for s_idx, es in enumerate(edges):
         for _, _, d_idx in es:
             rev[d_idx].append(s_idx)
-    alive = [False] * len(edges)
-    stack = sorted(finals)
-    for f in stack:
-        alive[f] = True
-    while stack:
-        s_idx = stack.pop()
-        for p_idx in rev[s_idx]:
-            if not alive[p_idx]:
-                alive[p_idx] = True
-                stack.append(p_idx)
-
-    # completion hops toward a final state (shortest, deterministic)
     next_hop: dict[int, tuple[Optional[str], Optional[str], int]] = {}
-    dist = {f: 0 for f in sorted(finals)}
-    frontier = sorted(finals)
+    dist = {f: 0 for f in finals}
+    frontier = finals
     while frontier:
         new_frontier = []
         for s_idx in frontier:
@@ -163,7 +239,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     def completion_words(s_idx: int) -> tuple[Word, Word]:
         xs: list[str] = []
         ys: list[str] = []
-        while s_idx not in finals:
+        while dist[s_idx]:
             x, y, s_idx = next_hop[s_idx]
             if x is not None:
                 xs.append(x)
@@ -171,76 +247,23 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 ys.append(y)
         return tuple(xs), tuple(ys)
 
-    parent: dict[int, tuple[int, Optional[str], Optional[str]]] = {}
-
-    def path_words(s_idx: int) -> tuple[Word, Word]:
-        xs: list[str] = []
-        ys: list[str] = []
-        while s_idx in parent:
-            p_idx, x, y = parent[s_idx]
-            if x is not None:
-                xs.append(x)
-            if y is not None:
-                ys.append(y)
-            s_idx = p_idx
-        return tuple(reversed(xs)), tuple(reversed(ys))
-
-    def advance(delay, x, y):
-        pin, pout = delay
-        if x is not None:
-            pin = pin + (x,)
-        if y is not None:
-            pout = pout + (y,)
-        while pin and pout:
-            if pin[0] != pout[0]:
-                return None
-            pin = pin[1:]
-            pout = pout[1:]
-        return (pin, pout)
-
-    delays: dict[int, tuple[Word, Word]] = {}
-    queue: list[int] = []
-    for idx in starts:
-        if alive[idx]:
-            delays[idx] = _SYNCED
-            queue.append(idx)
-    head = 0
-    while head < len(queue):
-        s_idx = queue[head]
-        head += 1
-        d = delays[s_idx]
-        for x, y, t_idx in edges[s_idx]:
-            if not alive[t_idx]:
-                continue
-            nd = advance(d, x, y)
-            if nd is None:
-                # mismatch at an aligned position: complete and report
-                ux, uy = path_words(s_idx)
-                cx, cy = completion_words(t_idx)
-                u = ux + ((x,) if x is not None else ()) + cx
-                v = uy + ((y,) if y is not None else ()) + cy
-                return u, v
-            if t_idx not in delays:
-                delays[t_idx] = nd
-                parent[t_idx] = (s_idx, x, y)
-                queue.append(t_idx)
-            elif delays[t_idx] != nd:
-                # two inconsistent overhangs: one of the two paths must
-                # disagree with any shared completion
-                ux1, uy1 = path_words(t_idx)
-                ux2, uy2 = path_words(s_idx)
-                ux2 += (x,) if x is not None else ()
-                uy2 += (y,) if y is not None else ()
-                cx, cy = completion_words(t_idx)
-                for ux, uy in ((ux1, uy1), (ux2, uy2)):
-                    u, v = ux + cx, uy + cy
-                    if u != v:
-                        return u, v
-                raise AssertionError("overhang conflict without violating pair")
-    for f in sorted(finals):
-        if f in delays and delays[f] != _SYNCED:
-            return path_words(f)
-    return None
+    s_idx, x, y, t_idx, mismatch = conflict
+    cx, cy = completion_words(t_idx)
+    if mismatch:
+        # complete the mismatching path and report it
+        ux, uy = path_words(s_idx)
+        return (ux + ((x,) if x is not None else ()) + cx,
+                uy + ((y,) if y is not None else ()) + cy)
+    # one of the two paths must disagree with any shared completion
+    ux1, uy1 = path_words(t_idx)
+    ux2, uy2 = path_words(s_idx)
+    ux2 += (x,) if x is not None else ()
+    uy2 += (y,) if y is not None else ()
+    for ux, uy in ((ux1, uy1), (ux2, uy2)):
+        u, v = ux + cx, uy + cy
+        if u != v:
+            return u, v
+    raise AssertionError("overhang conflict without violating pair")
 
 
 def _require_same_alphabet(code: Trellis, channel: Channel):
@@ -295,8 +318,9 @@ def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
 
 
 def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
-    """Automaton for (channel | channel^-1)(C): the words excluded by C."""
-    return product(code, channel.self_union_inverse())
+    """Automaton for (channel | channel^-1)(C): the words excluded by C.
+    Built on the minimal trellis, which accepts the same code."""
+    return product(code.minimal[0], channel.self_union_inverse())
 
 
 def maximality_witness(
@@ -313,7 +337,8 @@ def maximality_witness(
     if universe is None:
         universe = universe_trellis(code.alphabet, code.length)
     _require_universe_fits(code, universe)
-    excluded = Nfa.union_automata(exclusion_automaton(code, channel), code)
+    excluded = Nfa.union_automata(exclusion_automaton(code, channel),
+                                  code.minimal[0])
     blocked = excluded.determinize()
     candidates = universe.intersect(blocked.complement(length=code.length))
     if candidates.count_words() == 0:

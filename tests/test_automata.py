@@ -8,6 +8,7 @@ from chancodes import (
     Dfa,
     EmptyLanguageError,
     Nfa,
+    ParameterError,
     Trellis,
     WordError,
     as_trellis,
@@ -155,6 +156,10 @@ class TestUniverseTrellis:
         assert u.count_words() == 1
         assert u.accepts("")
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            universe_trellis(BINARY, -1)
+
 
 class TestTrellisFromWords:
     def test_two_words(self):
@@ -175,6 +180,11 @@ class TestTrellisFromWords:
             trellis_from_words([], BINARY)
         t = trellis_from_words([], BINARY, length=3)
         assert t.count_words() == 0 and t.length == 3
+
+    def test_negative_length_rejected(self):
+        for words in ([], ["01"]):
+            with pytest.raises(ParameterError, match="must be >= 0"):
+                trellis_from_words(words, BINARY, length=-1)
 
 
 # {0, 01}: two final states, one of them with an outgoing edge;
@@ -268,6 +278,86 @@ class TestAddWord:
                 assert validated == t
                 assert validated.delta == t.delta
                 assert validated.count_words() == t.count_words()
+
+
+REVERSED = Alphabet(("1", "0"))
+
+
+def random_block_code(rng: random.Random, alphabet: Alphabet) -> Trellis:
+    ell = rng.randint(0, 7)
+    words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+             for _ in range(rng.randint(0, 24))]
+    return trellis_from_words(words, alphabet, length=ell)
+
+
+def right_languages(t: Trellis) -> set:
+    """The distinct right languages of the states, by word enumeration over
+    the raw transition tuples."""
+    langs: dict[int, frozenset] = {}
+
+    def lang(q: int) -> frozenset:
+        if q not in langs:
+            words = {()} if q in t.final else set()
+            for src, sym, dst in t.transitions:
+                if src == q:
+                    words |= {(sym,) + w for w in lang(dst)}
+            langs[q] = frozenset(words)
+        return langs[q]
+
+    return {lang(q) for q in t.states}
+
+
+class TestMinimal:
+    def test_random_codes(self):
+        rng = random.Random(12)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        shrunk = 0
+        for k in range(150):
+            t = random_block_code(rng, alphabets[k % 3])
+            m, cls = t.minimal
+            assert isinstance(m, Trellis) and m.length == t.length
+            assert set(m.iter_words()) == set(t.iter_words())
+            assert m.num_states == len(right_languages(t))
+            shrunk += m.num_states < t.num_states
+            # the class map is a homomorphism onto the minimal trellis
+            assert len(cls) == t.num_states
+            assert cls[t.initial_state] == m.initial_state == 0
+            assert {cls[q] for q in t.final} == set(m.final)
+            for src, sym, dst in t.transitions:
+                assert m.delta[(cls[src], sym)] == cls[dst]
+            assert set(cls) == set(m.states)
+            # idempotent
+            assert m.minimal == (m, tuple(m.states))
+        assert shrunk > 75
+
+    def test_classes_numbered_breadth_first_in_alphabet_order(self):
+        for alphabet in (BINARY, REVERSED):
+            t = trellis_from_words(["000", "011", "101", "110"], alphabet)
+            m, _ = t.minimal
+            order = [0]
+            for q in order:
+                for sym in alphabet:
+                    d = m.delta.get((q, sym))
+                    if d is not None and d not in order:
+                        order.append(d)
+            assert order == list(m.states)
+        # reversed symbol order: state 1 is reached on "1"
+        assert m.delta[(0, "1")] == 1
+
+    def test_empty_code(self):
+        t = trellis_from_words([], BINARY, length=3)
+        m, cls = t.minimal
+        assert (m.num_states, m.final, m.transitions) == (1, frozenset(), ())
+        assert m.length == 3 and cls == (0,)
+
+    def test_length_zero_code(self):
+        t = trellis_from_words([""], BINARY)
+        m, cls = t.minimal
+        assert m == t and cls == (0,)
+
+    def test_cached(self):
+        t = trellis_from_words(["0100", "1001"], BINARY)
+        assert t.minimal is t.minimal
 
 
 class TestCountingAndSampling:

@@ -454,3 +454,41 @@ class TestChannelCommand:
         code, _, err = run(capsys, "channel", "show", "warp:9")
         assert code == 1
         assert "unknown channel" in err
+
+
+class TestNegativeLengthAndReps:
+    """Bad numbers end in one ``error:`` line and exit 1; an uncaught
+    exception would escape ``main`` and fail the test."""
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--channel", "sub:1", "--len", "-1", "--n", "1"),
+        ("gen", "--channel", "sub:1", "--len", "-1", "--n", "1",
+         "--universe", "of"),
+        ("experiment", "--channel", "sub:1", "--len", "-1", "--n", "1",
+         "--reps", "1"),
+        ("experiment", "--channel", "sub:1", "--len", "-1", "--n", "1",
+         "--reps", "1", "--universe", "of"),
+    ])
+    def test_negative_len_in_generation(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: block length must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("cmd", ["check", "correct-check", "index",
+                                     "maximal"])
+    def test_negative_len_with_an_empty_code_file(self, capsys, tmp_path,
+                                                  cmd):
+        f = tmp_path / "empty.txt"
+        f.write_text("")
+        code, out, err = run(capsys, cmd, "--channel", "sub:1", "--len", "-1",
+                             str(f))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad code file")
+        assert err.endswith("block length must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_experiment_needs_a_positive_rep_count(self, capsys, reps):
+        code, out, err = run(capsys, "experiment", "--channel", "sub:1",
+                             "--len", "4", "--n", "2", "--reps", reps)
+        assert (code, out) == (1, "")
+        assert err == f"error: --reps must be >= 1, got {reps}\n"

@@ -180,6 +180,10 @@ class TestMakeCode:
             make_code(make_sub(1), 2, 5,
                       universe=universe_trellis(BINARY, 4), seed=1)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            make_code(make_sub(1), 2, -1, seed=1)
+
 
 class TestSeedDerivation:
     def test_stable_and_distinct(self):

@@ -70,3 +70,15 @@ def test_product_of_an_epsilon_nfa():
         a = random_nfa(rng)
         assert_trusted(product(a, t))
         assert_trusted(product(a, t).determinize())
+
+
+def test_minimal_trellis():
+    rng = random.Random(9)
+    alphabets = [BINARY, REVERSED, Alphabet(("bc", "a"))]
+    for k in range(200):
+        alphabet = alphabets[k % 3]
+        ell = rng.randint(0, 6)
+        words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                 for _ in range(rng.randint(0, 20))]
+        minimal, _ = trellis_from_words(words, alphabet, length=ell).minimal
+        assert_trusted(minimal)

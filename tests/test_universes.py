@@ -37,6 +37,10 @@ class TestOverlapFree:
         with pytest.raises(ParameterError):
             overlap_free_words(BINARY, 25)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            overlap_free_trellis(BINARY, -1)
+
 
 class TestSolidCode:
     def test_known_counterexample(self):
