@@ -8,6 +8,7 @@ Epsilon (the empty word as a transition label) is represented by ``None``.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,12 +68,10 @@ class Alphabet:
         return w
 
     def words_of_length(self, length: int) -> Iterator[Word]:
-        if length == 0:
-            yield ()
-            return
-        for prefix in self.words_of_length(length - 1):
-            for s in self.symbols:
-                yield prefix + (s,)
+        """Every word of the given length, last symbol varying fastest."""
+        if length < 0:
+            raise ParameterError(f"block length must be >= 0, got {length}")
+        return itertools.product(self.symbols, repeat=length)
 
 
 BINARY = Alphabet(("0", "1"))
@@ -100,6 +99,31 @@ class StateIds(dict):
         idx = self[state] = len(self.order)
         self.order.append(state)
         return idx
+
+
+def useful_states(num_states: int, initial: Iterable[int],
+                  final: Iterable[int], arcs: Iterable[tuple[int, int]]
+                  ) -> dict[int, int]:
+    """The states on some initial->final path along ``arcs`` (source, target
+    pairs), each mapped to its new number; the renumbering keeps their order."""
+    succ: list[list[int]] = [[] for _ in range(num_states)]
+    pred: list[list[int]] = [[] for _ in range(num_states)]
+    for src, dst in arcs:
+        succ[src].append(dst)
+        pred[dst].append(src)
+
+    def reach(roots: Iterable[int], adjacent: list[list[int]]) -> set[int]:
+        seen = set(roots)
+        stack = list(seen)
+        while stack:
+            for q in adjacent[stack.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    keep = reach(initial, succ) & reach(final, pred)
+    return {q: i for i, q in enumerate(sorted(keep))}
 
 
 @dataclass(frozen=True)
@@ -170,20 +194,13 @@ class Nfa:
         )
 
     @cached_property
-    def _out(self) -> tuple[dict[str, tuple[int, ...]], ...]:
-        table: list[dict[str, list[int]]] = [dict() for _ in self.states]
+    def _out(self) -> tuple[dict["str | None", tuple[int, ...]], ...]:
+        """Per state, label (None for epsilon) -> targets, in transition
+        order."""
+        table: list[dict] = [dict() for _ in self.states]
         for src, sym, dst in self.transitions:
-            if sym is not None:
-                table[src].setdefault(sym, []).append(dst)
+            table[src].setdefault(sym, []).append(dst)
         return tuple({s: tuple(ts) for s, ts in row.items()} for row in table)
-
-    @cached_property
-    def _eps_out(self) -> tuple[tuple[int, ...], ...]:
-        table: list[list[int]] = [[] for _ in self.states]
-        for src, sym, dst in self.transitions:
-            if sym is None:
-                table[src].append(dst)
-        return tuple(tuple(row) for row in table)
 
     @cached_property
     def _closure(self) -> tuple[frozenset[int], ...]:
@@ -194,7 +211,7 @@ class Nfa:
             stack = [q]
             while stack:
                 p = stack.pop()
-                for r in self._eps_out[p]:
+                for r in self._out[p].get(None, ()):
                     if r not in seen:
                         seen.add(r)
                         stack.append(r)
@@ -253,37 +270,15 @@ class Nfa:
 
     def trim(self) -> "Nfa":
         """Keep only states on some initial->final path; relabel densely."""
-        fwd: set[int] = set()
-        stack = list(self.initial)
-        while stack:
-            q = stack.pop()
-            if q in fwd:
-                continue
-            fwd.add(q)
-            for dst in self._eps_out[q]:
-                stack.append(dst)
-            for dsts in self._out[q].values():
-                stack.extend(dsts)
-        rev_in: list[list[int]] = [[] for _ in self.states]
-        for src, _, dst in self.transitions:
-            rev_in[dst].append(src)
-        bwd: set[int] = set()
-        stack = [q for q in self.final]
-        while stack:
-            q = stack.pop()
-            if q in bwd:
-                continue
-            bwd.add(q)
-            stack.extend(rev_in[q])
-        keep = sorted(fwd & bwd)
-        remap = {q: i for i, q in enumerate(keep)}
+        remap = useful_states(self.num_states, self.initial, self.final,
+                              ((src, dst) for src, _, dst in self.transitions))
         initial = frozenset(remap[q] for q in self.initial if q in remap)
         # a DFA stays one unless its initial state was trimmed away (empty
         # language); the order-preserving remap keeps transitions canonical
         cls = Dfa if isinstance(self, Dfa) and initial else Nfa
         return cls._trusted(
             self.alphabet,
-            len(keep),
+            len(remap),
             initial,
             frozenset(remap[q] for q in self.final if q in remap),
             tuple(
@@ -306,8 +301,8 @@ class Nfa:
                 finals.add(p)
             for r in reach:
                 for sym, dsts in self._out[r].items():
-                    for d in dsts:
-                        transitions.append((p, sym, d))
+                    if sym is not None:
+                        transitions += [(p, sym, d) for d in dsts]
         return Nfa._trusted(
             self.alphabet, self.num_states, self.initial, frozenset(finals),
             Nfa._normalize(transitions),
@@ -408,12 +403,9 @@ class Dfa(Nfa):
         return next(iter(self.initial))
 
     @cached_property
-    def delta(self) -> dict[tuple[int, str], int]:
-        return {(s, a): d for s, a, d in self.transitions}
-
-    @cached_property
     def _rows(self) -> tuple[dict[str, int], ...]:
-        """Per state, its successor on each symbol that has one."""
+        """Per state, its successor on each symbol that has one, symbols in
+        transition (string) order.  Every walk of a DFA reads this table."""
         table: list[dict[str, int]] = [{} for _ in self.states]
         for s, a, d in self.transitions:
             table[s][a] = d
@@ -423,10 +415,9 @@ class Dfa(Nfa):
         w = self.alphabet.word(word)
         q = self.initial_state
         for sym in w:
-            nxt = self.delta.get((q, sym))
-            if nxt is None:
+            q = self._rows[q].get(sym)
+            if q is None:
                 return False
-            q = nxt
         return q in self.final
 
     # -- boolean operations ---------------------------------------------------
@@ -450,7 +441,7 @@ class Dfa(Nfa):
             (q, a)
             for q in self.states
             for a in self.alphabet
-            if (q, a) not in self.delta
+            if a not in self._rows[q]
         ]
         if not missing:
             return self
@@ -474,9 +465,10 @@ class Dfa(Nfa):
         ids[(self.initial_state, other.initial_state)]
         transitions: list[tuple[int, str, int]] = []
         for i, (p, q) in enumerate(ids.order):
+            p_row, q_row = self._rows[p], other._rows[q]
             for sym in self.alphabet:
-                pd = self.delta.get((p, sym))
-                qd = other.delta.get((q, sym))
+                pd = p_row.get(sym)
+                qd = q_row.get(sym)
                 if pd is not None and qd is not None:
                     transitions.append((i, sym, ids[(pd, qd)]))
         finals = frozenset(
@@ -490,73 +482,49 @@ class Dfa(Nfa):
     # -- counting and sampling --------------------------------------------------
 
     @cached_property
-    def is_acyclic(self) -> bool:
-        color = [0] * self.num_states  # 0 new, 1 active, 2 done
+    def _postorder(self) -> "tuple[int, ...] | None":
+        """Every state after all of its successors (depth-first postorder),
+        or None when the automaton has a cycle."""
+        rows = self._rows
+        color = [0] * self.num_states  # 0 new, 1 on the stack, 2 done
+        order: list[int] = []
         for root in self.states:
             if color[root]:
                 continue
-            stack: list[tuple[int, int]] = [(root, 0)]
             color[root] = 1
+            stack = [(root, iter(rows[root].values()))]
             while stack:
-                q, i = stack[-1]
-                outs = self._succ[q]
-                if i < len(outs):
-                    stack[-1] = (q, i + 1)
-                    d = outs[i]
+                q, successors = stack[-1]
+                for d in successors:
                     if color[d] == 1:
-                        return False
+                        return None
                     if color[d] == 0:
                         color[d] = 1
-                        stack.append((d, 0))
+                        stack.append((d, iter(rows[d].values())))
+                        break
                 else:
                     color[q] = 2
+                    order.append(q)
                     stack.pop()
-        return True
+        return tuple(order)
 
-    @cached_property
-    def _succ(self) -> tuple[tuple[int, ...], ...]:
-        table: list[list[int]] = [[] for _ in self.states]
-        for s, _, d in self.transitions:
-            table[s].append(d)
-        return tuple(tuple(row) for row in table)
+    @property
+    def is_acyclic(self) -> bool:
+        return self._postorder is not None
 
     @cached_property
     def _path_counts(self) -> tuple[int, ...]:
         """Number of accepted words from each state (acyclic automata only)."""
-        if not self.is_acyclic:
+        order = self._postorder
+        if order is None:
             raise ValueError("word counting requires an acyclic automaton")
-        counts = [-1] * max(self.num_states, 1)
-        ordered: list[int] = []
-        seen = [False] * max(self.num_states, 1)
-        for root in self.states:
-            if seen[root]:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            seen[root] = True
-            while stack:
-                q, i = stack[-1]
-                outs = self._succ[q]
-                if i < len(outs):
-                    stack[-1] = (q, i + 1)
-                    d = outs[i]
-                    if not seen[d]:
-                        seen[d] = True
-                        stack.append((d, 0))
-                else:
-                    ordered.append(q)
-                    stack.pop()
-        for q in ordered:
-            total = 1 if q in self.final else 0
-            for sym in self.alphabet:
-                d = self.delta.get((q, sym))
-                if d is not None:
-                    total += counts[d]
-            counts[q] = total
-        return tuple(counts[: self.num_states])
+        counts = [0] * self.num_states
+        for q in order:
+            counts[q] = (q in self.final) + sum(
+                counts[d] for d in self._rows[q].values())
+        return tuple(counts)
 
     def count_words(self) -> int:
-        if self.num_states == 0:
-            return 0
         return self._path_counts[self.initial_state]
 
     def sample_uniform(self, rng: random.Random) -> Word:
@@ -573,8 +541,9 @@ class Dfa(Nfa):
                 if pick == 0:
                     return tuple(word)
                 pick -= 1
+            row = self._rows[q]
             for sym in self.alphabet:
-                d = self.delta.get((q, sym))
+                d = row.get(sym)
                 if d is None:
                     continue
                 if pick < counts[d]:
@@ -595,7 +564,7 @@ class Dfa(Nfa):
             if q in self.final:
                 yield prefix
             for sym in self.alphabet:
-                d = self.delta.get((q, sym))
+                d = self._rows[q].get(sym)
                 if d is not None and self._path_counts[d] > 0:
                     yield from walk(d, prefix + (sym,))
 
@@ -618,7 +587,7 @@ class Dfa(Nfa):
             nxt: list[tuple[int, Word]] = []
             for q, w in layer:
                 for sym in self.alphabet:
-                    d = self.delta.get((q, sym))
+                    d = self._rows[q].get(sym)
                     if d is None or d in seen:
                         continue
                     seen.add(d)
@@ -643,12 +612,16 @@ class Trellis(Dfa):
             raise ValueError("block length must be >= 0")
         if len(self.final) > 1:
             raise ValueError("trellis must have at most one final state")
-        if self.final and self.trim().num_states != self.num_states:
+        if not self.final:
+            if self.num_states != 1 or self.transitions:
+                raise ValueError("a trellis without a final state must be "
+                                 "the empty code: one state, no transitions")
+            return
+        if self.trim().num_states != self.num_states:
             raise ValueError("trellis must be trim")
-        if self.final and not self.is_acyclic:
+        if not self.is_acyclic:
             raise ValueError("trellis must be acyclic")
-        if self.final:
-            self._check_uniform_length()
+        self._check_uniform_length()
 
     def _check_uniform_length(self):
         depth = {self.initial_state: 0}
@@ -657,10 +630,7 @@ class Trellis(Dfa):
         while i < len(queue):
             q = queue[i]
             i += 1
-            for sym in self.alphabet:
-                d = self.delta.get((q, sym))
-                if d is None:
-                    continue
+            for d in self._rows[q].values():
                 nd = depth[q] + 1
                 if d in depth:
                     if depth[d] != nd:
@@ -689,20 +659,19 @@ class Trellis(Dfa):
         same right language.  Classes are numbered breadth-first from the
         initial state, symbols in alphabet order.  ``cls[q]`` is the class
         of state ``q``; it maps the initial state to 0 and every transition
-        to a transition.  The empty code maps every state to a lone state.
+        to a transition.  The empty code, a lone state, is its own minimal
+        trellis.
         """
         if not self.final:
-            return (Trellis._trusted(self.alphabet, 1, frozenset({0}),
-                                     frozenset(), (), length=self.length),
-                    (0,) * self.num_states)
+            return self, (0,)
         # breadth-first order is by depth, since every path to a state has
         # the same length; reversed, it lists successors before predecessors
+        rows = self._rows
         reached = StateIds()
         reached[self.initial_state]
         for q in reached.order:
-            for d in self._succ[q]:
+            for d in rows[q].values():
                 reached[d]
-        rows = self._rows
         signatures: dict = {}
         layered = [0] * self.num_states  # class ids in bottom-up order
         members: list[int] = []  # one state per class
@@ -759,7 +728,7 @@ class Trellis(Dfa):
         q = self.initial_state
         i = 0
         while i < len(w):
-            nxt = self.delta.get((q, w[i]))
+            nxt = self._rows[q].get(w[i])
             if nxt is None:
                 break
             q = nxt

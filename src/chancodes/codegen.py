@@ -86,16 +86,7 @@ class Exclusion:
         self.blocked: set[Word] = set()
         self._initial = tuple(sorted(t.initial))
         self._final = t.final
-        # per T state: input symbol -> [(output symbol or None, target)], and
-        # the epsilon-input edges in the same shape
-        self._on: list[dict[str, list]] = [{} for _ in t.states]
-        self._silent: list[list] = [[] for _ in t.states]
-        for src, inp, out, dst in t.transitions:
-            edge = (out[0] if out else None, dst)
-            if inp:
-                self._on[src].setdefault(inp[0], []).append(edge)
-            else:
-                self._silent[src].append(edge)
+        self._moves = t._moves
 
     def excludes(self, code: Trellis, w: Word) -> bool:
         """True when ``w`` is in T(C) | C; ``w`` must be a valid word."""
@@ -108,18 +99,19 @@ class Exclusion:
 
     def _image_meets(self, code: Trellis, w: Word) -> bool:
         """True when T(w) and C share a word."""
-        delta, code_final, n = code.delta, code.final, len(w)
-        on, silent, t_final = self._on, self._silent, self._final
+        rows, code_final, n = code._rows, code.final, len(w)
+        all_moves, t_final = self._moves, self._final
         stack = [(0, t, code.initial_state) for t in self._initial]
         seen = set(stack)
         while stack:
             i, t, q = stack.pop()
             if i == n and q in code_final and t in t_final:
                 return True
-            for j, edges in ((i, silent[t]),
-                             (i + 1, on[t].get(w[i], ()) if i < n else ())):
+            moves = all_moves[t]
+            for j, edges in ((i, moves.get(None, ())),
+                             (i + 1, moves.get(w[i], ()) if i < n else ())):
                 for out, dst in edges:
-                    r = q if out is None else delta.get((q, out))
+                    r = q if out is None else rows[q].get(out)
                     if r is not None:
                         key = (j, dst, r)
                         if key not in seen:

@@ -76,10 +76,11 @@ class Witness:
 _SYNCED = ((), ())
 
 
-def _live_triples(machine: Trellis, t: Transducer, t_edges) -> set:
+def _live_triples(machine: Trellis, t: Transducer) -> set:
     """The states of machine x t x machine on some accepted path: a forward
-    build from the start triples, then a co-reachability prune."""
-    rows = machine._rows
+    build from the start triples, then a co-reachability prune.  ``t`` is in
+    standard form."""
+    rows, moves = machine._rows, t._moves
     final = machine.final_state
     ids = StateIds()
     for q in sorted(t.initial):
@@ -89,16 +90,19 @@ def _live_triples(machine: Trellis, t: Transducer, t_edges) -> set:
     for i, (p, q, r) in enumerate(ids.order):
         if p == final and q in t.final and r == final:
             stack.append(i)
-        for x, y, qd in t_edges[q]:
+        for x, xmoves in moves[q].items():
             pd = p if x is None else rows[p].get(x)
-            rd = r if y is None else rows[r].get(y)
-            if pd is None or rd is None:
+            if pd is None:
                 continue
-            n = len(ids.order)
-            j = ids[(pd, qd, rd)]
-            if j == n:
-                rev.append([])
-            rev[j].append(i)
+            for y, qd in xmoves:
+                rd = r if y is None else rows[r].get(y)
+                if rd is None:
+                    continue
+                n = len(ids.order)
+                j = ids[(pd, qd, rd)]
+                if j == n:
+                    rev.append([])
+                rev[j].append(i)
     alive = set(stack)
     while stack:
         for i in rev[stack.pop()]:
@@ -125,16 +129,8 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     if not code.final:
         return None
     t = sigma.standard_form()
-    t_edges: list[list[tuple[Optional[str], Optional[str], int]]] = [
-        [] for _ in t.states
-    ]
-    for src, inp, out, dst in t.transitions:
-        t_edges[src].append((inp[0] if inp else None, out[0] if out else None, dst))
-    for row in t_edges:
-        row.sort(key=lambda e: (e[0] is not None, e[0] or "",
-                                e[1] is not None, e[1] or "", e[2]))
     minimal, cls = code.minimal
-    live = _live_triples(minimal, t, t_edges)
+    live = _live_triples(minimal, t)
 
     def advance(delay, x, y):
         pin, pout = delay
@@ -152,7 +148,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     # one breadth-first pass numbers the live triples and carries the
     # overhangs; after the first conflict it only numbers the rest, which
     # the completion hops need for their tie-breaks
-    code_rows = code._rows
+    code_rows, moves = code._rows, t._moves
     code_final = code.final_state
     start = code.initial_state
     ids = StateIds()
@@ -170,26 +166,29 @@ def _identity_violation(code: Trellis, sigma: Transducer):
         if p == code_final and q in t.final and r == code_final:
             finals.append(i)
         out: list[tuple[Optional[str], Optional[str], int]] = []
-        for x, y, qd in t_edges[q]:
+        for x, xmoves in moves[q].items():
             pd = p if x is None else code_rows[p].get(x)
-            rd = r if y is None else code_rows[r].get(y)
-            if pd is None or rd is None or (cls[pd], qd, cls[rd]) not in live:
+            if pd is None:
                 continue
-            n = len(ids.order)
-            j = ids[(pd, qd, rd)]
-            out.append((x, y, j))
-            if conflict is not None:
-                continue
-            nd = advance(delays[i], x, y)
-            if nd is None:
-                # mismatch at an aligned position
-                conflict = (i, x, y, j, True)
-            elif j == n:
-                delays.append(nd)
-                parent[j] = (i, x, y)
-            elif delays[j] != nd:
-                # two inconsistent overhangs
-                conflict = (i, x, y, j, False)
+            for y, qd in xmoves:
+                rd = r if y is None else code_rows[r].get(y)
+                if rd is None or (cls[pd], qd, cls[rd]) not in live:
+                    continue
+                n = len(ids.order)
+                j = ids[(pd, qd, rd)]
+                out.append((x, y, j))
+                if conflict is not None:
+                    continue
+                nd = advance(delays[i], x, y)
+                if nd is None:
+                    # mismatch at an aligned position
+                    conflict = (i, x, y, j, True)
+                elif j == n:
+                    delays.append(nd)
+                    parent[j] = (i, x, y)
+                elif delays[j] != nd:
+                    # two inconsistent overhangs
+                    conflict = (i, x, y, j, False)
         edges.append(out)
 
     def path_words(s_idx: int) -> tuple[Word, Word]:

@@ -20,6 +20,7 @@ from .automata import (
     Word,
     _number_states,
     _parse_automaton_text,
+    useful_states,
 )
 from .errors import AlphabetMismatchError, FormatError
 
@@ -64,6 +65,20 @@ class Transducer:
         return all(
             len(i) <= 1 and len(o) <= 1 for _, i, o, _ in self.transitions
         )
+
+    @cached_property
+    def _moves(self) -> tuple[dict["str | None",
+                                   tuple[tuple["str | None", int], ...]], ...]:
+        """Standard form only: per state, input symbol (None for epsilon) ->
+        its moves (output symbol or None, target).  Keys and moves keep the
+        transition order: epsilon input first, then by (input, output,
+        target) in string order, which the witness tie-breaks rely on."""
+        table: list[dict] = [{} for _ in self.states]
+        for src, inp, out, dst in self.transitions:
+            table[src].setdefault(inp[0] if inp else None, []).append(
+                (out[0] if out else None, dst))
+        return tuple({x: tuple(moves) for x, moves in row.items()}
+                     for row in table)
 
     # -- core operations -----------------------------------------------------
 
@@ -134,32 +149,23 @@ class Transducer:
             )
         t = inner.standard_form()
         s = self.standard_form()
-        t_moves: list[list[tuple[Word, Word, int]]] = [[] for _ in t.states]
-        for src, inp, mid, dst in t.transitions:
-            t_moves[src].append((inp, mid, dst))
-        # per state of s: input-epsilon moves, and moves by input symbol
-        s_silent: list[list[tuple[Word, int]]] = [[] for _ in s.states]
-        s_in: list[dict[str, list[tuple[Word, int]]]] = [{} for _ in s.states]
-        for src, mid, out, dst in s.transitions:
-            if mid:
-                s_in[src].setdefault(mid[0], []).append((out, dst))
-            else:
-                s_silent[src].append((out, dst))
-
+        t_moves, s_moves = t._moves, s._moves
         ids = StateIds()
         for p in sorted(t.initial):
             for q in sorted(s.initial):
                 ids[(p, q)]
-        edges: list[tuple[int, Word, Word, int]] = []
+        edges: list[tuple[int, "str | None", "str | None", int]] = []
         for i, (p, q) in enumerate(ids.order):
-            for inp, mid, td in t_moves[p]:
-                if not mid:  # output-epsilon move: s stands still
-                    edges.append((i, inp, (), ids[(td, q)]))
-                    continue
-                for out, sd in s_in[q].get(mid[0], ()):
-                    edges.append((i, inp, out, ids[(td, sd)]))
-            for out, sd in s_silent[q]:
-                edges.append((i, (), out, ids[(p, sd)]))
+            s_row = s_moves[q]
+            for x, moves in t_moves[p].items():
+                for mid, td in moves:
+                    if mid is None:  # output-epsilon move: s stands still
+                        edges.append((i, x, None, ids[(td, q)]))
+                        continue
+                    for out, sd in s_row.get(mid, ()):
+                        edges.append((i, x, out, ids[(td, sd)]))
+            for out, sd in s_row.get(None, ()):
+                edges.append((i, None, out, ids[(p, sd)]))
         # number the reachable pairs in (inner, outer) order, not discovery
         # order: witness tie-breaks downstream go by state number
         rank = {pair: k for k, pair in enumerate(sorted(ids.order))}
@@ -172,37 +178,18 @@ class Transducer:
                 rank[(p, q)] for p, q in ids.order
                 if p in t.final and q in s.final
             ),
-            tuple((new_id[a], x, y, new_id[b]) for a, x, y, b in edges),
+            tuple((new_id[a], _word(x), _word(y), new_id[b])
+                  for a, x, y, b in edges),
         )
         return composed.trim()
 
     def trim(self) -> "Transducer":
-        fwd: set[int] = set()
-        stack = list(self.initial)
-        out_edges: dict[int, list[int]] = {}
-        in_edges: dict[int, list[int]] = {}
-        for s, _, _, d in self.transitions:
-            out_edges.setdefault(s, []).append(d)
-            in_edges.setdefault(d, []).append(s)
-        while stack:
-            q = stack.pop()
-            if q in fwd:
-                continue
-            fwd.add(q)
-            stack.extend(out_edges.get(q, ()))
-        bwd: set[int] = set()
-        stack = list(self.final)
-        while stack:
-            q = stack.pop()
-            if q in bwd:
-                continue
-            bwd.add(q)
-            stack.extend(in_edges.get(q, ()))
-        keep = sorted(fwd & bwd)
-        remap = {q: i for i, q in enumerate(keep)}
+        """Keep only states on some initial->final path; relabel densely."""
+        remap = useful_states(self.num_states, self.initial, self.final,
+                              ((s, d) for s, _, _, d in self.transitions))
         return Transducer(
             self.alphabet,
-            len(keep),
+            len(remap),
             frozenset(remap[q] for q in self.initial if q in remap),
             frozenset(remap[q] for q in self.final if q in remap),
             tuple(
@@ -290,6 +277,10 @@ class Transducer:
             raise FormatError(str(exc)) from exc
 
 
+def _word(sym: "str | None") -> Word:
+    return () if sym is None else (sym,)
+
+
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
     """z in compose(outer, inner)(x) iff y in inner(x) and z in outer(y) for some y."""
     return outer.compose(inner)
@@ -319,10 +310,7 @@ def product(a: Nfa, t: Transducer) -> Nfa:
         )
     a2 = a.remove_epsilon()
     t2 = t.standard_form()
-    a_out: list[dict[str, tuple[int, ...]]] = [dict(a2._out[q]) for q in a2.states]
-    t_edges: list[list[tuple[Word, Word, int]]] = [[] for _ in t2.states]
-    for src, inp, out, dst in t2.transitions:
-        t_edges[src].append((inp, out, dst))
+    a_out, t_moves = a2._out, t2._moves
 
     ids = StateIds()
     for p in sorted(a2.initial):
@@ -331,14 +319,13 @@ def product(a: Nfa, t: Transducer) -> Nfa:
     initials = frozenset(range(len(ids.order)))
     transitions: list[tuple[int, "str | None", int]] = []
     for i, (p, q) in enumerate(ids.order):
-        for inp, out, dst in t_edges[q]:
-            label = out[0] if out else None
-            if inp:
-                targets = a_out[p].get(inp[0], ())
-            else:
-                targets = (p,)
-            for ap in targets:
-                transitions.append((i, label, ids[(ap, dst)]))
+        for x, moves in t_moves[q].items():
+            targets = (p,) if x is None else a_out[p].get(x)
+            if targets is None:
+                continue
+            for label, dst in moves:
+                for ap in targets:
+                    transitions.append((i, label, ids[(ap, dst)]))
     finals = frozenset(
         i
         for i, (p, q) in enumerate(ids.order)

@@ -32,8 +32,6 @@ def is_solid_code(words: Iterable["str | Iterable[str]"]) -> bool:
 
 
 def overlap_free_words(alphabet: Alphabet, length: int) -> list[Word]:
-    if length < 0:
-        raise ParameterError(f"block length must be >= 0, got {length}")
     if length > MAX_ENUMERATED_LENGTH:
         raise ParameterError(
             f"overlap-free enumeration capped at length {MAX_ENUMERATED_LENGTH}"

@@ -43,6 +43,21 @@ def brute_accepts_dfa(d: Dfa, word) -> bool:
     return bool(current & d.final)
 
 
+class TestWordsOfLength:
+    def test_last_symbol_varies_fastest(self):
+        assert list(BINARY.words_of_length(2)) == [
+            ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+        assert list(Alphabet(("1", "0")).words_of_length(2)) == [
+            ("1", "1"), ("1", "0"), ("0", "1"), ("0", "0")]
+        assert list(BINARY.words_of_length(0)) == [()]
+
+    def test_negative_length_rejected(self):
+        # used to recurse until RecursionError
+        with pytest.raises(ParameterError,
+                           match="block length must be >= 0, got -1"):
+            BINARY.words_of_length(-1)
+
+
 class TestMembership:
     def test_universe_membership(self):
         u = universe_trellis(BINARY, 3)
@@ -137,6 +152,26 @@ class TestBooleanOps:
         assert {format_word(w) for w in both.words_up_to(3)} == {"010", "111"}
 
 
+class TestCyclicDfa:
+    SELF_LOOP = Dfa(BINARY, 1, frozenset({0}), frozenset({0}), ((0, "0", 0),))
+    TWO_CYCLE = Dfa(BINARY, 2, frozenset({0}), frozenset({1}),
+                    ((0, "0", 1), (1, "1", 0)))
+
+    @pytest.mark.parametrize("d", [SELF_LOOP, TWO_CYCLE])
+    def test_counting_and_enumeration_refused(self, d):
+        assert not d.is_acyclic
+        with pytest.raises(ValueError, match="acyclic"):
+            d.count_words()
+        with pytest.raises(ValueError, match="acyclic"):
+            list(d.iter_words())
+        with pytest.raises(WordError, match="cyclic"):
+            as_trellis(d)
+
+    def test_least_word_still_works(self):
+        assert self.SELF_LOOP.least_word() == ()
+        assert self.TWO_CYCLE.least_word() == ("0",)
+
+
 class TestUniverseTrellis:
     def test_small(self):
         u = universe_trellis(BINARY, 2)
@@ -185,6 +220,26 @@ class TestTrellisFromWords:
         for words in ([], ["01"]):
             with pytest.raises(ParameterError, match="must be >= 0"):
                 trellis_from_words(words, BINARY, length=-1)
+
+
+class TestTrellisValidation:
+    def test_final_less_trellis_must_be_the_empty_code(self):
+        # cyclic and final-less: its minimal class map could not commute
+        # with its transitions
+        with pytest.raises(ValueError, match="empty code"):
+            Trellis(BINARY, 2, {0}, set(), ((0, "0", 1), (1, "0", 0)),
+                    length=2)
+        with pytest.raises(ValueError, match="empty code"):
+            Trellis(BINARY, 2, {0}, set(), (), length=2)
+        with pytest.raises(ValueError, match="empty code"):
+            Trellis(BINARY, 1, {0}, set(), ((0, "0", 0),), length=2)
+
+    def test_empty_code_still_builds(self):
+        t = trellis_from_words((), BINARY, length=2)
+        assert t == Trellis(BINARY, 1, {0}, set(), (), length=2)
+        m, cls = t.minimal
+        assert m == t and cls == (0,)
+        assert t.add_word("01").count_words() == 1
 
 
 # {0, 01}: two final states, one of them with an outgoing edge;
@@ -276,7 +331,7 @@ class TestAddWord:
                 validated = Trellis(alphabet, t.num_states, t.initial, t.final,
                                     t.transitions, length=t.length)
                 assert validated == t
-                assert validated.delta == t.delta
+                assert validated._rows == t._rows
                 assert validated.count_words() == t.count_words()
 
 
@@ -324,7 +379,7 @@ class TestMinimal:
             assert cls[t.initial_state] == m.initial_state == 0
             assert {cls[q] for q in t.final} == set(m.final)
             for src, sym, dst in t.transitions:
-                assert m.delta[(cls[src], sym)] == cls[dst]
+                assert m._rows[cls[src]][sym] == cls[dst]
             assert set(cls) == set(m.states)
             # idempotent
             assert m.minimal == (m, tuple(m.states))
@@ -337,12 +392,12 @@ class TestMinimal:
             order = [0]
             for q in order:
                 for sym in alphabet:
-                    d = m.delta.get((q, sym))
+                    d = m._rows[q].get(sym)
                     if d is not None and d not in order:
                         order.append(d)
             assert order == list(m.states)
         # reversed symbol order: state 1 is reached on "1"
-        assert m.delta[(0, "1")] == 1
+        assert m._rows[0]["1"] == 1
 
     def test_empty_code(self):
         t = trellis_from_words([], BINARY, length=3)

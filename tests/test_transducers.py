@@ -23,6 +23,7 @@ from chancodes import (
 )
 
 import oracles
+from test_codegen import random_channel
 
 
 def zoo():
@@ -224,3 +225,73 @@ class TestInputPreservation:
     def test_empty_relation_passes_vacuously(self):
         t = Transducer(BINARY, 1, frozenset({0}), frozenset(), ())
         assert t.is_input_preserving(3)
+
+
+RANDOM_ALPHABETS = [BINARY, Alphabet(("1", "0")), Alphabet(("bc", "a"))]
+
+
+def _edge_key(x, y, dst):
+    """The sort key the detection search used on its own edge table."""
+    return (x is not None, x or "", y is not None, y or "", dst)
+
+
+class TestMoves:
+    def test_moves_keep_transition_order(self):
+        rng = random.Random(31)
+        epsilon_first = reordered = 0
+        for k in range(300):
+            alphabet = RANDOM_ALPHABETS[k % 3]
+            t = random_channel(rng, alphabet).transducer.standard_form()
+            flat = []
+            for q in t.states:
+                row = t._moves[q]
+                edges = [(x, y, d) for x, moves in row.items()
+                         for y, d in moves]
+                assert edges == sorted(edges, key=lambda e: _edge_key(*e))
+                if None in row:
+                    assert next(iter(row)) is None
+                    epsilon_first += len(row) > 1
+                reordered += list(row) == ["0", "1"] and alphabet != BINARY
+                flat += [(q, () if x is None else (x,),
+                          () if y is None else (y,), d) for x, y, d in edges]
+            assert flat == list(t.transitions)
+        assert epsilon_first and reordered
+
+
+def _brute_useful(t: Transducer) -> list[int]:
+    """States on an initial->final path, from the reflexive-transitive
+    closure of the edge relation."""
+    reach = [[p == q for q in t.states] for p in t.states]
+    for s, _, _, d in t.transitions:
+        reach[s][d] = True
+    for m in t.states:
+        for p in t.states:
+            if reach[p][m]:
+                for q in t.states:
+                    reach[p][q] = reach[p][q] or reach[m][q]
+    return [q for q in t.states
+            if any(reach[i][q] for i in t.initial)
+            and any(reach[q][f] for f in t.final)]
+
+
+class TestTransducerTrim:
+    def test_matches_brute_force_reachability(self):
+        rng = random.Random(8)
+        removed = 0
+        for k in range(300):
+            alphabet = RANDOM_ALPHABETS[k % 3]
+            t = random_channel(rng, alphabet).transducer
+            if k % 2:
+                t = t.standard_form()
+            keep = _brute_useful(t)
+            remap = {q: i for i, q in enumerate(keep)}
+            trimmed = t.trim()
+            assert trimmed.num_states == len(keep)
+            assert trimmed.initial == {remap[q] for q in t.initial
+                                       if q in remap}
+            assert trimmed.final == {remap[q] for q in t.final if q in remap}
+            assert trimmed.transitions == tuple(
+                (remap[s], i, o, remap[d]) for s, i, o, d in t.transitions
+                if s in remap and d in remap)
+            removed += len(keep) < t.num_states
+        assert removed > 30

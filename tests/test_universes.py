@@ -40,6 +40,9 @@ class TestOverlapFree:
     def test_negative_length_rejected(self):
         with pytest.raises(ParameterError, match="must be >= 0"):
             overlap_free_trellis(BINARY, -1)
+        with pytest.raises(ParameterError,
+                           match="block length must be >= 0, got -1"):
+            overlap_free_words(BINARY, -1)
 
 
 class TestSolidCode:
