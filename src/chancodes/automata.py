@@ -556,7 +556,8 @@ class Dfa(Nfa):
 
     def iter_words(self) -> Iterator[Word]:
         """All accepted words, depth-first with symbols in alphabet order
-        (lexicographic order for block languages).  Acyclic automata only."""
+        (lexicographic order for block languages).  Acyclic automata only: on
+        a cycle the call itself raises ValueError."""
         if not self.is_acyclic:
             raise ValueError("word enumeration requires an acyclic automaton")
 
@@ -568,7 +569,7 @@ class Dfa(Nfa):
                 if d is not None and self._path_counts[d] > 0:
                     yield from walk(d, prefix + (sym,))
 
-        yield from walk(self.initial_state, ())
+        return walk(self.initial_state, ())
 
     def first_word(self) -> Word:
         """First word under iter_words order; least word for block languages."""

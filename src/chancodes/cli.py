@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from statistics import median
 
 from .automata import Alphabet, BINARY, Nfa, Trellis, as_trellis, \
@@ -235,19 +234,6 @@ def _cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _experiment_cell(payload) -> tuple[int, int]:
-    (spec_list, alphabet_symbols, length, n, f, eps, universe_kind, end,
-     seed, rep) = payload
-    alphabet = Alphabet(alphabet_symbols)
-    channel = _combined_channel(list(spec_list), alphabet)
-    universe, label = _build_universe(alphabet, length, universe_kind, end)
-    report = make_code(
-        channel, n, length, alphabet=alphabet, f=f, eps=eps,
-        seed=derive_seed(seed, rep), universe=universe, universe_label=label,
-    )
-    return rep, report.size
-
-
 def _cmd_experiment(args) -> int:
     alphabet = _alphabet_from_arg(args.alphabet)
     if args.reps < 1:
@@ -259,19 +245,17 @@ def _cmd_experiment(args) -> int:
             EXIT_ERROR,
         )
     seed = _seed_from_args(args)
+    universe, label = _build_universe(alphabet, args.len, args.universe,
+                                      args.end)
     lines = []
     for spec in args.channel:
-        payloads = [
-            ((spec,), alphabet.symbols, args.len, args.n, args.f, args.eps,
-             args.universe, args.end, seed, rep)
+        channel = _resolve_channel(spec, alphabet)
+        sizes = [
+            make_code(channel, args.n, args.len, alphabet=alphabet, f=args.f,
+                      eps=args.eps, seed=derive_seed(seed, rep),
+                      universe=universe, universe_label=label).size
             for rep in range(args.reps)
         ]
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_experiment_cell, payloads))
-        else:
-            results = [_experiment_cell(p) for p in payloads]
-        sizes = [size for _, size in sorted(results)]
         med = median(sizes)
         med_txt = str(int(med)) if float(med).is_integer() else f"{med:.1f}"
         lines.append(
@@ -365,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--reps", type=int, default=21)
     ex.add_argument("--end", help="required codeword suffix")
     ex.add_argument("--universe", choices=("of",), help="overlap-free universe")
-    ex.add_argument("--workers", type=int, default=1)
     ex.add_argument("--max-len", type=int, default=13)
     ex.add_argument("--max-n", type=int, default=500)
 

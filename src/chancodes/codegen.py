@@ -319,7 +319,8 @@ def make_code(
 
 
 def derive_seed(seed: "int | None", index: int) -> int:
-    """Stable per-repetition seed stream for parallel experiment runs."""
+    """Stable per-repetition seed stream for experiment runs: repetition
+    ``index`` of a run with base ``seed`` always gets the same seed."""
     import hashlib
 
     base = "none" if seed is None else str(seed)

@@ -7,9 +7,14 @@ channel, code as output language) and searches it for an accepted path whose
 input and output words differ.  Equality cannot be tracked symbol-by-symbol
 when the two sides are desynchronized by insertions/deletions, so each product
 state carries the *overhang*: the word by which one side is ahead of the
-other.  A state with two distinct overhangs, an overhang/step mismatch, or a
-final state with a non-empty overhang each pin down a violating pair, and if
-none occurs every accepted pair is an identity pair.
+other.  A state with two distinct overhangs or an overhang/step mismatch
+pins down a violating pair, and if neither occurs every accepted pair is an
+identity pair: all codewords have one length, so at a final state neither
+side is ahead.
+
+The code enters the product as its minimal trellis, whose numbering is fixed
+by the code's words, so a witness depends only on the word set and the
+channel, never on how the code's trellis was built.
 """
 
 from __future__ import annotations
@@ -112,157 +117,115 @@ def _live_triples(machine: Trellis, t: Transducer) -> set:
     return {ids.order[i] for i in alive}
 
 
+def _advance(delay: tuple[Word, Word], x: Optional[str], y: Optional[str]):
+    """The overhang after reading x on the input side and y on the output
+    side, or None when the two sides disagree at an aligned position."""
+    pin, pout = delay
+    if x is not None:
+        pin = pin + (x,)
+    if y is not None:
+        pout = pout + (y,)
+    while pin and pout:
+        if pin[0] != pout[0]:
+            return None
+        pin = pin[1:]
+        pout = pout[1:]
+    return (pin, pout)
+
+
+def _labels(links: dict, triple) -> list:
+    """The (x, y) labels of the path that ``links`` (triple -> (predecessor,
+    x, y)) records back to a triple without a link, in path order."""
+    labels = []
+    while triple in links:
+        triple, x, y = links[triple]
+        labels.append((x, y))
+    labels.reverse()
+    return labels
+
+
+def _words(labels: list) -> tuple[Word, Word]:
+    return (tuple(x for x, _ in labels if x is not None),
+            tuple(y for _, y in labels if y is not None))
+
+
 def _identity_violation(code: Trellis, sigma: Transducer):
-    """Search code x sigma x code for an accepted pair (u, v) with u != v.
+    """Search minimal x sigma x minimal for an accepted pair (u, v), u != v.
 
     Returns None when every accepted pair is an identity pair (the code is
-    detecting), else the pair.  Deterministic: states and edges are explored
-    in sorted order, so ties always resolve the same way.
+    detecting), else the pair.  The minimal trellis accepts the same code,
+    so the product accepts the same pairs as code x sigma x code, and its
+    numbering is fixed by the code's words; a witness depends only on the
+    word set and the channel.
 
-    Only live triples (those on some accepted path) are built.  The code's
-    minimal trellis has the same right languages, so ``(p, q, r)`` is live
-    exactly when ``(cls[p], q, cls[r])`` is live in the small product
-    minimal x sigma x minimal.  Every predecessor of a live triple is live,
-    so the breadth-first search below meets the live triples in the same
-    order, from the same parents, as a search of the full product would.
+    Three steps, all on the live triples (those on some accepted path):
+    ``_live_triples`` finds them; one breadth-first search carries the
+    overhangs and stops at the first conflict; a second one, forward from
+    the conflict's target, completes the witness to a final triple.  Every
+    walk meets successors in ``_moves`` order, so ties always resolve the
+    same way.
     """
     if not code.final:
         return None
     t = sigma.standard_form()
-    minimal, cls = code.minimal
-    live = _live_triples(minimal, t)
+    machine = code.minimal[0]
+    live = _live_triples(machine, t)
+    rows, moves = machine._rows, t._moves
+    final = machine.final_state
 
-    def advance(delay, x, y):
-        pin, pout = delay
-        if x is not None:
-            pin = pin + (x,)
-        if y is not None:
-            pout = pout + (y,)
-        while pin and pout:
-            if pin[0] != pout[0]:
-                return None
-            pin = pin[1:]
-            pout = pout[1:]
-        return (pin, pout)
-
-    # one breadth-first pass numbers the live triples and carries the
-    # overhangs; after the first conflict it only numbers the rest, which
-    # the completion hops need for their tie-breaks
-    code_rows, moves = code._rows, t._moves
-    code_final = code.final_state
-    start = code.initial_state
-    ids = StateIds()
-    delays: list[tuple[Word, Word]] = []
-    for q in sorted(t.initial):
-        if (cls[start], q, cls[start]) in live:
-            ids[(start, q, start)]
-            delays.append(_SYNCED)
-    parent: dict[int, tuple[int, Optional[str], Optional[str]]] = {}
-    finals: list[int] = []
-    # edges[i] holds the out-edges of state i
-    edges: list[list[tuple[Optional[str], Optional[str], int]]] = []
-    conflict = None
-    for i, (p, q, r) in enumerate(ids.order):
-        if p == code_final and q in t.final and r == code_final:
-            finals.append(i)
-        out: list[tuple[Optional[str], Optional[str], int]] = []
+    def successors(triple):
+        p, q, r = triple
         for x, xmoves in moves[q].items():
-            pd = p if x is None else code_rows[p].get(x)
+            pd = p if x is None else rows[p].get(x)
             if pd is None:
                 continue
             for y, qd in xmoves:
-                rd = r if y is None else code_rows[r].get(y)
-                if rd is None or (cls[pd], qd, cls[rd]) not in live:
-                    continue
-                n = len(ids.order)
-                j = ids[(pd, qd, rd)]
-                out.append((x, y, j))
-                if conflict is not None:
-                    continue
-                nd = advance(delays[i], x, y)
-                if nd is None:
-                    # mismatch at an aligned position
-                    conflict = (i, x, y, j, True)
-                elif j == n:
-                    delays.append(nd)
-                    parent[j] = (i, x, y)
-                elif delays[j] != nd:
-                    # two inconsistent overhangs
-                    conflict = (i, x, y, j, False)
-        edges.append(out)
+                rd = r if y is None else rows[r].get(y)
+                if rd is not None and (pd, qd, rd) in live:
+                    yield x, y, (pd, qd, rd)
 
-    def path_words(s_idx: int) -> tuple[Word, Word]:
-        xs: list[str] = []
-        ys: list[str] = []
-        while s_idx in parent:
-            p_idx, x, y = parent[s_idx]
-            if x is not None:
-                xs.append(x)
-            if y is not None:
-                ys.append(y)
-            s_idx = p_idx
-        return tuple(reversed(xs)), tuple(reversed(ys))
+    def completion(triple):
+        # shortest live path on to a final triple; live means one exists
+        links = {}
+        queue = [triple]
+        for s in queue:
+            p, q, r = s
+            if p == final and q in t.final and r == final:
+                return _labels(links, s)
+            for x, y, d in successors(s):
+                if d != triple and d not in links:
+                    links[d] = (s, x, y)
+                    queue.append(d)
+        raise AssertionError("live triple without a path to a final triple")
 
-    if conflict is None:
-        for f in finals:
-            if delays[f] != _SYNCED:
-                return path_words(f)
-        return None
-
-    # completion hops toward a final state (shortest, deterministic)
-    rev: list[list[int]] = [[] for _ in edges]
-    for s_idx, es in enumerate(edges):
-        for _, _, d_idx in es:
-            rev[d_idx].append(s_idx)
-    next_hop: dict[int, tuple[Optional[str], Optional[str], int]] = {}
-    dist = {f: 0 for f in finals}
-    frontier = finals
-    while frontier:
-        new_frontier = []
-        for s_idx in frontier:
-            for p_idx in rev[s_idx]:
-                if p_idx in dist:
-                    continue
-                # find the concrete edge p->s with the smallest label key
-                best = None
-                for x, y, d_idx in edges[p_idx]:
-                    if d_idx == s_idx:
-                        k = (x is not None, x or "", y is not None, y or "")
-                        if best is None or k < best[0]:
-                            best = (k, (x, y, d_idx))
-                dist[p_idx] = dist[s_idx] + 1
-                next_hop[p_idx] = best[1]
-                new_frontier.append(p_idx)
-        frontier = sorted(new_frontier)
-
-    def completion_words(s_idx: int) -> tuple[Word, Word]:
-        xs: list[str] = []
-        ys: list[str] = []
-        while dist[s_idx]:
-            x, y, s_idx = next_hop[s_idx]
-            if x is not None:
-                xs.append(x)
-            if y is not None:
-                ys.append(y)
-        return tuple(xs), tuple(ys)
-
-    s_idx, x, y, t_idx, mismatch = conflict
-    cx, cy = completion_words(t_idx)
-    if mismatch:
-        # complete the mismatching path and report it
-        ux, uy = path_words(s_idx)
-        return (ux + ((x,) if x is not None else ()) + cx,
-                uy + ((y,) if y is not None else ()) + cy)
-    # one of the two paths must disagree with any shared completion
-    ux1, uy1 = path_words(t_idx)
-    ux2, uy2 = path_words(s_idx)
-    ux2 += (x,) if x is not None else ()
-    uy2 += (y,) if y is not None else ()
-    for ux, uy in ((ux1, uy1), (ux2, uy2)):
-        u, v = ux + cx, uy + cy
-        if u != v:
-            return u, v
-    raise AssertionError("overhang conflict without violating pair")
+    delays = {}
+    links = {}
+    queue = []
+    for q in sorted(t.initial):
+        s = (machine.initial_state, q, machine.initial_state)
+        if s in live:
+            delays[s] = _SYNCED
+            queue.append(s)
+    # a final triple needs no check of its own: both sides of a path to it
+    # have read a whole codeword, all of one length, so neither is ahead
+    for s in queue:
+        for x, y, d in successors(s):
+            nd = _advance(delays[s], x, y)
+            if nd is not None and d not in delays:
+                delays[d] = nd
+                links[d] = (s, x, y)
+                queue.append(d)
+            elif nd is None or delays[d] != nd:
+                # a mismatch at an aligned position, or a second overhang at
+                # d: the path along this edge, or else the first path to d,
+                # disagrees with any completion
+                rest = completion(d)
+                for path in (_labels(links, s) + [(x, y)], _labels(links, d)):
+                    u, v = _words(path + rest)
+                    if u != v:
+                        return u, v
+                raise AssertionError("overhang conflict without violating pair")
+    return None
 
 
 def _require_same_alphabet(code: Trellis, channel: Channel):

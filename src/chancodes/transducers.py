@@ -141,7 +141,8 @@ class Transducer:
         ``inner`` runs first.  Built on standard-form operands; a transition of
         the pair state advances both sides on a matching middle symbol, or one
         side alone on an epsilon-output / epsilon-input move.  Only the pairs
-        reachable from the initial pairs are built, then the result is trimmed.
+        reachable from the initial pairs are built, numbered in breadth-first
+        discovery order, then the result is trimmed.
         """
         if self.alphabet != inner.alphabet:
             raise AlphabetMismatchError(
@@ -166,20 +167,15 @@ class Transducer:
                         edges.append((i, x, out, ids[(td, sd)]))
             for out, sd in s_row.get(None, ()):
                 edges.append((i, None, out, ids[(p, sd)]))
-        # number the reachable pairs in (inner, outer) order, not discovery
-        # order: witness tie-breaks downstream go by state number
-        rank = {pair: k for k, pair in enumerate(sorted(ids.order))}
-        new_id = [rank[pair] for pair in ids.order]
         composed = Transducer(
             self.alphabet,
-            len(new_id),
-            frozenset(rank[(p, q)] for p in t.initial for q in s.initial),
+            len(ids.order),
+            frozenset(ids[(p, q)] for p in t.initial for q in s.initial),
             frozenset(
-                rank[(p, q)] for p, q in ids.order
+                i for i, (p, q) in enumerate(ids.order)
                 if p in t.final and q in s.final
             ),
-            tuple((new_id[a], _word(x), _word(y), new_id[b])
-                  for a, x, y, b in edges),
+            tuple((a, _word(x), _word(y), b) for a, x, y, b in edges),
         )
         return composed.trim()
 

@@ -163,7 +163,7 @@ class TestCyclicDfa:
         with pytest.raises(ValueError, match="acyclic"):
             d.count_words()
         with pytest.raises(ValueError, match="acyclic"):
-            list(d.iter_words())
+            d.iter_words()
         with pytest.raises(WordError, match="cyclic"):
             as_trellis(d)
 

@@ -9,8 +9,10 @@ from chancodes import (
     BINARY,
     Alphabet,
     AlphabetMismatchError,
+    Channel,
     NotDetectingError,
     ParameterError,
+    Transducer,
     Witness,
     correction_witness,
     detection_witness,
@@ -92,6 +94,21 @@ class TestDetection:
     def test_two_word_indel(self):
         t = trellis_from_words(["00", "11"], BINARY)
         assert not detection_witness(t, make_id(1))
+
+    def test_violation_seen_only_as_two_overhangs(self):
+        # no step of the search meets a mismatch on this channel: the
+        # violation shows only as two different overhangs at one triple
+        t = Transducer(BINARY, 2, {0, 1}, {0, 1}, (
+            (0, "0", "0", 1), (0, "1", "10", 1), (1, "", "0", 0),
+            (1, "0", "", 1), (1, "00", "1", 0), (1, "1", "", 1),
+            (1, "11", "00", 1),
+        ))
+        words = [BINARY.word("0"), BINARY.word("1")]
+        images = {w: oracles.enumerate_image(t, w, 1) for w in words}
+        assert not oracles.brute_detecting(words, images)
+        got = detection_witness(trellis_from_words(["0", "1"], BINARY),
+                                Channel("two-overhangs", t))
+        assert got.u != got.v and got.v in images[got.u]
 
     def test_empty_and_singleton_codes(self):
         empty = trellis_from_words([], BINARY, length=4)
@@ -266,7 +283,7 @@ class TestMaximalCorrectionEquivalence:
             )
             for w in pool
         }
-        from chancodes import Channel, compose
+        from chancodes import compose
 
         comp = Channel(
             "sub1-then-back",
@@ -292,16 +309,87 @@ class TestMaximalCorrectionEquivalence:
                 assert (not found) == brute_maximal, combo
 
 
+# -- referee: witnesses on random transducers, checked by brute force ---------------
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("a", "bc"))],
+                         ids=["01", "a-bc"])
+def test_random_channel_witnesses_are_genuine(alphabet):
+    """On random transducers (epsilon/epsilon edges and cycles included) every
+    detection witness is a pair u != v of codewords with v in sigma(u), every
+    correction witness adds a shared output z, and NONE comes exactly when
+    the brute-force oracles find no violation."""
+    from test_codegen import random_channel
+
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(150):
+        channel = random_channel(rng, alphabet)
+        ell = rng.randint(1, 4)
+        words = sorted({
+            tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+            for _ in range(rng.randint(1, 6))
+        })
+        code = trellis_from_words(words, alphabet)
+        detect = detection_witness(code, channel)
+        correct = correction_witness(code, channel)
+        # NONE must hold up to any bound; a shared output must show at its own
+        bound = max(ell + 2, len(correct.z) if correct else 0)
+        images = {w: oracles.enumerate_image(channel.transducer, w, bound)
+                  for w in words}
+        assert (not detect) == oracles.brute_detecting(words, images), words
+        assert (not correct) == oracles.brute_correcting(words, images), words
+        if detect:
+            assert detect.u in words and detect.v in words
+            assert detect.u != detect.v
+            assert detect.v in images[detect.u]
+        if correct:
+            assert correct.u in words and correct.v in words
+            assert correct.u != correct.v
+            assert correct.z in images[correct.u] & images[correct.v]
+        eps_eps = any(not inp and not out
+                      for _, inp, out, _ in channel.transducer.transitions)
+        seen.add((eps_eps, bool(detect), bool(correct)))
+    # epsilon/epsilon channels meet violating and NONE answers of both kinds
+    assert {(True, True), (True, False)} <= {(e, d) for e, d, _ in seen}
+    assert {(True, True), (True, False)} <= {(e, c) for e, _, c in seen}
+
+
+def test_witnesses_depend_only_on_the_words():
+    """A prefix-tree code, its minimal trellis and the same words grown by
+    ``add_word`` in shuffled order give the same witnesses."""
+    from chancodes import channel_from_spec
+
+    rng = random.Random(6)
+    for spec in ("sub:1", "sub:2", "id:1", "id:2", "del1", "bsid2"):
+        channel = channel_from_spec(spec)
+        for _ in range(20):
+            ell = rng.randint(4, 7)
+            words = sorted({
+                "".join(rng.choice("01") for _ in range(ell))
+                for _ in range(rng.randint(2, 16))
+            })
+            tree = trellis_from_words(words, BINARY)
+            grown = trellis_from_words([], BINARY, length=ell)
+            for w in rng.sample(words, len(words)):
+                grown = grown.add_word(w)
+            for decide in (detection_witness, correction_witness):
+                answers = {str(decide(c, channel))
+                           for c in (tree, tree.minimal[0], grown)}
+                assert len(answers) == 1, (spec, words, answers)
+
+
 # -- pinned byte-identity battery for the three-way search ---------------------------
 
 BATTERY_SPECS = ("sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
                  "segd:2", "ov")
 
-# SHA-256 of ``search_transcript()``.  Witness tie-breaks go by the order in
-# which the search numbers its product states, so this pins that order along
-# with every answer.
+# SHA-256 of ``search_transcript()``.  The search runs on the minimal
+# trellis, numbered by the code's words alone, and meets successors in the
+# order of the channel's standard-form moves; this pins that tie-break rule
+# along with every answer.
 PINNED_SEARCH_DIGEST = \
-    "6340f289d782d12d80196a7ce0537a4cc830b75c4076419c2ef27976684c254f"
+    "d8dc084c5d3a74b77fa073612e2b91a9a65f8d71a2c9a23936b8e1cbe4eba5d6"
 
 
 def search_transcript() -> str:
