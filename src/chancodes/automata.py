@@ -398,14 +398,15 @@ class Dfa(Nfa):
                 raise ValueError(f"nondeterministic at state {src} on {sym!r}")
             seen.add((src, sym))
 
-    @property
+    @cached_property
     def initial_state(self) -> int:
         return next(iter(self.initial))
 
     @cached_property
     def _rows(self) -> tuple[dict[str, int], ...]:
         """Per state, its successor on each symbol that has one, symbols in
-        transition (string) order.  Every walk of a DFA reads this table."""
+        transition (string) order.  Every walk of a DFA reads this table,
+        directly or through ``_draw_table``."""
         table: list[dict[str, int]] = [{} for _ in self.states]
         for s, a, d in self.transitions:
             table[s][a] = d
@@ -524,33 +525,66 @@ class Dfa(Nfa):
                 counts[d] for d in self._rows[q].values())
         return tuple(counts)
 
+    @cached_property
+    def _draw_table(self) -> tuple[tuple[bool, tuple[tuple[int, str, int],
+                                                     ...]], ...]:
+        """Per state: (is final, ((count, symbol, target), ...)) with symbols
+        in alphabet order, leaving out successors that accept no word
+        (acyclic automata only).  Drawing by rank and word enumeration walk
+        this table."""
+        counts = self._path_counts
+        table = []
+        for q, row in enumerate(self._rows):
+            successors = []
+            for sym in self.alphabet:
+                d = row.get(sym)
+                if d is not None and counts[d]:
+                    successors.append((counts[d], sym, d))
+            table.append((q in self.final, tuple(successors)))
+        return tuple(table)
+
+    @cached_property
+    def _drawn(self) -> dict[int, Word]:
+        """Words already unranked by ``sample_uniform``, by rank.  The word of
+        a rank is a pure function of the automaton, so entries never go stale;
+        there is one per distinct rank drawn."""
+        return {}
+
     def count_words(self) -> int:
         return self._path_counts[self.initial_state]
 
     def sample_uniform(self, rng: random.Random) -> Word:
-        """Draw one accepted word, each with probability exactly 1/|L|."""
+        """Draw one accepted word, each with probability exactly 1/|L|.
+
+        One ``rng.randrange(|L|)`` call per draw picks a rank; the word of
+        that rank in ``iter_words`` order is looked up in ``_drawn`` or, on a
+        miss, unranked and stored there."""
         total = self.count_words()
         if total == 0:
             raise EmptyLanguageError("cannot sample from an empty language")
-        counts = self._path_counts
+        rank = rng.randrange(total)
+        word = self._drawn.get(rank)
+        if word is None:
+            word = self._drawn[rank] = self._unrank(rank)
+        return word
+
+    def _unrank(self, rank: int) -> Word:
+        """The accepted word of the given rank in ``iter_words`` order."""
+        table = self._draw_table
         q = self.initial_state
         word: list[str] = []
-        pick = rng.randrange(counts[q])
         while True:
-            if q in self.final:
-                if pick == 0:
+            final, successors = table[q]
+            if final:
+                if rank == 0:
                     return tuple(word)
-                pick -= 1
-            row = self._rows[q]
-            for sym in self.alphabet:
-                d = row.get(sym)
-                if d is None:
-                    continue
-                if pick < counts[d]:
+                rank -= 1
+            for count, sym, d in successors:
+                if rank < count:
                     word.append(sym)
                     q = d
                     break
-                pick -= counts[d]
+                rank -= count
             else:
                 raise AssertionError("path count bookkeeping out of sync")
 
@@ -560,14 +594,14 @@ class Dfa(Nfa):
         a cycle the call itself raises ValueError."""
         if not self.is_acyclic:
             raise ValueError("word enumeration requires an acyclic automaton")
+        table = self._draw_table
 
         def walk(q: int, prefix: Word) -> Iterator[Word]:
-            if q in self.final:
+            final, successors = table[q]
+            if final:
                 yield prefix
-            for sym in self.alphabet:
-                d = self._rows[q].get(sym)
-                if d is not None and self._path_counts[d] > 0:
-                    yield from walk(d, prefix + (sym,))
+            for _, sym, d in successors:
+                yield from walk(d, prefix + (sym,))
 
         return walk(self.initial_state, ())
 

@@ -283,15 +283,15 @@ def _cmd_channel(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _add_common(p, with_channel=True):
-    if with_channel:
-        p.add_argument(
-            "--channel", action="append", required=True, metavar="SPEC",
-            help="registry name (sub:k, id:k, del1, ins1, bsid2, segd:b, ov) "
-                 "or a transducer file; repeat to combine channels",
-        )
+def _add_common(p, with_format=True):
+    p.add_argument(
+        "--channel", action="append", required=True, metavar="SPEC",
+        help="registry name (sub:k, id:k, del1, ins1, bsid2, segd:b, ov) "
+             "or a transducer file; repeat to combine channels",
+    )
     p.add_argument("--alphabet", help="symbols, e.g. 01 or a,b,c (default 01)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if with_format:
+        p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
 
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     ix.add_argument("--len", type=int)
 
     ex = sub.add_parser("experiment", help="repeated generation, size statistics")
-    _add_common(ex)
+    _add_common(ex, with_format=False)
     ex.add_argument("--len", type=int, required=True)
     ex.add_argument("--n", type=int, required=True)
     ex.add_argument("--f", default="0.95")
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("action", choices=("list", "show"))
     ch.add_argument("name", nargs="?", help="registry name or file (for show)")
     ch.add_argument("--alphabet")
-    ch.add_argument("--format", choices=("text", "json"), default="text")
     ch.add_argument("-o", "--output")
 
     return parser

@@ -103,20 +103,28 @@ class Exclusion:
         all_moves, t_final = self._moves, self._final
         stack = [(0, t, code.initial_state) for t in self._initial]
         seen = set(stack)
+        push, pop, mark = stack.append, stack.pop, seen.add
         while stack:
-            i, t, q = stack.pop()
+            i, t, q = pop()
             if i == n and q in code_final and t in t_final:
                 return True
-            moves = all_moves[t]
-            for j, edges in ((i, moves.get(None, ())),
-                             (i + 1, moves.get(w[i], ()) if i < n else ())):
-                for out, dst in edges:
-                    r = q if out is None else rows[q].get(out)
+            moves, row = all_moves[t], rows[q]
+            for out, dst in moves.get(None, ()):  # T reads nothing
+                r = q if out is None else row.get(out)
+                if r is not None:
+                    key = (i, dst, r)
+                    if key not in seen:
+                        mark(key)
+                        push(key)
+            if i < n:  # T reads w[i]
+                j = i + 1
+                for out, dst in moves.get(w[i], ()):
+                    r = q if out is None else row.get(out)
                     if r is not None:
                         key = (j, dst, r)
                         if key not in seen:
-                            seen.add(key)
-                            stack.append(key)
+                            mark(key)
+                            push(key)
         return False
 
 

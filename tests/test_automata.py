@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from chancodes import (
     WordError,
     as_trellis,
     format_word,
+    overlap_free_trellis,
+    suffix_universe,
     trellis_from_words,
     universe_trellis,
 )
@@ -463,3 +466,77 @@ class TestCountingAndSampling:
         rng = random.Random(17)
         seen = {format_word(u.sample_uniform(rng)) for _ in range(2000)}
         assert len(seen) > 250  # almost all of the 256 words show up
+
+
+def draw_universe(name: str) -> Dfa:
+    """The automata whose seeded draw streams are pinned below."""
+    if name == "sigma8":
+        return universe_trellis(BINARY, 8)
+    if name == "sigma13":
+        return universe_trellis(BINARY, 13)
+    if name == "of8":
+        return overlap_free_trellis(BINARY, 8)
+    if name == "end01":
+        return suffix_universe(BINARY, 8, "01")
+    if name == "mixed-depth":
+        # finals at depths 1, 2 and 3, so a draw can stop before the end
+        return Dfa(BINARY, 4, frozenset({0}), frozenset({1, 2, 3}),
+                   ((0, "0", 1), (0, "1", 2), (1, "0", 2), (1, "1", 3),
+                    (2, "0", 3), (2, "1", 3)))
+    alphabet = {"reversed": REVERSED,
+                "three": Alphabet(("a", "bc", "d"))}[name]
+    rng = random.Random(71)
+    words = {tuple(rng.choice(alphabet.symbols) for _ in range(7))
+             for _ in range(60)}
+    return trellis_from_words(words, alphabet, length=7)
+
+
+def draw_stream(u: Dfa, seed: int, draws: int = 2000) -> list:
+    rng = random.Random(seed)
+    return [u.sample_uniform(rng) for _ in range(draws)]
+
+
+# SHA-256 of 2,000 seeded sample_uniform draws, one word a line, per
+# automaton.  Computed with the symbol-by-symbol walk that drew words before
+# ranks were memoized; a draw is a pure function of one randrange call, so
+# the stream must not move.
+PINNED_DRAW_STREAMS = [
+    ("sigma8",
+     "fc3d614224ba9aa81d6cc707b8fc33a1248b4fd054a31e8763e5d12929f37983"),
+    ("sigma13",
+     "ba96fd274e415209298e1a852de6863ce4b8a0cc63a3fea3a24c2fb1e37de380"),
+    ("of8",
+     "9b6fc8b4dc26c4bc2fff2cf3b56c71f5ad3b701734b18895e71b6cd170175f7f"),
+    ("end01",
+     "dbd40d1e9cfb6a67394508df3024f6a049ad8d6554867068bdcbc29ec77aafef"),
+    ("reversed",
+     "01c69187acac619c2618cc701f35b5cb9284225bdf927230120c2a2202ad7856"),
+    ("three",
+     "d5b6facff5651f06410c770a2409586bcd2a9db62c82709136855bfc8c305cef"),
+    ("mixed-depth",
+     "53c6bafefb3e11b6501def5e21b877a06df859e6fc43a6014db0d9f7e13c8580"),
+]
+
+
+@pytest.mark.parametrize("name,digest", PINNED_DRAW_STREAMS,
+                         ids=[name for name, _ in PINNED_DRAW_STREAMS])
+def test_draw_stream_is_pinned(name, digest):
+    lines = "".join(" ".join(w) + "\n"
+                    for w in draw_stream(draw_universe(name), seed=2024))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["sigma8", "of8", "three", "mixed-depth"])
+def test_warmed_memo_draws_like_a_fresh_automaton(name):
+    warm = draw_universe(name)
+    draw_stream(warm, seed=5)  # fills the memo of drawn ranks
+    assert 0 < len(warm._drawn) <= warm.count_words()
+    fresh = draw_universe(name)
+    assert "_drawn" not in vars(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert draw_stream(warm, seed=9) == draw_stream(fresh, seed=9)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert fresh._drawn.items() <= warm._drawn.items()
+    # every memo entry is the word of its rank in enumeration order
+    ranked = list(warm.iter_words())
+    assert all(ranked[rank] == w for rank, w in warm._drawn.items())

@@ -250,7 +250,10 @@ def decision_transcript(capsys, tmp_path, channel, length, seed) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("channel,length,seed,digest", PINNED_DECISIONS)
+@pytest.mark.parametrize(
+    "channel,length,seed,digest", PINNED_DECISIONS,
+    ids=[f"{channel}-{length}-{seed}"
+         for channel, length, seed, _ in PINNED_DECISIONS])
 def test_decision_outputs_are_pinned(capsys, tmp_path, channel, length, seed,
                                      digest):
     transcript = decision_transcript(capsys, tmp_path, channel, length, seed)
@@ -424,6 +427,21 @@ class TestExperiment:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_format_is_a_usage_error(self, capsys):
+        # experiment prints only text, so --format is not accepted
+        assert_usage_error(
+            capsys, "experiment", "--channel", "sub:1", "--len", "5",
+            "--n", "3", "--seed", "1", "--reps", "2", "--format", "json")
+
+
+def assert_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format json" in captured.err
+
 
 class TestChannelCommand:
     def test_list(self, capsys):
@@ -447,6 +465,13 @@ class TestChannelCommand:
         code, _, err = run(capsys, "channel", "show", "warp:9")
         assert code == 1
         assert "unknown channel" in err
+
+    def test_list_format_is_a_usage_error(self, capsys):
+        assert_usage_error(capsys, "channel", "list", "--format", "json")
+
+    def test_show_format_is_a_usage_error(self, capsys):
+        assert_usage_error(capsys, "channel", "show", "del1",
+                           "--format", "json")
 
 
 class TestNegativeLengthAndReps:

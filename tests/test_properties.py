@@ -355,6 +355,48 @@ def test_random_channel_witnesses_are_genuine(alphabet):
     assert {(True, True), (True, False)} <= {(e, c) for e, _, c in seen}
 
 
+@pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("a", "bc"))],
+                         ids=["01", "a-bc"])
+def test_random_channel_maximality_matches_brute_force(alphabet):
+    """On random transducers (epsilon/epsilon edges and cycles included) the
+    index counts the words of the block length in sigma(C) | sigma^-1(C),
+    ADDABLE names the least word outside C and that set, and NONE comes
+    exactly when no such word exists."""
+    from test_codegen import random_channel
+
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(150):
+        channel = random_channel(rng, alphabet)
+        t = channel.transducer
+        ell = rng.randint(1, 3)
+        pool = list(alphabet.words_of_length(ell))
+        words = set(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        code = trellis_from_words(words, alphabet, length=ell)
+        images = {w: oracles.enumerate_image(t, w, ell) for w in pool}
+        excluded = [w for w in pool
+                    if any(w in images[c] for c in words)
+                    or images[w] & words]
+        addable = [w for w in pool if w not in words and w not in excluded]
+        found = maximality_witness(code, channel)
+        if addable:
+            assert found == Witness.addable(addable[0]), (t.to_text(), words)
+        else:
+            assert not found, (t.to_text(), words)
+        detecting = oracles.brute_detecting(words, images)
+        if detecting:
+            assert maximality_index(code, channel) == Fraction(
+                len(excluded), len(pool)), (t.to_text(), words)
+        else:
+            with pytest.raises(NotDetectingError):
+                maximality_index(code, channel)
+        eps_eps = any(not inp and not out for _, inp, out, _ in t.transitions)
+        seen.add((eps_eps, bool(found), detecting))
+    # epsilon/epsilon channels meet both answer kinds; both index branches run
+    assert {(True, True), (True, False)} <= {(e, f) for e, f, _ in seen}
+    assert {d for _, _, d in seen} == {True, False}
+
+
 def test_witnesses_depend_only_on_the_words():
     """A prefix-tree code, its minimal trellis and the same words grown by
     ``add_word`` in shuffled order give the same witnesses."""
