@@ -230,14 +230,20 @@ class Nfa:
         w = self.alphabet.word(word)
         current = self.epsilon_closure(self.initial)
         for sym in w:
-            nxt: set[int] = set()
-            for q in current:
-                for dst in self._out[q].get(sym, ()):
-                    nxt |= self._closure[dst]
-            if not nxt:
+            current = self._step(current, sym)
+            if not current:
                 return False
-            current = frozenset(nxt)
         return bool(current & self.final)
+
+    def _step(self, subset: Iterable[int], sym: str) -> frozenset[int]:
+        """The epsilon-closed set of states reached from ``subset`` on
+        ``sym``: one step of the subset construction."""
+        out, closure = self._out, self._closure
+        reach: set[int] = set()
+        for q in subset:
+            for dst in out[q].get(sym, ()):
+                reach |= closure[dst]
+        return frozenset(reach)
 
     # -- language-level helpers ---------------------------------------------
 
@@ -254,12 +260,9 @@ class Nfa:
             nxt: dict[Word, frozenset[int]] = {}
             for w, states in layer.items():
                 for sym in self.alphabet:
-                    reach: set[int] = set()
-                    for q in states:
-                        for dst in self._out[q].get(sym, ()):
-                            reach |= self._closure[dst]
+                    reach = self._step(states, sym)
                     if reach:
-                        nxt[w + (sym,)] = frozenset(reach)
+                        nxt[w + (sym,)] = reach
             layer = nxt
         return found
 
@@ -315,31 +318,14 @@ class Nfa:
         transitions: list[tuple[int, str, int]] = []
         for i, subset in enumerate(ids.order):
             for sym in self.alphabet:
-                reach: set[int] = set()
-                for q in subset:
-                    for dst in self._out[q].get(sym, ()):
-                        reach |= self._closure[dst]
+                reach = self._step(subset, sym)
                 if reach:
-                    transitions.append((i, sym, ids[frozenset(reach)]))
+                    transitions.append((i, sym, ids[reach]))
         finals = frozenset(
             i for i, subset in enumerate(ids.order) if subset & self.final
         )
         return Dfa._trusted(self.alphabet, len(ids.order), frozenset({0}),
                             finals, tuple(sorted(transitions)))
-
-    @staticmethod
-    def union_automata(a: "Nfa", b: "Nfa") -> "Nfa":
-        """Accepts L(a) | L(b); plain disjoint union of the two automata."""
-        if a.alphabet != b.alphabet:
-            raise WordError("automata alphabets differ")
-        off = a.num_states
-        return Nfa(
-            a.alphabet,
-            a.num_states + b.num_states,
-            a.initial | frozenset(q + off for q in b.initial),
-            a.final | frozenset(q + off for q in b.final),
-            a.transitions + tuple((s + off, x, d + off) for s, x, d in b.transitions),
-        )
 
     # -- text format ---------------------------------------------------------
 
@@ -423,59 +409,47 @@ class Dfa(Nfa):
 
     # -- boolean operations ---------------------------------------------------
 
-    def complement(self, length: "int | None" = None) -> "Dfa":
-        """Complement within Sigma* or, if ``length`` is given, within Sigma^length."""
-        completed = self._completed()
-        flipped = Dfa._trusted(
-            completed.alphabet,
-            completed.num_states,
-            completed.initial,
-            frozenset(completed.states) - completed.final,
-            completed.transitions,
-        )
-        if length is None:
-            return flipped
-        return flipped.intersect(universe_trellis(self.alphabet, length))
+    def intersect(self, other: Nfa) -> "Dfa":
+        """L(self) & L(other) for any automaton ``other``, through
+        ``_subset_walk``.  Pairs with no state of ``other`` left are dead and
+        not built; on two DFAs this is the plain product of state pairs."""
+        return self._subset_walk(other, difference=False)
 
-    def _completed(self) -> "Dfa":
-        missing = [
-            (q, a)
-            for q in self.states
-            for a in self.alphabet
-            if a not in self._rows[q]
-        ]
-        if not missing:
-            return self
-        sink = self.num_states
-        extra = [(q, a, sink) for q, a in missing]
-        extra += [(sink, a, sink) for a in self.alphabet]
-        return Dfa._trusted(
-            self.alphabet,
-            self.num_states + 1,
-            self.initial,
-            self.final,
-            tuple(sorted(self.transitions + tuple(extra))),
-        )
+    def minus(self, other: Nfa) -> "Dfa":
+        """L(self) - L(other) for any automaton ``other``, through
+        ``_subset_walk``; a pair with no state of ``other`` left is kept, as
+        every word that ``self`` accepts from there on is in the
+        difference."""
+        return self._subset_walk(other, difference=True)
 
-    def intersect(self, other: "Dfa") -> "Dfa":
-        """Product automaton for L(self) & L(other); only pairs reachable from
-        the initial pair are built, so the result may have dead states."""
+    def _subset_walk(self, other: Nfa, difference: bool) -> "Dfa":
+        """The subset construction of ``other`` run inside ``self``.
+
+        One state per reachable pair (state of self, epsilon-closed set of
+        states of other), numbered breadth-first with symbols in alphabet
+        order.  A pair is final when its self state is final and its set
+        meets ``other.final`` (intersection) or misses it (difference).
+        Lengths that ``self`` does not reach are never determinized, and the
+        result may have dead states.
+        """
         if self.alphabet != other.alphabet:
             raise WordError("automata alphabets differ")
         ids = StateIds()
-        ids[(self.initial_state, other.initial_state)]
+        ids[(self.initial_state, other.epsilon_closure(other.initial))]
         transitions: list[tuple[int, str, int]] = []
-        for i, (p, q) in enumerate(ids.order):
-            p_row, q_row = self._rows[p], other._rows[q]
+        for i, (p, subset) in enumerate(ids.order):
+            row = self._rows[p]
             for sym in self.alphabet:
-                pd = p_row.get(sym)
-                qd = q_row.get(sym)
-                if pd is not None and qd is not None:
-                    transitions.append((i, sym, ids[(pd, qd)]))
+                pd = row.get(sym)
+                if pd is None:
+                    continue
+                reach = other._step(subset, sym)
+                if reach or difference:
+                    transitions.append((i, sym, ids[(pd, reach)]))
         finals = frozenset(
             i
-            for i, (p, q) in enumerate(ids.order)
-            if p in self.final and q in other.final
+            for i, (p, subset) in enumerate(ids.order)
+            if p in self.final and bool(subset & other.final) != difference
         )
         return Dfa._trusted(self.alphabet, len(ids.order), frozenset({0}),
                             finals, tuple(sorted(transitions)))

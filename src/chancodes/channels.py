@@ -21,11 +21,10 @@ DEFAULT_CHECK_LENGTH = 4
 
 @dataclass(frozen=True)
 class Channel:
-    """A named error specification: transducer plus construction parameters."""
+    """A named error specification: a name and its transducer."""
 
     name: str
     transducer: Transducer
-    params: tuple[tuple[str, int], ...] = ()
 
     @property
     def alphabet(self) -> Alphabet:
@@ -38,7 +37,7 @@ class Channel:
         return self.transducer.image_set(word, max_len)
 
     def inverse(self) -> "Channel":
-        return Channel(f"{self.name}^-1", self.transducer.inverse(), self.params)
+        return Channel(f"{self.name}^-1", self.transducer.inverse())
 
     def union(self, other: "Channel") -> "Channel":
         return Channel(
@@ -84,7 +83,7 @@ def make_sub(k: int, alphabet: Alphabet = BINARY) -> Channel:
                 if a != b:
                     yield (a,), (b,)
 
-    return Channel(f"sub:{k}", _error_chain(k, alphabet, edges), (("k", k),))
+    return Channel(f"sub:{k}", _error_chain(k, alphabet, edges))
 
 
 def make_id(k: int, alphabet: Alphabet = BINARY) -> Channel:
@@ -95,7 +94,7 @@ def make_id(k: int, alphabet: Alphabet = BINARY) -> Channel:
             yield (a,), ()   # deletion
             yield (), (a,)   # insertion
 
-    return Channel(f"id:{k}", _error_chain(k, alphabet, edges), (("k", k),))
+    return Channel(f"id:{k}", _error_chain(k, alphabet, edges))
 
 
 def make_del1_insend(alphabet: Alphabet = BINARY) -> Channel:
@@ -144,7 +143,7 @@ def make_bsid(k: int = 2, alphabet: Alphabet = BINARY) -> Channel:
         transitions.append((shift_b, ("0",), ("1",), i + 1))
     t = Transducer(alphabet, num, frozenset({0}),
                    frozenset(range(k + 1)), tuple(transitions))
-    return Channel(f"bsid{k}", t, (("k", k),))
+    return Channel(f"bsid{k}", t)
 
 
 def make_segd(b: int, alphabet: Alphabet = BINARY) -> Channel:
@@ -186,7 +185,7 @@ def make_segd(b: int, alphabet: Alphabet = BINARY) -> Channel:
         alphabet, 2 * b + 1, frozenset({start}), frozenset({f0, f1}),
         tuple(transitions),
     )
-    return Channel(f"segd:{b}", trans, (("b", b),))
+    return Channel(f"segd:{b}", trans)
 
 
 def make_overlap(alphabet: Alphabet = BINARY) -> Channel:

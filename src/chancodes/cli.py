@@ -34,6 +34,15 @@ EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_ERROR, not argparse's
+    2, which is kept for failed preconditions; subparsers share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 class _CliFailure(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -296,7 +305,7 @@ def _add_common(p, with_format=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chancodes",
         description="Model error channels as transducers; check and generate "
                     "error-detecting block codes.",

@@ -15,6 +15,12 @@ side is ahead.
 The code enters the product as its minimal trellis, whose numbering is fixed
 by the code's words, so a witness depends only on the word set and the
 channel, never on how the code's trellis was built.
+
+Exact maximality runs the subset construction of the exclusion automaton
+(channel | channel^-1)(C) inside the universe trellis (``Dfa.minus``,
+``Dfa.intersect``), so only words of the block length are ever
+determinized.  The addable witness is the least word of universe - C -
+exclusion; the index counts universe & exclusion.
 """
 
 from __future__ import annotations
@@ -271,9 +277,7 @@ def correction_witness(code: Trellis, channel: Channel) -> Witness:
 
 
 def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
-    z = sigma.image(u).determinize().intersect(
-        sigma.image(v).determinize()
-    ).least_word()
+    z = sigma.image(u).determinize().intersect(sigma.image(v)).least_word()
     if z is None:
         raise AssertionError("composed violation without a shared channel output")
     return z
@@ -291,7 +295,8 @@ def maximality_witness(
     """ADDABLE w for some word of the universe that can join the code while
     keeping it detecting, or NONE when the code is maximal in that universe.
 
-    Exact but worst-case exponential (determinization), hence meant for small
+    Exact but worst-case exponential (the subset construction of the
+    exclusion automaton, run inside the universe), hence meant for small
     block lengths.  The default universe is all words of the code's length; a
     given one must share the code's alphabet and length.
     """
@@ -299,10 +304,8 @@ def maximality_witness(
     if universe is None:
         universe = universe_trellis(code.alphabet, code.length)
     _require_universe_fits(code, universe)
-    excluded = Nfa.union_automata(exclusion_automaton(code, channel),
-                                  code.minimal[0])
-    blocked = excluded.determinize()
-    candidates = universe.intersect(blocked.complement(length=code.length))
+    candidates = universe.minus(code.minimal[0]).minus(
+        exclusion_automaton(code, channel))
     if candidates.count_words() == 0:
         return Witness.none()
     return Witness.addable(candidates.first_word())
@@ -321,7 +324,6 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             f"code is not error-detecting for {channel.name}: {witness}",
             witness=witness,
         )
-    universe = universe_trellis(code.alphabet, code.length)
-    excluded = exclusion_automaton(code, channel).determinize()
-    used = universe.intersect(excluded)
-    return Fraction(used.count_words(), len(code.alphabet) ** code.length)
+    used = universe_trellis(code.alphabet, code.length).intersect(
+        exclusion_automaton(code, channel)).count_words()
+    return Fraction(used, len(code.alphabet) ** code.length)

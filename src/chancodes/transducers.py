@@ -8,7 +8,7 @@ operation that needs standard form converts its operands internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -32,7 +32,6 @@ class Transducer:
     initial: frozenset[int]
     final: frozenset[int]
     transitions: tuple[tuple[int, Word, Word, int], ...]
-    provenance: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "initial", frozenset(self.initial))
@@ -102,10 +101,8 @@ class Transducer:
                     counter += 1
                 transitions.append((here, inp[k : k + 1], out[k : k + 1], nxt))
                 here = nxt
-        return Transducer(
-            self.alphabet, counter, self.initial, self.final,
-            tuple(transitions), provenance=self.provenance,
-        )
+        return Transducer(self.alphabet, counter, self.initial, self.final,
+                          tuple(transitions))
 
     def inverse(self) -> "Transducer":
         """Swap input and output labels; x in inv(y) iff y in self(x)."""
@@ -115,7 +112,6 @@ class Transducer:
             self.initial,
             self.final,
             tuple((s, o, i, d) for s, i, o, d in self.transitions),
-            provenance=f"inverse({self.provenance})" if self.provenance else "",
         )
 
     def union(self, other: "Transducer") -> "Transducer":
@@ -132,7 +128,6 @@ class Transducer:
             self.final | frozenset(q + off for q in other.final),
             self.transitions
             + tuple((s + off, i, o, d + off) for s, i, o, d in other.transitions),
-            provenance=f"union(left=0..{off - 1}, right={off}..{off + other.num_states - 1})",
         )
 
     def compose(self, inner: "Transducer") -> "Transducer":
@@ -193,7 +188,6 @@ class Transducer:
                 for s, i, o, d in self.transitions
                 if s in remap and d in remap
             ),
-            provenance=self.provenance,
         )
 
     # -- images ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -134,7 +135,7 @@ class TestDeterminize:
 class TestBooleanOps:
     def test_complement_within_length(self):
         t = trellis_from_words(["000"], BINARY)
-        c = t.complement(length=3)
+        c = universe_trellis(BINARY, 3).minus(t)
         assert c.count_words() == 7
         assert not c.accepts("000")
 
@@ -145,7 +146,7 @@ class TestBooleanOps:
             pool = ["".join(rng.choice("01") for _ in range(ell))
                     for _ in range(rng.randint(0, 2**ell))]
             t = trellis_from_words(set(pool), BINARY, length=ell)
-            c = t.complement(length=ell)
+            c = universe_trellis(BINARY, ell).minus(t)
             assert t.count_words() + c.count_words() == 2**ell
 
     def test_intersection_identity(self):
@@ -153,6 +154,29 @@ class TestBooleanOps:
         t = trellis_from_words(["010", "111"], BINARY)
         both = u.intersect(t).trim()
         assert {format_word(w) for w in both.words_up_to(3)} == {"010", "111"}
+
+    @pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("1", "0"))],
+                             ids=["01", "10"])
+    def test_walk_matches_word_set_algebra(self, alphabet):
+        """``intersect`` and ``minus`` against a raw epsilon-NFA accept the
+        set intersection and difference of the two languages, and number
+        their states breadth-first with symbols in alphabet order."""
+        rng = random.Random(41)
+        bound = 7
+        had_epsilon = set()
+        for _ in range(200):
+            a = dataclasses.replace(random_nfa(rng), alphabet=alphabet)
+            b = dataclasses.replace(random_nfa(rng), alphabet=alphabet)
+            d = a.determinize()
+            la, lb = a.words_up_to(bound), b.words_up_to(bound)
+            both, rest = d.intersect(b), d.minus(b)
+            assert both.words_up_to(bound) == la & lb
+            assert rest.words_up_to(bound) == la - lb
+            for result in (both, rest):
+                assert result.initial_state == 0
+                assert result.transitions == result.determinize().transitions
+            had_epsilon.add(any(sym is None for _, sym, _ in b.transitions))
+        assert had_epsilon == {True, False}
 
 
 class TestCyclicDfa:

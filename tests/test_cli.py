@@ -186,7 +186,10 @@ PINNED_GEN_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("channel,length,extra,digest", PINNED_GEN_REPORTS)
+@pytest.mark.parametrize(
+    "channel,length,extra,digest", PINNED_GEN_REPORTS,
+    ids=[f"{channel}-{length}" + "".join(f"-{a.lstrip('-')}" for a in extra)
+         for channel, length, extra, _ in PINNED_GEN_REPORTS])
 def test_gen_report_digest_is_pinned(capsys, channel, length, extra, digest):
     code, out, _ = run(
         capsys, "gen", "--channel", channel, "--len", length, "--n", "100",
@@ -434,13 +437,39 @@ class TestExperiment:
             "--n", "3", "--seed", "1", "--reps", "2", "--format", "json")
 
 
-def assert_usage_error(capsys, *argv):
+def assert_usage_error(capsys, *argv,
+                       message="unrecognized arguments: --format json"):
+    """argparse's message on stderr and exit 1, never the exit 2 of a failed
+    precondition."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --format json" in captured.err
+    assert message in captured.err
+
+
+class TestUsageErrors:
+    def test_missing_required_option(self, capsys):
+        assert_usage_error(
+            capsys, "gen", "--channel", "sub:1", "--len", "4",
+            message="the following arguments are required: --n")
+
+    def test_bad_choice(self, capsys):
+        assert_usage_error(
+            capsys, "experiment", "--channel", "sub:1", "--len", "4",
+            "--n", "2", "--universe", "xyz",
+            message="argument --universe: invalid choice: 'xyz'")
+
+    def test_channel_show_needs_a_name(self, capsys):
+        assert_usage_error(capsys, "channel", "show",
+                           message="channel show needs a name")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        assert exc.value.code == 0
+        assert "--seed-code" in capsys.readouterr().out
 
 
 class TestChannelCommand:

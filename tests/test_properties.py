@@ -360,13 +360,15 @@ def test_random_channel_witnesses_are_genuine(alphabet):
 def test_random_channel_maximality_matches_brute_force(alphabet):
     """On random transducers (epsilon/epsilon edges and cycles included) the
     index counts the words of the block length in sigma(C) | sigma^-1(C),
-    ADDABLE names the least word outside C and that set, and NONE comes
-    exactly when no such word exists."""
+    ADDABLE names the least word of the universe outside C and that set, and
+    NONE comes exactly when no such word exists.  Every other case passes a
+    random sub-universe of Sigma^l, the empty one included."""
     from test_codegen import random_channel
 
     rng = random.Random(23)
+    universe_rng = random.Random(29)  # keeps the channel stream of rng
     seen = set()
-    for _ in range(150):
+    for k in range(150):
         channel = random_channel(rng, alphabet)
         t = channel.transducer
         ell = rng.randint(1, 3)
@@ -377,8 +379,15 @@ def test_random_channel_maximality_matches_brute_force(alphabet):
         excluded = [w for w in pool
                     if any(w in images[c] for c in words)
                     or images[w] & words]
-        addable = [w for w in pool if w not in words and w not in excluded]
-        found = maximality_witness(code, channel)
+        universe = None
+        allowed = pool
+        if k % 2:
+            allowed = set(universe_rng.sample(
+                pool, universe_rng.randint(0, len(pool))))
+            universe = trellis_from_words(allowed, alphabet, length=ell)
+        addable = [w for w in pool if w in allowed
+                   and w not in words and w not in excluded]
+        found = maximality_witness(code, channel, universe)
         if addable:
             assert found == Witness.addable(addable[0]), (t.to_text(), words)
         else:
@@ -391,10 +400,12 @@ def test_random_channel_maximality_matches_brute_force(alphabet):
             with pytest.raises(NotDetectingError):
                 maximality_index(code, channel)
         eps_eps = any(not inp and not out for _, inp, out, _ in t.transitions)
-        seen.add((eps_eps, bool(found), detecting))
-    # epsilon/epsilon channels meet both answer kinds; both index branches run
-    assert {(True, True), (True, False)} <= {(e, f) for e, f, _ in seen}
-    assert {d for _, _, d in seen} == {True, False}
+        seen.add((eps_eps, bool(found), detecting, universe is None))
+    # epsilon/epsilon channels meet both answer kinds; both index branches
+    # run; a sub-universe meets both answer kinds
+    assert {(True, True), (True, False)} <= {(e, f) for e, f, _, _ in seen}
+    assert {d for _, _, d, _ in seen} == {True, False}
+    assert {(True, False), (False, False)} <= {(f, u) for _, f, _, u in seen}
 
 
 def test_witnesses_depend_only_on_the_words():

@@ -5,7 +5,8 @@ fields, so the skipped checks would have passed."""
 import dataclasses
 import random
 
-from chancodes import BINARY, Alphabet, Dfa, Nfa, Trellis, trellis_from_words
+from chancodes import BINARY, Alphabet, Dfa, Nfa, Trellis, trellis_from_words, \
+    universe_trellis
 from chancodes.transducers import product
 
 from test_automata import random_nfa
@@ -38,8 +39,10 @@ def test_automaton_operations_on_random_nfas():
             a = dataclasses.replace(a, alphabet=REVERSED)
             b = dataclasses.replace(b, alphabet=REVERSED)
         da, db = a.determinize(), b.determinize()
+        universe = universe_trellis(a.alphabet, 3)
         results = [a.trim(), a.remove_epsilon(), da, da.trim(),
-                   da.intersect(db), da.complement(), da.complement(length=3)]
+                   da.intersect(db), universe.minus(da),
+                   da.intersect(b), da.minus(b)]
         for r in results:
             assert_trusted(r)
         trimmed_kinds.add(type(da.trim()))
@@ -56,10 +59,11 @@ def test_transducer_operations_on_random_channels():
         code = random_code(rng, alphabet)
         word = tuple(rng.choice(alphabet.symbols) for _ in range(code.length))
         image = product(code, t)
-        for r in (t.compose(t), t.inverse().compose(t), image,
-                  image.determinize(), image.determinize().intersect(
-                      product(random_code(rng, alphabet), t).determinize()),
-                  code.trim(), code.add_word(word)):
+        other = product(random_code(rng, alphabet), t)
+        d = image.determinize()
+        for r in (t.compose(t), t.inverse().compose(t), image, d,
+                  d.intersect(other.determinize()), d.intersect(other),
+                  d.minus(other), code.trim(), code.add_word(word)):
             assert_trusted(r)
 
 
