@@ -291,41 +291,13 @@ class Nfa:
             ),
         )
 
-    def remove_epsilon(self) -> "Nfa":
-        """Equivalent automaton without epsilon transitions (states preserved);
-        ``self`` when there are none."""
-        if not any(sym is None for _, sym, _ in self.transitions):
-            return self
-        transitions = []
-        finals = set()
-        for p in self.states:
-            reach = self._closure[p]
-            if reach & self.final:
-                finals.add(p)
-            for r in reach:
-                for sym, dsts in self._out[r].items():
-                    if sym is not None:
-                        transitions += [(p, sym, d) for d in dsts]
-        return Nfa._trusted(
-            self.alphabet, self.num_states, self.initial, frozenset(finals),
-            Nfa._normalize(transitions),
-        )
-
     def determinize(self) -> "Dfa":
-        """Subset construction; discovery order is deterministic."""
-        ids = StateIds()
-        ids[self.epsilon_closure(self.initial)]
-        transitions: list[tuple[int, str, int]] = []
-        for i, subset in enumerate(ids.order):
-            for sym in self.alphabet:
-                reach = self._step(subset, sym)
-                if reach:
-                    transitions.append((i, sym, ids[reach]))
-        finals = frozenset(
-            i for i, subset in enumerate(ids.order) if subset & self.final
-        )
-        return Dfa._trusted(self.alphabet, len(ids.order), frozenset({0}),
-                            finals, tuple(sorted(transitions)))
+        """Subset construction: the subset walk of ``self`` inside the
+        one-state DFA that accepts every word."""
+        everything = Dfa._trusted(
+            self.alphabet, 1, frozenset({0}), frozenset({0}),
+            tuple((0, a, 0) for a in sorted(self.alphabet.symbols)))
+        return everything.intersect(self)
 
     # -- text format ---------------------------------------------------------
 
@@ -626,33 +598,29 @@ class Trellis(Dfa):
                 raise ValueError("a trellis without a final state must be "
                                  "the empty code: one state, no transitions")
             return
-        if self.trim().num_states != self.num_states:
-            raise ValueError("trellis must be trim")
-        if not self.is_acyclic:
-            raise ValueError("trellis must be acyclic")
-        self._check_uniform_length()
-
-    def _check_uniform_length(self):
+        # one breadth-first pass: every state reached, every edge one layer
+        # down, and the final state the only one without successors hold
+        # together exactly for a trim acyclic DFA with one word length
+        rows = self._rows
         depth = {self.initial_state: 0}
         queue = [self.initial_state]
-        i = 0
-        while i < len(queue):
-            q = queue[i]
-            i += 1
-            for d in self._rows[q].values():
-                nd = depth[q] + 1
-                if d in depth:
-                    if depth[d] != nd:
-                        raise ValueError("trellis paths have inconsistent lengths")
-                else:
+        for q in queue:
+            nd = depth[q] + 1
+            for d in rows[q].values():
+                if d not in depth:
                     depth[d] = nd
                     queue.append(d)
-        for q in self.final:
-            if depth.get(q) != self.length:
-                raise ValueError(
-                    f"trellis accepts words of length {depth.get(q)}, "
-                    f"declared {self.length}"
-                )
+                elif depth[d] != nd:
+                    raise ValueError("trellis must be layered: it has a cycle "
+                                     "or paths of different lengths")
+        if len(queue) != self.num_states or \
+                [q for q in self.states if not rows[q]] != [self.final_state]:
+            raise ValueError("trellis must be trim")
+        if depth[self.final_state] != self.length:
+            raise ValueError(
+                f"trellis accepts words of length {depth[self.final_state]}, "
+                f"declared {self.length}"
+            )
 
     @property
     def final_state(self) -> "int | None":
@@ -788,7 +756,8 @@ def trellis_from_words(
     if not coerced:
         if length is None:
             raise WordError("empty word set needs an explicit block length")
-        return Trellis(alphabet, 1, frozenset({0}), frozenset(), (), length=length)
+        return Trellis._trusted(alphabet, 1, frozenset({0}), frozenset(), (),
+                                length=length)
     lengths = {len(w) for w in coerced}
     if len(lengths) != 1:
         raise WordError(f"words have mixed lengths: {sorted(lengths)}")
@@ -796,7 +765,8 @@ def trellis_from_words(
     if length is not None and length != ell:
         raise WordError(f"words have length {ell}, declared {length}")
     if ell == 0:
-        return Trellis(alphabet, 1, frozenset({0}), frozenset({0}), (), length=0)
+        return Trellis._trusted(alphabet, 1, frozenset({0}), frozenset({0}), (),
+                                length=0)
     # interior prefix-tree states, then one shared final state
     FINAL = -1
     node_of: dict[Word, int] = {(): 0}
@@ -813,12 +783,14 @@ def trellis_from_words(
             q = node_of[prefix]
         transitions.append((q, w[-1], FINAL))
     final = counter
-    return Trellis(
+    # the checked words make a prefix tree with one final state: a trellis
+    return Trellis._trusted(
         alphabet,
         counter + 1,
         frozenset({0}),
         frozenset({final}),
-        tuple((s, a, final if d == FINAL else d) for s, a, d in transitions),
+        tuple(sorted((s, a, final if d == FINAL else d)
+                     for s, a, d in transitions)),
         length=ell,
     )
 

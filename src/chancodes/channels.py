@@ -258,8 +258,6 @@ def parse_channel(
     (does not fail) when some word cannot pass through unchanged.
     """
     t = Transducer.from_text(text, alphabet)
-    if not t.is_standard:
-        t = t.standard_form()
     if check_length >= 0 and not t.is_input_preserving(check_length):
         warnings.warn(
             f"channel {name!r} is not input-preserving on words up to "

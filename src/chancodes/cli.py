@@ -384,18 +384,16 @@ def main(argv: "list[str] | None" = None) -> int:
             return _cmd_index(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
-        if args.command == "channel":
-            if args.action == "show" and not args.name:
-                parser.error("channel show needs a name")
-            return _cmd_channel(args)
-        parser.error(f"unknown command {args.command!r}")
+        # the subparsers are required, so "channel" is the one command left
+        if args.action == "show" and not args.name:
+            parser.error("channel show needs a name")
+        return _cmd_channel(args)
     except _CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ChancodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

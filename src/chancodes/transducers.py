@@ -289,26 +289,27 @@ def identity_transducer(alphabet: Alphabet) -> Transducer:
 def product(a: Nfa, t: Transducer) -> Nfa:
     """The automaton accepting t(L(a)), built by synchronized state pairing.
 
-    ``a`` is epsilon-removed first and ``t`` converted to standard form; if
-    ``t`` has epsilon-input transitions the pairing lets the automaton side
-    stand still, which is the same as adding (q, eps, q) self-loops to ``a``.
-    The result is trimmed, with states renumbered in discovery order.
+    ``t`` is converted to standard form.  An epsilon move of ``a`` is a pair
+    move that leaves ``t`` standing still, and an epsilon-input move of
+    ``t`` one that leaves ``a`` standing still.  The result is trimmed, with
+    states renumbered in discovery order.
     """
     if a.alphabet != t.alphabet:
         raise AlphabetMismatchError(
             f"cannot build product over {a.alphabet} and {t.alphabet}"
         )
-    a2 = a.remove_epsilon()
     t2 = t.standard_form()
-    a_out, t_moves = a2._out, t2._moves
+    a_out, t_moves = a._out, t2._moves
 
     ids = StateIds()
-    for p in sorted(a2.initial):
+    for p in sorted(a.initial):
         for q in sorted(t2.initial):
             ids[(p, q)]
     initials = frozenset(range(len(ids.order)))
     transitions: list[tuple[int, "str | None", int]] = []
     for i, (p, q) in enumerate(ids.order):
+        for ap in a_out[p].get(None, ()):
+            transitions.append((i, None, ids[(ap, q)]))
         for x, moves in t_moves[q].items():
             targets = (p,) if x is None else a_out[p].get(x)
             if targets is None:
@@ -319,7 +320,7 @@ def product(a: Nfa, t: Transducer) -> Nfa:
     finals = frozenset(
         i
         for i, (p, q) in enumerate(ids.order)
-        if p in a2.final and q in t2.final
+        if p in a.final and q in t2.final
     )
     raw = Nfa._trusted(a.alphabet, len(ids.order), initials, finals,
                        Nfa._normalize(transitions))

@@ -47,6 +47,31 @@ def brute_accepts_dfa(d: Dfa, word) -> bool:
     return bool(current & d.final)
 
 
+def machine_fields(m: Nfa) -> str:
+    return repr((m.alphabet.symbols, m.num_states, sorted(m.initial),
+                 sorted(m.final), m.transitions))
+
+
+def brute_is_trellis(num_states, final, transitions, length) -> bool:
+    """Trellis shape by path enumeration from state 0: every state on some
+    0->final path, no path that repeats a state, and every 0->final path of
+    the given length."""
+    succ = [[d for s, _, d in transitions if s == q] for q in range(num_states)]
+    on_a_path, lengths = set(), set()
+
+    def walk(path) -> bool:  # False once a path repeats a state
+        if path[-1] == final:
+            on_a_path.update(path)
+            lengths.add(len(path) - 1)
+        for d in succ[path[-1]]:
+            if d in path or not walk(path + [d]):
+                return False
+        return True
+
+    return (walk([0]) and on_a_path == set(range(num_states))
+            and lengths == {length})
+
+
 class TestWordsOfLength:
     def test_last_symbol_varies_fastest(self):
         assert list(BINARY.words_of_length(2)) == [
@@ -130,6 +155,23 @@ class TestDeterminize:
         d = a.determinize()
         assert len(d.initial) == 1
         assert {format_word(w) for w in d.words_up_to(3)} == {"0", "1"}
+
+    def test_numbering_is_pinned(self):
+        """SHA-256 of the fields of 400 determinized random NFAs, epsilon
+        edges included, every other one over the reversed symbol order.
+        Computed with the hand-written subset loop that ``determinize`` ran
+        before it became the subset walk inside the all-words DFA."""
+        rng = random.Random(2026)
+        lines, had_epsilon = [], set()
+        for k in range(400):
+            a = random_nfa(rng)
+            if k % 2:
+                a = dataclasses.replace(a, alphabet=REVERSED)
+            had_epsilon.add(any(sym is None for _, sym, _ in a.transitions))
+            lines.append(machine_fields(a.determinize()))
+        assert had_epsilon == {True, False}
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "8f0790e7ed635bc1d9bf9a88bca98c197fcaf5f760995526736504c9c4855628"
 
 
 class TestBooleanOps:
@@ -260,6 +302,55 @@ class TestTrellisValidation:
             Trellis(BINARY, 2, {0}, set(), (), length=2)
         with pytest.raises(ValueError, match="empty code"):
             Trellis(BINARY, 1, {0}, set(), ((0, "0", 0),), length=2)
+
+    @pytest.mark.parametrize("num_states,final,transitions,length,match", [
+        (3, 1, ((0, "0", 1),), 1, "trim"),
+        (3, 2, ((0, "0", 1), (0, "1", 2)), 1, "trim"),
+        (3, 1, ((0, "0", 1), (1, "0", 2)), 1, "trim"),
+        (3, 2, ((0, "0", 1), (1, "0", 0), (1, "1", 2)), 2, "a cycle"),
+        (3, 2, ((0, "0", 1), (0, "1", 2), (1, "1", 2)), 2,
+         "paths of different lengths"),
+        (2, 1, ((0, "0", 1),), 2, "length 1, declared 2"),
+    ], ids=["unreachable-state", "dead-end", "final-with-successor",
+            "two-cycle", "two-path-lengths", "declared-length"])
+    def test_bad_shape_rejected(self, num_states, final, transitions, length,
+                                match):
+        with pytest.raises(ValueError, match=match):
+            Trellis(BINARY, num_states, {0}, {final}, transitions,
+                    length=length)
+
+    def test_layered_check_matches_path_enumeration(self):
+        """Mutated prefix trees: the constructor accepts exactly the inputs
+        on which every state lies on an initial->final path, no path repeats
+        a state, and every initial->final path has the declared length."""
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(1500):
+            ell = rng.randint(1, 4)
+            words = [tuple(rng.choice("01") for _ in range(ell))
+                     for _ in range(rng.randint(1, 6))]
+            tree = trellis_from_words(words, BINARY)
+            num = tree.num_states + rng.randint(0, 1)
+            rows = {(s, a): d for s, a, d in tree.transitions}
+            for _ in range(rng.randint(0, 2)):
+                key = (rng.randrange(num), rng.choice("01"))
+                if rng.random() < 0.3:
+                    rows.pop(key, None)
+                else:
+                    rows[key] = rng.randrange(num)
+            length = ell + rng.choice((0, 0, 0, 1, -1))
+            transitions = tuple((s, a, d) for (s, a), d in rows.items())
+            expected = brute_is_trellis(num, tree.final_state, transitions,
+                                        length)
+            try:
+                Trellis(BINARY, num, {0}, tree.final, transitions,
+                        length=length)
+                verdict = True
+            except ValueError:
+                verdict = False
+            assert verdict == expected, (num, transitions, length)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_empty_code_still_builds(self):
         t = trellis_from_words((), BINARY, length=2)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from chancodes import (
 )
 
 import oracles
+from test_automata import machine_fields
 from test_codegen import random_channel
 
 
@@ -210,6 +212,24 @@ class TestImageAndProduct:
         t = trellis_from_words(["0"], BINARY)
         got = {format_word(w) for w in product(t, ins).words_up_to(2)}
         assert got == {"0", "", "00", "01", "10"}
+
+    def test_numbering_is_pinned(self):
+        """SHA-256 of the fields of 200 products of epsilon-free prefix-tree
+        codes with random transducers.  Computed when ``product`` still
+        removed the automaton's epsilon moves first; on epsilon-free input
+        reading them in place must build the same automaton."""
+        rng = random.Random(2026)
+        lines = []
+        for k in range(200):
+            alphabet = BINARY if k % 3 else Alphabet(("bc", "a"))
+            t = random_channel(rng, alphabet).transducer
+            ell = rng.randint(0, 4)
+            words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                     for _ in range(rng.randint(0, 6))]
+            code = trellis_from_words(words, alphabet, length=ell)
+            lines.append(machine_fields(product(code, t)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "19881752b710987952b33f5499297bdd9dc893d0a7bf405654559f5e1e6cdd10"
 
 
 class TestInputPreservation:

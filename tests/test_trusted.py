@@ -40,7 +40,7 @@ def test_automaton_operations_on_random_nfas():
             b = dataclasses.replace(b, alphabet=REVERSED)
         da, db = a.determinize(), b.determinize()
         universe = universe_trellis(a.alphabet, 3)
-        results = [a.trim(), a.remove_epsilon(), da, da.trim(),
+        results = [a.trim(), da, da.trim(),
                    da.intersect(db), universe.minus(da),
                    da.intersect(b), da.minus(b)]
         for r in results:
@@ -72,8 +72,12 @@ def test_product_of_an_epsilon_nfa():
     t = random_channel(rng, BINARY).transducer
     for _ in range(100):
         a = random_nfa(rng)
-        assert_trusted(product(a, t))
-        assert_trusted(product(a, t).determinize())
+        image = product(a, t)
+        assert_trusted(image)
+        assert_trusted(image.determinize())
+        # epsilon moves of ``a`` are read in place, not removed first
+        assert image.words_up_to(6) == \
+            product(a.determinize(), t).words_up_to(6)
 
 
 def test_minimal_trellis():
@@ -84,5 +88,6 @@ def test_minimal_trellis():
         ell = rng.randint(0, 6)
         words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
                  for _ in range(rng.randint(0, 20))]
-        minimal, _ = trellis_from_words(words, alphabet, length=ell).minimal
-        assert_trusted(minimal)
+        code = trellis_from_words(words, alphabet, length=ell)
+        assert_trusted(code)
+        assert_trusted(code.minimal[0])
