@@ -126,6 +126,36 @@ def useful_states(num_states: int, initial: Iterable[int],
     return {q: i for i, q in enumerate(sorted(keep))}
 
 
+def length_masks(num_states: int, final: Iterable[int],
+                 arcs: Iterable[tuple[int, int, int]], valid: int) -> list[int]:
+    """Per state, the bitmask of the path lengths on to a final state.
+
+    The least fixed point of: bit 0 at every final state, and
+    ``(mask[dst] << shift) & valid`` folded into ``mask[src]`` for every arc
+    (src, shift, dst).  A shift of 1 per symbol read (0 on epsilon) gives
+    the word lengths; a shift of ``stride`` per input symbol plus 1 per
+    output symbol gives (input, output) counts at bit ``i * stride + o``.
+    ``valid`` bounds the lengths, so the fixed point is reached on cycles
+    too.
+    """
+    pred: list[list[tuple[int, int]]] = [[] for _ in range(num_states)]
+    for src, shift, dst in arcs:
+        pred[dst].append((src, shift))
+    masks = [0] * num_states
+    stack = list(final)
+    for q in stack:
+        masks[q] = 1
+    while stack:
+        d = stack.pop()
+        mask = masks[d]
+        for s, shift in pred[d]:
+            grown = masks[s] | (mask << shift) & valid
+            if grown != masks[s]:
+                masks[s] = grown
+                stack.append(s)
+    return masks
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic finite automaton with optional epsilon transitions.
@@ -403,11 +433,30 @@ class Dfa(Nfa):
         meets ``other.final`` (intersection) or misses it (difference).
         Lengths that ``self`` does not reach are never determinized, and the
         result may have dead states.
+
+        When ``self`` is acyclic, a state of other is dropped from the set
+        of a pair when none of its path lengths on to a final state of
+        other is a length of the words that ``self`` accepts from the pair's
+        self state (``_lengths``, against ``length_masks`` of other bounded
+        by the longest word of self).  A dropped state can never meet a
+        final state of other at a final state of self, and every state it
+        leads to is dropped too, so no final flag and no accepted word
+        changes; the walk just meets fewer and smaller sets.  A cyclic
+        ``self`` (the all-words DFA behind ``determinize``) walks unfiltered.
         """
         if self.alphabet != other.alphabet:
             raise WordError("automata alphabets differ")
+        start = other.epsilon_closure(other.initial)
+        ahead = self._lengths
+        if ahead is not None:
+            lengths = ahead[self.initial_state]
+            behind = length_masks(
+                other.num_states, other.final,
+                ((s, 0 if a is None else 1, d) for s, a, d in other.transitions),
+                (1 << max(lengths.bit_length(), 1)) - 1)
+            start = frozenset([s for s in start if behind[s] & lengths])
         ids = StateIds()
-        ids[(self.initial_state, other.epsilon_closure(other.initial))]
+        ids[(self.initial_state, start)]
         transitions: list[tuple[int, str, int]] = []
         for i, (p, subset) in enumerate(ids.order):
             row = self._rows[p]
@@ -416,6 +465,9 @@ class Dfa(Nfa):
                 if pd is None:
                     continue
                 reach = other._step(subset, sym)
+                if ahead is not None:
+                    lengths = ahead[pd]
+                    reach = frozenset([s for s in reach if behind[s] & lengths])
                 if reach or difference:
                     transitions.append((i, sym, ids[(pd, reach)]))
         finals = frozenset(
@@ -458,6 +510,22 @@ class Dfa(Nfa):
     @property
     def is_acyclic(self) -> bool:
         return self._postorder is not None
+
+    @cached_property
+    def _lengths(self) -> "tuple[int, ...] | None":
+        """Per state, the bitmask of the lengths of the words accepted from
+        it (bit k: some word of length k), or None when the automaton has a
+        cycle."""
+        order = self._postorder
+        if order is None:
+            return None
+        masks = [0] * self.num_states
+        for q in order:
+            mask = int(q in self.final)
+            for d in self._rows[q].values():
+                mask |= masks[d] << 1
+            masks[q] = mask
+        return tuple(masks)
 
     @cached_property
     def _path_counts(self) -> tuple[int, ...]:
@@ -804,12 +872,14 @@ def as_trellis(machine: Nfa, length: "int | None" = None) -> Trellis:
         if length is None:
             raise WordError("empty language needs an explicit block length")
         return trellis_from_words((), machine.alphabet, length)
-    if not d.is_acyclic:
+    lengths = d._lengths
+    if lengths is None:
         raise WordError("automaton is cyclic; not a block code")
-    ell = len(d.first_word())
-    if d.intersect(universe_trellis(d.alphabet, ell)).count_words() \
-            != d.count_words():
+    # trimmed, so the language is not empty: one bit means one word length
+    mask = lengths[d.initial_state]
+    if mask & (mask - 1):
         raise WordError("language has mixed lengths; not a block code")
+    ell = mask.bit_length() - 1
     if length is not None and length != ell:
         raise WordError(f"language has length {ell}, declared {length}")
     if len(d.final) == 1:

@@ -14,13 +14,19 @@ side is ahead.
 
 The code enters the product as its minimal trellis, whose numbering is fixed
 by the code's words, so a witness depends only on the word set and the
-channel, never on how the code's trellis was built.
+channel, never on how the code's trellis was built.  Every codeword has the
+block length, so a triple is built only when the channel can still read and
+write the rest of two codewords (a per-state table of (input, output) counts
+on paths to a final state); the triples this leaves out are all dead, so no
+answer changes.
 
 Exact maximality runs the subset construction of the exclusion automaton
 (channel | channel^-1)(C) inside the universe trellis (``Dfa.minus``,
 ``Dfa.intersect``), so only words of the block length are ever
-determinized.  The addable witness is the least word of universe - C -
-exclusion; the index counts universe & exclusion.
+determinized, and a state of the exclusion automaton stays in a subset only
+while it can still end a word of the block length.  The addable witness is
+the least word of universe - C - exclusion; the index counts universe &
+exclusion.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .automata import Nfa, StateIds, Trellis, Word, format_word, \
-    universe_trellis
+    length_masks, universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
 from .transducers import Transducer, product
@@ -87,15 +93,44 @@ class Witness:
 _SYNCED = ((), ())
 
 
+def _feasible(t: Transducer, ell: int) -> tuple[bytes, ...]:
+    """Per state q of ``t`` (standard form), a table with a nonzero entry at
+    ``i * (ell + 2) + o`` when some path from q to a final state reads i
+    and writes o symbols, for i, o <= ell.  Column ell + 1 is a guard that
+    keeps a count past ell out of the next row."""
+    stride = ell + 2
+    valid = sum(((1 << ell + 1) - 1) << i * stride for i in range(ell + 1))
+    masks = length_masks(
+        t.num_states, t.final,
+        ((s, len(i) * stride + len(o), d) for s, i, o, d in t.transitions),
+        valid)
+    size = (ell + 1) * stride
+    return tuple(bytes(m >> k & 1 for k in range(size)) for m in masks)
+
+
 def _live_triples(machine: Trellis, t: Transducer) -> set:
     """The states of machine x t x machine on some accepted path: a forward
     build from the start triples, then a co-reachability prune.  ``t`` is in
-    standard form."""
+    standard form.
+
+    Every codeword has length ``machine.length``, so a triple (p, q, r) can
+    only be live when t can go from q to a final state reading what is left
+    of a codeword after p and writing what is left after r: a triple that
+    fails this ``_feasible`` test is never built.  Every live triple and
+    every triple on a path to one passes it, so the live set is the same as
+    that of the full forward build; only dead triples are left out."""
     rows, moves = machine._rows, t._moves
     final = machine.final_state
+    stride = machine.length + 2
+    feasible = _feasible(t, machine.length)
+    # the minimal trellis is layered: each state has one remaining length
+    left_in = [(m.bit_length() - 1) * stride for m in machine._lengths]
+    left_out = [m.bit_length() - 1 for m in machine._lengths]
     ids = StateIds()
+    start = machine.initial_state
     for q in sorted(t.initial):
-        ids[(machine.initial_state, q, machine.initial_state)]
+        if feasible[q][left_in[start] + left_out[start]]:
+            ids[(start, q, start)]
     rev: list[list[int]] = [[] for _ in ids.order]
     stack = []
     for i, (p, q, r) in enumerate(ids.order):
@@ -105,9 +140,10 @@ def _live_triples(machine: Trellis, t: Transducer) -> set:
             pd = p if x is None else rows[p].get(x)
             if pd is None:
                 continue
+            base = left_in[pd]
             for y, qd in xmoves:
                 rd = r if y is None else rows[r].get(y)
-                if rd is None:
+                if rd is None or not feasible[qd][base + left_out[rd]]:
                     continue
                 n = len(ids.order)
                 j = ids[(pd, qd, rd)]
@@ -165,11 +201,14 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     word set and the channel.
 
     Three steps, all on the live triples (those on some accepted path):
-    ``_live_triples`` finds them; one breadth-first search carries the
-    overhangs and stops at the first conflict; a second one, forward from
-    the conflict's target, completes the witness to a final triple.  Every
-    walk meets successors in ``_moves`` order, so ties always resolve the
-    same way.
+    ``_live_triples`` finds them, building only triples that pass a length
+    test (sigma must be able to read and write what is left of two
+    codewords) that every live triple passes; one breadth-first search
+    carries the overhangs and stops at the first conflict; a second one,
+    forward from the conflict's target, completes the witness to a final
+    triple.  The test leaves out dead triples only, so the live set, and
+    with it every witness, is that of the full product.  Every walk meets
+    successors in ``_moves`` order, so ties always resolve the same way.
     """
     if not code.final:
         return None

@@ -220,6 +220,70 @@ class TestBooleanOps:
             had_epsilon.add(any(sym is None for _, sym, _ in b.transitions))
         assert had_epsilon == {True, False}
 
+    @pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("1", "0"))],
+                             ids=["01", "10"])
+    def test_length_filter_keeps_the_languages(self, alphabet):
+        """With an acyclic DFA as ``self`` (trellises, minimal trellises,
+        ``universe - code`` and determinized acyclic NFAs of mixed lengths),
+        ``intersect`` and ``minus`` against a raw epsilon-NFA accept the set
+        intersection and difference, number their states breadth-first,
+        and have no more states than the walk without the length filter;
+        some have fewer."""
+        rng = random.Random(43)
+        kinds, fewer = set(), 0
+        for k in range(300):
+            code = dataclasses.replace(random_block_code(rng, BINARY),
+                                       alphabet=alphabet)
+            d = (code, code.minimal[0],
+                 universe_trellis(alphabet, code.length).minus(code),
+                 dataclasses.replace(random_nfa(rng), alphabet=alphabet)
+                 .determinize())[k % 4]
+            if not d.is_acyclic:
+                continue
+            b = dataclasses.replace(random_nfa(rng), alphabet=alphabet)
+            bound = 7  # no word of d is longer: codes and random_nfa paths
+            ld, lb = d.words_up_to(bound), b.words_up_to(bound)
+            for difference, expected in ((False, ld & lb), (True, ld - lb)):
+                result = d.minus(b) if difference else d.intersect(b)
+                assert result.words_up_to(bound) == expected
+                assert result.initial_state == 0
+                assert result.transitions == result.determinize().transitions
+                unfiltered = unfiltered_walk_size(d, b, difference)
+                assert result.num_states <= unfiltered
+                fewer += result.num_states < unfiltered
+            kinds.add((k % 4, any(sym is None for _, sym, _ in b.transitions)))
+        assert kinds == {(kind, eps) for kind in range(4)
+                         for eps in (True, False)}
+        assert fewer > 0
+
+
+def unfiltered_walk_size(d: Dfa, other: Nfa, difference: bool) -> int:
+    """The number of pairs (state of d, epsilon-closed set of states of
+    other) that the subset walk meets without dropping any state: sets
+    found by breadth-first search over the raw transition tuples."""
+    def closure(states):
+        seen, stack = set(states), list(states)
+        while stack:
+            q = stack.pop()
+            for s, a, t in other.transitions:
+                if s == q and a is None and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    start = (d.initial_state, closure(other.initial))
+    seen, queue = {start}, [start]
+    for p, subset in queue:
+        for s, a, pd in d.transitions:
+            if s != p:
+                continue
+            reach = closure({t for q, b, t in other.transitions
+                             if q in subset and b == a})
+            if (reach or difference) and (pd, reach) not in seen:
+                seen.add((pd, reach))
+                queue.append((pd, reach))
+    return len(seen)
+
 
 class TestCyclicDfa:
     SELF_LOOP = Dfa(BINARY, 1, frozenset({0}), frozenset({0}), ((0, "0", 0),))

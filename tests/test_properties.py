@@ -408,6 +408,94 @@ def test_random_channel_maximality_matches_brute_force(alphabet):
     assert {(True, False), (False, False)} <= {(f, u) for _, f, _, u in seen}
 
 
+def unpruned_live_triples(machine, t) -> tuple[set, set]:
+    """The triples of machine x t x machine on some accepted path, and all
+    the triples reachable from the start ones: a forward build over the raw
+    transition tuples with no length test, then a backward sweep from the
+    final triples."""
+    succ = {}
+    for p, a, pd in machine.transitions:
+        succ.setdefault(p, []).append((a, pd))
+    step = {}
+    for q, inp, out, qd in t.transitions:
+        step.setdefault(q, []).append((inp[0] if inp else None,
+                                       out[0] if out else None, qd))
+
+    def moves(p, x):
+        return [p] if x is None else [d for a, d in succ.get(p, ()) if a == x]
+
+    start = machine.initial_state
+    reached = {(start, q, start) for q in t.initial}
+    queue, pred = list(reached), {}
+    for p, q, r in queue:
+        for x, y, qd in step.get(q, ()):
+            for pd in moves(p, x):
+                for rd in moves(r, y):
+                    d = (pd, qd, rd)
+                    pred.setdefault(d, []).append((p, q, r))
+                    if d not in reached:
+                        reached.add(d)
+                        queue.append(d)
+    final = machine.final_state
+    alive = {s for s in reached
+             if s[0] == final and s[1] in t.final and s[2] == final}
+    stack = list(alive)
+    while stack:
+        for s in pred.get(stack.pop(), ()):
+            if s not in alive:
+                alive.add(s)
+                stack.append(s)
+    return alive, reached
+
+
+def test_length_test_keeps_every_live_triple(monkeypatch):
+    """``_live_triples`` with its length test finds the same live triples as
+    the unpruned forward product, builds no triple outside it, and on
+    channels that change lengths leaves some dead triple unbuilt.  Random
+    transducers (labels of length 0-2, cycles, epsilon/epsilon edges), their
+    sigma^-1 . sigma compositions and built-in channels, on random
+    prefix-tree codes."""
+    from chancodes import channel_from_spec, properties
+    from chancodes.automata import StateIds
+    from test_codegen import random_channel
+
+    built = []
+
+    class Recorded(StateIds):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(properties, "StateIds", Recorded)
+    rng = random.Random(23)
+    pruned = set()
+    for k in range(240):
+        built_in, composed = k % 8 >= 6, k % 2 == 1
+        alphabet = BINARY if k % 4 else Alphabet(("a", "bc"))
+        if built_in:
+            spec = rng.choice(("id:1", "id:2", "del1", "ins1", "bsid2"))
+            sigma = channel_from_spec(spec).transducer
+        else:
+            sigma = random_channel(rng, alphabet).transducer
+        if composed:
+            sigma = sigma.inverse().compose(sigma)
+        ell = rng.randint(0, 5)
+        words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                 for _ in range(rng.randint(1, 8))]
+        machine = trellis_from_words(words, alphabet).minimal[0]
+        t = sigma.standard_form()
+        built.clear()
+        live = properties._live_triples(machine, t)
+        alive, reached = unpruned_live_triples(machine, t)
+        assert live == alive, (words, t.to_text())
+        assert set(built[0].order) <= reached
+        if len(built[0].order) < len(reached):
+            pruned.add((built_in, composed))
+    # random, composed and built-in channels each leave dead triples unbuilt
+    assert pruned == {(False, False), (False, True), (True, False),
+                      (True, True)}
+
+
 def test_witnesses_depend_only_on_the_words():
     """A prefix-tree code, its minimal trellis and the same words grown by
     ``add_word`` in shuffled order give the same witnesses."""
