@@ -7,18 +7,20 @@ channel, code as output language) and searches it for an accepted path whose
 input and output words differ.  Equality cannot be tracked symbol-by-symbol
 when the two sides are desynchronized by insertions/deletions, so each product
 state carries the *overhang*: the word by which one side is ahead of the
-other.  A state with two distinct overhangs or an overhang/step mismatch
-pins down a violating pair, and if neither occurs every accepted pair is an
-identity pair: all codewords have one length, so at a final state neither
-side is ahead.
+other.  A state on some accepted path with two distinct overhangs or an
+overhang/step mismatch pins down a violating pair, and if neither occurs
+every accepted pair is an identity pair: all codewords have one length, so
+at a final state neither side is ahead.
 
 The code enters the product as its minimal trellis, whose numbering is fixed
 by the code's words, so a witness depends only on the word set and the
-channel, never on how the code's trellis was built.  Every codeword has the
-block length, so a triple is built only when the channel can still read and
-write the rest of two codewords (a per-state table of (input, output) counts
-on paths to a final state); the triples this leaves out are all dead, so no
-answer changes.
+channel, never on how the code's trellis was built.  One forward search
+carries the overhangs; every codeword has the block length, so it enters a
+triple only when the channel can still read and write the rest of two
+codewords (a per-state table of (input, output) counts on paths to a final
+state).  Whether a triple lies on an accepted path is asked only at a
+conflict, by a forward search from it that either completes the witness or
+marks every triple it met as dead.
 
 Exact maximality runs the subset construction of the exclusion automaton
 (channel | channel^-1)(C) inside the universe trellis (``Dfa.minus``,
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import Nfa, StateIds, Trellis, Word, format_word, \
+from .automata import Nfa, Trellis, Word, format_word, \
     length_masks, universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
@@ -108,57 +110,6 @@ def _feasible(t: Transducer, ell: int) -> tuple[bytes, ...]:
     return tuple(bytes(m >> k & 1 for k in range(size)) for m in masks)
 
 
-def _live_triples(machine: Trellis, t: Transducer) -> set:
-    """The states of machine x t x machine on some accepted path: a forward
-    build from the start triples, then a co-reachability prune.  ``t`` is in
-    standard form.
-
-    Every codeword has length ``machine.length``, so a triple (p, q, r) can
-    only be live when t can go from q to a final state reading what is left
-    of a codeword after p and writing what is left after r: a triple that
-    fails this ``_feasible`` test is never built.  Every live triple and
-    every triple on a path to one passes it, so the live set is the same as
-    that of the full forward build; only dead triples are left out."""
-    rows, moves = machine._rows, t._moves
-    final = machine.final_state
-    stride = machine.length + 2
-    feasible = _feasible(t, machine.length)
-    # the minimal trellis is layered: each state has one remaining length
-    left_in = [(m.bit_length() - 1) * stride for m in machine._lengths]
-    left_out = [m.bit_length() - 1 for m in machine._lengths]
-    ids = StateIds()
-    start = machine.initial_state
-    for q in sorted(t.initial):
-        if feasible[q][left_in[start] + left_out[start]]:
-            ids[(start, q, start)]
-    rev: list[list[int]] = [[] for _ in ids.order]
-    stack = []
-    for i, (p, q, r) in enumerate(ids.order):
-        if p == final and q in t.final and r == final:
-            stack.append(i)
-        for x, xmoves in moves[q].items():
-            pd = p if x is None else rows[p].get(x)
-            if pd is None:
-                continue
-            base = left_in[pd]
-            for y, qd in xmoves:
-                rd = r if y is None else rows[r].get(y)
-                if rd is None or not feasible[qd][base + left_out[rd]]:
-                    continue
-                n = len(ids.order)
-                j = ids[(pd, qd, rd)]
-                if j == n:
-                    rev.append([])
-                rev[j].append(i)
-    alive = set(stack)
-    while stack:
-        for i in rev[stack.pop()]:
-            if i not in alive:
-                alive.add(i)
-                stack.append(i)
-    return {ids.order[i] for i in alive}
-
-
 def _advance(delay: tuple[Word, Word], x: Optional[str], y: Optional[str]):
     """The overhang after reading x on the input side and y on the output
     side, or None when the two sides disagree at an aligned position."""
@@ -191,6 +142,24 @@ def _words(labels: list) -> tuple[Word, Word]:
             tuple(y for _, y in labels if y is not None))
 
 
+def _completion(triple, successors, accepting: set, dead: set):
+    """The (x, y) labels of a shortest path from ``triple`` to a triple in
+    ``accepting``, walking ``successors`` (which skip ``dead``), or None
+    when there is none: then every triple visited is dead and joins
+    ``dead``."""
+    links = {}
+    queue = [triple]
+    for s in queue:
+        if s in accepting:
+            return _labels(links, s)
+        for x, y, d in successors(s):
+            if d != triple and d not in links:
+                links[d] = (s, x, y)
+                queue.append(d)
+    dead.update(queue)
+    return None
+
+
 def _identity_violation(code: Trellis, sigma: Transducer):
     """Search minimal x sigma x minimal for an accepted pair (u, v), u != v.
 
@@ -200,23 +169,31 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     numbering is fixed by the code's words; a witness depends only on the
     word set and the channel.
 
-    Three steps, all on the live triples (those on some accepted path):
-    ``_live_triples`` finds them, building only triples that pass a length
-    test (sigma must be able to read and write what is left of two
-    codewords) that every live triple passes; one breadth-first search
-    carries the overhangs and stops at the first conflict; a second one,
-    forward from the conflict's target, completes the witness to a final
-    triple.  The test leaves out dead triples only, so the live set, and
-    with it every witness, is that of the full product.  Every walk meets
-    successors in ``_moves`` order, so ties always resolve the same way.
+    One breadth-first search carries the overhangs over the triples that
+    pass a length test (sigma must be able to read and write what is left
+    of two codewords); every triple on an accepted path passes it.  At an
+    overhang conflict at triple d, a second search forward from d completes
+    the witness to a final triple.  When it finds none, every triple it
+    visited is dead, and both searches skip them from then on.  A reached
+    triple with a live successor is itself live, so the live triples are
+    met in the same order, with the same first parent and overhang, as by a
+    search over the live triples alone, and the witness is that of the
+    full product.  Every walk meets successors in ``_moves`` order, so ties
+    always resolve the same way.
     """
     if not code.final:
         return None
     t = sigma.standard_form()
     machine = code.minimal[0]
-    live = _live_triples(machine, t)
     rows, moves = machine._rows, t._moves
-    final = machine.final_state
+    final, start = machine.final_state, machine.initial_state
+    stride = machine.length + 2
+    feasible = _feasible(t, machine.length)
+    # the minimal trellis is layered: each state has one remaining length
+    left_in = [(m.bit_length() - 1) * stride for m in machine._lengths]
+    left_out = [m.bit_length() - 1 for m in machine._lengths]
+    accepting = {(final, q, final) for q in t.final}
+    dead: set = set()
 
     def successors(triple):
         p, q, r = triple
@@ -224,31 +201,19 @@ def _identity_violation(code: Trellis, sigma: Transducer):
             pd = p if x is None else rows[p].get(x)
             if pd is None:
                 continue
+            base = left_in[pd]
             for y, qd in xmoves:
                 rd = r if y is None else rows[r].get(y)
-                if rd is not None and (pd, qd, rd) in live:
+                if rd is not None and feasible[qd][base + left_out[rd]] \
+                        and (pd, qd, rd) not in dead:
                     yield x, y, (pd, qd, rd)
-
-    def completion(triple):
-        # shortest live path on to a final triple; live means one exists
-        links = {}
-        queue = [triple]
-        for s in queue:
-            p, q, r = s
-            if p == final and q in t.final and r == final:
-                return _labels(links, s)
-            for x, y, d in successors(s):
-                if d != triple and d not in links:
-                    links[d] = (s, x, y)
-                    queue.append(d)
-        raise AssertionError("live triple without a path to a final triple")
 
     delays = {}
     links = {}
     queue = []
     for q in sorted(t.initial):
-        s = (machine.initial_state, q, machine.initial_state)
-        if s in live:
+        if feasible[q][left_in[start] + left_out[start]]:
+            s = (start, q, start)
             delays[s] = _SYNCED
             queue.append(s)
     # a final triple needs no check of its own: both sides of a path to it
@@ -263,8 +228,10 @@ def _identity_violation(code: Trellis, sigma: Transducer):
             elif nd is None or delays[d] != nd:
                 # a mismatch at an aligned position, or a second overhang at
                 # d: the path along this edge, or else the first path to d,
-                # disagrees with any completion
-                rest = completion(d)
+                # disagrees with any completion, if d has one
+                rest = _completion(d, successors, accepting, dead)
+                if rest is None:
+                    continue
                 for path in (_labels(links, s) + [(x, y)], _labels(links, d)):
                     u, v = _words(path + rest)
                     if u != v:
@@ -356,7 +323,6 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     Requires the code to be detecting (Definition of the index presupposes
     it); a violating code raises NotDetectingError carrying the witness.
     """
-    _require_same_alphabet(code, channel)
     witness = detection_witness(code, channel)
     if witness:
         raise NotDetectingError(

@@ -254,6 +254,14 @@ class TestMaximality:
         with pytest.raises(AlphabetMismatchError):
             maximality_witness(t, make_sub(1), universe_trellis(abc, 4))
 
+    @pytest.mark.parametrize("decide", [
+        detection_witness, correction_witness, maximality_witness,
+        maximality_index])
+    def test_code_alphabet_must_match_the_channel(self, decide):
+        t = trellis_from_words(["ab", "ba"], Alphabet(("a", "b")))
+        with pytest.raises(AlphabetMismatchError, match="code over"):
+            decide(t, make_sub(1))
+
     def test_index_equals_exclusion_probability(self):
         # empirical check of the probabilistic reading of the index
         t = trellis_from_words(["0000"], BINARY)
@@ -408,11 +416,10 @@ def test_random_channel_maximality_matches_brute_force(alphabet):
     assert {(True, False), (False, False)} <= {(f, u) for _, f, _, u in seen}
 
 
-def unpruned_live_triples(machine, t) -> tuple[set, set]:
-    """The triples of machine x t x machine on some accepted path, and all
-    the triples reachable from the start ones: a forward build over the raw
-    transition tuples with no length test, then a backward sweep from the
-    final triples."""
+def unpruned_live_triples(machine, t) -> set:
+    """The triples of machine x t x machine on some accepted path: a forward
+    build over the raw transition tuples with no length test, then a
+    backward sweep from the final triples."""
     succ = {}
     for p, a, pd in machine.transitions:
         succ.setdefault(p, []).append((a, pd))
@@ -445,30 +452,102 @@ def unpruned_live_triples(machine, t) -> tuple[set, set]:
             if s not in alive:
                 alive.add(s)
                 stack.append(s)
-    return alive, reached
+    return alive
 
 
-def test_length_test_keeps_every_live_triple(monkeypatch):
-    """``_live_triples`` with its length test finds the same live triples as
-    the unpruned forward product, builds no triple outside it, and on
-    channels that change lengths leaves some dead triple unbuilt.  Random
-    transducers (labels of length 0-2, cycles, epsilon/epsilon edges), their
-    sigma^-1 . sigma compositions and built-in channels, on random
-    prefix-tree codes."""
+def two_pass_violation(machine, t):
+    """The detection search in two passes: find the live triples of machine
+    x t x machine with ``unpruned_live_triples``, then run the overhang
+    search and the completion over them alone, meeting successors in the
+    order of t's transitions."""
+    alive = unpruned_live_triples(machine, t)
+    step = {}
+    for q, inp, out, qd in t.transitions:
+        step.setdefault(q, []).append((inp[0] if inp else None,
+                                       out[0] if out else None, qd))
+
+    def move(p, x):
+        return p if x is None else machine._rows[p].get(x)
+
+    def successors(s):
+        p, q, r = s
+        for x, y, qd in step.get(q, ()):
+            d = (move(p, x), qd, move(r, y))
+            if d in alive:
+                yield x, y, d
+
+    def path(links, s):
+        labels = []
+        while s in links:
+            s, x, y = links[s]
+            labels.append((x, y))
+        return labels[::-1]
+
+    def completion(triple):
+        links, queue = {}, [triple]
+        for s in queue:
+            if s[0] == machine.final_state and s[1] in t.final \
+                    and s[2] == machine.final_state:
+                return path(links, s)
+            for x, y, d in successors(s):
+                if d != triple and d not in links:
+                    links[d] = (s, x, y)
+                    queue.append(d)
+        raise AssertionError("live triple without a path to a final triple")
+
+    def advance(delay, x, y):
+        pin = delay[0] + ((x,) if x is not None else ())
+        pout = delay[1] + ((y,) if y is not None else ())
+        k = 0
+        while k < min(len(pin), len(pout)):
+            if pin[k] != pout[k]:
+                return None
+            k += 1
+        return pin[k:], pout[k:]
+
+    start = machine.initial_state
+    queue = [(start, q, start) for q in sorted(t.initial)
+             if (start, q, start) in alive]
+    delays, links = dict.fromkeys(queue, ((), ())), {}
+    for s in queue:
+        for x, y, d in successors(s):
+            nd = advance(delays[s], x, y)
+            if nd is not None and d not in delays:
+                delays[d] = nd
+                links[d] = (s, x, y)
+                queue.append(d)
+            elif nd is None or delays[d] != nd:
+                rest = completion(d)
+                for labels in (path(links, s) + [(x, y)], path(links, d)):
+                    u = tuple(a for a, _ in labels + rest if a is not None)
+                    v = tuple(b for _, b in labels + rest if b is not None)
+                    if u != v:
+                        return u, v
+                raise AssertionError("conflict without violating pair")
+    return None
+
+
+def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
+    """``_identity_violation``, one forward search that decides liveness
+    only at a conflict, returns the answer of the two-pass search over the
+    live triples, and both NONE and violating answers skip some conflict at
+    a dead triple.  Random transducers (labels of length 0-2, cycles,
+    epsilon/epsilon edges), their sigma^-1 . sigma compositions and built-in
+    channels, on random prefix-tree codes."""
     from chancodes import channel_from_spec, properties
-    from chancodes.automata import StateIds
     from test_codegen import random_channel
 
-    built = []
+    completion = properties._completion
+    misses = []
 
-    class Recorded(StateIds):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
+    def recorded(*args):
+        rest = completion(*args)
+        misses.append(rest is None)
+        return rest
 
-    monkeypatch.setattr(properties, "StateIds", Recorded)
+    monkeypatch.setattr(properties, "_completion", recorded)
     rng = random.Random(23)
-    pruned = set()
+    skipped = set()
     for k in range(240):
         built_in, composed = k % 8 >= 6, k % 2 == 1
         alphabet = BINARY if k % 4 else Alphabet(("a", "bc"))
@@ -482,18 +561,15 @@ def test_length_test_keeps_every_live_triple(monkeypatch):
         ell = rng.randint(0, 5)
         words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
                  for _ in range(rng.randint(1, 8))]
-        machine = trellis_from_words(words, alphabet).minimal[0]
-        t = sigma.standard_form()
-        built.clear()
-        live = properties._live_triples(machine, t)
-        alive, reached = unpruned_live_triples(machine, t)
-        assert live == alive, (words, t.to_text())
-        assert set(built[0].order) <= reached
-        if len(built[0].order) < len(reached):
-            pruned.add((built_in, composed))
-    # random, composed and built-in channels each leave dead triples unbuilt
-    assert pruned == {(False, False), (False, True), (True, False),
-                      (True, True)}
+        code = trellis_from_words(words, alphabet)
+        misses.clear()
+        found = properties._identity_violation(code, sigma)
+        referee = two_pass_violation(code.minimal[0], sigma.standard_form())
+        assert found == referee, (words, sigma.to_text())
+        if any(misses):
+            skipped.add(found is None)
+    # a dead conflict is skipped on the way to either kind of answer
+    assert skipped == {True, False}
 
 
 def test_witnesses_depend_only_on_the_words():
