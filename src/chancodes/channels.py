@@ -46,8 +46,10 @@ class Channel:
         )
 
     def self_union_inverse(self) -> Transducer:
-        """The symmetrized transducer sigma | sigma^-1 used by the add-word test."""
-        return self.transducer.union(self.transducer.inverse())
+        """sigma | sigma^-1 for the add-word test, in standard form and
+        reduced by ``Transducer.quotient``; the same relation."""
+        return self.transducer.union(
+            self.transducer.inverse()).standard_form().quotient()
 
     def check_input_preserving(self, up_to_length: int = 6) -> bool:
         return self.transducer.is_input_preserving(up_to_length)

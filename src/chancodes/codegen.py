@@ -71,7 +71,8 @@ class NextWord(NamedTuple):
 
 class Exclusion:
     """Membership in the exclusion language T(C) | C, T = sigma | sigma^-1,
-    for one code C that only grows between calls.
+    for one code C that only grows between calls.  T is reduced by
+    ``Transducer.quotient``: one copy of a symmetric channel (sub:k, id:k).
 
     T is its own inverse, so w is in T(C) exactly when T(w) meets C: a
     depth-first search over (position in w, T state, trellis state) in which
@@ -81,7 +82,7 @@ class Exclusion:
     """
 
     def __init__(self, channel: Channel):
-        t = channel.self_union_inverse().standard_form()
+        t = channel.self_union_inverse()
         self.alphabet = channel.alphabet
         self.blocked: set[Word] = set()
         self._initial = tuple(sorted(t.initial))

@@ -26,9 +26,11 @@ Exact maximality runs the subset construction of the exclusion automaton
 (channel | channel^-1)(C) inside the universe trellis (``Dfa.minus``,
 ``Dfa.intersect``), so only words of the block length are ever
 determinized, and a state of the exclusion automaton stays in a subset only
-while it can still end a word of the block length.  The addable witness is
-the least word of universe - C - exclusion; the index counts universe &
-exclusion.
+while it can still end a word of the block length.  The channel enters
+reduced by ``Transducer.quotient``, which keeps one copy of a symmetric
+channel (sub:2, id:2: 6 -> 3 states), so the automaton and its sets halve.
+The addable witness is the least word of universe - C - exclusion; the
+index counts universe & exclusion.
 """
 
 from __future__ import annotations

@@ -174,6 +174,34 @@ class Transducer:
         )
         return composed.trim()
 
+    def quotient(self) -> "Transducer":
+        """Merge forward-bisimilar states; same relation.
+
+        Partition refinement from the final flag: a state's signature is
+        its block and the set of its (input, output, block of target)
+        moves, epsilon labels read as letters.  Classes are numbered by
+        their least member, so a quotient is its own quotient."""
+        out: list[list] = [[] for _ in self.states]
+        for src, inp, outw, dst in self.transitions:
+            out[src].append((inp, outw, dst))
+        block = [q in self.final for q in self.states]
+        count = len(set(block))
+        while True:
+            ids: dict = {}
+            block = [ids.setdefault((block[q], frozenset(
+                (i, o, block[d]) for i, o, d in out[q])), len(ids))
+                for q in self.states]
+            if len(ids) == count:
+                break
+            count = len(ids)
+        return Transducer(
+            self.alphabet, count,
+            frozenset(block[q] for q in self.initial),
+            frozenset(block[q] for q in self.final),
+            tuple((block[s], i, o, block[d])
+                  for s, i, o, d in self.transitions),
+        )
+
     def trim(self) -> "Transducer":
         """Keep only states on some initial->final path; relabel densely."""
         remap = useful_states(self.num_states, self.initial, self.final,

@@ -24,6 +24,7 @@ from chancodes import (
     make_sub,
     maximality_index,
     maximality_witness,
+    product,
     trellis_from_words,
     universe_trellis,
 )
@@ -277,6 +278,21 @@ class TestMaximality:
         p = float(idx)
         sigma = (p * (1 - p) / draws) ** 0.5
         assert abs(hits / draws - p) <= 3 * sigma
+
+    @pytest.mark.parametrize("ch", [make_sub(2), make_id(2)],
+                             ids=["sub2", "id2"])
+    def test_exclusion_walks_one_copy_of_a_symmetric_channel(self, ch):
+        # sigma^-1 is sigma renamed, so the reduced sigma | sigma^-1 keeps
+        # one copy and the exclusion automaton at most half the states
+        t = ch.transducer
+        rng = random.Random(12)
+        for ell in (1, 3, 6):
+            pool = ["".join(w) for w in iproduct("01", repeat=ell)]
+            words = rng.sample(pool, min(len(pool), 5))
+            code = trellis_from_words(words, BINARY, length=ell)
+            full = product(code.minimal[0], t.union(t.inverse()))
+            assert 2 * exclusion_automaton(code, ch).num_states \
+                <= full.num_states
 
 
 class TestMaximalCorrectionEquivalence:

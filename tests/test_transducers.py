@@ -9,6 +9,7 @@ from chancodes import (
     BINARY,
     Nfa,
     Transducer,
+    channel_from_spec,
     compose,
     format_word,
     identity_transducer,
@@ -315,3 +316,49 @@ class TestTransducerTrim:
                 if s in remap and d in remap)
             removed += len(keep) < t.num_states
         assert removed > 30
+
+
+class TestQuotient:
+    @staticmethod
+    def check(t: Transducer, alphabet: Alphabet, max_in: int) -> Transducer:
+        q = t.quotient()
+        assert q.num_states <= t.num_states
+        assert q.quotient() == q
+        assert oracles.relation_pairs(q, alphabet, max_in, max_in + 1) == \
+            oracles.relation_pairs(t, alphabet, max_in, max_in + 1)
+        return q
+
+    def test_zoo_keeps_the_relation(self):
+        for ch in zoo():
+            t = ch.transducer
+            sym = t.union(t.inverse()).standard_form()
+            assert self.check(sym, BINARY, 4) == ch.self_union_inverse()
+            self.check(t.inverse().compose(t), BINARY, 4)
+
+    def test_random_transducers_keep_the_relation(self):
+        rng = random.Random(12)
+        shrunk = untrimmed = 0
+        for k in range(200):
+            alphabet = BINARY if k % 2 else Alphabet(("a", "bc"))
+            t = random_channel(rng, alphabet).transducer
+            if k % 4 < 2:
+                t = t.standard_form()
+            q = self.check(t, alphabet, 3)
+            shrunk += q.num_states < t.num_states
+            untrimmed += t.trim().num_states < t.num_states
+        assert shrunk > 10 and untrimmed > 40
+
+    @pytest.mark.parametrize("spec, before, after", [
+        ("sub:2", 6, 3), ("id:2", 6, 3), ("del1", 6, 5), ("ins1", 6, 5),
+        ("bsid2", 14, 7), ("segd:3", 14, 12), ("ov", 6, 6),
+    ])
+    def test_symmetrized_state_counts(self, spec, before, after):
+        ch = channel_from_spec(spec)
+        t = ch.transducer
+        assert t.union(t.inverse()).standard_form().num_states == before
+        assert ch.self_union_inverse().num_states == after
+
+    def test_numbering_is_pinned(self):
+        assert make_sub(1).self_union_inverse().to_text() == (
+            "@Transducer 0 1 * 0\n"
+            "0 0 0 0\n0 0 1 1\n0 1 0 1\n0 1 1 0\n1 0 0 1\n1 1 1 1\n")
