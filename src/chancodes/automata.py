@@ -412,16 +412,12 @@ class Dfa(Nfa):
     # -- boolean operations ---------------------------------------------------
 
     def intersect(self, other: Nfa) -> "Dfa":
-        """L(self) & L(other) for any automaton ``other``, through
-        ``_subset_walk``.  Pairs with no state of ``other`` left are dead and
-        not built; on two DFAs this is the plain product of state pairs."""
+        """L(self) & L(other) for any automaton ``other``; on two DFAs the
+        plain product of state pairs."""
         return self._subset_walk(other, difference=False)
 
     def minus(self, other: Nfa) -> "Dfa":
-        """L(self) - L(other) for any automaton ``other``, through
-        ``_subset_walk``; a pair with no state of ``other`` left is kept, as
-        every word that ``self`` accepts from there on is in the
-        difference."""
+        """L(self) - L(other) for any automaton ``other``."""
         return self._subset_walk(other, difference=True)
 
     def _subset_walk(self, other: Nfa, difference: bool) -> "Dfa":
@@ -430,33 +426,15 @@ class Dfa(Nfa):
         One state per reachable pair (state of self, epsilon-closed set of
         states of other), numbered breadth-first with symbols in alphabet
         order.  A pair is final when its self state is final and its set
-        meets ``other.final`` (intersection) or misses it (difference).
-        Lengths that ``self`` does not reach are never determinized, and the
-        result may have dead states.
-
-        When ``self`` is acyclic, a state of other is dropped from the set
-        of a pair when none of its path lengths on to a final state of
-        other is a length of the words that ``self`` accepts from the pair's
-        self state (``_lengths``, against ``length_masks`` of other bounded
-        by the longest word of self).  A dropped state can never meet a
-        final state of other at a final state of self, and every state it
-        leads to is dropped too, so no final flag and no accepted word
-        changes; the walk just meets fewer and smaller sets.  A cyclic
-        ``self`` (the all-words DFA behind ``determinize``) walks unfiltered.
+        meets ``other.final`` (intersection) or misses it (difference).  A
+        pair with an empty set is dead in an intersection and not built; in
+        a difference every word from there on is kept.  Lengths that
+        ``self`` does not reach are never determinized.
         """
         if self.alphabet != other.alphabet:
             raise WordError("automata alphabets differ")
-        start = other.epsilon_closure(other.initial)
-        ahead = self._lengths
-        if ahead is not None:
-            lengths = ahead[self.initial_state]
-            behind = length_masks(
-                other.num_states, other.final,
-                ((s, 0 if a is None else 1, d) for s, a, d in other.transitions),
-                (1 << max(lengths.bit_length(), 1)) - 1)
-            start = frozenset([s for s in start if behind[s] & lengths])
         ids = StateIds()
-        ids[(self.initial_state, start)]
+        ids[(self.initial_state, other.epsilon_closure(other.initial))]
         transitions: list[tuple[int, str, int]] = []
         for i, (p, subset) in enumerate(ids.order):
             row = self._rows[p]
@@ -465,9 +443,6 @@ class Dfa(Nfa):
                 if pd is None:
                     continue
                 reach = other._step(subset, sym)
-                if ahead is not None:
-                    lengths = ahead[pd]
-                    reach = frozenset([s for s in reach if behind[s] & lengths])
                 if reach or difference:
                     transitions.append((i, sym, ids[(pd, reach)]))
         finals = frozenset(
@@ -583,7 +558,8 @@ class Dfa(Nfa):
         return word
 
     def _unrank(self, rank: int) -> Word:
-        """The accepted word of the given rank in ``iter_words`` order."""
+        """The accepted word of the given rank: words ranked depth-first,
+        symbols in alphabet order, a final state before its successors."""
         table = self._draw_table
         q = self.initial_state
         word: list[str] = []
@@ -604,47 +580,24 @@ class Dfa(Nfa):
 
     def iter_words(self) -> Iterator[Word]:
         """All accepted words, depth-first with symbols in alphabet order
-        (lexicographic order for block languages).  Acyclic automata only: on
-        a cycle the call itself raises ValueError."""
-        if not self.is_acyclic:
-            raise ValueError("word enumeration requires an acyclic automaton")
-        table = self._draw_table
-
-        def walk(q: int, prefix: Word) -> Iterator[Word]:
-            final, successors = table[q]
-            if final:
-                yield prefix
-            for _, sym, d in successors:
-                yield from walk(d, prefix + (sym,))
-
-        return walk(self.initial_state, ())
-
-    def first_word(self) -> Word:
-        """First word under iter_words order; least word for block languages."""
-        if self.count_words() == 0:
-            raise EmptyLanguageError("automaton accepts no words")
-        return next(iter(self.iter_words()))
+        (lexicographic order for block languages), that is, by rank
+        (``_unrank``).  Acyclic automata only: on a cycle the call itself
+        raises ValueError."""
+        return map(self._unrank, range(self.count_words()))
 
     def least_word(self) -> "Word | None":
         """Shortest accepted word, lexicographically least among the shortest.
         Works on cyclic automata; None when the language is empty."""
-        if self.initial_state in self.final:
-            return ()
+        queue: list[tuple[int, Word]] = [(self.initial_state, ())]
         seen = {self.initial_state}
-        layer: list[tuple[int, Word]] = [(self.initial_state, ())]
-        while layer:
-            nxt: list[tuple[int, Word]] = []
-            for q, w in layer:
-                for sym in self.alphabet:
-                    d = self._rows[q].get(sym)
-                    if d is None or d in seen:
-                        continue
+        for q, w in queue:  # breadth-first, symbols in alphabet order
+            if q in self.final:
+                return w
+            for sym in self.alphabet:
+                d = self._rows[q].get(sym)
+                if d is not None and d not in seen:
                     seen.add(d)
-                    wd = w + (sym,)
-                    if d in self.final:
-                        return wd
-                    nxt.append((d, wd))
-            layer = nxt
+                    queue.append((d, w + (sym,)))
         return None
 
 

@@ -2,35 +2,17 @@
 error-detection and error-correction with concrete witnesses, a deterministic
 non-maximality witness, and the exact maximality index.
 
-The detection test runs on the three-way product (code as input language,
-channel, code as output language) and searches it for an accepted path whose
-input and output words differ.  Equality cannot be tracked symbol-by-symbol
-when the two sides are desynchronized by insertions/deletions, so each product
-state carries the *overhang*: the word by which one side is ahead of the
-other.  A state on some accepted path with two distinct overhangs or an
-overhang/step mismatch pins down a violating pair, and if neither occurs
-every accepted pair is an identity pair: all codewords have one length, so
-at a final state neither side is ahead.
+Detection searches the three-way product (code as input language,
+channel, code as output language) for an accepted pair of different words.
+Insertions and deletions desynchronize the two sides, so each triple
+carries the *overhang* by which one side is ahead; with no conflict every
+accepted pair is an identity pair (``_identity_violation``).
 
-The code enters the product as its minimal trellis, whose numbering is fixed
-by the code's words, so a witness depends only on the word set and the
-channel, never on how the code's trellis was built.  One forward search
-carries the overhangs; every codeword has the block length, so it enters a
-triple only when the channel can still read and write the rest of two
-codewords (a per-state table of (input, output) counts on paths to a final
-state).  Whether a triple lies on an accepted path is asked only at a
-conflict, by a forward search from it that either completes the witness or
-marks every triple it met as dead.
-
-Exact maximality runs the subset construction of the exclusion automaton
-(channel | channel^-1)(C) inside the universe trellis (``Dfa.minus``,
-``Dfa.intersect``), so only words of the block length are ever
-determinized, and a state of the exclusion automaton stays in a subset only
-while it can still end a word of the block length.  The channel enters
-reduced by ``Transducer.quotient``, which keeps one copy of a symmetric
-channel (sub:2, id:2: 6 -> 3 states), so the automaton and its sets halve.
-The addable witness is the least word of universe - C - exclusion; the
-index counts universe & exclusion.
+Exact maximality walks the subset construction of the exclusion automaton
+(channel | channel^-1)(C) lazily and keeps no transitions: the witness
+search stops at the least addable word, and the index counts Sigma^l layer
+by layer.  The channel enters reduced by ``Transducer.quotient``, which
+keeps one copy of a symmetric channel (sub:2, id:2: 6 -> 3 states).
 """
 
 from __future__ import annotations
@@ -297,33 +279,82 @@ def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
     return product(code.minimal[0], channel.self_union_inverse())
 
 
+def _exclusion_walk(code: Trellis, channel: Channel):
+    """The exclusion automaton x, ``fits`` and the start set of a lazy walk
+    of its subset construction.  ``fits[k]`` holds the states of x with a
+    path of exactly k symbols on to a final state: with k symbols left, no
+    other state (nor any it leads to) can end a word of the block length."""
+    x = exclusion_automaton(code, channel)
+    masks = length_masks(
+        x.num_states, x.final,
+        ((s, 0 if a is None else 1, d) for s, a, d in x.transitions),
+        (1 << code.length + 1) - 1)
+    fits = [frozenset([q for q in x.states if masks[q] >> k & 1])
+            for k in range(code.length + 1)]
+    return x, fits, x.epsilon_closure(x.initial) & fits[-1]
+
+
+def _least_addable(walk, u: int, m: "int | None", s: frozenset,
+                   left: int) -> "Word | None":
+    """The least completion, ``left`` symbols long, of a prefix that reached
+    universe state u, minimal code state m (None off the code) and the set
+    s of exclusion states into an addable word, or None.  ``walk`` is
+    (universe, minimal trellis, exclusion automaton, ``fits``, the dead
+    keys: those that lead to no addable word)."""
+    universe, minimal, x, fits, dead = walk
+    if not left:
+        addable = u in universe.final and m not in minimal.final \
+            and s.isdisjoint(x.final)
+        return () if addable else None
+    row = universe._rows[u]
+    if m is None and not s:  # every completion is addable
+        a = next(a for a in universe.alphabet if a in row)
+        return (a,) + _least_addable(walk, row[a], m, s, left - 1)
+    if (u, m, s) in dead:
+        return None
+    for a in universe.alphabet:
+        if a in row:
+            rest = _least_addable(
+                walk, row[a], m if m is None else minimal._rows[m].get(a),
+                x._step(s, a) & fits[left - 1], left - 1)
+            if rest is not None:
+                return (a,) + rest
+    dead.add((u, m, s))
+    return None
+
+
 def maximality_witness(
     code: Trellis, channel: Channel, universe: "Trellis | None" = None
 ) -> Witness:
-    """ADDABLE w for some word of the universe that can join the code while
-    keeping it detecting, or NONE when the code is maximal in that universe.
-
-    Exact but worst-case exponential (the subset construction of the
-    exclusion automaton, run inside the universe), hence meant for small
-    block lengths.  The default universe is all words of the code's length; a
+    """ADDABLE w for the least word of the universe that can join the code
+    while keeping it detecting, or NONE when the code is maximal in that
+    universe.  The default universe is all words of the code's length; a
     given one must share the code's alphabet and length.
+
+    A depth-first search in alphabet order, so in lexicographic order, over
+    keys (universe state, minimal code state, set of exclusion states)
+    (``_least_addable``).  Exact but worst-case exponential, hence meant
+    for small block lengths.
     """
     _require_same_alphabet(code, channel)
     if universe is None:
         universe = universe_trellis(code.alphabet, code.length)
     _require_universe_fits(code, universe)
-    candidates = universe.minus(code.minimal[0]).minus(
-        exclusion_automaton(code, channel))
-    if candidates.count_words() == 0:
-        return Witness.none()
-    return Witness.addable(candidates.first_word())
+    x, fits, start = _exclusion_walk(code, channel)
+    minimal = code.minimal[0]
+    found = _least_addable((universe, minimal, x, fits, set()),
+                           universe.initial_state, minimal.initial_state,
+                           start, code.length)
+    return Witness.none() if found is None else Witness.addable(found)
 
 
 def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     """|Sigma^l  intersect  (channel | channel^-1)(C)| / |Sigma^l|, exactly.
 
-    Requires the code to be detecting (Definition of the index presupposes
-    it); a violating code raises NotDetectingError carrying the witness.
+    Counted layer by layer: a map from each nonempty filtered set of
+    exclusion states to the number of prefixes that reach it.  Requires
+    the code to be detecting (Definition of the index presupposes it); a
+    violating code raises NotDetectingError carrying the witness.
     """
     witness = detection_witness(code, channel)
     if witness:
@@ -331,6 +362,15 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             f"code is not error-detecting for {channel.name}: {witness}",
             witness=witness,
         )
-    used = universe_trellis(code.alphabet, code.length).intersect(
-        exclusion_automaton(code, channel)).count_words()
+    x, fits, start = _exclusion_walk(code, channel)
+    layer = {start: 1} if start else {}
+    for k in reversed(range(code.length)):
+        following: dict = {}
+        for s, n in layer.items():
+            for a in code.alphabet.symbols:
+                d = x._step(s, a) & fits[k]
+                if d:
+                    following[d] = following.get(d, 0) + n
+        layer = following
+    used = sum(n for s, n in layer.items() if not s.isdisjoint(x.final))
     return Fraction(used, len(code.alphabet) ** code.length)

@@ -10,10 +10,13 @@ from chancodes import (
     Alphabet,
     AlphabetMismatchError,
     Channel,
+    Nfa,
     NotDetectingError,
     ParameterError,
     Transducer,
     Witness,
+    as_trellis,
+    channel_from_spec,
     correction_witness,
     detection_witness,
     exclusion_automaton,
@@ -24,7 +27,9 @@ from chancodes import (
     make_sub,
     maximality_index,
     maximality_witness,
+    overlap_free_trellis,
     product,
+    suffix_universe,
     trellis_from_words,
     universe_trellis,
 )
@@ -239,13 +244,120 @@ class TestMaximality:
     def test_restricted_universe(self):
         # within the words ending in 1, {001} excludes its whole sub-ball
         t = trellis_from_words(["0001"], BINARY)
-        from chancodes import suffix_universe
-
         universe = suffix_universe(BINARY, 4, "1")
         w = maximality_witness(t, make_sub(1), universe)
         assert w.kind == "addable"
         assert format_word(w.w).endswith("1")
         assert oracles.hamming_distance(w.w, BINARY.word("0001")) >= 2
+        # the answers of the CLI's --universe of and --end universes
+        of4, of6 = (overlap_free_trellis(BINARY, n) for n in (4, 6))
+        for words, spec, universe, least in (
+                (["0001"], "sub:1", of4, "0111"),
+                (["0001"], "sub:1", suffix_universe(BINARY, 4, "11"), "0111"),
+                (["000000"], "id:2", suffix_universe(BINARY, 6, "01"),
+                 "000101"),
+                (["000000"], "del1", as_trellis(
+                    of6.intersect(suffix_universe(BINARY, 6, "1")), 6),
+                 "000011")):
+            t = trellis_from_words(words, BINARY)
+            found = maximality_witness(t, channel_from_spec(spec), universe)
+            assert found == Witness.addable(BINARY.word(least)), spec
+        # on overlap-free and fixed-suffix universes at lengths 6-9 the
+        # witness is the least universe word outside the code and related
+        # to no codeword either way, or NONE when there is none; codes: two
+        # random words, and greedy scans of the shuffled universe over half
+        # of it (addable words left) and all of it (maximal in it)
+
+        def one_deletion(w):
+            return {w[:i] + w[i + 1:] for i in range(len(w))}
+
+        related = {  # u -> v through the channel, u and v of one length
+            "sub:1": lambda u, v: oracles.hamming_distance(u, v) <= 1,
+            "sub:2": lambda u, v: oracles.hamming_distance(u, v) <= 2,
+            # two equal-length words are 2 indels apart iff deleting one
+            # symbol from each leaves the same word
+            "id:2": lambda u, v: not one_deletion(u).isdisjoint(
+                one_deletion(v)),
+            "del1": lambda u, v: v in oracles.del1_image(u, BINARY),
+            # drop a prefix of i < |u| symbols, then append i symbols
+            "ov": lambda u, v: any(u[i:] == v[:len(u) - i]
+                                   for i in range(len(u))),
+        }
+        def excluded(rel, w, words):
+            return w in words or any(rel(c, w) or rel(w, c) for c in words)
+
+        rng = random.Random(61)
+        answers = set()
+        for ell in (6, 7, 8, 9):
+            pool = list(BINARY.words_of_length(ell))
+            for universe in (overlap_free_trellis(BINARY, ell),
+                             suffix_universe(BINARY, ell,
+                                             rng.choice(["1", "01", "110"]))):
+                allowed = list(universe.iter_words())
+                for spec, rel in related.items():
+                    codes = [set(rng.sample(pool, 2))]
+                    for scan in (0.5, 1.0):
+                        order = rng.sample(allowed, len(allowed))
+                        words: set = set()
+                        for w in order[:int(len(order) * scan)]:
+                            if not excluded(rel, w, words):
+                                words.add(w)
+                        codes.append(words)
+                    for words in codes:
+                        least = next((w for w in allowed
+                                      if not excluded(rel, w, words)), None)
+                        t = trellis_from_words(words, BINARY, length=ell)
+                        found = maximality_witness(
+                            t, channel_from_spec(spec), universe)
+                        expected = Witness.none() if least is None \
+                            else Witness.addable(least)
+                        assert found == expected, (spec, ell, sorted(words))
+                        answers.add(least is None)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("spec", ["sub:1", "id:1", "id:2", "del1", "ov",
+                                      "bsid2"])
+    def test_length_zero(self, spec):
+        """At length 0 the only word is the empty one: the empty code can
+        take it (index 0), the code {epsilon} is maximal, and its index is
+        1 unless the channel maps epsilon to nothing (ov keeps a symbol)."""
+        ch = channel_from_spec(spec)
+        empty = trellis_from_words([], BINARY, length=0)
+        eps = trellis_from_words([""], BINARY)
+        assert maximality_witness(empty, ch) == Witness.addable(())
+        assert maximality_index(empty, ch) == 0
+        assert maximality_witness(eps, ch) == Witness.none()
+        assert maximality_index(eps, ch) == (0 if spec == "ov" else 1)
+        for code in (empty, eps):  # the empty universe has nothing to add
+            assert not maximality_witness(code, ch, empty)
+
+    def test_witness_stops_at_the_least_addable_word(self, monkeypatch):
+        """On a half-greedy sub:2 code of length 10 the search stops at
+        the least addable word, in well under half the subset steps of
+        building universe - C - exclusion in full first (932 ``_step``
+        calls, counted the same way)."""
+        rng = random.Random(0)
+        pool = list(BINARY.words_of_length(10))
+        rng.shuffle(pool)
+        words: list = []
+        blocked: set = set()
+        for w in pool[:len(pool) // 2]:
+            if w not in blocked:
+                words.append(w)
+                blocked |= oracles.sub_image(w, 2, BINARY)
+        code = trellis_from_words(words, BINARY, length=10)
+        calls = 0
+        step = Nfa._step
+
+        def counting(self, subset, sym):
+            nonlocal calls
+            calls += 1
+            return step(self, subset, sym)
+
+        monkeypatch.setattr(Nfa, "_step", counting)
+        found = maximality_witness(code, make_sub(2))
+        assert found == Witness.addable(BINARY.word("0110111100"))
+        assert 0 < 2 * calls < 932
 
     def test_universe_must_fit_the_code(self):
         t = trellis_from_words(["0000", "1111"], BINARY)
