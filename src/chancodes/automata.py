@@ -30,12 +30,12 @@ class Alphabet:
 
     def __post_init__(self):
         if not self.symbols:
-            raise ValueError("alphabet must be non-empty")
+            raise ParameterError("alphabet must be non-empty")
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet has duplicate symbols")
+            raise ParameterError("alphabet has duplicate symbols")
         for s in self.symbols:
             if not s or any(c.isspace() for c in s) or s in (EPSILON_TOKEN, "*"):
-                raise ValueError(f"bad alphabet symbol: {s!r}")
+                raise ParameterError(f"bad alphabet symbol: {s!r}")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -487,22 +487,6 @@ class Dfa(Nfa):
         return self._postorder is not None
 
     @cached_property
-    def _lengths(self) -> "tuple[int, ...] | None":
-        """Per state, the bitmask of the lengths of the words accepted from
-        it (bit k: some word of length k), or None when the automaton has a
-        cycle."""
-        order = self._postorder
-        if order is None:
-            return None
-        masks = [0] * self.num_states
-        for q in order:
-            mask = int(q in self.final)
-            for d in self._rows[q].values():
-                mask |= masks[d] << 1
-            masks[q] = mask
-        return tuple(masks)
-
-    @cached_property
     def _path_counts(self) -> tuple[int, ...]:
         """Number of accepted words from each state (acyclic automata only)."""
         order = self._postorder
@@ -825,11 +809,13 @@ def as_trellis(machine: Nfa, length: "int | None" = None) -> Trellis:
         if length is None:
             raise WordError("empty language needs an explicit block length")
         return trellis_from_words((), machine.alphabet, length)
-    lengths = d._lengths
-    if lengths is None:
+    if not d.is_acyclic:
         raise WordError("automaton is cyclic; not a block code")
-    # trimmed, so the language is not empty: one bit means one word length
-    mask = lengths[d.initial_state]
+    # trimmed, so the language is not empty: one bit means one word length;
+    # no word of an acyclic DFA is as long as its number of states
+    mask = length_masks(d.num_states, d.final,
+                        ((s, 1, t) for s, _, t in d.transitions),
+                        (1 << d.num_states) - 1)[d.initial_state]
     if mask & (mask - 1):
         raise WordError("language has mixed lengths; not a block code")
     ell = mask.bit_length() - 1

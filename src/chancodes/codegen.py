@@ -8,8 +8,9 @@ probability is below eps (a Chebyshev bound on the binomial trial count).
 Each draw is tested by a search on the current trellis (``Exclusion``); no
 exclusion automaton is built.
 
-``make_code`` repeats that until the requested number of words is added or a
-give-up ends the run; the grown code is detecting by construction, and an
+``make_code`` checks its inputs and fixes n once per run, then runs the
+same draw loop (``_draw``) until the requested number of words is added or
+a give-up ends the run; the grown code is detecting by construction, and an
 early stop means the result is f-maximal or a random word is addable with
 probability below eps.
 """
@@ -23,11 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words, \
-    universe_trellis
+from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words
 from .channels import Channel
-from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
-from .properties import _require_universe_fits, detection_witness
+from .errors import NotDetectingError, ParameterError
+from .properties import _fitting_universe, _require_same_alphabet, \
+    detection_witness
 
 RNG_NAME = "python-random-mt19937"
 MAX_TRIALS = 10**9
@@ -83,7 +84,6 @@ class Exclusion:
 
     def __init__(self, channel: Channel):
         t = channel.self_union_inverse()
-        self.alphabet = channel.alphabet
         self.blocked: set[Word] = set()
         self._initial = tuple(sorted(t.initial))
         self._final = t.final
@@ -129,6 +129,21 @@ class Exclusion:
         return False
 
 
+def _draw(code: Trellis, universe: Trellis, exclusion: Exclusion,
+          rng: random.Random, n: int) -> NextWord:
+    """Up to ``n`` uniform draws from ``universe``, one ``rng.randrange``
+    each; the first draw that ``exclusion`` leaves open for ``code`` is the
+    word.  The inputs are checked by the caller."""
+    if universe.count_words() == 0:
+        return NextWord(None, 0, empty_universe=True)
+    excludes = exclusion.excludes
+    for tr in range(1, n + 1):
+        w = universe.sample_uniform(rng)
+        if not excludes(code, w):
+            return NextWord(w, tr)
+    return NextWord(None, n)
+
+
 def next_word(
     channel: Channel,
     code: Trellis,
@@ -136,34 +151,19 @@ def next_word(
     eps=DEFAULT_EPS,
     rng: "random.Random | None" = None,
     universe: "Trellis | None" = None,
-    *,
-    exclusion: "Exclusion | None" = None,
 ) -> NextWord:
     """One attempt to find a word that can join the code.
 
     Samples uniformly from the universe (default: all words of the code's
     length) with replacement and tests each draw against the current trellis.
-    ``exclusion`` carries ``channel``'s edge index and blocked words across
-    the calls of one run; pass the same one only while the code grows.
+    Checks its inputs and builds its own ``Exclusion`` on every call; a run
+    that grows a code word by word is ``make_code``.
     """
     n = trial_bound(f, eps)
-    if rng is None:
-        rng = random.Random()
-    if universe is None:
-        universe = universe_trellis(code.alphabet, code.length)
-    _require_universe_fits(code, universe)
-    if universe.count_words() == 0:
-        return NextWord(None, 0, empty_universe=True)
-    if exclusion is None:
-        exclusion = Exclusion(channel)
-    if exclusion.alphabet != code.alphabet:
-        raise AlphabetMismatchError("channel alphabet differs from the code's")
-    excludes = exclusion.excludes
-    for tr in range(1, n + 1):
-        w = universe.sample_uniform(rng)
-        if not excludes(code, w):
-            return NextWord(w, tr)
-    return NextWord(None, n)
+    _require_same_alphabet(code, channel)
+    universe = _fitting_universe(code, universe)
+    return _draw(code, universe, Exclusion(channel),
+                 random.Random() if rng is None else rng, n)
 
 
 @dataclass(frozen=True)
@@ -254,15 +254,13 @@ def make_code(
 
     Starts from ``seed_code`` when given (it must itself be detecting), else
     from the empty code, in which case ``length`` (and ``alphabet``, default
-    binary) are required.  The universe trellis and one ``Exclusion`` are
-    built once per run; each added word comes from one ``next_word`` call.
-    Without a ``seed`` one is drawn from OS entropy and recorded in the
-    report, so every run can be repeated.
+    the channel's) are required.  The inputs are checked, and the universe
+    trellis and one ``Exclusion`` built, once per run; each word comes from
+    the draw loop of ``next_word``.  Without a ``seed`` one is drawn from OS
+    entropy and recorded in the report, so every run can be repeated.
     """
     if n_words < 0:
         raise ParameterError("requested word count must be >= 0")
-    if length is not None and length < 0:
-        raise ParameterError(f"block length must be >= 0, got {length}")
     n = trial_bound(f, eps)
     if seed_code is not None:
         code = seed_code
@@ -280,30 +278,27 @@ def make_code(
         if length is None:
             raise ParameterError("an empty start needs an explicit length")
         code = trellis_from_words((), alphabet or channel.alphabet, length=length)
-    if code.alphabet != channel.alphabet:
-        raise AlphabetMismatchError("code alphabet differs from the channel's")
+        _require_same_alphabet(code, channel)
+    label = universe_label or ("full" if universe is None else "custom")
+    universe = _fitting_universe(code, universe)
 
     if seed is None:
         seed = random.SystemRandom().getrandbits(64)
     rng = random.Random(seed)
     started = time.perf_counter()
-    label = universe_label or ("full" if universe is None else "custom")
-    if universe is None:
-        universe = universe_trellis(code.alphabet, code.length)
     exclusion = Exclusion(channel)
     words: list[Word] = []
     trials: list[int] = []
     exhausted = False
     empty_universe = False
     while len(words) < n_words:
-        outcome = next_word(channel, code, f, eps, rng, universe,
-                            exclusion=exclusion)
+        outcome = _draw(code, universe, exclusion, rng, n)
         if outcome.word is None:
             exhausted = True
             empty_universe = outcome.empty_universe
             break
         grown = code.add_word(outcome.word)
-        assert grown is not code, "next_word returned a word already in the code"
+        assert grown is not code, "the draw returned a word already in the code"
         code = grown
         words.append(outcome.word)
         trials.append(outcome.trials)

@@ -174,8 +174,11 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     stride = machine.length + 2
     feasible = _feasible(t, machine.length)
     # the minimal trellis is layered: each state has one remaining length
-    left_in = [(m.bit_length() - 1) * stride for m in machine._lengths]
-    left_out = [m.bit_length() - 1 for m in machine._lengths]
+    left_out = [m.bit_length() - 1 for m in length_masks(
+        machine.num_states, machine.final,
+        ((s, 1, d) for s, _, d in machine.transitions),
+        (1 << machine.length + 1) - 1)]
+    left_in = [k * stride for k in left_out]
     accepting = {(final, q, final) for q in t.final}
     dead: set = set()
 
@@ -231,13 +234,18 @@ def _require_same_alphabet(code: Trellis, channel: Channel):
         )
 
 
-def _require_universe_fits(code: Trellis, universe: Trellis):
+def _fitting_universe(code: Trellis, universe: "Trellis | None") -> Trellis:
+    """``universe``, by default all words of the code's length, once it is
+    checked to share the code's alphabet and length."""
+    if universe is None:
+        return universe_trellis(code.alphabet, code.length)
     if universe.alphabet != code.alphabet:
         raise AlphabetMismatchError("universe alphabet differs from the code's")
     if universe.length != code.length:
         raise ParameterError(
             f"universe length {universe.length} != code length {code.length}"
         )
+    return universe
 
 
 def detection_witness(code: Trellis, channel: Channel) -> Witness:
@@ -329,7 +337,10 @@ def maximality_witness(
     """ADDABLE w for the least word of the universe that can join the code
     while keeping it detecting, or NONE when the code is maximal in that
     universe.  The default universe is all words of the code's length; a
-    given one must share the code's alphabet and length.
+    given one must share the code's alphabet and length.  The code need
+    not be detecting: on any code the answer is the least word of the
+    universe outside C | (channel | channel^-1)(C) (the CLI refuses a
+    non-detecting code with exit 2 before asking).
 
     A depth-first search in alphabet order, so in lexicographic order, over
     keys (universe state, minimal code state, set of exclusion states)
@@ -337,9 +348,7 @@ def maximality_witness(
     for small block lengths.
     """
     _require_same_alphabet(code, channel)
-    if universe is None:
-        universe = universe_trellis(code.alphabet, code.length)
-    _require_universe_fits(code, universe)
+    universe = _fitting_universe(code, universe)
     x, fits, start = _exclusion_walk(code, channel)
     minimal = code.minimal[0]
     found = _least_addable((universe, minimal, x, fits, set()),

@@ -249,12 +249,16 @@ class Transducer:
     # -- text format -------------------------------------------------------------
 
     def to_text(self) -> str:
-        finals = " ".join(str(q) for q in sorted(self.final))
-        initials = " ".join(str(q) for q in sorted(self.initial))
+        """The standard form in the text format, one symbol or
+        ``@epsilon`` per label, so ``from_text`` reads back the same
+        relation; a standard transducer prints as itself."""
+        t = self.standard_form()
+        finals = " ".join(str(q) for q in sorted(t.final))
+        initials = " ".join(str(q) for q in sorted(t.initial))
         lines = [f"@Transducer {finals} * {initials}".rstrip()]
-        for src, inp, out, dst in self.transitions:
-            itok = EPSILON_TOKEN if not inp else " ".join(inp)
-            otok = EPSILON_TOKEN if not out else " ".join(out)
+        for src, inp, out, dst in t.transitions:
+            itok = inp[0] if inp else EPSILON_TOKEN
+            otok = out[0] if out else EPSILON_TOKEN
             lines.append(f"{src} {itok} {otok} {dst}")
         return "\n".join(lines) + "\n"
 

@@ -102,6 +102,17 @@ class TestGen:
         assert code == 0
         assert all(w.endswith("1") for w in json.loads(out)["words"])
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_universe_of_another_length_exits_1(self, capsys, tmp_path, n):
+        u3 = tmp_path / "u3.aut"
+        u3.write_text(universe_trellis(BINARY, 3).to_text())
+        code, out, err = run(
+            capsys, "gen", "--channel", "sub:1", "--len", "4", "--n", n,
+            "--universe", str(u3), "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: universe length 3 != code length 4\n"
+
     @pytest.mark.parametrize("text", [
         "@DFA 1 2 * 0\n0 0 1\n1 1 2\n",         # {0, 01}
         "@DFA 2 * 0\n0 0 1\n1 1 2\n0 1 2\n",   # {01, 1}
@@ -464,6 +475,21 @@ class TestUsageErrors:
     def test_channel_show_needs_a_name(self, capsys):
         assert_usage_error(capsys, "channel", "show",
                            message="channel show needs a name")
+
+    @pytest.mark.parametrize("alphabet, message", [
+        ("00", "alphabet has duplicate symbols"),
+        ("0,*", "bad alphabet symbol: '*'"),
+        ("0,,1", "bad alphabet symbol: ''"),
+    ])
+    @pytest.mark.parametrize("cmd", ["check", "maximal", "gen"])
+    def test_bad_alphabet(self, capsys, tmp_path, cmd, alphabet, message):
+        # one error line and exit 1; an exception escaping main would fail
+        f = tmp_path / "code.txt"
+        f.write_text("000\n")
+        args = ["--len", "3", "--n", "1"] if cmd == "gen" else [str(f)]
+        code, out, err = run(capsys, cmd, "--channel", "sub:1",
+                             "--alphabet", alphabet, *args)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

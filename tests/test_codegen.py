@@ -184,6 +184,38 @@ class TestMakeCode:
         with pytest.raises(ParameterError, match="must be >= 0"):
             make_code(make_sub(1), 2, -1, seed=1)
 
+    def test_universe_is_checked_without_draws(self):
+        # the universe is checked before the first draw, so also with n = 0
+        with pytest.raises(ParameterError, match="universe length 3"):
+            make_code(make_sub(1), 0, 4,
+                      universe=universe_trellis(BINARY, 3), seed=1)
+
+    @pytest.mark.parametrize("seed_code", [None, ["00000000"]])
+    def test_inputs_are_checked_once_per_run(self, monkeypatch, seed_code):
+        import chancodes.codegen as codegen
+        import chancodes.properties as properties
+
+        calls = {"trial_bound": 0, "_fitting_universe": 0,
+                 "_require_same_alphabet": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name, getattr(codegen, name))
+            monkeypatch.setattr(codegen, name, wrapped)
+            if hasattr(properties, name):
+                monkeypatch.setattr(properties, name, wrapped)
+        if seed_code is not None:
+            seed_code = trellis_from_words(seed_code, BINARY)
+        rep = make_code(make_sub(1), 20, 8, seed_code=seed_code, seed=2)
+        assert len(rep.words) == 20
+        assert calls == {"trial_bound": 1, "_fitting_universe": 1,
+                         "_require_same_alphabet": 1}
+
 
 class TestSeedDerivation:
     def test_stable_and_distinct(self):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from chancodes import (
+    Alphabet,
     BINARY,
     Dfa,
     FormatError,
@@ -11,6 +14,8 @@ from chancodes import (
     trellis_from_words,
     universe_trellis,
 )
+
+import oracles
 
 
 class TestAutomatonFormat:
@@ -98,6 +103,27 @@ class TestTransducerFormat:
         text = "@Transducer 1 * 0\n0 @epsilon @epsilon 1\n1 0 0 1\n"
         t = Transducer.from_text(text)
         assert t.transitions[0] == (0, (), (), 1)
+
+    def test_long_labels_print_as_the_standard_form(self):
+        t = Transducer(BINARY, 2, {0}, {1}, [(0, ("0", "1"), ("1",), 1)])
+        text = t.to_text()
+        assert text == "@Transducer 1 * 0\n0 0 1 2\n2 1 @epsilon 1\n"
+        assert Transducer.from_text(text, BINARY) == t.standard_form()
+
+    def test_random_transducers_keep_their_relation(self):
+        from test_codegen import random_channel
+
+        rng = random.Random(14)
+        long_labels = 0
+        for k in range(60):
+            alphabet = BINARY if k % 2 else Alphabet(("a", "bc"))
+            t = random_channel(rng, alphabet).transducer
+            long_labels += not t.is_standard
+            back = Transducer.from_text(t.to_text(), alphabet)
+            assert back.is_standard
+            assert oracles.relation_pairs(back, alphabet, 3, 4) == \
+                oracles.relation_pairs(t, alphabet, 3, 4), t
+        assert long_labels >= 20
 
 
 class TestCodeFileConventions:

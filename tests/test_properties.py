@@ -737,6 +737,18 @@ PINNED_SEARCH_DIGEST = \
     "d8dc084c5d3a74b77fa073612e2b91a9a65f8d71a2c9a23936b8e1cbe4eba5d6"
 
 
+def _transcript_label(t: Transducer) -> str:
+    """A random transducer as the transcript names it: the text-format
+    layout with each label's symbols joined by spaces.  ``to_text`` writes
+    the standard form instead, which splits long labels into new states."""
+    finals = " ".join(str(q) for q in sorted(t.final))
+    initials = " ".join(str(q) for q in sorted(t.initial))
+    lines = [f"@Transducer {finals} * {initials}".rstrip()]
+    lines += [f"{s} {' '.join(i) or '@epsilon'} {' '.join(o) or '@epsilon'} {d}"
+              for s, i, o, d in t.transitions]
+    return "\n".join(lines) + "\n"
+
+
 def search_transcript() -> str:
     """Detection and correction witnesses on the built-in channels x random
     codes at lengths 4-7, then on random transducers, where each detection
@@ -773,7 +785,7 @@ def search_transcript() -> str:
                   for w in words}
         assert (not found) == oracles.brute_detecting(words, images), words
         kinds.add(bool(found))
-        lines.append(f"random {k} {channel.transducer.to_text()!r} "
+        lines.append(f"random {k} {_transcript_label(channel.transducer)!r} "
                      f"{' '.join(format_word(w) for w in words)}: "
                      f"{found} | {correction_witness(code, channel)}")
     assert kinds == {True, False}
