@@ -4,6 +4,13 @@ Words are tuples of symbols.  Symbols are non-empty strings without whitespace;
 when every symbol is a single character a word prints as a plain string, so the
 binary alphabet behaves exactly like working with ``"0101"``-style strings.
 Epsilon (the empty word as a transition label) is represented by ``None``.
+
+``Machine`` is the core that automata and ``transducers.Transducer`` share:
+the fields, the validating constructor, ``_trusted`` for internal results,
+``trim`` and the text format.  ``walk`` numbers the states of every
+pair-state construction (``product``, ``Transducer.compose``, the subset
+walk behind ``intersect`` / ``minus`` / ``determinize``, and
+``Trellis.minimal``).
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EmptyLanguageError, FormatError, ParameterError, WordError
 
@@ -83,24 +90,6 @@ def format_word(w: Word) -> str:
     return " ".join(w)
 
 
-class StateIds(dict):
-    """Numbers the states of a construction in discovery order.
-
-    Looking up an unseen state gives it the next id and appends it to
-    ``order``; iterating ``order`` while it grows visits every state reachable
-    from the ones looked up first, breadth-first.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.order: list = []
-
-    def __missing__(self, state) -> int:
-        idx = self[state] = len(self.order)
-        self.order.append(state)
-        return idx
-
-
 def useful_states(num_states: int, initial: Iterable[int],
                   final: Iterable[int], arcs: Iterable[tuple[int, int]]
                   ) -> dict[int, int]:
@@ -156,43 +145,65 @@ def length_masks(num_states: int, final: Iterable[int],
     return masks
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic finite automaton with optional epsilon transitions.
+def walk(starts: Iterable, successors: Callable[[object], Iterable]
+         ) -> tuple[list, list[tuple[int, object, int]]]:
+    """Number the states reachable from ``starts`` breadth-first, in
+    discovery order.
 
-    States are the dense integers ``0 .. num_states-1``.  Transitions are kept
-    sorted and deduplicated so that structurally equal automata compare equal.
-    The constructor normalizes and validates its input; internal operations
-    build their results through ``_trusted`` instead.
+    ``successors(state)`` yields the (label, target) pairs of a state's
+    edges.  Returns the states in order of their numbers and every edge as
+    (source number, label, target number), in the order met; the starts
+    get the first numbers.  Every pair-state construction numbers its states
+    here, so the same inputs always give the same machine.
+    """
+    order = list(dict.fromkeys(starts))
+    ids = {state: i for i, state in enumerate(order)}
+    edges: list[tuple[int, object, int]] = []
+    for i, state in enumerate(order):  # ``order`` grows while it is read
+        for label, target in successors(state):
+            j = ids.get(target)
+            if j is None:
+                j = ids[target] = len(order)
+                order.append(target)
+            edges.append((i, label, j))
+    return order, edges
+
+
+@dataclass(frozen=True)
+class Machine:
+    """The core that automata and transducers share: states ``0 ..
+    num_states-1``, initial and final sets, and transitions that are tuples
+    (source, label..., target), sorted and deduplicated so that structurally
+    equal machines compare equal.
+
+    The constructor normalizes and validates its input: each kind gives
+    the canonical order (``_normalize``) and the symbols a transition reads
+    or writes (``_symbols``).  Internal operations build their results
+    through ``_trusted`` instead.  ``trim`` and the text format
+    (``to_text`` / ``from_text``) are the same for every kind.  A kind that
+    adds no field inherits the dataclass methods as they are.
     """
 
     alphabet: Alphabet
     num_states: int
     initial: frozenset[int]
     final: frozenset[int]
-    transitions: tuple[tuple[int, "str | None", int], ...]
+    transitions: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
         object.__setattr__(self, "transitions", self._normalize(self.transitions))
+        n = self.num_states
         for q in self.initial | self.final:
-            if not 0 <= q < self.num_states:
+            if not 0 <= q < n:
                 raise ValueError(f"state {q} out of range")
-        for src, sym, dst in self.transitions:
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
-                raise ValueError(f"transition endpoint out of range: {(src, sym, dst)}")
-            if sym is not None and sym not in self.alphabet:
-                raise ValueError(f"transition label {sym!r} not in alphabet")
-
-    @staticmethod
-    def _normalize(transitions) -> tuple[tuple[int, "str | None", int], ...]:
-        """Deduplicated, sorted by (source, epsilon first, label, target)."""
-        def key(tr):
-            src, sym, dst = tr
-            return (src, sym is not None, sym or "", dst)
-
-        return tuple(sorted(set(transitions), key=key))
+        for tr in self.transitions:
+            if not (0 <= tr[0] < n and 0 <= tr[-1] < n):
+                raise ValueError(f"transition endpoint out of range: {tr}")
+            for sym in self._symbols(tr):
+                if sym not in self.alphabet:
+                    raise ValueError(f"transition label {sym!r} not in alphabet")
 
     @classmethod
     def _trusted(cls, alphabet, num_states, initial, final, transitions,
@@ -211,17 +222,113 @@ class Nfa:
         )
         return machine
 
-    # -- basic structure ---------------------------------------------------
-
     @property
     def states(self) -> range:
         return range(self.num_states)
 
     def size(self) -> int:
-        """States plus transition sizes (a transition counts 1 + label length)."""
+        """States plus transition sizes (a transition counts 1 + the number
+        of symbols on its labels)."""
         return self.num_states + sum(
-            1 + (0 if sym is None else 1) for _, sym, _ in self.transitions
+            1 + len(self._symbols(tr)) for tr in self.transitions)
+
+    def trim(self):
+        """Keep only states on some initial->final path; relabel densely."""
+        remap = useful_states(self.num_states, self.initial, self.final,
+                              ((tr[0], tr[-1]) for tr in self.transitions))
+        kept = [tr for tr in self.transitions
+                if tr[0] in remap and tr[-1] in remap]
+        transitions = ()
+        if kept:  # relabel the source and target columns
+            src, *labels, dst = zip(*kept)
+            transitions = tuple(zip(map(remap.get, src), *labels,
+                                    map(remap.get, dst)))
+        initial = frozenset(remap[q] for q in self.initial if q in remap)
+        # the order-preserving remap keeps the transitions canonical; a DFA
+        # stays one unless its initial state was trimmed away (empty
+        # language), and a trellis trims to a plain DFA
+        cls = type(self)
+        if isinstance(self, Dfa):
+            cls = Dfa if initial else Nfa
+        return cls._trusted(
+            self.alphabet, len(remap), initial,
+            frozenset(remap[q] for q in self.final if q in remap),
+            transitions,
         )
+
+    # -- text format ---------------------------------------------------------
+
+    def to_text(self) -> str:
+        """A header (the kind, the final states, ``*``, the initial states),
+        then one row per transition: source, labels, target."""
+        finals = " ".join(str(q) for q in sorted(self.final))
+        initials = " ".join(str(q) for q in sorted(self.initial))
+        lines = [f"{self._headers[0]} {finals} * {initials}".rstrip()]
+        for src, *labels, dst in self.transitions:
+            # a label is a symbol or a word of at most one symbol; None and
+            # the empty word print as @epsilon
+            tokens = ("".join(label or ()) or EPSILON_TOKEN for label in labels)
+            lines.append(" ".join((str(src), *tokens, str(dst))))
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str, alphabet: "Alphabet | None" = None):
+        """Parse the text format; ``_label`` decodes each label token
+        (None for @epsilon).  Without ``alphabet`` the symbols found, in
+        string order, are the alphabet."""
+        kind, initial_toks, final_toks, rows = _parse_automaton_text(
+            text, cls._headers
+        )
+        names = _number_states(
+            final_toks + initial_toks + [t for r in rows for t in (r[0], r[-1])]
+        )
+        if alphabet is None:
+            syms = sorted({t for r in rows for t in r[1:-1] if t is not None})
+            if not syms:
+                raise FormatError("cannot infer an alphabet: no labelled transitions")
+            alphabet = Alphabet(tuple(syms))
+        transitions = tuple(
+            (names[src], *map(cls._label, labels), names[dst])
+            for src, *labels, dst in rows
+        )
+        machine_cls = {"@NFA": Nfa, "@DFA": Dfa}.get(kind, cls)
+        try:
+            return machine_cls(
+                alphabet,
+                len(names),
+                frozenset(names[t] for t in initial_toks),
+                frozenset(names[t] for t in final_toks),
+                transitions,
+            )
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+
+
+class Nfa(Machine):
+    """Nondeterministic finite automaton with optional epsilon transitions:
+    each transition is (source, symbol or None, target)."""
+
+    _headers = ("@NFA", "@DFA")  # the text-format kind written, then all read
+    # the shared body, bound on this class too so that ``Nfa.trim`` is one of
+    # its own attributes (the benchmark's tracer wraps it by that name)
+    trim = Machine.trim
+
+    @staticmethod
+    def _normalize(transitions) -> tuple[tuple[int, "str | None", int], ...]:
+        """Deduplicated, sorted by (source, epsilon first, label, target)."""
+        def key(tr):
+            src, sym, dst = tr
+            return (src, sym is not None, sym or "", dst)
+
+        return tuple(sorted(set(transitions), key=key))
+
+    @staticmethod
+    def _symbols(tr) -> tuple[str, ...]:
+        return () if tr[1] is None else tr[1:2]
+
+    @staticmethod
+    def _label(token: "str | None") -> "str | None":
+        return token
 
     @cached_property
     def _out(self) -> tuple[dict["str | None", tuple[int, ...]], ...]:
@@ -301,26 +408,6 @@ class Nfa:
 
     # -- transformations -----------------------------------------------------
 
-    def trim(self) -> "Nfa":
-        """Keep only states on some initial->final path; relabel densely."""
-        remap = useful_states(self.num_states, self.initial, self.final,
-                              ((src, dst) for src, _, dst in self.transitions))
-        initial = frozenset(remap[q] for q in self.initial if q in remap)
-        # a DFA stays one unless its initial state was trimmed away (empty
-        # language); the order-preserving remap keeps transitions canonical
-        cls = Dfa if isinstance(self, Dfa) and initial else Nfa
-        return cls._trusted(
-            self.alphabet,
-            len(remap),
-            initial,
-            frozenset(remap[q] for q in self.final if q in remap),
-            tuple(
-                (remap[s], a, remap[d])
-                for s, a, d in self.transitions
-                if s in remap and d in remap
-            ),
-        )
-
     def determinize(self) -> "Dfa":
         """Subset construction: the subset walk of ``self`` inside the
         one-state DFA that accepts every word."""
@@ -329,50 +416,12 @@ class Nfa:
             tuple((0, a, 0) for a in sorted(self.alphabet.symbols)))
         return everything.intersect(self)
 
-    # -- text format ---------------------------------------------------------
 
-    def to_text(self) -> str:
-        head = "@DFA" if isinstance(self, Dfa) else "@NFA"
-        finals = " ".join(str(q) for q in sorted(self.final))
-        initials = " ".join(str(q) for q in sorted(self.initial))
-        lines = [f"{head} {finals} * {initials}".rstrip()]
-        for src, sym, dst in self.transitions:
-            tok = EPSILON_TOKEN if sym is None else sym
-            lines.append(f"{src} {tok} {dst}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, alphabet: "Alphabet | None" = None) -> "Nfa":
-        kind, initial_toks, final_toks, rows = _parse_automaton_text(
-            text, ("@NFA", "@DFA")
-        )
-        names = _number_states(
-            final_toks + initial_toks + [t for r in rows for t in (r[0], r[2])]
-        )
-        syms = sorted({sym for _, sym, _ in rows if sym is not None})
-        if alphabet is None:
-            if not syms:
-                raise FormatError("cannot infer an alphabet: no labelled transitions")
-            alphabet = Alphabet(tuple(syms))
-        transitions = tuple((names[s], a, names[d]) for s, a, d in rows)
-        n = len(names)
-        out_cls = Dfa if kind == "@DFA" else Nfa
-        try:
-            return out_cls(
-                alphabet,
-                n,
-                frozenset(names[t] for t in initial_toks),
-                frozenset(names[t] for t in final_toks),
-                transitions,
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
 class Dfa(Nfa):
     """Deterministic automaton: one initial state, no epsilon transitions,
     at most one successor per (state, symbol).  May be partial."""
+
+    _headers = ("@DFA", "@NFA")
 
     def __post_init__(self):
         super().__post_init__()
@@ -433,25 +482,29 @@ class Dfa(Nfa):
         """
         if self.alphabet != other.alphabet:
             raise WordError("automata alphabets differ")
-        ids = StateIds()
-        ids[(self.initial_state, other.epsilon_closure(other.initial))]
-        transitions: list[tuple[int, str, int]] = []
-        for i, (p, subset) in enumerate(ids.order):
-            row = self._rows[p]
+        rows, step = self._rows, other._step
+
+        def successors(pair):
+            p, subset = pair
+            row = rows[p]
             for sym in self.alphabet:
                 pd = row.get(sym)
                 if pd is None:
                     continue
-                reach = other._step(subset, sym)
+                reach = step(subset, sym)
                 if reach or difference:
-                    transitions.append((i, sym, ids[(pd, reach)]))
+                    yield sym, (pd, reach)
+
+        order, edges = walk(
+            [(self.initial_state, other.epsilon_closure(other.initial))],
+            successors)
         finals = frozenset(
             i
-            for i, (p, subset) in enumerate(ids.order)
+            for i, (p, subset) in enumerate(order)
             if p in self.final and bool(subset & other.final) != difference
         )
-        return Dfa._trusted(self.alphabet, len(ids.order), frozenset({0}),
-                            finals, tuple(sorted(transitions)))
+        return Dfa._trusted(self.alphabet, len(order), frozenset({0}),
+                            finals, tuple(sorted(edges)))
 
     # -- counting and sampling --------------------------------------------------
 
@@ -632,32 +685,23 @@ class Trellis(Dfa):
         return next(iter(self.final)) if self.final else None
 
     @cached_property
-    def minimal(self) -> "tuple[Trellis, tuple[int, ...]]":
-        """The minimal trellis of the same code, and the class of each state.
+    def minimal(self) -> "Trellis":
+        """The minimal trellis of the same code.
 
-        One bottom-up pass over the depth layers (Revuz, TCS 1992): a state's
-        signature is its final flag plus the class of its successor on each
-        symbol, so two states share a signature exactly when they have the
-        same right language.  Classes are numbered breadth-first from the
-        initial state, symbols in alphabet order.  ``cls[q]`` is the class
-        of state ``q``; it maps the initial state to 0 and every transition
-        to a transition.  The empty code, a lone state, is its own minimal
-        trellis.
+        One bottom-up pass (Revuz, TCS 1992): a state's signature is its
+        final flag plus the class of its successor on each symbol, so two
+        states share a signature exactly when they have the same right
+        language.  Classes are numbered breadth-first from the initial
+        state, symbols in alphabet order.  The empty code, a lone state, is
+        its own minimal trellis.
         """
         if not self.final:
-            return self, (0,)
-        # breadth-first order is by depth, since every path to a state has
-        # the same length; reversed, it lists successors before predecessors
+            return self
         rows = self._rows
-        reached = StateIds()
-        reached[self.initial_state]
-        for q in reached.order:
-            for d in rows[q].values():
-                reached[d]
         signatures: dict = {}
         layered = [0] * self.num_states  # class ids in bottom-up order
         members: list[int] = []  # one state per class
-        for q in reversed(reached.order):
+        for q in self._postorder:  # successors before predecessors
             sig = (q in self.final,
                    tuple((a, layered[d]) for a, d in rows[q].items()))
             c = signatures.get(sig)
@@ -665,20 +709,17 @@ class Trellis(Dfa):
                 c = signatures[sig] = len(members)
                 members.append(q)
             layered[q] = c
-        ids = StateIds()
-        ids[layered[self.initial_state]]
-        transitions: list[tuple[int, str, int]] = []
-        for i, c in enumerate(ids.order):
+
+        def successors(c):
             row = rows[members[c]]
-            for a in self.alphabet:
-                if a in row:
-                    transitions.append((i, a, ids[layered[row[a]]]))
-        machine = Trellis._trusted(
-            self.alphabet, len(ids.order), frozenset({0}),
-            frozenset({ids[layered[self.final_state]]}),
-            tuple(sorted(transitions)), length=self.length,
+            return ((a, layered[row[a]]) for a in self.alphabet if a in row)
+
+        order, edges = walk([layered[self.initial_state]], successors)
+        return Trellis._trusted(
+            self.alphabet, len(order), frozenset({0}),
+            frozenset({order.index(layered[self.final_state])}),
+            tuple(sorted(edges)), length=self.length,
         )
-        return machine, tuple(ids[c] for c in layered)
 
     def add_word(self, word: "str | Iterable[str]") -> "Trellis":
         """Trellis accepting C(self) | {word}.
@@ -735,17 +776,22 @@ def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:
     length+1 states with the full symbol fan at each step."""
     if length < 0:
         raise ParameterError(f"block length must be >= 0, got {length}")
-    transitions = tuple(
-        (i, sym, i + 1) for i in range(length) for sym in alphabet
-    )
-    return Trellis(
-        alphabet,
-        length + 1,
-        frozenset({0}),
-        frozenset({length}),
-        transitions,
-        length=length,
-    )
+    return _chain_trellis(alphabet, length, ())
+
+
+def _chain_trellis(alphabet: Alphabet, length: int, suffix: Word) -> Trellis:
+    """The words of the given length that end with ``suffix``: a chain of
+    length+1 states, the full symbol fan at each free step, then one step
+    per symbol of the suffix.  The caller checks that the suffix is a word
+    over ``alphabet`` no longer than ``length``."""
+    free = length - len(suffix)
+    fan = sorted(alphabet.symbols)  # the canonical (string) order
+    transitions = [(i, sym, i + 1) for i in range(free) for sym in fan]
+    transitions += [(free + j, sym, free + j + 1)
+                    for j, sym in enumerate(suffix)]
+    return Trellis._trusted(alphabet, length + 1, frozenset({0}),
+                            frozenset({length}), tuple(transitions),
+                            length=length)
 
 
 def trellis_from_words(

@@ -137,7 +137,7 @@ def _write_out(text: str, path: "str | None"):
 
 
 def _alphabet_from_arg(arg: "str | None") -> Alphabet:
-    if not arg:
+    if arg is None:  # no --alphabet; an empty one is refused by Alphabet
         return BINARY
     return Alphabet(tuple(arg.split(",")) if "," in arg else tuple(arg))
 

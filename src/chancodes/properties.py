@@ -168,7 +168,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     if not code.final:
         return None
     t = sigma.standard_form()
-    machine = code.minimal[0]
+    machine = code.minimal
     rows, moves = machine._rows, t._moves
     final, start = machine.final_state, machine.initial_state
     stride = machine.length + 2
@@ -284,7 +284,7 @@ def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
 def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
     """Automaton for (channel | channel^-1)(C): the words excluded by C.
     Built on the minimal trellis, which accepts the same code."""
-    return product(code.minimal[0], channel.self_union_inverse())
+    return product(code.minimal, channel.self_union_inverse())
 
 
 def _exclusion_walk(code: Trellis, channel: Channel):
@@ -350,7 +350,7 @@ def maximality_witness(
     _require_same_alphabet(code, channel)
     universe = _fitting_universe(code, universe)
     x, fits, start = _exclusion_walk(code, channel)
-    minimal = code.minimal[0]
+    minimal = code.minimal
     found = _least_addable((universe, minimal, x, fits, set()),
                            universe.initial_state, minimal.initial_state,
                            start, code.length)

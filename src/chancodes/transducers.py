@@ -4,60 +4,39 @@ and the automaton-through-transducer product.
 A transducer transition carries an input word and an output word (either may
 be empty).  In standard form both labels have length at most one; every
 operation that needs standard form converts its operands internally.
+``Transducer`` is an ``automata.Machine``: validation, ``trim`` and the text
+format are shared with the automata, and every operation builds its result
+through ``_trusted``, unchecked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import (
-    Alphabet,
-    EPSILON_TOKEN,
-    Nfa,
-    StateIds,
-    Word,
-    _number_states,
-    _parse_automaton_text,
-    useful_states,
-)
-from .errors import AlphabetMismatchError, FormatError
+from .automata import Alphabet, Machine, Nfa, Word, walk
+from .errors import AlphabetMismatchError
 
 
-@dataclass(frozen=True)
-class Transducer:
-    alphabet: Alphabet
-    num_states: int
-    initial: frozenset[int]
-    final: frozenset[int]
-    transitions: tuple[tuple[int, Word, Word, int], ...]
+class Transducer(Machine):
+    """Each transition is (source, input word, output word, target)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
-        norm = []
-        for src, inp, out, dst in self.transitions:
-            norm.append((src, tuple(inp), tuple(out), dst))
-        object.__setattr__(self, "transitions", tuple(sorted(set(norm))))
-        for q in self.initial | self.final:
-            if not 0 <= q < self.num_states:
-                raise ValueError(f"state {q} out of range")
-        for src, inp, out, dst in self.transitions:
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
-                raise ValueError("transition endpoint out of range")
-            for sym in inp + out:
-                if sym not in self.alphabet:
-                    raise ValueError(f"label symbol {sym!r} not in alphabet")
+    _headers = ("@Transducer",)
 
-    @property
-    def states(self) -> range:
-        return range(self.num_states)
+    @staticmethod
+    def _normalize(transitions) -> tuple[tuple[int, Word, Word, int], ...]:
+        """Labels as tuples; deduplicated, in plain tuple order (so an empty
+        label sorts first)."""
+        return tuple(sorted({(src, tuple(inp), tuple(out), dst)
+                             for src, inp, out, dst in transitions}))
 
-    def size(self) -> int:
-        return self.num_states + sum(
-            1 + len(i) + len(o) for _, i, o, _ in self.transitions
-        )
+    @staticmethod
+    def _symbols(tr) -> Word:
+        return tr[1] + tr[2]
+
+    @staticmethod
+    def _label(token: "str | None") -> Word:
+        return () if token is None else (token,)
 
     @cached_property
     def is_standard(self) -> bool:
@@ -101,17 +80,17 @@ class Transducer:
                     counter += 1
                 transitions.append((here, inp[k : k + 1], out[k : k + 1], nxt))
                 here = nxt
-        return Transducer(self.alphabet, counter, self.initial, self.final,
-                          tuple(transitions))
+        return Transducer._trusted(self.alphabet, counter, self.initial,
+                                   self.final, self._normalize(transitions))
 
     def inverse(self) -> "Transducer":
         """Swap input and output labels; x in inv(y) iff y in self(x)."""
-        return Transducer(
+        return Transducer._trusted(
             self.alphabet,
             self.num_states,
             self.initial,
             self.final,
-            tuple((s, o, i, d) for s, i, o, d in self.transitions),
+            self._normalize((s, o, i, d) for s, i, o, d in self.transitions),
         )
 
     def union(self, other: "Transducer") -> "Transducer":
@@ -121,13 +100,15 @@ class Transducer:
                 f"cannot union over {self.alphabet} and {other.alphabet}"
             )
         off = self.num_states
-        return Transducer(
+        return Transducer._trusted(
             self.alphabet,
             self.num_states + other.num_states,
             self.initial | frozenset(q + off for q in other.initial),
             self.final | frozenset(q + off for q in other.final),
-            self.transitions
-            + tuple((s + off, i, o, d + off) for s, i, o, d in other.transitions),
+            self._normalize(
+                self.transitions
+                + tuple((s + off, i, o, d + off)
+                        for s, i, o, d in other.transitions)),
         )
 
     def compose(self, inner: "Transducer") -> "Transducer":
@@ -146,31 +127,31 @@ class Transducer:
         t = inner.standard_form()
         s = self.standard_form()
         t_moves, s_moves = t._moves, s._moves
-        ids = StateIds()
-        for p in sorted(t.initial):
-            for q in sorted(s.initial):
-                ids[(p, q)]
-        edges: list[tuple[int, "str | None", "str | None", int]] = []
-        for i, (p, q) in enumerate(ids.order):
+        def successors(pair):
+            p, q = pair
             s_row = s_moves[q]
             for x, moves in t_moves[p].items():
                 for mid, td in moves:
                     if mid is None:  # output-epsilon move: s stands still
-                        edges.append((i, x, None, ids[(td, q)]))
+                        yield (x, None), (td, q)
                         continue
                     for out, sd in s_row.get(mid, ()):
-                        edges.append((i, x, out, ids[(td, sd)]))
+                        yield (x, out), (td, sd)
             for out, sd in s_row.get(None, ()):
-                edges.append((i, None, out, ids[(p, sd)]))
-        composed = Transducer(
+                yield (None, out), (p, sd)
+
+        starts = [(p, q) for p in sorted(t.initial) for q in sorted(s.initial)]
+        order, edges = walk(starts, successors)
+        composed = Transducer._trusted(
             self.alphabet,
-            len(ids.order),
-            frozenset(ids[(p, q)] for p in t.initial for q in s.initial),
+            len(order),
+            frozenset(range(len(starts))),
             frozenset(
-                i for i, (p, q) in enumerate(ids.order)
+                i for i, (p, q) in enumerate(order)
                 if p in t.final and q in s.final
             ),
-            tuple((a, _word(x), _word(y), b) for a, x, y, b in edges),
+            self._normalize((a, self._label(x), self._label(y), b)
+                            for a, (x, y), b in edges),
         )
         return composed.trim()
 
@@ -194,28 +175,12 @@ class Transducer:
             if len(ids) == count:
                 break
             count = len(ids)
-        return Transducer(
+        return Transducer._trusted(
             self.alphabet, count,
             frozenset(block[q] for q in self.initial),
             frozenset(block[q] for q in self.final),
-            tuple((block[s], i, o, block[d])
-                  for s, i, o, d in self.transitions),
-        )
-
-    def trim(self) -> "Transducer":
-        """Keep only states on some initial->final path; relabel densely."""
-        remap = useful_states(self.num_states, self.initial, self.final,
-                              ((s, d) for s, _, _, d in self.transitions))
-        return Transducer(
-            self.alphabet,
-            len(remap),
-            frozenset(remap[q] for q in self.initial if q in remap),
-            frozenset(remap[q] for q in self.final if q in remap),
-            tuple(
-                (remap[s], i, o, remap[d])
-                for s, i, o, d in self.transitions
-                if s in remap and d in remap
-            ),
+            self._normalize((block[s], i, o, block[d])
+                            for s, i, o, d in self.transitions),
         )
 
     # -- images ----------------------------------------------------------------
@@ -223,7 +188,7 @@ class Transducer:
     def image(self, word: "str | Iterable[str]") -> Nfa:
         """NFA accepting self(word); may describe an infinite language."""
         w = self.alphabet.word(word)
-        chain = Nfa(
+        chain = Nfa._trusted(
             self.alphabet,
             len(w) + 1,
             frozenset({0}),
@@ -246,61 +211,11 @@ class Transducer:
                     return False
         return True
 
-    # -- text format -------------------------------------------------------------
-
     def to_text(self) -> str:
         """The standard form in the text format, one symbol or
         ``@epsilon`` per label, so ``from_text`` reads back the same
         relation; a standard transducer prints as itself."""
-        t = self.standard_form()
-        finals = " ".join(str(q) for q in sorted(t.final))
-        initials = " ".join(str(q) for q in sorted(t.initial))
-        lines = [f"@Transducer {finals} * {initials}".rstrip()]
-        for src, inp, out, dst in t.transitions:
-            itok = inp[0] if inp else EPSILON_TOKEN
-            otok = out[0] if out else EPSILON_TOKEN
-            lines.append(f"{src} {itok} {otok} {dst}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, alphabet: "Alphabet | None" = None) -> "Transducer":
-        _, initial_toks, final_toks, rows = _parse_automaton_text(
-            text, ("@Transducer",)
-        )
-        names = _number_states(
-            final_toks + initial_toks + [t for r in rows for t in (r[0], r[3])]
-        )
-        syms = sorted(
-            {r[1] for r in rows if r[1] is not None}
-            | {r[2] for r in rows if r[2] is not None}
-        )
-        if alphabet is None:
-            if not syms:
-                raise FormatError("cannot infer an alphabet: no labelled transitions")
-            alphabet = Alphabet(tuple(syms))
-        transitions = tuple(
-            (
-                names[src],
-                () if inp is None else (inp,),
-                () if out is None else (out,),
-                names[dst],
-            )
-            for src, inp, out, dst in rows
-        )
-        try:
-            return Transducer(
-                alphabet,
-                len(names),
-                frozenset(names[t] for t in initial_toks),
-                frozenset(names[t] for t in final_toks),
-                transitions,
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-
-
-def _word(sym: "str | None") -> Word:
-    return () if sym is None else (sym,)
+        return Machine.to_text(self.standard_form())
 
 
 def compose(outer: Transducer, inner: Transducer) -> Transducer:
@@ -333,27 +248,25 @@ def product(a: Nfa, t: Transducer) -> Nfa:
     t2 = t.standard_form()
     a_out, t_moves = a._out, t2._moves
 
-    ids = StateIds()
-    for p in sorted(a.initial):
-        for q in sorted(t2.initial):
-            ids[(p, q)]
-    initials = frozenset(range(len(ids.order)))
-    transitions: list[tuple[int, "str | None", int]] = []
-    for i, (p, q) in enumerate(ids.order):
+    def successors(pair):
+        p, q = pair
         for ap in a_out[p].get(None, ()):
-            transitions.append((i, None, ids[(ap, q)]))
+            yield None, (ap, q)
         for x, moves in t_moves[q].items():
             targets = (p,) if x is None else a_out[p].get(x)
             if targets is None:
                 continue
             for label, dst in moves:
                 for ap in targets:
-                    transitions.append((i, label, ids[(ap, dst)]))
+                    yield label, (ap, dst)
+
+    starts = [(p, q) for p in sorted(a.initial) for q in sorted(t2.initial)]
+    order, edges = walk(starts, successors)
     finals = frozenset(
         i
-        for i, (p, q) in enumerate(ids.order)
+        for i, (p, q) in enumerate(order)
         if p in a.final and q in t2.final
     )
-    raw = Nfa._trusted(a.alphabet, len(ids.order), initials, finals,
-                       Nfa._normalize(transitions))
+    raw = Nfa._trusted(a.alphabet, len(order), frozenset(range(len(starts))),
+                       finals, Nfa._normalize(edges))
     return raw.trim()

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .automata import Alphabet, Trellis, Word, trellis_from_words
+from .automata import Alphabet, Trellis, Word, _chain_trellis, \
+    trellis_from_words
 from .errors import ParameterError
 
 MAX_ENUMERATED_LENGTH = 20
@@ -50,15 +51,4 @@ def suffix_universe(alphabet: Alphabet, length: int,
     p = alphabet.word(pattern)
     if len(p) > length:
         raise ParameterError("suffix pattern longer than the block length")
-    free = length - len(p)
-    transitions = [(i, sym, i + 1) for i in range(free) for sym in alphabet]
-    transitions += [(free + j, sym, free + j + 1) for j, sym in enumerate(p)]
-    return Trellis(
-        alphabet,
-        length + 1,
-        frozenset({0}),
-        frozenset({length}),
-        tuple(transitions),
-        length=length,
-    )
-
+    return _chain_trellis(alphabet, length, p)

@@ -234,7 +234,7 @@ class TestBooleanOps:
         for k in range(300):
             code = dataclasses.replace(random_block_code(rng, BINARY),
                                        alphabet=alphabet)
-            d = (code, code.minimal[0],
+            d = (code, code.minimal,
                  universe_trellis(alphabet, code.length).minus(code),
                  dataclasses.replace(random_nfa(rng), alphabet=alphabet)
                  .determinize())[k % 4]
@@ -417,8 +417,7 @@ class TestTrellisValidation:
     def test_empty_code_still_builds(self):
         t = trellis_from_words((), BINARY, length=2)
         assert t == Trellis(BINARY, 1, {0}, set(), (), length=2)
-        m, cls = t.minimal
-        assert m == t and cls == (0,)
+        assert t.minimal == t
         assert t.add_word("01").count_words() == 1
 
 
@@ -549,26 +548,19 @@ class TestMinimal:
         shrunk = 0
         for k in range(150):
             t = random_block_code(rng, alphabets[k % 3])
-            m, cls = t.minimal
+            m = t.minimal
             assert isinstance(m, Trellis) and m.length == t.length
             assert set(m.iter_words()) == set(t.iter_words())
             assert m.num_states == len(right_languages(t))
             shrunk += m.num_states < t.num_states
-            # the class map is a homomorphism onto the minimal trellis
-            assert len(cls) == t.num_states
-            assert cls[t.initial_state] == m.initial_state == 0
-            assert {cls[q] for q in t.final} == set(m.final)
-            for src, sym, dst in t.transitions:
-                assert m._rows[cls[src]][sym] == cls[dst]
-            assert set(cls) == set(m.states)
             # idempotent
-            assert m.minimal == (m, tuple(m.states))
+            assert m.minimal == m
         assert shrunk > 75
 
     def test_classes_numbered_breadth_first_in_alphabet_order(self):
         for alphabet in (BINARY, REVERSED):
             t = trellis_from_words(["000", "011", "101", "110"], alphabet)
-            m, _ = t.minimal
+            m = t.minimal
             order = [0]
             for q in order:
                 for sym in alphabet:
@@ -581,14 +573,13 @@ class TestMinimal:
 
     def test_empty_code(self):
         t = trellis_from_words([], BINARY, length=3)
-        m, cls = t.minimal
+        m = t.minimal
         assert (m.num_states, m.final, m.transitions) == (1, frozenset(), ())
-        assert m.length == 3 and cls == (0,)
+        assert m.length == 3
 
     def test_length_zero_code(self):
         t = trellis_from_words([""], BINARY)
-        m, cls = t.minimal
-        assert m == t and cls == (0,)
+        assert t.minimal == t
 
     def test_cached(self):
         t = trellis_from_words(["0100", "1001"], BINARY)

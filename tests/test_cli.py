@@ -480,6 +480,7 @@ class TestUsageErrors:
         ("00", "alphabet has duplicate symbols"),
         ("0,*", "bad alphabet symbol: '*'"),
         ("0,,1", "bad alphabet symbol: ''"),
+        ("", "alphabet must be non-empty"),
     ])
     @pytest.mark.parametrize("cmd", ["check", "maximal", "gen"])
     def test_bad_alphabet(self, capsys, tmp_path, cmd, alphabet, message):
@@ -490,6 +491,27 @@ class TestUsageErrors:
         code, out, err = run(capsys, cmd, "--channel", "sub:1",
                              "--alphabet", alphabet, *args)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("option, text, failure", [
+        ("--channel", "@Transducer 0 * 0\n0 0 0 0\n0 1 2 0\n",
+         "cannot load channel"),
+        ("--universe", "@NFA 1 * 0\n0 0 1\n0 2 1\n", "bad trellis file"),
+    ], ids=["channel", "universe"])
+    def test_label_outside_the_alphabet(self, capsys, tmp_path, option, text,
+                                        failure):
+        # channel and automaton files report a bad label in the same words
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code_file = tmp_path / "code.txt"
+        code_file.write_text("0\n")
+        args = (["check", "--channel", str(path), str(code_file)]
+                if option == "--channel" else
+                ["gen", "--channel", "sub:1", "--len", "1", "--n", "1",
+                 "--universe", str(path)])
+        code, out, err = run(capsys, *args, "--alphabet", "01")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {failure} {str(path)!r}: "
+                       "transition label '2' not in alphabet\n")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

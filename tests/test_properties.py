@@ -402,7 +402,7 @@ class TestMaximality:
             pool = ["".join(w) for w in iproduct("01", repeat=ell)]
             words = rng.sample(pool, min(len(pool), 5))
             code = trellis_from_words(words, BINARY, length=ell)
-            full = product(code.minimal[0], t.union(t.inverse()))
+            full = product(code.minimal, t.union(t.inverse()))
             assert 2 * exclusion_automaton(code, ch).num_states \
                 <= full.num_states
 
@@ -692,7 +692,7 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
         code = trellis_from_words(words, alphabet)
         misses.clear()
         found = properties._identity_violation(code, sigma)
-        referee = two_pass_violation(code.minimal[0], sigma.standard_form())
+        referee = two_pass_violation(code.minimal, sigma.standard_form())
         assert found == referee, (words, sigma.to_text())
         if any(misses):
             skipped.add(found is None)
@@ -720,7 +720,7 @@ def test_witnesses_depend_only_on_the_words():
                 grown = grown.add_word(w)
             for decide in (detection_witness, correction_witness):
                 answers = {str(decide(c, channel))
-                           for c in (tree, tree.minimal[0], grown)}
+                           for c in (tree, tree.minimal, grown)}
                 assert len(answers) == 1, (spec, words, answers)
 
 

@@ -55,13 +55,17 @@ def test_transducer_operations_on_random_channels():
     rng = random.Random(77)
     for k in range(150):
         alphabet = BINARY if k % 3 else Alphabet(("bc", "a"))
-        t = random_channel(rng, alphabet).transducer
+        channel = random_channel(rng, alphabet)
+        t = channel.transducer
         code = random_code(rng, alphabet)
         word = tuple(rng.choice(alphabet.symbols) for _ in range(code.length))
         image = product(code, t)
         other = product(random_code(rng, alphabet), t)
         d = image.determinize()
-        for r in (t.compose(t), t.inverse().compose(t), image, d,
+        for r in (t.standard_form(), t.inverse(), t.union(t.inverse()),
+                  t.quotient(), t.standard_form().quotient(), t.trim(),
+                  t.compose(t), t.inverse().compose(t),
+                  channel.self_union_inverse(), image, image.trim(), d,
                   d.intersect(other.determinize()), d.intersect(other),
                   d.minus(other), code.trim(), code.add_word(word)):
             assert_trusted(r)
@@ -90,4 +94,4 @@ def test_minimal_trellis():
                  for _ in range(rng.randint(0, 20))]
         code = trellis_from_words(words, alphabet, length=ell)
         assert_trusted(code)
-        assert_trusted(code.minimal[0])
+        assert_trusted(code.minimal)
