@@ -236,25 +236,25 @@ class Machine:
         """Keep only states on some initial->final path; relabel densely."""
         remap = useful_states(self.num_states, self.initial, self.final,
                               ((tr[0], tr[-1]) for tr in self.transitions))
-        kept = [tr for tr in self.transitions
-                if tr[0] in remap and tr[-1] in remap]
-        transitions = ()
-        if kept:  # relabel the source and target columns
-            src, *labels, dst = zip(*kept)
-            transitions = tuple(zip(map(remap.get, src), *labels,
-                                    map(remap.get, dst)))
-        initial = frozenset(remap[q] for q in self.initial if q in remap)
+        initial, final, transitions = self.initial, self.final, self.transitions
+        if len(remap) < self.num_states:  # some state goes: renumber
+            kept = [tr for tr in transitions
+                    if tr[0] in remap and tr[-1] in remap]
+            transitions = ()
+            if kept:  # relabel the source and target columns
+                src, *labels, dst = zip(*kept)
+                transitions = tuple(zip(map(remap.get, src), *labels,
+                                        map(remap.get, dst)))
+            initial = frozenset(remap[q] for q in initial if q in remap)
+            final = frozenset(remap[q] for q in final if q in remap)
         # the order-preserving remap keeps the transitions canonical; a DFA
         # stays one unless its initial state was trimmed away (empty
         # language), and a trellis trims to a plain DFA
         cls = type(self)
         if isinstance(self, Dfa):
             cls = Dfa if initial else Nfa
-        return cls._trusted(
-            self.alphabet, len(remap), initial,
-            frozenset(remap[q] for q in self.final if q in remap),
-            transitions,
-        )
+        return cls._trusted(self.alphabet, len(remap), initial, final,
+                            transitions)
 
     # -- text format ---------------------------------------------------------
 
@@ -679,6 +679,14 @@ class Trellis(Dfa):
                 f"trellis accepts words of length {depth[self.final_state]}, "
                 f"declared {self.length}"
             )
+
+    @classmethod
+    def from_text(cls, text: str, alphabet: "Alphabet | None" = None
+                  ) -> "Trellis":
+        """Parse an @DFA or @NFA description and read its language as a
+        block code with ``as_trellis``; a cyclic or mixed-length language
+        raises WordError, and so does an empty one (no length to read)."""
+        return as_trellis(super().from_text(text, alphabet))
 
     @property
     def final_state(self) -> "int | None":

@@ -58,6 +58,22 @@ class Transducer(Machine):
         return tuple({x: tuple(moves) for x, moves in row.items()}
                      for row in table)
 
+    @cached_property
+    def _mirror(self) -> "tuple[int, ...] | None":
+        """Per state q, the least state whose relation on to a final state
+        is the inverse of q's: one that shares a ``_blocks`` block of
+        ``self | self^-1`` with the inverse copy of q.  None unless every
+        state has one (a self-inverse relation, such as sub:k, id:k, bsid2
+        and every sigma^-1 . sigma)."""
+        block = self.union(self.inverse())._blocks()
+        least: dict[int, int] = {}
+        for q in self.states:
+            least.setdefault(block[q], q)
+        try:
+            return tuple(least[b] for b in block[self.num_states:])
+        except KeyError:
+            return None
+
     # -- core operations -----------------------------------------------------
 
     def standard_form(self) -> "Transducer":
@@ -155,13 +171,12 @@ class Transducer(Machine):
         )
         return composed.trim()
 
-    def quotient(self) -> "Transducer":
-        """Merge forward-bisimilar states; same relation.
-
-        Partition refinement from the final flag: a state's signature is
-        its block and the set of its (input, output, block of target)
-        moves, epsilon labels read as letters.  Classes are numbered by
-        their least member, so a quotient is its own quotient."""
+    def _blocks(self) -> list[int]:
+        """The forward-bisimulation block of each state, by partition
+        refinement from the final flag: a state's signature is its block and
+        the set of its (input, output, block of target) moves, epsilon
+        labels read as letters.  Blocks are numbered by their least member.
+        States in one block have the same relation on to a final state."""
         out: list[list] = [[] for _ in self.states]
         for src, inp, outw, dst in self.transitions:
             out[src].append((inp, outw, dst))
@@ -173,10 +188,16 @@ class Transducer(Machine):
                 (i, o, block[d]) for i, o, d in out[q])), len(ids))
                 for q in self.states]
             if len(ids) == count:
-                break
+                return block
             count = len(ids)
+
+    def quotient(self) -> "Transducer":
+        """Merge forward-bisimilar states (``_blocks``); same relation.
+        Classes are numbered by their least member, so a quotient is its own
+        quotient."""
+        block = self._blocks()
         return Transducer._trusted(
-            self.alphabet, count,
+            self.alphabet, len(set(block)),
             frozenset(block[q] for q in self.initial),
             frozenset(block[q] for q in self.final),
             self._normalize((block[s], i, o, block[d])

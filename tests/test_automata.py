@@ -9,6 +9,7 @@ from chancodes import (
     BINARY,
     Dfa,
     EmptyLanguageError,
+    FormatError,
     Nfa,
     ParameterError,
     Trellis,
@@ -134,6 +135,19 @@ class TestTrim:
             a = random_nfa(rng)
             once = a.trim()
             assert once.trim() == once
+
+    def test_trim_machine_comes_back_equal_and_of_its_kind(self):
+        """Nothing to drop: the same fields; a trellis trims to a plain DFA."""
+        a = Nfa(BINARY, 3, frozenset({0}), frozenset({2}),
+                ((0, None, 1), (0, "1", 2), (1, "0", 2)))
+        d = a.determinize()
+        code = trellis_from_words(["001", "010", "111"], BINARY)
+        for machine, kind in ((a, Nfa), (d, Dfa), (code, Dfa)):
+            trimmed = machine.trim()
+            assert type(trimmed) is kind
+            assert trimmed == kind(machine.alphabet, machine.num_states,
+                                   machine.initial, machine.final,
+                                   machine.transitions)
 
     def test_empty_language_trims_to_nothing(self):
         a = Nfa(BINARY, 2, frozenset({0}), frozenset(), ((0, "0", 1),))
@@ -434,6 +448,31 @@ class TestAsTrellis:
     def test_mixed_lengths_rejected(self, text):
         with pytest.raises(WordError, match="mixed lengths"):
             as_trellis(Nfa.from_text(text, BINARY))
+
+    def test_from_text_reads_a_trellis(self):
+        """``Trellis.from_text`` reads back what ``to_text`` writes, as a
+        trellis; an @NFA file goes through ``as_trellis`` too."""
+        rng = random.Random(11)
+        for _ in range(20):
+            ell = rng.randint(0, 5)
+            words = {tuple(rng.choice("01") for _ in range(ell))
+                     for _ in range(rng.randint(1, 6))}
+            code = trellis_from_words(words, BINARY)
+            for t in (code, code.minimal):
+                back = Trellis.from_text(t.to_text(), BINARY)
+                assert type(back) is Trellis and back == t
+        nfa = "@NFA 3 * 0\n0 0 1\n0 0 2\n1 1 3\n2 0 3\n0 @epsilon 4\n4 1 2\n"
+        read = Trellis.from_text(nfa, BINARY)
+        assert type(read) is Trellis
+        assert set(read.iter_words()) == {("0", "0"), ("0", "1"), ("1", "0")}
+
+    def test_from_text_refuses_what_is_no_block_code(self):
+        with pytest.raises(WordError, match="cyclic"):
+            Trellis.from_text("@DFA 1 * 0\n0 0 0\n0 1 1\n", BINARY)
+        with pytest.raises(WordError, match="mixed lengths"):
+            Trellis.from_text(MIXED_LENGTH_FILES[0], BINARY)
+        with pytest.raises(FormatError, match="expected one of @DFA, @NFA"):
+            Trellis.from_text("@Transducer 0 * 0\n", BINARY)
 
     def test_several_finals_merged(self):
         # {00, 11} with one final state per word, through an NFA

@@ -659,23 +659,32 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
     """``_identity_violation``, one forward search that decides liveness
     only at a conflict, returns the answer of the two-pass search over the
     live triples, and both NONE and violating answers skip some conflict at
-    a dead triple.  Random transducers (labels of length 0-2, cycles,
-    epsilon/epsilon edges), their sigma^-1 . sigma compositions and built-in
-    channels, on random prefix-tree codes."""
+    a dead triple.  Every triple it marks dead, mirrors included, lies
+    outside the live set, and on some NONE answer a mirror saves a
+    completion: without mirrors the same search runs more of them.  Random
+    transducers (labels of length 0-2, cycles, epsilon/epsilon edges), their
+    sigma^-1 . sigma compositions and built-in channels, on random
+    prefix-tree codes."""
     from chancodes import channel_from_spec, properties
     from test_codegen import random_channel
 
     completion = properties._completion
     misses = []
+    buried = set()
+    mirrors_on = [True]
 
-    def recorded(*args):
-        rest = completion(*args)
+    def recorded(triple, successors, accepting, dead, mirror):
+        before = set(dead)
+        rest = completion(triple, successors, accepting, dead,
+                          mirror if mirrors_on[0] else None)
         misses.append(rest is None)
+        buried.update(dead - before)
         return rest
 
     monkeypatch.setattr(properties, "_completion", recorded)
     rng = random.Random(23)
     skipped = set()
+    mirror_saves = 0
     for k in range(240):
         built_in, composed = k % 8 >= 6, k % 2 == 1
         alphabet = BINARY if k % 4 else Alphabet(("a", "bc"))
@@ -691,13 +700,23 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
                  for _ in range(rng.randint(1, 8))]
         code = trellis_from_words(words, alphabet)
         misses.clear()
+        buried.clear()
         found = properties._identity_violation(code, sigma)
         referee = two_pass_violation(code.minimal, sigma.standard_form())
         assert found == referee, (words, sigma.to_text())
+        assert buried.isdisjoint(
+            unpruned_live_triples(code.minimal, sigma.standard_form()))
         if any(misses):
             skipped.add(found is None)
+        completions = len(misses)
+        mirrors_on[0] = False
+        misses.clear()
+        assert properties._identity_violation(code, sigma) == found
+        mirrors_on[0] = True
+        mirror_saves += found is None and completions < len(misses)
     # a dead conflict is skipped on the way to either kind of answer
     assert skipped == {True, False}
+    assert mirror_saves > 0
 
 
 def test_witnesses_depend_only_on_the_words():

@@ -362,3 +362,67 @@ class TestQuotient:
         assert make_sub(1).self_union_inverse().to_text() == (
             "@Transducer 0 1 * 0\n"
             "0 0 0 0\n0 0 1 1\n0 1 0 1\n0 1 1 0\n1 0 0 1\n1 1 1 1\n")
+
+
+# per built-in channel: the mirror map of sigma, then of sigma^-1 . sigma
+PINNED_MIRRORS = {
+    "sub:1": ((0, 1), (0, 1, 2, 1)),
+    "sub:2": ((0, 1, 2), (0, 1, 2, 1, 4, 5, 6, 5, 4)),
+    "id:1": ((0, 1), (0, 1, 2, 2)),
+    "id:2": ((0, 1, 2), (0, 1, 2, 2, 4, 5, 5, 7, 7)),
+    "bsid2": ((0, 1, 2, 4, 3, 6, 5),
+              (0, 1, 5, 10, 7, 2, 11, 4, 8, 13, 3, 6, 12, 9, 14, 15, 17, 16,
+               15, 24, 17, 21, 26, 16, 19, 25, 22, 27, 29, 28, 30, 40, 35, 33,
+               27, 32, 29, 30, 28, 33, 31)),
+    "del1": (None, (0, 2, 1, 3, 4, 3, 3)),
+    "ins1": (None, (0, 1, 3, 2, 5, 4, 6, 6, 6)),
+    "segd:2": (None, (0, 3, 2, 1, 8, 5, 8, 7, 4, 4, 15, 7, 7, 3, 1, 10, 7, 1,
+                      3)),
+    "segd:3": (None,
+               (0, 3, 2, 1, 7, 5, 6, 4, 12, 9, 12, 11, 8, 8, 21, 20, 11, 11,
+                3, 1, 15, 14, 11, 30, 29, 28, 1, 3, 25, 24, 23, 15, 35, 34, 33,
+                32, 20, 23, 30)),
+    "ov": (None, (0, 1, 2, 4, 3)),
+}
+
+
+def rooted(t: Transducer, q: int) -> Transducer:
+    """``t`` with q as its only initial state: the relation from q."""
+    return Transducer(t.alphabet, t.num_states, {q}, t.final, t.transitions)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("spec", sorted(PINNED_MIRRORS))
+    def test_built_in_maps_are_pinned(self, spec):
+        """Total for the self-inverse channels and for every sigma^-1 .
+        sigma; None, with no partial entries, for the rest."""
+        t = channel_from_spec(spec).transducer
+        composed = t.inverse().compose(t).standard_form()
+        assert (t.standard_form()._mirror, composed._mirror) == \
+            PINNED_MIRRORS[spec]
+
+    def test_a_mirror_state_relates_inversely(self):
+        """On random transducers, their sigma | sigma^-1 and their sigma^-1 .
+        sigma, the relation from the mirror of q is the inverse of the
+        relation from q."""
+        rng = random.Random(31)
+        total = 0
+        for k in range(60):
+            alphabet = BINARY if k % 2 else Alphabet(("a", "bc"))
+            t = random_channel(rng, alphabet).transducer
+            if k % 3 == 1:
+                t = t.union(t.inverse())
+            elif k % 3 == 2:
+                t = t.inverse().compose(t)
+            t = t.standard_form()
+            mirror = t._mirror
+            if mirror is None:
+                continue
+            total += 1
+            assert len(mirror) == t.num_states
+            pairs = [oracles.relation_pairs(rooted(t, q), alphabet, 3, 3)
+                     for q in t.states]
+            for q, m in enumerate(mirror):
+                assert {(y, x) for x, y in pairs[q]} == pairs[m], \
+                    (t.to_text(), q)
+        assert total > 30
