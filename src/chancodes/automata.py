@@ -9,8 +9,13 @@ Epsilon (the empty word as a transition label) is represented by ``None``.
 the fields, the validating constructor, ``_trusted`` for internal results,
 ``trim`` and the text format.  ``walk`` numbers the states of every
 pair-state construction (``product``, ``Transducer.compose``, the subset
-walk behind ``intersect`` / ``minus`` / ``determinize``, and
-``Trellis.minimal``).
+walk behind ``intersect`` / ``minus`` / ``determinize``, and the minimal
+trellises).
+
+A block code is a ``Trellis``.  ``trellis_from_words`` builds the minimal
+trellis of a word list in one pass over the sorted words, ``Trellis.minimal``
+folds any other trellis, and ``Trellis.add_word`` grows any trellis by one
+word, cloning the states where paths meet.
 """
 
 from __future__ import annotations
@@ -90,15 +95,15 @@ def format_word(w: Word) -> str:
     return " ".join(w)
 
 
-def useful_states(num_states: int, initial: Iterable[int],
+def useful_states(num_states: int, initial: "Iterable[int] | None",
                   final: Iterable[int], arcs: Iterable[tuple[int, int]]
                   ) -> dict[int, int]:
     """The states on some initial->final path along ``arcs`` (source, target
-    pairs), each mapped to its new number; the renumbering keeps their order."""
-    succ: list[list[int]] = [[] for _ in range(num_states)]
+    pairs), each mapped to its new number; the renumbering keeps their order.
+    ``initial`` None means every state is reachable, so only the backward
+    pass runs."""
     pred: list[list[int]] = [[] for _ in range(num_states)]
     for src, dst in arcs:
-        succ[src].append(dst)
         pred[dst].append(src)
 
     def reach(roots: Iterable[int], adjacent: list[list[int]]) -> set[int]:
@@ -111,7 +116,13 @@ def useful_states(num_states: int, initial: Iterable[int],
                     stack.append(q)
         return seen
 
-    keep = reach(initial, succ) & reach(final, pred)
+    keep = reach(final, pred)
+    if initial is not None:
+        succ: list[list[int]] = [[] for _ in range(num_states)]
+        for dst, sources in enumerate(pred):
+            for src in sources:
+                succ[src].append(dst)
+        keep &= reach(initial, succ)
     return {q: i for i, q in enumerate(sorted(keep))}
 
 
@@ -232,9 +243,13 @@ class Machine:
         return self.num_states + sum(
             1 + len(self._symbols(tr)) for tr in self.transitions)
 
-    def trim(self):
-        """Keep only states on some initial->final path; relabel densely."""
-        remap = useful_states(self.num_states, self.initial, self.final,
+    def trim(self, _walked: bool = False):
+        """Keep only states on some initial->final path; relabel densely.
+
+        ``_walked`` is for results that ``walk`` built from their initial
+        states: every state is reachable, so only the backward pass runs."""
+        remap = useful_states(self.num_states,
+                              None if _walked else self.initial, self.final,
                               ((tr[0], tr[-1]) for tr in self.transitions))
         initial, final, transitions = self.initial, self.final, self.transitions
         if len(remap) < self.num_states:  # some state goes: renumber
@@ -699,35 +714,37 @@ class Trellis(Dfa):
         One bottom-up pass (Revuz, TCS 1992): a state's signature is its
         final flag plus the class of its successor on each symbol, so two
         states share a signature exactly when they have the same right
-        language.  Classes are numbered breadth-first from the initial
-        state, symbols in alphabet order.  The empty code, a lone state, is
-        its own minimal trellis.
+        language.  Classes are numbered by ``_class_trellis``.  The empty
+        code, a lone state, is its own minimal trellis, and so is every
+        result of ``trellis_from_words``, which builds the minimal trellis
+        directly.
         """
         if not self.final:
             return self
         rows = self._rows
         signatures: dict = {}
         layered = [0] * self.num_states  # class ids in bottom-up order
-        members: list[int] = []  # one state per class
+        class_rows: list[dict[str, int]] = []
         for q in self._postorder:  # successors before predecessors
-            sig = (q in self.final,
-                   tuple((a, layered[d]) for a, d in rows[q].items()))
+            row = tuple((a, layered[d]) for a, d in rows[q].items())
+            sig = (q in self.final, row)
             c = signatures.get(sig)
             if c is None:
-                c = signatures[sig] = len(members)
-                members.append(q)
+                c = signatures[sig] = len(class_rows)
+                class_rows.append(dict(row))
             layered[q] = c
+        return _class_trellis(self.alphabet, class_rows,
+                              layered[self.initial_state],
+                              layered[self.final_state], self.length)
 
-        def successors(c):
-            row = rows[members[c]]
-            return ((a, layered[row[a]]) for a in self.alphabet if a in row)
-
-        order, edges = walk([layered[self.initial_state]], successors)
-        return Trellis._trusted(
-            self.alphabet, len(order), frozenset({0}),
-            frozenset({order.index(layered[self.final_state])}),
-            tuple(sorted(edges)), length=self.length,
-        )
+    @cached_property
+    def _shared(self) -> frozenset[int]:
+        """The non-final states with more than one incoming edge."""
+        entered: set[int] = set()
+        shared: set[int] = set()
+        for _, _, d in self.transitions:
+            (shared if d in entered else entered).add(d)
+        return frozenset(shared - self.final)
 
     def add_word(self, word: "str | Iterable[str]") -> "Trellis":
         """Trellis accepting C(self) | {word}.
@@ -737,7 +754,12 @@ class Trellis(Dfa):
         spliced in by walking its longest existing prefix and branching into
         fresh states, with the last step redirected into the unique final
         state; determinism is preserved because only the missing transitions
-        are added.
+        are added.  When the prefix enters a state with more than one
+        incoming edge (``_shared``), that state and the rest of the prefix
+        are cloned first (Carrasco & Forcada, Comput. Linguist. 2002): each
+        clone keeps its original's out-edges and the prefix is redirected
+        through the clones, so no other word gains the branch.  The result
+        need not be minimal.
         """
         w = self.alphabet.word(word)
         if len(w) != self.length:
@@ -756,14 +778,30 @@ class Trellis(Dfa):
         if new_final is None:
             new_final = num
             num += 1
+        rows, shared = self._rows, self._shared
         q = self.initial_state
-        i = 0
-        while i < len(w):
-            nxt = self._rows[q].get(w[i])
-            if nxt is None:
+        path = [q]  # the states of the longest prefix
+        for sym in w:
+            q = rows[q].get(sym)
+            if q is None:
                 break
-            q = nxt
-            i += 1
+            path.append(q)
+        i = len(path) - 1
+        q = path[i]
+        first = None  # the first shared state on the prefix
+        if shared:
+            first = next((j for j, p in enumerate(path) if p in shared), None)
+        if first is not None:
+            # path[first:] becomes num, num + 1, ...; the initial state has
+            # no incoming edge, so first >= 1
+            transitions.remove((path[first - 1], w[first - 1], path[first]))
+            transitions.append((path[first - 1], w[first - 1], num))
+            for j in range(first, i + 1):
+                for a, d in rows[path[j]].items():
+                    on_prefix = j < i and a == w[j]
+                    transitions.append((num, a, num + 1 if on_prefix else d))
+                num += 1
+            q = num - 1
         # fresh interior states for the unmatched part, except the last step
         while i < len(w) - 1:
             transitions.append((q, w[i], num))
@@ -773,10 +811,30 @@ class Trellis(Dfa):
         transitions.append((q, w[-1], new_final))
         # splicing one word of the right length into a valid trellis keeps it
         # trim, acyclic and layered; plain tuple order is the canonical order
-        # here (no epsilon labels)
+        # here (no epsilon labels).  Without clones only fresh states and the
+        # final state gained incoming edges, so ``_shared`` carries over.
+        kept = {} if first is not None else {"_shared": shared}
         return Trellis._trusted(self.alphabet, num, self.initial,
                                 frozenset({new_final}), tuple(sorted(transitions)),
-                                length=self.length)
+                                length=self.length, **kept)
+
+
+def _class_trellis(alphabet: Alphabet, rows: Sequence[dict[str, int]],
+                   root: int, final: int, length: int) -> Trellis:
+    """The trellis on the classes of a minimal trellis, given per class its
+    successor class on each symbol: classes numbered breadth-first from
+    ``root``, symbols in alphabet order, so that the same code always gives
+    the same machine.  The result is stored as its own ``minimal``."""
+    def successors(c):
+        row = rows[c]
+        return ((a, row[a]) for a in alphabet if a in row)
+
+    order, edges = walk([root], successors)
+    t = Trellis._trusted(alphabet, len(order), frozenset({0}),
+                         frozenset({order.index(final)}), tuple(sorted(edges)),
+                         length=length)
+    t.__dict__["minimal"] = t
+    return t
 
 
 def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:
@@ -807,8 +865,18 @@ def trellis_from_words(
     alphabet: Alphabet,
     length: "int | None" = None,
 ) -> Trellis:
-    """Prefix tree with a single merged final state, accepting exactly the
-    given equal-length words.  An empty collection needs an explicit length."""
+    """The minimal trellis accepting exactly the given equal-length words,
+    numbered as ``Trellis.minimal`` numbers it and stored as its own
+    ``minimal``.  An empty collection needs an explicit length.
+
+    One pass over the sorted words (Daciuk, Mihov, Watson & Watson, Comput.
+    Linguist. 2000), with no prefix tree in between.  The state of each
+    prefix of the previous word stays open; when the next word leaves it at
+    position c, the open states deeper than c are closed, deepest first.  A
+    closed state's row of (symbol, class) pairs is looked up in a register,
+    so states with the same right language get one class; class 0 is the
+    final state.
+    """
     if length is not None and length < 0:
         raise ParameterError(f"block length must be >= 0, got {length}")
     coerced = sorted({alphabet.word(w) for w in words})
@@ -824,34 +892,33 @@ def trellis_from_words(
     if length is not None and length != ell:
         raise WordError(f"words have length {ell}, declared {length}")
     if ell == 0:
-        return Trellis._trusted(alphabet, 1, frozenset({0}), frozenset({0}), (),
-                                length=0)
-    # interior prefix-tree states, then one shared final state
-    FINAL = -1
-    node_of: dict[Word, int] = {(): 0}
-    transitions: list[tuple[int, str, int]] = []
-    counter = 1
-    for w in coerced:
-        q = 0
-        for i, sym in enumerate(w[:-1]):
-            prefix = w[: i + 1]
-            if prefix not in node_of:
-                node_of[prefix] = counter
-                transitions.append((q, sym, counter))
-                counter += 1
-            q = node_of[prefix]
-        transitions.append((q, w[-1], FINAL))
-    final = counter
-    # the checked words make a prefix tree with one final state: a trellis
-    return Trellis._trusted(
-        alphabet,
-        counter + 1,
-        frozenset({0}),
-        frozenset({final}),
-        tuple(sorted((s, a, final if d == FINAL else d)
-                     for s, a, d in transitions)),
-        length=ell,
-    )
+        return _class_trellis(alphabet, [{}], 0, 0, 0)
+    register: dict[tuple[tuple[str, int], ...], int] = {}
+    rows: list[dict[str, int]] = [{}]  # per class, symbol -> class
+    open_rows: list[list[tuple[str, int]]] = [[] for _ in range(ell)]
+
+    def close(prefix: Word, depth: int) -> None:
+        """Close the open states of ``prefix`` deeper than ``depth``."""
+        for d in range(ell - 1, depth, -1):
+            row = tuple(open_rows[d])
+            open_rows[d].clear()
+            c = register.get(row)
+            if c is None:
+                c = register[row] = len(rows)
+                rows.append(dict(row))
+            open_rows[d - 1].append((prefix[d - 1], c))
+
+    previous = coerced[0]
+    for w in coerced:  # sorted: the words of one prefix come together
+        c = 0
+        while c < ell and previous[c] == w[c]:
+            c += 1
+        close(previous, c)
+        open_rows[-1].append((w[-1], 0))
+        previous = w
+    close(previous, 0)
+    rows.append(dict(open_rows[0]))  # the root, the only state at depth 0
+    return _class_trellis(alphabet, rows, len(rows) - 1, 0, ell)
 
 
 def as_trellis(machine: Nfa, length: "int | None" = None) -> Trellis:

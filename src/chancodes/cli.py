@@ -16,7 +16,7 @@ import os
 import sys
 from statistics import median
 
-from .automata import Alphabet, BINARY, Nfa, Trellis, as_trellis, \
+from .automata import Alphabet, BINARY, Trellis, as_trellis, \
     trellis_from_words
 from .channels import Channel, channel_from_spec, registry_names, parse_channel, \
     serialize_channel
@@ -96,8 +96,7 @@ def _read_code_file(path: str, alphabet: Alphabet,
 def _read_trellis_file(path: str, alphabet: Alphabet) -> Trellis:
     try:
         with open(path) as fh:
-            machine = Nfa.from_text(fh.read(), alphabet)
-        return as_trellis(machine)
+            return Trellis.from_text(fh.read(), alphabet)
     except OSError as exc:
         raise _CliFailure(f"cannot read trellis file {path!r}: {exc}", EXIT_ERROR)
     except ChancodesError as exc:

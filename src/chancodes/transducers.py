@@ -169,7 +169,7 @@ class Transducer(Machine):
             self._normalize((a, self._label(x), self._label(y), b)
                             for a, (x, y), b in edges),
         )
-        return composed.trim()
+        return composed.trim(_walked=True)
 
     def _blocks(self) -> list[int]:
         """The forward-bisimulation block of each state, by partition
@@ -290,4 +290,4 @@ def product(a: Nfa, t: Transducer) -> Nfa:
     )
     raw = Nfa._trusted(a.alphabet, len(order), frozenset(range(len(starts))),
                        finals, Nfa._normalize(edges))
-    return raw.trim()
+    return raw.trim(_walked=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from chancodes import Alphabet, Transducer, Word
+from chancodes import Alphabet, Transducer, Trellis, Word
 
 
 def enumerate_image(t: Transducer, word, max_len: int) -> set[Word]:
@@ -200,3 +200,36 @@ def brute_correcting(code, images: dict[Word, set[Word]]) -> bool:
             if images[u] & images[v]:
                 return False
     return True
+
+
+# -- trellises ------------------------------------------------------------------------
+
+
+def prefix_tree(words, alphabet: Alphabet, length=None) -> Trellis:
+    """The prefix tree of equal-length words with one merged final state:
+    one state per distinct prefix, numbered in sorted word order, and the
+    final state last.  The unreduced trellis that ``Trellis.minimal`` folds
+    and that ``trellis_from_words`` must equal once folded."""
+    coerced = sorted({alphabet.word(w) for w in words})
+    if not coerced:
+        return Trellis(alphabet, 1, {0}, set(), (), length=length)
+    (ell,) = {len(w) for w in coerced}
+    assert length in (None, ell)
+    if ell == 0:
+        return Trellis(alphabet, 1, {0}, {0}, (), length=0)
+    final = -1  # numbered last, once every prefix has its number
+    node_of: dict[Word, int] = {(): 0}
+    transitions = []
+    for w in coerced:
+        q = 0
+        for i, sym in enumerate(w[:-1]):
+            prefix = w[: i + 1]
+            if prefix not in node_of:
+                node_of[prefix] = len(node_of)
+                transitions.append((q, sym, node_of[prefix]))
+            q = node_of[prefix]
+        transitions.append((q, w[-1], final))
+    final = len(node_of)
+    return Trellis(alphabet, final + 1, {0}, {final},
+                   [(s, a, final if d == -1 else d) for s, a, d in transitions],
+                   length=ell)

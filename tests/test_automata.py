@@ -22,6 +22,8 @@ from chancodes import (
     universe_trellis,
 )
 
+import oracles
+
 
 def random_nfa(rng: random.Random, max_states=6, eps=True) -> Nfa:
     n = rng.randint(1, max_states)
@@ -366,6 +368,22 @@ class TestTrellisFromWords:
             with pytest.raises(ParameterError, match="must be >= 0"):
                 trellis_from_words(words, BINARY, length=-1)
 
+    def test_builds_the_minimal_trellis(self):
+        """The direct build equals the folded prefix tree, state numbers
+        included, and is its own ``minimal``."""
+        rng = random.Random(17)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        for k in range(240):
+            alphabet = alphabets[k % 3]
+            ell = k % 8
+            words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                     for _ in range(rng.randint(0, 30))]
+            t = trellis_from_words(words, alphabet, length=ell)
+            assert t == oracles.prefix_tree(words, alphabet, length=ell).minimal
+            assert t.minimal is t
+            assert t == Trellis(alphabet, t.num_states, t.initial, t.final,
+                                t.transitions, length=ell)
+
 
 class TestTrellisValidation:
     def test_final_less_trellis_must_be_the_empty_code(self):
@@ -405,7 +423,7 @@ class TestTrellisValidation:
             ell = rng.randint(1, 4)
             words = [tuple(rng.choice("01") for _ in range(ell))
                      for _ in range(rng.randint(1, 6))]
-            tree = trellis_from_words(words, BINARY)
+            tree = oracles.prefix_tree(words, BINARY)
             num = tree.num_states + rng.randint(0, 1)
             rows = {(s, a): d for s, a, d in tree.transitions}
             for _ in range(rng.randint(0, 2)):
@@ -552,15 +570,67 @@ class TestAddWord:
                 assert validated._rows == t._rows
                 assert validated.count_words() == t.count_words()
 
+    def test_grows_any_trellis(self):
+        """On trellises where paths meet (minimal trellises, and DAGs read
+        with ``Trellis.from_text``) the result accepts the set union, passes
+        the validating constructor, and carries the ``_shared`` states that
+        a fresh scan finds."""
+        rng = random.Random(53)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        met = 0  # words whose prefix enters a state with two incoming edges
+        for k in range(150):
+            alphabet = alphabets[k % 3]
+            if k % 2:
+                t = random_block_code(rng, alphabet).minimal
+            else:  # a random layered DAG, written as text and read back
+                ell = rng.randint(1, 5)
+                rows = [(d, rng.choice(alphabet.symbols), d + 1)
+                        for d in range(ell)
+                        for _ in range(rng.randint(1, 3))]
+                lines = [f"@NFA {ell} * 0"]
+                lines += [f"{s} {a} {d}" for s, a, d in rows]
+                t = Trellis.from_text("\n".join(lines) + "\n", alphabet)
+            expected = set(t.iter_words())
+            for _ in range(rng.randint(1, 12)):
+                w = tuple(rng.choice(alphabet.symbols)
+                          for _ in range(t.length))
+                entered = [d for _, _, d in t.transitions]
+                q = t.initial_state
+                for sym in w[:-1]:
+                    q = t._rows[q].get(sym)
+                    if q is None:
+                        break
+                    if entered.count(q) > 1:
+                        met += 1
+                        break
+                t = t.add_word(w)
+                expected.add(w)
+                assert set(t.iter_words()) == expected
+                validated = Trellis(alphabet, t.num_states, t.initial,
+                                    t.final, t.transitions, length=t.length)
+                assert validated == t
+                assert validated._shared == t._shared
+        assert met > 100
+
+    def test_confluent_prefix_is_cloned(self):
+        # 0010 and 1111 lead to one state of the minimal trellis (its right
+        # language is {11}); branching off there must not add 111100 too
+        t = trellis_from_words(["000000", "001011", "111111"], BINARY).minimal
+        grown = t.add_word("001000")
+        assert {format_word(w) for w in grown.iter_words()} == \
+            {"000000", "001000", "001011", "111111"}
+
 
 REVERSED = Alphabet(("1", "0"))
 
 
 def random_block_code(rng: random.Random, alphabet: Alphabet) -> Trellis:
+    """The prefix tree of up to 24 random words, so that ``minimal`` has
+    states to merge."""
     ell = rng.randint(0, 7)
     words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
              for _ in range(rng.randint(0, 24))]
-    return trellis_from_words(words, alphabet, length=ell)
+    return oracles.prefix_tree(words, alphabet, length=ell)
 
 
 def right_languages(t: Trellis) -> set:

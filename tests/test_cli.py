@@ -127,6 +127,19 @@ class TestGen:
         assert code == 1 and out == ""
         assert "bad trellis file" in err and "mixed lengths" in err
 
+    def test_bad_universe_header_exits_1(self, capsys, tmp_path):
+        # the CLI reads a trellis file with Trellis.from_text: one wording
+        universe_file = tmp_path / "bad.aut"
+        universe_file.write_text("@Transducer 0 * 0\n")
+        code, out, err = run(
+            capsys, "gen", "--channel", "sub:1", "--len", "1", "--n", "1",
+            "--universe", str(universe_file), "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (f"error: bad trellis file {str(universe_file)!r}: "
+                       "line 1: expected one of @DFA, @NFA, "
+                       "got '@Transducer'\n")
+
     def test_universe_and_end_combine(self, capsys):
         code, out, _ = run(
             capsys, "gen", "--channel", "ov", "--universe", "of",

@@ -105,6 +105,26 @@ class TestMakeCode:
         assert len(rep.words) == len(set(rep.words)) == 3
         assert all(format_word(w) != "0000" for w in rep.words)
 
+    def test_minimal_seed_code_grows_like_its_prefix_tree(self):
+        """A seed code whose paths meet grows by the same words as its
+        prefix tree, and the grown trellis accepts exactly seed + words."""
+        channel = make_sub(1)
+        seeds = [(["000000", "001011", "111111"], 3)]  # size 5, not 6
+        for seed in range(8):
+            start = make_code(channel, 6, 7, seed=100 + seed)
+            seeds.append(([format_word(w) for w in start.words], seed))
+        for words, seed in seeds:
+            tree = oracles.prefix_tree(words, BINARY)
+            reports = [make_code(channel, 4, seed_code=code, seed=seed)
+                       for code in (tree, tree.minimal)]
+            assert reports[0].to_text() == reports[1].to_text()
+            for rep in reports:
+                got = {format_word(w) for w in rep.trellis.iter_words()}
+                assert got == set(words) | {format_word(w) for w in rep.words}
+                assert not detection_witness(rep.trellis, channel)
+        assert make_code(channel, 2, seed_code=trellis_from_words(
+            seeds[0][0], BINARY), seed=3).size == 5
+
     def test_final_code_detecting_across_channels_and_seeds(self):
         channels = [make_sub(2), make_id(1), make_del1_insend(), make_overlap()]
         for ch in channels:

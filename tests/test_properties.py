@@ -698,7 +698,7 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
         ell = rng.randint(0, 5)
         words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
                  for _ in range(rng.randint(1, 8))]
-        code = trellis_from_words(words, alphabet)
+        code = oracles.prefix_tree(words, alphabet)
         misses.clear()
         buried.clear()
         found = properties._identity_violation(code, sigma)
@@ -733,7 +733,7 @@ def test_witnesses_depend_only_on_the_words():
                 "".join(rng.choice("01") for _ in range(ell))
                 for _ in range(rng.randint(2, 16))
             })
-            tree = trellis_from_words(words, BINARY)
+            tree = oracles.prefix_tree(words, BINARY)
             grown = trellis_from_words([], BINARY, length=ell)
             for w in rng.sample(words, len(words)):
                 grown = grown.add_word(w)

@@ -227,7 +227,7 @@ class TestImageAndProduct:
             ell = rng.randint(0, 4)
             words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
                      for _ in range(rng.randint(0, 6))]
-            code = trellis_from_words(words, alphabet, length=ell)
+            code = oracles.prefix_tree(words, alphabet, length=ell)
             lines.append(machine_fields(product(code, t)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             "19881752b710987952b33f5499297bdd9dc893d0a7bf405654559f5e1e6cdd10"
