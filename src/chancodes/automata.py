@@ -20,6 +20,7 @@ word, cloning the states where paths meet.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -760,6 +761,11 @@ class Trellis(Dfa):
         clone keeps its original's out-edges and the prefix is redirected
         through the clones, so no other word gains the branch.  The result
         need not be minimal.
+
+        The few new edges are inserted into the sorted transitions, and the
+        result gets its ``_rows`` table with them: only the rows that change
+        are copied, so ``self`` keeps its own, and every row keeps its
+        symbols in string order, as a fresh build has them.
         """
         w = self.alphabet.word(word)
         if len(w) != self.length:
@@ -771,18 +777,17 @@ class Trellis(Dfa):
         if not w:  # length-0 code: the only word is the empty one
             return Trellis(self.alphabet, self.num_states, self.initial,
                            self.initial, self.transitions, length=0)
-        num = self.num_states
+        old_rows, shared = self._rows, self._shared
         transitions = list(self.transitions)
+        rows = list(old_rows)
         final = self.final_state
-        new_final = final
-        if new_final is None:
-            new_final = num
-            num += 1
-        rows, shared = self._rows, self._shared
+        if final is None:  # the empty code gains its final state
+            final = len(rows)
+            rows.append({})
         q = self.initial_state
         path = [q]  # the states of the longest prefix
         for sym in w:
-            q = rows[q].get(sym)
+            q = old_rows[q].get(sym)
             if q is None:
                 break
             path.append(q)
@@ -792,31 +797,37 @@ class Trellis(Dfa):
         if shared:
             first = next((j for j, p in enumerate(path) if p in shared), None)
         if first is not None:
-            # path[first:] becomes num, num + 1, ...; the initial state has
-            # no incoming edge, so first >= 1
-            transitions.remove((path[first - 1], w[first - 1], path[first]))
-            transitions.append((path[first - 1], w[first - 1], num))
+            # path[first:] becomes len(rows), len(rows) + 1, ...; the
+            # initial state has no incoming edge, so first >= 1.  Clone
+            # edges leave new states, so appending keeps the order.
+            p, sym = path[first - 1], w[first - 1]
+            k = bisect.bisect(transitions, (p, sym))  # the edge (p, sym, _)
+            transitions[k] = (p, sym, len(rows))
+            rows[p] = {**rows[p], sym: len(rows)}
             for j in range(first, i + 1):
-                for a, d in rows[path[j]].items():
-                    on_prefix = j < i and a == w[j]
-                    transitions.append((num, a, num + 1 if on_prefix else d))
-                num += 1
-            q = num - 1
-        # fresh interior states for the unmatched part, except the last step
-        while i < len(w) - 1:
-            transitions.append((q, w[i], num))
-            q = num
-            num += 1
-            i += 1
-        transitions.append((q, w[-1], new_final))
+                src, nxt = len(rows), len(rows) + 1
+                row = {a: nxt if j < i and a == w[j] else d
+                       for a, d in old_rows[path[j]].items()}
+                transitions += [(src, a, d) for a, d in row.items()]
+                rows.append(row)
+            q = len(rows) - 1
+        # the unmatched part: fresh interior states, then the final state;
+        # only the first row gains a branch among existing symbols
+        for i in range(i, len(w)):
+            d = final if i == len(w) - 1 else len(rows)
+            bisect.insort(transitions, (q, w[i], d))
+            rows[q] = dict(sorted({**rows[q], w[i]: d}.items()))
+            if d != final:
+                rows.append({})
+            q = d
         # splicing one word of the right length into a valid trellis keeps it
         # trim, acyclic and layered; plain tuple order is the canonical order
         # here (no epsilon labels).  Without clones only fresh states and the
         # final state gained incoming edges, so ``_shared`` carries over.
         kept = {} if first is not None else {"_shared": shared}
-        return Trellis._trusted(self.alphabet, num, self.initial,
-                                frozenset({new_final}), tuple(sorted(transitions)),
-                                length=self.length, **kept)
+        return Trellis._trusted(self.alphabet, len(rows), self.initial,
+                                frozenset({final}), tuple(transitions),
+                                length=self.length, _rows=tuple(rows), **kept)
 
 
 def _class_trellis(alphabet: Alphabet, rows: Sequence[dict[str, int]],

@@ -145,7 +145,13 @@ def _seed_from_args(args) -> "int | None":
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise _CliFailure(f"{SEED_ENV} must be an integer, got {env!r}",
+                          EXIT_ERROR) from None
 
 
 # -- subcommands --------------------------------------------------------------------

@@ -6,7 +6,9 @@ C itself; after n = 1 + floor(1 / (4 eps (1-f)^2)) failed trials it gives up.
 When the code is not yet f-maximal with respect to the universe, the give-up
 probability is below eps (a Chebyshev bound on the binomial trial count).
 Each draw is tested by a search on the current trellis (``Exclusion``); no
-exclusion automaton is built.
+exclusion automaton is built.  The words found excluded are kept, and once
+they are the whole universe the loop gives up without drawing further: no
+draw could succeed, so that give-up certifies exact maximality.
 
 ``make_code`` checks its inputs and fixes n once per run, then runs the
 same draw loop (``_draw``) until the requested number of words is added or
@@ -80,6 +82,12 @@ class Exclusion:
     T reads w and its outputs walk the trellis.  A blocked word stays blocked
     while C grows, so blocked words are kept in ``blocked``; an open draw
     joins the code, so open verdicts are not kept.
+
+    Invariant, as ``_draw`` and ``make_code`` use it: ``blocked`` holds
+    only words drawn from the sampling universe that lie in T(C) | C, the
+    drawn words that ``excludes`` judged blocked and those that joined C.
+    So it is a subset of the universe, and when it is as large as the
+    universe no word can be added.
     """
 
     def __init__(self, channel: Channel):
@@ -133,11 +141,16 @@ def _draw(code: Trellis, universe: Trellis, exclusion: Exclusion,
           rng: random.Random, n: int) -> NextWord:
     """Up to ``n`` uniform draws from ``universe``, one ``rng.randrange``
     each; the first draw that ``exclusion`` leaves open for ``code`` is the
-    word.  The inputs are checked by the caller."""
-    if universe.count_words() == 0:
+    word.  Once ``exclusion.blocked`` holds every universe word no draw can
+    be open, so the loop stops there and gives up as after ``n`` failed
+    draws.  The inputs are checked by the caller."""
+    total = universe.count_words()
+    if total == 0:
         return NextWord(None, 0, empty_universe=True)
-    excludes = exclusion.excludes
+    blocked, excludes = exclusion.blocked, exclusion.excludes
     for tr in range(1, n + 1):
+        if len(blocked) == total:  # every universe word is in C | T(C)
+            break
         w = universe.sample_uniform(rng)
         if not excludes(code, w):
             return NextWord(w, tr)
@@ -156,8 +169,11 @@ def next_word(
 
     Samples uniformly from the universe (default: all words of the code's
     length) with replacement and tests each draw against the current trellis.
-    Checks its inputs and builds its own ``Exclusion`` on every call; a run
-    that grows a code word by word is ``make_code``.
+    Once every universe word has been found excluded it stops drawing and
+    returns ``NextWord(None, n)`` as after n failed draws, so the outcome
+    is the same but ``rng`` may have advanced fewer than n steps.  Checks
+    its inputs and builds its own ``Exclusion`` on every call; a run that
+    grows a code word by word is ``make_code``.
     """
     n = trial_bound(f, eps)
     _require_same_alphabet(code, channel)
@@ -300,6 +316,7 @@ def make_code(
         grown = code.add_word(outcome.word)
         assert grown is not code, "the draw returned a word already in the code"
         code = grown
+        exclusion.blocked.add(outcome.word)
         words.append(outcome.word)
         trials.append(outcome.trials)
     return GenReport(

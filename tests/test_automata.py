@@ -594,15 +594,7 @@ class TestAddWord:
             for _ in range(rng.randint(1, 12)):
                 w = tuple(rng.choice(alphabet.symbols)
                           for _ in range(t.length))
-                entered = [d for _, _, d in t.transitions]
-                q = t.initial_state
-                for sym in w[:-1]:
-                    q = t._rows[q].get(sym)
-                    if q is None:
-                        break
-                    if entered.count(q) > 1:
-                        met += 1
-                        break
+                met += enters_a_shared_state(t, w)
                 t = t.add_word(w)
                 expected.add(w)
                 assert set(t.iter_words()) == expected
@@ -610,6 +602,54 @@ class TestAddWord:
                                     t.final, t.transitions, length=t.length)
                 assert validated == t
                 assert validated._shared == t._shared
+        assert met > 100
+
+    def test_rows_are_handed_on_as_a_fresh_build_has_them(self):
+        """``add_word`` hands its result a ``_rows`` table and sorted
+        transitions equal to what the validating constructor builds, dict
+        item order included, and leaves the parent's rows as they were."""
+        rng = random.Random(59)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        kinds = ["tree", "minimal", "clone", "dag"]
+        met = 0  # words whose prefix enters a state with two incoming edges
+        for k in range(120):
+            alphabet, kind = alphabets[k % 3], kinds[k % 4]
+            syms = alphabet.symbols
+            grow = []
+            if kind == "clone":  # as in test_confluent_prefix_is_cloned
+                words = ["000000", "001011", "111111"]
+                t = trellis_from_words(
+                    [[syms[int(c)] for c in w] for w in words], alphabet)
+                grow.append(tuple(syms[int(c)] for c in "001000"))
+            elif kind == "dag":  # a layered DAG read back from text
+                ell = rng.randint(1, 5)
+                lines = [f"@NFA {ell} * 0"] + [
+                    f"{d} {rng.choice(syms)} {d + 1}"
+                    for d in range(ell) for _ in range(rng.randint(1, 3))]
+                t = Trellis.from_text("\n".join(lines) + "\n", alphabet)
+            else:
+                t = random_block_code(rng, alphabet)
+                if kind == "minimal":
+                    t = t.minimal
+            grow += [tuple(rng.choice(syms) for _ in range(t.length))
+                     for _ in range(rng.randint(1, 10))]
+            for w in grow:
+                met += enters_a_shared_state(t, w)
+                parent_rows = t._rows
+                before = [list(row.items()) for row in parent_rows]
+                grown = t.add_word(w)
+                if grown is t:
+                    continue
+                assert "_rows" in grown.__dict__  # handed on, not rebuilt
+                assert t._rows is parent_rows
+                assert [list(row.items()) for row in t._rows] == before
+                fresh = Trellis(alphabet, grown.num_states, grown.initial,
+                                grown.final, grown.transitions,
+                                length=grown.length)
+                assert fresh == grown  # the constructor sorts transitions
+                assert [list(row.items()) for row in grown._rows] == \
+                    [list(row.items()) for row in fresh._rows]
+                t = grown
         assert met > 100
 
     def test_confluent_prefix_is_cloned(self):
@@ -622,6 +662,20 @@ class TestAddWord:
 
 
 REVERSED = Alphabet(("1", "0"))
+
+
+def enters_a_shared_state(t: Trellis, w) -> bool:
+    """Whether the path of a prefix of ``w`` enters a state with more than
+    one incoming edge, where ``add_word`` must clone."""
+    entered = [d for _, _, d in t.transitions]
+    q = t.initial_state
+    for sym in w[:-1]:
+        q = t._rows[q].get(sym)
+        if q is None:
+            return False
+        if entered.count(q) > 1:
+            return True
+    return False
 
 
 def random_block_code(rng: random.Random, alphabet: Alphabet) -> Trellis:

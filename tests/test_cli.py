@@ -505,6 +505,16 @@ class TestUsageErrors:
                              "--alphabet", alphabet, *args)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", " "])
+    @pytest.mark.parametrize("cmd", ["gen", "experiment"])
+    def test_bad_seed_variable(self, capsys, monkeypatch, cmd, value):
+        # a seed from the environment is outside input like --seed itself
+        monkeypatch.setenv("CHANCODES_SEED", value)
+        code, out, err = run(capsys, cmd, "--channel", "sub:1", "--len", "4",
+                             "--n", "2")
+        assert (code, out, err) == (
+            1, "", f"error: CHANCODES_SEED must be an integer, got {value!r}\n")
+
     @pytest.mark.parametrize("option, text, failure", [
         ("--channel", "@Transducer 0 * 0\n0 0 0 0\n0 1 2 0\n",
          "cannot load channel"),

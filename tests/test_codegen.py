@@ -7,6 +7,7 @@ from chancodes import (
     Alphabet,
     BINARY,
     Channel,
+    Dfa,
     NotDetectingError,
     ParameterError,
     detection_witness,
@@ -20,12 +21,16 @@ from chancodes import (
     maximality_index,
     next_word,
     overlap_free_trellis,
+    suffix_universe,
     Transducer,
+    Trellis,
+    channel_from_spec,
     trellis_from_words,
     trial_bound,
     universe_trellis,
 )
-from chancodes.codegen import Exclusion, derive_seed
+from chancodes import codegen
+from chancodes.codegen import Exclusion, NextWord, derive_seed
 
 import oracles
 
@@ -388,6 +393,141 @@ class TestExclusion:
                 code = code.add_word(out.word)
                 words.append(out.word)
             assert tuple(words) == report.words
+
+
+def full_draw(code, universe, exclusion, rng, n):
+    """The draw loop without the saturation stop: a give-up always takes
+    ``n`` draws.  The referee for ``codegen._draw``."""
+    if universe.count_words() == 0:
+        return NextWord(None, 0, empty_universe=True)
+    for tr in range(1, n + 1):
+        w = universe.sample_uniform(rng)
+        if not exclusion.excludes(code, w):
+            return NextWord(w, tr)
+    return NextWord(None, n)
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its ``randrange`` calls, one per draw."""
+
+    calls = 0
+
+    def randrange(self, *args, **kwargs):
+        self.calls += 1
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.fixture
+def both_loops(monkeypatch):
+    """Runs ``make_code`` with the draw loop and with ``full_draw``, counting
+    the draws of each run, and checks that the run with the stop blocked
+    every word it added and no word outside the universe."""
+    draws = [0]
+    sample = Dfa.sample_uniform
+
+    def counted(self, rng):
+        draws[0] += 1
+        return sample(self, rng)
+
+    made = []
+
+    class Kept(Exclusion):
+        def __init__(self, channel):
+            super().__init__(channel)
+            made.append(self)
+
+    monkeypatch.setattr(Dfa, "sample_uniform", counted)
+    monkeypatch.setattr(codegen, "Exclusion", Kept)
+    stop_draw = codegen._draw
+
+    def run(channel, n_words, length=None, **kwargs):
+        results = []
+        for draw in (stop_draw, full_draw):
+            monkeypatch.setattr(codegen, "_draw", draw)
+            draws[0] = 0
+            results.append((make_code(channel, n_words, length, **kwargs),
+                            draws[0]))
+        (report, stopped), (refereed, full) = results
+        universe = kwargs.get("universe") or universe_trellis(
+            report.alphabet, report.length)
+        assert set(report.words) <= made[-2].blocked <= set(
+            universe.iter_words())
+        return report, refereed, stopped, full
+
+    return run
+
+
+class TestSaturationStop:
+    def check(self, both_loops, tally, channel, n_words, length=None,
+              **kwargs):
+        report, refereed, stopped, full = both_loops(channel, n_words, length,
+                                                     **kwargs)
+        assert report.to_text() == refereed.to_text()
+        assert report.to_json() == refereed.to_json()
+        assert stopped <= full
+        tally["exhausted"] += report.exhausted
+        tally["stopped"] += stopped < full
+        tally["open"] += not report.exhausted
+
+    def test_reports_match_the_full_draw_loop_on_random_transducers(
+            self, both_loops):
+        rng = random.Random(61)
+        tally = dict.fromkeys(("exhausted", "stopped", "open"), 0)
+        for k in range(40):
+            alphabet = (BINARY, Alphabet(("a", "bc")))[k % 2]
+            channel = random_channel(rng, alphabet)
+            f, eps = (("0.5", "0.25"), ("0.95", "0.05"))[k % 4 < 1]
+            self.check(both_loops, tally, channel, rng.randint(1, 20),
+                       rng.randint(1, 4), alphabet=alphabet, f=f, eps=eps,
+                       seed=rng.randrange(1000))
+        assert tally["exhausted"] > 20 and tally["stopped"] > 10
+        assert tally["open"] > 0
+
+    def test_reports_match_the_full_draw_loop_on_builtin_channels(
+            self, both_loops):
+        rng = random.Random(67)
+        channels = [make_sub(2), make_id(1), make_del1_insend(),
+                    make_overlap(), channel_from_spec("bsid2")]
+        tally = dict.fromkeys(("exhausted", "stopped", "open"), 0)
+        for k in range(75):  # 15 runs of each kind of universe
+            channel = channels[k % 5]
+            ell = rng.randint(3, 7)
+            kind = ("full", "of", "end", "file", "seed")[k // 5 % 5]
+            kwargs = {"seed": rng.randrange(1000)}
+            if kind == "of":
+                kwargs["universe"] = overlap_free_trellis(BINARY, ell)
+            elif kind == "end":
+                kwargs["universe"] = suffix_universe(BINARY, ell, "01")
+            elif kind == "file":  # a layered DAG read back from text
+                lines = [f"@NFA {ell} * 0"] + [
+                    f"{d} {rng.choice('01')} {d + 1}"
+                    for d in range(ell) for _ in range(rng.randint(1, 2))]
+                kwargs["universe"] = Trellis.from_text(
+                    "\n".join(lines) + "\n", BINARY)
+            elif kind == "seed":
+                start = make_code(channel, 3, ell, seed=k).trellis
+                kwargs["seed_code"] = start.minimal if k % 2 else start
+                ell = None
+            self.check(both_loops, tally, channel, rng.choice((5, 50)), ell,
+                       **kwargs)
+        assert tally["exhausted"] > 40 and tally["stopped"] > 40
+        assert tally["open"] > 0
+
+    def test_a_maximal_code_gives_up_in_fewer_draws(self, monkeypatch):
+        from itertools import product as iproduct
+
+        code = ["".join(b) + "01" for b in iproduct("01", repeat=6)]
+        t = trellis_from_words(code, BINARY)
+        ch = make_del1_insend()
+        results = []
+        for draw in (codegen._draw, full_draw):
+            monkeypatch.setattr(codegen, "_draw", draw)
+            rng = CountingRandom(2)
+            results.append((next_word(ch, t, rng=rng), rng.calls))
+        (stopped, calls), (full, full_calls) = results
+        assert stopped == full == NextWord(None, 2001)
+        assert full_calls == 2001
+        assert calls < 2001
 
 
 class TestUnseededRuns:
