@@ -46,7 +46,7 @@ from .properties import (
     maximality_index,
     maximality_witness,
 )
-from .transducers import Transducer, compose, identity_transducer, product
+from .transducers import Transducer, product
 from .universes import (
     is_overlap_free,
     is_solid_code,
@@ -60,9 +60,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet", "BINARY", "Channel", "Dfa", "GenReport", "Nfa", "NextWord",
     "Transducer", "Trellis", "Witness", "Word",
-    "as_trellis", "channel_from_spec", "compose", "correction_witness",
+    "as_trellis", "channel_from_spec", "correction_witness",
     "detection_witness", "exclusion_automaton", "format_word",
-    "identity_transducer", "is_overlap_free", "is_solid_code",
+    "is_overlap_free", "is_solid_code",
     "make_bsid", "make_code", "make_del1_insend", "make_id",
     "make_ins1_delend", "make_overlap", "make_segd", "make_sub",
     "maximality_index", "maximality_witness", "next_word",

@@ -9,7 +9,7 @@ Epsilon (the empty word as a transition label) is represented by ``None``.
 the fields, the validating constructor, ``_trusted`` for internal results,
 ``trim`` and the text format.  ``walk`` numbers the states of every
 pair-state construction (``product``, ``Transducer.compose``, the subset
-walk behind ``intersect`` / ``minus`` / ``determinize``, and the minimal
+walk of ``intersect``, which ``determinize`` runs too, and the minimal
 trellises).
 
 A block code is a ``Trellis``.  ``trellis_from_words`` builds the minimal
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import EmptyLanguageError, FormatError, ParameterError, WordError
+from .errors import AlphabetMismatchError, EmptyLanguageError, FormatError, \
+    ParameterError, WordError
 
 Word = tuple[str, ...]
 
@@ -73,7 +74,17 @@ class Alphabet:
         return "{" + ",".join(self.symbols) + "}"
 
     def word(self, text: "str | Iterable[str]") -> Word:
-        """Coerce ``text`` to a word.  A plain string is split into characters."""
+        """Coerce ``text`` to a word.  A string with whitespace is split on
+        it; a string that is one symbol, and not also one symbol per
+        character, is that symbol; any other string is split into
+        characters.  So ``format_word`` output reads back (but see there)."""
+        if isinstance(text, str):
+            parts = text.split()
+            if parts != [text]:  # some whitespace, or the empty string
+                text = parts
+            elif text in self._index and \
+                    not all(c in self._index for c in text):
+                text = (text,)
         w = tuple(text)
         for s in w:
             if s not in self._index:
@@ -91,6 +102,10 @@ BINARY = Alphabet(("0", "1"))
 
 
 def format_word(w: Word) -> str:
+    """The word as ``Alphabet.word`` reads it back: its symbols joined
+    plainly when each is one character, else with spaces.  Over an alphabet
+    where one symbol is a concatenation of others, such as {a, aa}, the
+    plain form is ambiguous: ``aa`` reads back as two symbols ``a``."""
     if all(len(s) == 1 for s in w):
         return "".join(w)
     return " ".join(w)
@@ -419,9 +434,6 @@ class Nfa(Machine):
             layer = nxt
         return found
 
-    def is_empty(self) -> bool:
-        return self.trim().num_states == 0
-
     # -- transformations -----------------------------------------------------
 
     def determinize(self) -> "Dfa":
@@ -477,27 +489,20 @@ class Dfa(Nfa):
     # -- boolean operations ---------------------------------------------------
 
     def intersect(self, other: Nfa) -> "Dfa":
-        """L(self) & L(other) for any automaton ``other``; on two DFAs the
-        plain product of state pairs."""
-        return self._subset_walk(other, difference=False)
-
-    def minus(self, other: Nfa) -> "Dfa":
-        """L(self) - L(other) for any automaton ``other``."""
-        return self._subset_walk(other, difference=True)
-
-    def _subset_walk(self, other: Nfa, difference: bool) -> "Dfa":
-        """The subset construction of ``other`` run inside ``self``.
+        """L(self) & L(other) for any automaton ``other``: the subset
+        construction of ``other`` run inside ``self``; on two DFAs the plain
+        product of state pairs.
 
         One state per reachable pair (state of self, epsilon-closed set of
         states of other), numbered breadth-first with symbols in alphabet
         order.  A pair is final when its self state is final and its set
-        meets ``other.final`` (intersection) or misses it (difference).  A
-        pair with an empty set is dead in an intersection and not built; in
-        a difference every word from there on is kept.  Lengths that
-        ``self`` does not reach are never determinized.
+        meets ``other.final``.  A pair with an empty set is dead and not
+        built.  Lengths that ``self`` does not reach are never determinized.
         """
         if self.alphabet != other.alphabet:
-            raise WordError("automata alphabets differ")
+            raise AlphabetMismatchError(
+                f"cannot intersect over {self.alphabet} and {other.alphabet}"
+            )
         rows, step = self._rows, other._step
 
         def successors(pair):
@@ -508,7 +513,7 @@ class Dfa(Nfa):
                 if pd is None:
                     continue
                 reach = step(subset, sym)
-                if reach or difference:
+                if reach:
                     yield sym, (pd, reach)
 
         order, edges = walk(
@@ -517,7 +522,7 @@ class Dfa(Nfa):
         finals = frozenset(
             i
             for i, (p, subset) in enumerate(order)
-            if p in self.final and bool(subset & other.final) != difference
+            if p in self.final and subset & other.final
         )
         return Dfa._trusted(self.alphabet, len(order), frozenset({0}),
                             finals, tuple(sorted(edges)))

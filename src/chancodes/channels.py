@@ -30,14 +30,9 @@ class Channel:
     def alphabet(self) -> Alphabet:
         return self.transducer.alphabet
 
-    def image(self, word):
-        return self.transducer.image(word)
-
     def image_set(self, word, max_len: int) -> set[Word]:
-        return self.transducer.image_set(word, max_len)
-
-    def inverse(self) -> "Channel":
-        return Channel(f"{self.name}^-1", self.transducer.inverse())
+        """The outputs for ``word`` of length <= max_len."""
+        return self.transducer.image(word).words_up_to(max_len)
 
     def union(self, other: "Channel") -> "Channel":
         return Channel(
@@ -50,9 +45,6 @@ class Channel:
         reduced by ``Transducer.quotient``; the same relation."""
         return self.transducer.union(
             self.transducer.inverse()).standard_form().quotient()
-
-    def check_input_preserving(self, up_to_length: int = 6) -> bool:
-        return self.transducer.is_input_preserving(up_to_length)
 
 
 def _error_chain(k: int, alphabet: Alphabet, error_edges) -> Transducer:
@@ -252,18 +244,17 @@ def parse_channel(
     text: str,
     alphabet: "Alphabet | None" = None,
     name: str = "user",
-    check_length: int = DEFAULT_CHECK_LENGTH,
 ) -> Channel:
     """Parse a transducer description into a channel.
 
-    Runs the bounded input-preservation check up to ``check_length`` and warns
-    (does not fail) when some word cannot pass through unchanged.
+    Runs the bounded input-preservation check up to ``DEFAULT_CHECK_LENGTH``
+    and warns (does not fail) when some word cannot pass through unchanged.
     """
     t = Transducer.from_text(text, alphabet)
-    if check_length >= 0 and not t.is_input_preserving(check_length):
+    if not t.is_input_preserving(DEFAULT_CHECK_LENGTH):
         warnings.warn(
             f"channel {name!r} is not input-preserving on words up to "
-            f"length {check_length}",
+            f"length {DEFAULT_CHECK_LENGTH}",
             stacklevel=2,
         )
     return Channel(name, t)

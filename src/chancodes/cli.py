@@ -300,7 +300,7 @@ def _cmd_channel(args) -> int:
 def _add_common(p, with_format=True):
     p.add_argument(
         "--channel", action="append", required=True, metavar="SPEC",
-        help="registry name (sub:k, id:k, del1, ins1, bsid2, segd:b, ov) "
+        help=f"registry name ({', '.join(registry_names())}) "
              "or a transducer file; repeat to combine channels",
     )
     p.add_argument("--alphabet", help="symbols, e.g. 01 or a,b,c (default 01)")

@@ -1,5 +1,6 @@
 """Transducers over one alphabet: inverse, union, composition, word images,
-and the automaton-through-transducer product.
+and the automaton-through-transducer product; the image of a word is the
+product with its chain trellis (``automata._chain_trellis``).
 
 A transducer transition carries an input word and an output word (either may
 be empty).  In standard form both labels have length at most one; every
@@ -14,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .automata import Alphabet, Machine, Nfa, Word, walk
+from .automata import Machine, Nfa, Word, _chain_trellis, walk
 from .errors import AlphabetMismatchError
 
 
@@ -207,20 +208,10 @@ class Transducer(Machine):
     # -- images ----------------------------------------------------------------
 
     def image(self, word: "str | Iterable[str]") -> Nfa:
-        """NFA accepting self(word); may describe an infinite language."""
+        """NFA accepting self(word), the product of the word's chain with
+        ``self``; may describe an infinite language."""
         w = self.alphabet.word(word)
-        chain = Nfa._trusted(
-            self.alphabet,
-            len(w) + 1,
-            frozenset({0}),
-            frozenset({len(w)}),
-            tuple((i, sym, i + 1) for i, sym in enumerate(w)),
-        )
-        return product(chain, self)
-
-    def image_set(self, word: "str | Iterable[str]", max_len: int) -> set[Word]:
-        """self(word) restricted to outputs of length <= max_len."""
-        return self.image(word).words_up_to(max_len)
+        return product(_chain_trellis(self.alphabet, len(w), w), self)
 
     def is_input_preserving(self, up_to_length: int) -> bool:
         """Bounded check: x in self(x) whenever self(x) is non-empty, for all
@@ -237,21 +228,6 @@ class Transducer(Machine):
         ``@epsilon`` per label, so ``from_text`` reads back the same
         relation; a standard transducer prints as itself."""
         return Machine.to_text(self.standard_form())
-
-
-def compose(outer: Transducer, inner: Transducer) -> Transducer:
-    """z in compose(outer, inner)(x) iff y in inner(x) and z in outer(y) for some y."""
-    return outer.compose(inner)
-
-
-def identity_transducer(alphabet: Alphabet) -> Transducer:
-    return Transducer(
-        alphabet,
-        1,
-        frozenset({0}),
-        frozenset({0}),
-        tuple((0, (a,), (a,), 0) for a in alphabet),
-    )
 
 
 def product(a: Nfa, t: Transducer) -> Nfa:

@@ -6,6 +6,7 @@ import pytest
 
 from chancodes import (
     Alphabet,
+    AlphabetMismatchError,
     BINARY,
     Dfa,
     EmptyLanguageError,
@@ -90,6 +91,29 @@ class TestWordsOfLength:
             BINARY.words_of_length(-1)
 
 
+class TestAlphabetWord:
+    def test_every_printed_word_reads_back(self):
+        for alphabet in (BINARY, Alphabet(("a", "bc")),
+                         Alphabet(("bc", "a", "d"))):
+            for n in range(4):
+                for w in alphabet.words_of_length(n):
+                    assert alphabet.word(format_word(w)) == w
+
+    def test_readings_of_a_string(self):
+        ab = Alphabet(("a", "bc"))
+        assert ab.word("bc") == ("bc",)
+        assert ab.word(" a  bc\ta ") == ("a", "bc", "a")
+        assert ab.word("aa") == ("a", "a")
+        assert ab.word("") == ()
+        with pytest.raises(WordError, match="symbol 'b' not in"):
+            ab.word("abc")
+        assert suffix_universe(ab, 3, "a bc").count_words() == 2
+        # a symbol that is also one symbol per character reads per character
+        aa = Alphabet(("a", "aa"))
+        assert aa.word("aa") == ("a", "a")
+        assert aa.word("aa a") == ("aa", "a")
+
+
 class TestMembership:
     def test_universe_membership(self):
         u = universe_trellis(BINARY, 3)
@@ -154,7 +178,6 @@ class TestTrim:
     def test_empty_language_trims_to_nothing(self):
         a = Nfa(BINARY, 2, frozenset({0}), frozenset(), ((0, "0", 1),))
         assert a.trim().num_states == 0
-        assert a.is_empty()
 
 
 class TestDeterminize:
@@ -191,21 +214,11 @@ class TestDeterminize:
 
 
 class TestBooleanOps:
-    def test_complement_within_length(self):
-        t = trellis_from_words(["000"], BINARY)
-        c = universe_trellis(BINARY, 3).minus(t)
-        assert c.count_words() == 7
-        assert not c.accepts("000")
-
-    def test_complement_partition_counts(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            ell = rng.randint(1, 6)
-            pool = ["".join(rng.choice("01") for _ in range(ell))
-                    for _ in range(rng.randint(0, 2**ell))]
-            t = trellis_from_words(set(pool), BINARY, length=ell)
-            c = universe_trellis(BINARY, ell).minus(t)
-            assert t.count_words() + c.count_words() == 2**ell
+    def test_intersect_over_another_alphabet(self):
+        ab = universe_trellis(Alphabet(("a", "bc")), 2)
+        with pytest.raises(AlphabetMismatchError,
+                           match=r"cannot intersect over \{0,1\} and \{a,bc\}"):
+            universe_trellis(BINARY, 2).intersect(ab)
 
     def test_intersection_identity(self):
         u = universe_trellis(BINARY, 3)
@@ -216,9 +229,9 @@ class TestBooleanOps:
     @pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("1", "0"))],
                              ids=["01", "10"])
     def test_walk_matches_word_set_algebra(self, alphabet):
-        """``intersect`` and ``minus`` against a raw epsilon-NFA accept the
-        set intersection and difference of the two languages, and number
-        their states breadth-first with symbols in alphabet order."""
+        """``intersect`` against a raw epsilon-NFA accepts the set
+        intersection of the two languages, and numbers its states
+        breadth-first with symbols in alphabet order."""
         rng = random.Random(41)
         bound = 7
         had_epsilon = set()
@@ -227,12 +240,10 @@ class TestBooleanOps:
             b = dataclasses.replace(random_nfa(rng), alphabet=alphabet)
             d = a.determinize()
             la, lb = a.words_up_to(bound), b.words_up_to(bound)
-            both, rest = d.intersect(b), d.minus(b)
+            both = d.intersect(b)
             assert both.words_up_to(bound) == la & lb
-            assert rest.words_up_to(bound) == la - lb
-            for result in (both, rest):
-                assert result.initial_state == 0
-                assert result.transitions == result.determinize().transitions
+            assert both.initial_state == 0
+            assert both.transitions == both.determinize().transitions
             had_epsilon.add(any(sym is None for _, sym, _ in b.transitions))
         assert had_epsilon == {True, False}
 
@@ -240,18 +251,20 @@ class TestBooleanOps:
                              ids=["01", "10"])
     def test_length_filter_keeps_the_languages(self, alphabet):
         """With an acyclic DFA as ``self`` (trellises, minimal trellises,
-        ``universe - code`` and determinized acyclic NFAs of mixed lengths),
-        ``intersect`` and ``minus`` against a raw epsilon-NFA accept the set
-        intersection and difference, number their states breadth-first,
-        and build exactly the pairs that a plain subset walk reaches: no
-        set member is dropped for its lengths."""
+        the trellises of their complements in Sigma^l and determinized
+        acyclic NFAs of mixed lengths), ``intersect`` against a raw
+        epsilon-NFA accepts the set intersection, numbers its states
+        breadth-first, and builds exactly the pairs that a plain subset walk
+        reaches: no set member is dropped for its lengths."""
         rng = random.Random(43)
         kinds = set()
         for k in range(300):
             code = dataclasses.replace(random_block_code(rng, BINARY),
                                        alphabet=alphabet)
+            rest = set(alphabet.words_of_length(code.length)) - \
+                set(code.iter_words())
             d = (code, code.minimal,
-                 universe_trellis(alphabet, code.length).minus(code),
+                 trellis_from_words(rest, alphabet, length=code.length),
                  dataclasses.replace(random_nfa(rng), alphabet=alphabet)
                  .determinize())[k % 4]
             if not d.is_acyclic:
@@ -259,19 +272,17 @@ class TestBooleanOps:
             b = dataclasses.replace(random_nfa(rng), alphabet=alphabet)
             bound = 7  # no word of d is longer: codes and random_nfa paths
             ld, lb = d.words_up_to(bound), b.words_up_to(bound)
-            for difference, expected in ((False, ld & lb), (True, ld - lb)):
-                result = d.minus(b) if difference else d.intersect(b)
-                assert result.words_up_to(bound) == expected
-                assert result.initial_state == 0
-                assert result.transitions == result.determinize().transitions
-                assert result.num_states == \
-                    unfiltered_walk_size(d, b, difference)
+            result = d.intersect(b)
+            assert result.words_up_to(bound) == ld & lb
+            assert result.initial_state == 0
+            assert result.transitions == result.determinize().transitions
+            assert result.num_states == unfiltered_walk_size(d, b)
             kinds.add((k % 4, any(sym is None for _, sym, _ in b.transitions)))
         assert kinds == {(kind, eps) for kind in range(4)
                          for eps in (True, False)}
 
 
-def unfiltered_walk_size(d: Dfa, other: Nfa, difference: bool) -> int:
+def unfiltered_walk_size(d: Dfa, other: Nfa) -> int:
     """The number of pairs (state of d, epsilon-closed set of states of
     other) that the subset walk meets without dropping any state: sets
     found by breadth-first search over the raw transition tuples."""
@@ -293,7 +304,7 @@ def unfiltered_walk_size(d: Dfa, other: Nfa, difference: bool) -> int:
                 continue
             reach = closure({t for q, b, t in other.transitions
                              if q in subset and b == a})
-            if (reach or difference) and (pd, reach) not in seen:
+            if reach and (pd, reach) not in seen:
                 seen.add((pd, reach))
                 queue.append((pd, reach))
     return len(seen)

@@ -335,6 +335,29 @@ class TestCheck:
         assert "mixed" in err
 
 
+@pytest.mark.parametrize("length, extra", [
+    ("1", ()), ("2", ()), ("4", ()), ("3", ("--end", "bc")),
+])
+def test_gen_words_read_back_over_a_longer_symbol(capsys, tmp_path, length,
+                                                   extra):
+    # gen prints a word that holds the symbol bc with spaces between its
+    # symbols; check reads those lines back as the words gen added
+    code, out, _ = run(capsys, "gen", "--channel", "sub:1", "--alphabet",
+                       "a,bc", "--len", length, "--n", "3", "--seed", "1",
+                       *extra)
+    assert code == 0
+    lines = out.splitlines()
+    end = next(i for i, ln in enumerate(lines) if ln.startswith("size:"))
+    words = lines[lines.index("words:") + 1:end]
+    assert words
+    if extra:
+        assert all(w.endswith(" bc") for w in words)
+    f = tmp_path / "code.txt"
+    f.write_text("\n".join(words) + "\n")
+    assert run(capsys, "check", "--channel", "sub:1", "--alphabet", "a,bc",
+               str(f)) == (0, "NONE\n", "")
+
+
 class TestMaximalAndIndex:
     def test_maximal_systematic_code(self, capsys, tmp_path):
         f = tmp_path / "sys.txt"

@@ -78,7 +78,7 @@ class TestDetection:
         assert w.kind == "detect-violation"
         assert {format_word(w.u), format_word(w.v)} == {"0100", "1001"}
         # the reported pair is a genuine one
-        assert make_overlap().image(w.u).accepts(w.v)
+        assert make_overlap().transducer.image(w.u).accepts(w.v)
 
     def test_witness_deterministic(self):
         t = trellis_from_words(["0100", "1001"], BINARY)
@@ -419,11 +419,9 @@ class TestMaximalCorrectionEquivalence:
             )
             for w in pool
         }
-        from chancodes import compose
-
         comp = Channel(
             "sub1-then-back",
-            compose(ch.transducer.inverse(), ch.transducer),
+            ch.transducer.inverse().compose(ch.transducer),
         )
         for size in (1, 2):
             for combo in combinations(pool, size):

@@ -10,9 +10,7 @@ from chancodes import (
     Nfa,
     Transducer,
     channel_from_spec,
-    compose,
     format_word,
-    identity_transducer,
     make_del1_insend,
     make_id,
     make_ins1_delend,
@@ -128,21 +126,21 @@ class TestUnion:
 class TestCompose:
     def test_hamming_ball_of_radius_two(self):
         sub1 = make_sub(1).transducer
-        comp = compose(sub1.inverse(), sub1)
+        comp = sub1.inverse().compose(sub1)
         got = {format_word(w) for w in comp.image("00").words_up_to(2)}
         assert got == {"00", "01", "10", "11"}
 
     def test_identity_neutral(self):
-        ident = identity_transducer(BINARY)
+        ident = make_sub(0).transducer
         t = make_del1_insend().transducer
-        comp = compose(ident, t)
+        comp = ident.compose(t)
         assert oracles.relation_pairs(comp, BINARY, 3, 5) == \
             oracles.relation_pairs(t, BINARY, 3, 5)
 
     def test_relational_contract_enumerated(self):
         # z in (s . t)(x)  iff  exists y: y in t(x) and z in s(y)
         s, t = make_id(1).transducer, make_del1_insend().transducer
-        comp = compose(s, t)
+        comp = s.compose(t)
         for n in range(4):
             for x in BINARY.words_of_length(n):
                 direct = oracles.enumerate_image(comp, x, 4)
@@ -154,7 +152,7 @@ class TestCompose:
 
     def test_segmented_composition_builds(self):
         segd = make_segd(4).transducer
-        comp = compose(segd.inverse(), segd)
+        comp = segd.inverse().compose(segd)
         img = {format_word(w) for w in comp.image("0000").words_up_to(4)}
         assert "0000" in img
         # one deletion in the only segment, then one reverse insertion
@@ -171,9 +169,24 @@ class TestImageAndProduct:
                     got = t.image(w).words_up_to(bound)
                     assert got == oracles.enumerate_image(t, w, bound), ch.name
 
+    def test_image_is_the_product_with_the_word_chain(self):
+        """The image runs the chain trellis of the word through the channel:
+        the same machine, of the same type, as the product with a plain NFA
+        chain, so its numbering and every witness read off it stay put."""
+        for ch in zoo():
+            t = ch.transducer
+            for n in range(6):
+                for w in BINARY.words_of_length(n):
+                    chain = Nfa(BINARY, n + 1, {0}, {n},
+                                [(i, a, i + 1) for i, a in enumerate(w)])
+                    expected = product(chain, t)
+                    got = t.image(w)
+                    assert type(got) is type(expected), ch.name
+                    assert got == expected, (ch.name, w)
+
     def test_product_identity(self):
         t = trellis_from_words(["010", "111"], BINARY)
-        out = product(t, identity_transducer(BINARY))
+        out = product(t, make_sub(0).transducer)
         assert {format_word(w) for w in out.words_up_to(3)} == {"010", "111"}
 
     def test_product_is_union_of_word_images(self):
@@ -426,3 +439,11 @@ class TestMirror:
                 assert {(y, x) for x, y in pairs[q]} == pairs[m], \
                     (t.to_text(), q)
         assert total > 30
+
+
+def test_every_public_name_resolves():
+    import chancodes
+
+    assert len(set(chancodes.__all__)) == len(chancodes.__all__)
+    for name in chancodes.__all__:
+        assert getattr(chancodes, name) is not None, name

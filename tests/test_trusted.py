@@ -5,8 +5,7 @@ fields, so the skipped checks would have passed."""
 import dataclasses
 import random
 
-from chancodes import BINARY, Alphabet, Dfa, Nfa, Trellis, trellis_from_words, \
-    universe_trellis
+from chancodes import BINARY, Alphabet, Dfa, Nfa, Trellis, trellis_from_words
 from chancodes.transducers import product
 
 from test_automata import random_nfa
@@ -39,10 +38,8 @@ def test_automaton_operations_on_random_nfas():
             a = dataclasses.replace(a, alphabet=REVERSED)
             b = dataclasses.replace(b, alphabet=REVERSED)
         da, db = a.determinize(), b.determinize()
-        universe = universe_trellis(a.alphabet, 3)
-        results = [a.trim(), da, da.trim(),
-                   da.intersect(db), universe.minus(da),
-                   da.intersect(b), da.minus(b)]
+        results = [a.trim(), da, da.trim(), da.intersect(db),
+                   da.intersect(b)]
         for r in results:
             assert_trusted(r)
         trimmed_kinds.add(type(da.trim()))
@@ -67,7 +64,7 @@ def test_transducer_operations_on_random_channels():
                   t.compose(t), t.inverse().compose(t),
                   channel.self_union_inverse(), image, image.trim(), d,
                   d.intersect(other.determinize()), d.intersect(other),
-                  d.minus(other), code.trim(), code.add_word(word)):
+                  t.image(word), code.trim(), code.add_word(word)):
             assert_trusted(r)
 
 
