@@ -205,7 +205,8 @@ class Machine:
 
     The constructor normalizes and validates its input: each kind gives
     the canonical order (``_normalize``) and the symbols a transition reads
-    or writes (``_symbols``).  Internal operations build their results
+    or writes (``_symbols``), and ``trim`` renumbers with its
+    ``_renumbered``.  Internal operations build their results
     through ``_trusted`` instead.  ``trim`` and the text format
     (``to_text`` / ``from_text``) are the same for every kind.  A kind that
     adds no field inherits the dataclass methods as they are.
@@ -269,13 +270,7 @@ class Machine:
                               ((tr[0], tr[-1]) for tr in self.transitions))
         initial, final, transitions = self.initial, self.final, self.transitions
         if len(remap) < self.num_states:  # some state goes: renumber
-            kept = [tr for tr in transitions
-                    if tr[0] in remap and tr[-1] in remap]
-            transitions = ()
-            if kept:  # relabel the source and target columns
-                src, *labels, dst = zip(*kept)
-                transitions = tuple(zip(map(remap.get, src), *labels,
-                                        map(remap.get, dst)))
+            transitions = self._renumbered(transitions, remap)
             initial = frozenset(remap[q] for q in initial if q in remap)
             final = frozenset(remap[q] for q in final if q in remap)
         # the order-preserving remap keeps the transitions canonical; a DFA
@@ -356,6 +351,12 @@ class Nfa(Machine):
     @staticmethod
     def _symbols(tr) -> tuple[str, ...]:
         return () if tr[1] is None else tr[1:2]
+
+    @staticmethod
+    def _renumbered(transitions, remap: dict[int, int]) -> tuple:
+        """The transitions between states that ``remap`` keeps, renumbered."""
+        return tuple([(remap[s], a, remap[d]) for s, a, d in transitions
+                      if s in remap and d in remap])
 
     @staticmethod
     def _label(token: "str | None") -> "str | None":

@@ -5,8 +5,9 @@ first one outside the exclusion language (channel | channel^-1)(C) and outside
 C itself; after n = 1 + floor(1 / (4 eps (1-f)^2)) failed trials it gives up.
 When the code is not yet f-maximal with respect to the universe, the give-up
 probability is below eps (a Chebyshev bound on the binomial trial count).
-Each draw is tested by a search on the current trellis (``Exclusion``); no
-exclusion automaton is built.  The words found excluded are kept, and once
+Each draw is tested by a search on the current trellis (``Exclusion``),
+pruned by what the channel can still read and write; no exclusion
+automaton is built.  The words found excluded are kept, and once
 they are the whole universe the loop gives up without drawing further: no
 draw could succeed, so that give-up certifies exact maximality.
 
@@ -29,8 +30,8 @@ from typing import NamedTuple, Optional
 from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words
 from .channels import Channel
 from .errors import NotDetectingError, ParameterError
-from .properties import _fitting_universe, _require_same_alphabet, \
-    detection_witness
+from .properties import _feasible, _fitting_universe, \
+    _require_same_alphabet, detection_witness
 
 RNG_NAME = "python-random-mt19937"
 MAX_TRIALS = 10**9
@@ -78,10 +79,14 @@ class Exclusion:
     ``Transducer.quotient``: one copy of a symmetric channel (sub:k, id:k).
 
     T is its own inverse, so w is in T(C) exactly when T(w) meets C: a
-    depth-first search over (position in w, T state, trellis state) in which
-    T reads w and its outputs walk the trellis.  A blocked word stays blocked
-    while C grows, so blocked words are kept in ``blocked``; an open draw
-    joins the code, so open verdicts are not kept.
+    depth-first search over (T state, trellis state, what is left to read
+    and write) in which T reads w and its outputs walk the trellis.  Every
+    trellis is layered, so a trellis state fixes how much of a codeword is
+    left to write, and a move is pushed only when the ``_feasible`` table of
+    T, built once per block length, lets T read and write exactly what is
+    left.  A blocked word stays blocked while C grows, so blocked words are
+    kept in ``blocked``; an open draw joins the code, so open verdicts are
+    not kept.
 
     Invariant, as ``_draw`` and ``make_code`` use it: ``blocked`` holds
     only words drawn from the sampling universe that lie in T(C) | C, the
@@ -91,11 +96,10 @@ class Exclusion:
     """
 
     def __init__(self, channel: Channel):
-        t = channel.self_union_inverse()
+        self._t = channel.self_union_inverse()
         self.blocked: set[Word] = set()
-        self._initial = tuple(sorted(t.initial))
-        self._final = t.final
-        self._moves = t._moves
+        self._initial = tuple(sorted(self._t.initial))
+        self._tables: dict[int, tuple] = {}
 
     def excludes(self, code: Trellis, w: Word) -> bool:
         """True when ``w`` is in T(C) | C; ``w`` must be a valid word."""
@@ -106,31 +110,63 @@ class Exclusion:
             return True
         return False
 
+    def _table(self, bound: int) -> tuple:
+        """The ``_feasible`` rows of T for lengths up to ``bound``, and per
+        T state, input symbol (None for epsilon) -> its moves (output symbol
+        or None, target, the target's row), in ``_moves`` order."""
+        table = self._tables.get(bound)
+        if table is None:
+            feasible = _feasible(self._t, bound)
+            table = self._tables[bound] = (feasible, tuple(
+                {x: tuple((y, d, feasible[d]) for y, d in moves)
+                 for x, moves in row.items()} for row in self._t._moves))
+        return table
+
     def _image_meets(self, code: Trellis, w: Word) -> bool:
-        """True when T(w) and C share a word."""
-        rows, code_final, n = code._rows, code.final, len(w)
-        all_moves, t_final = self._moves, self._final
-        stack = [(0, t, code.initial_state) for t in self._initial]
+        """True when T(w) and C share a word.  A search key (t, q, k) holds
+        in k the ``_feasible`` index of what is left: n - i symbols of w to
+        read and l - j to write, where i symbols of w are read and q is j
+        layers down the trellis."""
+        if not code.final:
+            return False
+        n = len(w)
+        bound = max(n, code.length)
+        stride = bound + 2
+        feasible, table = self._table(bound)
+        rows = code._rows
+        k = n * stride + code.length
+        stack = [(t, code.initial_state, k) for t in self._initial
+                 if feasible[t][k]]
         seen = set(stack)
         push, pop, mark = stack.append, stack.pop, seen.add
         while stack:
-            i, t, q = pop()
-            if i == n and q in code_final and t in t_final:
+            t, q, k = pop()
+            if not k:  # w read, a codeword written, and T can stop
                 return True
-            moves, row = all_moves[t], rows[q]
-            for out, dst in moves.get(None, ()):  # T reads nothing
-                r = q if out is None else row.get(out)
-                if r is not None:
-                    key = (i, dst, r)
+            moves, row = table[t], rows[q]
+            for out, dst, feasible_row in moves.get(None, ()):  # reads nothing
+                if out is None:
+                    r, kd = q, k
+                else:
+                    r, kd = row.get(out), k - 1
+                    if r is None:
+                        continue
+                if feasible_row[kd]:
+                    key = (dst, r, kd)
                     if key not in seen:
                         mark(key)
                         push(key)
-            if i < n:  # T reads w[i]
-                j = i + 1
-                for out, dst in moves.get(w[i], ()):
-                    r = q if out is None else row.get(out)
-                    if r is not None:
-                        key = (j, dst, r)
+            if k >= stride:  # T reads w[i], i = n - k // stride
+                ki = k - stride
+                for out, dst, feasible_row in moves.get(w[n - k // stride], ()):
+                    if out is None:
+                        r, kd = q, ki
+                    else:
+                        r, kd = row.get(out), ki - 1
+                        if r is None:
+                            continue
+                    if feasible_row[kd]:
+                        key = (dst, r, kd)
                         if key not in seen:
                             mark(key)
                             push(key)

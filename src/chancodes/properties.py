@@ -6,9 +6,13 @@ Detection searches the three-way product (code as input language,
 channel, code as output language) for an accepted pair of different words.
 Insertions and deletions desynchronize the two sides, so each triple
 carries the *overhang* by which one side is ahead; with no conflict every
-accepted pair is an identity pair (``_identity_violation``).  When the
-channel's states have mirrors (``Transducer._mirror``), each triple proved
-dead proves its mirror dead too.
+accepted pair is an identity pair (``_identity_violation``).  The
+completions at conflicts share one visited map, which keeps the triples
+proved dead; when the channel's states have mirrors
+(``Transducer._mirror``), each triple proved dead proves its mirror dead
+too.  ``_feasible``, the table of (input, output) lengths that a channel
+state can still read and write, prunes this search and the membership
+test of ``codegen.Exclusion``.
 
 Exact maximality walks the subset construction of the exclusion automaton
 (channel | channel^-1)(C) lazily and keeps no transitions: the witness
@@ -114,11 +118,14 @@ def _advance(delay: tuple[Word, Word], x: Optional[str], y: Optional[str]):
 
 def _labels(links: dict, triple) -> list:
     """The (x, y) labels of the path that ``links`` (triple -> (predecessor,
-    x, y)) records back to a triple without a link, in path order."""
+    x, y)) records back to a triple without a link (absent, or None), in
+    path order."""
     labels = []
-    while triple in links:
-        triple, x, y = links[triple]
+    link = links.get(triple)
+    while link is not None:
+        triple, x, y = link
         labels.append((x, y))
+        link = links.get(triple)
     labels.reverse()
     return labels
 
@@ -128,24 +135,28 @@ def _words(labels: list) -> tuple[Word, Word]:
             tuple(y for _, y in labels if y is not None))
 
 
-def _completion(triple, successors, accepting: set, dead: set, mirror):
+def _completion(triple, expand, accepting: set, visited: dict, mirror):
     """The (x, y) labels of a shortest path from ``triple`` to a triple in
-    ``accepting``, walking ``successors`` (which skip ``dead``), or None
-    when there is none: then every triple (p, q, r) visited is dead and
-    joins ``dead``, and so does (r, mirror[q], p) unless ``mirror`` is
-    None."""
-    links = {}
+    ``accepting``, or None when there is none.
+
+    ``expand(s)`` lists the (x, y, successor) moves of s in order.  The
+    search enters no triple that ``visited`` holds and records each one it
+    enters there as successor -> (predecessor, x, y), ``triple`` as None.
+    When no path is found every triple (p, q, r) it entered is dead, and
+    its entry stays in ``visited`` to mark it so; (r, mirror[q], p) is
+    marked dead too unless ``mirror`` is None."""
+    visited[triple] = None
     queue = [triple]
     for s in queue:
         if s in accepting:
-            return _labels(links, s)
-        for x, y, d in successors(s):
-            if d != triple and d not in links:
-                links[d] = (s, x, y)
+            return _labels(visited, s)
+        for x, y, d in expand(s):
+            if d not in visited:
+                visited[d] = (s, x, y)
                 queue.append(d)
-    dead.update(queue)
     if mirror is not None:
-        dead.update([(r, mirror[q], p) for p, q, r in queue])
+        for p, q, r in queue:
+            visited[r, mirror[q], p] = None
     return None
 
 
@@ -162,13 +173,19 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     pass a length test (sigma must be able to read and write what is left
     of two codewords); every triple on an accepted path passes it.  At an
     overhang conflict at triple d, a second search forward from d completes
-    the witness to a final triple.  When it finds none, every triple it
-    visited is dead, and both searches skip them from then on.  A reached
-    triple with a live successor is itself live, so the live triples are
-    met in the same order, with the same first parent and overhang, as by a
-    search over the live triples alone, and the witness is that of the
-    full product.  Every walk meets successors in ``_moves`` order, so ties
-    always resolve the same way.
+    the witness to a final triple (``_completion``).  When it finds none,
+    every triple it visited is dead, and both searches skip them from then
+    on.  A reached triple with a live successor is itself live, so the live
+    triples are met in the same order, with the same first parent and
+    overhang, as by a search over the live triples alone, and the witness
+    is that of the full product.  Every walk meets successors in ``_moves``
+    order, so ties always resolve the same way.
+
+    The completions share one map, ``visited``: a failed completion leaves
+    its entries there as the dead set, so no completion enters a triple
+    that an earlier one entered, and each edge costs one lookup.  The move
+    table pairs each target sigma state with its ``_feasible`` row, and
+    the main search expands its triples inline.
 
     (p, q, r) is dead exactly when (r, q-bar, p) is, where q-bar relates
     inversely to q (``Transducer._mirror``), so a failed completion marks
@@ -181,10 +198,12 @@ def _identity_violation(code: Trellis, sigma: Transducer):
         return None
     t = sigma.standard_form()
     machine = code.minimal
-    rows, moves, mirror = machine._rows, t._moves, t._mirror
+    rows, mirror = machine._rows, t._mirror
     final, start = machine.final_state, machine.initial_state
     stride = machine.length + 2
     feasible = _feasible(t, machine.length)
+    table = [tuple((x, tuple((y, qd, feasible[qd]) for y, qd in xmoves))
+                   for x, xmoves in row.items()) for row in t._moves]
     # the minimal trellis is layered: each state has one remaining length
     left_out = [m.bit_length() - 1 for m in length_masks(
         machine.num_states, machine.final,
@@ -192,20 +211,22 @@ def _identity_violation(code: Trellis, sigma: Transducer):
         (1 << machine.length + 1) - 1)]
     left_in = [k * stride for k in left_out]
     accepting = {(final, q, final) for q in t.final}
-    dead: set = set()
+    visited: dict = {}
 
-    def successors(triple):
+    def expand(triple):
         p, q, r = triple
-        for x, xmoves in moves[q].items():
-            pd = p if x is None else rows[p].get(x)
+        row_p, row_r = rows[p], rows[r]
+        found = []
+        for x, xmoves in table[q]:
+            pd = p if x is None else row_p.get(x)
             if pd is None:
                 continue
             base = left_in[pd]
-            for y, qd in xmoves:
-                rd = r if y is None else rows[r].get(y)
-                if rd is not None and feasible[qd][base + left_out[rd]] \
-                        and (pd, qd, rd) not in dead:
-                    yield x, y, (pd, qd, rd)
+            for y, qd, row in xmoves:
+                rd = r if y is None else row_r.get(y)
+                if rd is not None and row[base + left_out[rd]]:
+                    found.append((x, y, (pd, qd, rd)))
+        return found
 
     delays = {}
     links = {}
@@ -218,17 +239,34 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     # a final triple needs no check of its own: both sides of a path to it
     # have read a whole codeword, all of one length, so neither is ahead
     for s in queue:
-        for x, y, d in successors(s):
-            nd = _advance(delays[s], x, y)
-            if nd is not None and d not in delays:
-                delays[d] = nd
-                links[d] = (s, x, y)
-                queue.append(d)
-            elif nd is None or delays[d] != nd:
-                # a mismatch at an aligned position, or a second overhang at
-                # d: the path along this edge, or else the first path to d,
-                # disagrees with any completion, if d has one
-                rest = _completion(d, successors, accepting, dead, mirror)
+        p, q, r = s
+        row_p, row_r, delay = rows[p], rows[r], delays[s]
+        for x, xmoves in table[q]:
+            pd = p if x is None else row_p.get(x)
+            if pd is None:
+                continue
+            base = left_in[pd]
+            for y, qd, row in xmoves:
+                rd = r if y is None else row_r.get(y)
+                if rd is None or not row[base + left_out[rd]]:
+                    continue
+                d = (pd, qd, rd)
+                if d in visited:  # dead
+                    continue
+                nd = _advance(delay, x, y)
+                seen = delays.get(d)
+                if seen is None:
+                    if nd is not None:
+                        delays[d] = nd
+                        links[d] = (s, x, y)
+                        queue.append(d)
+                        continue
+                elif seen == nd:
+                    continue
+                # a mismatch at an aligned position, or a second overhang
+                # at d: the path along this edge, or else the first path to
+                # d, disagrees with any completion, if d has one
+                rest = _completion(d, expand, accepting, visited, mirror)
                 if rest is None:
                     continue
                 for path in (_labels(links, s) + [(x, y)], _labels(links, d)):

@@ -39,6 +39,12 @@ class Transducer(Machine):
     def _label(token: "str | None") -> Word:
         return () if token is None else (token,)
 
+    @staticmethod
+    def _renumbered(transitions, remap: dict[int, int]) -> tuple:
+        """The transitions between states that ``remap`` keeps, renumbered."""
+        return tuple([(remap[s], i, o, remap[d]) for s, i, o, d in transitions
+                      if s in remap and d in remap])
+
     @cached_property
     def is_standard(self) -> bool:
         return all(

@@ -270,6 +270,25 @@ def random_channel(rng: random.Random, alphabet: Alphabet) -> Channel:
                                         tuple(transitions)))
 
 
+def random_layered_dfa(rng: random.Random, alphabet: Alphabet,
+                       length: int) -> str:
+    """@DFA text of a random layered DAG of the given depth: one to three
+    states per layer, each with at least one edge into the next layer.
+    Its last layer holds the final states, so ``Trellis.from_text`` reads
+    it as a block code, rarely as its minimal trellis."""
+    layers, rows = [[0]], []
+    for _ in range(length):
+        start = layers[-1][-1] + 1
+        layers.append(list(range(start, start + rng.randint(1, 3))))
+    for here, there in zip(layers, layers[1:]):
+        for s in here:
+            symbols = rng.sample(alphabet.symbols,
+                                 rng.randint(1, len(alphabet)))
+            rows += [f"{s} {a} {rng.choice(there)}" for a in symbols]
+    finals = " ".join(map(str, layers[-1]))
+    return f"@DFA {finals} * 0\n" + "\n".join(rows) + "\n"
+
+
 def brute_excluded(channel: Channel, code: set, length: int) -> set:
     """Words of the block length in (sigma | sigma^-1)(C) | C, by path
     enumeration over the raw transducer."""
@@ -345,6 +364,43 @@ class TestExclusion:
                 exclusion = Exclusion(channel)
                 got = {w for w in pool if exclusion.excludes(trellis, w)}
                 assert got == brute_excluded(channel, code, 5), channel.name
+
+    def test_matches_brute_force_on_codes_that_are_not_minimal(self):
+        """The search reads what is left to write from the trellis layer,
+        so it must hold on any layered trellis: tries grown by ``add_word``
+        and random layered DAGs read by ``Trellis.from_text``, against
+        random channels given an epsilon/epsilon cycle."""
+        rng = random.Random(808)
+        kinds = set()
+        for k in range(60):
+            alphabet = BINARY if k % 2 else Alphabet(("a", "bc", "d"))
+            ell = rng.randint(1, 4 if alphabet is BINARY else 3)
+            pool = list(alphabet.words_of_length(ell))
+            if k % 4 < 2:
+                trellis = trellis_from_words([], alphabet, length=ell)
+                for w in rng.sample(pool, rng.randint(1, min(6, len(pool)))):
+                    trellis = trellis.add_word(w)
+            else:
+                trellis = Trellis.from_text(
+                    random_layered_dfa(rng, alphabet, ell), alphabet)
+            code = set(trellis.iter_words())
+            t = random_channel(rng, alphabet).transducer
+            p, q = rng.randrange(t.num_states), rng.randrange(t.num_states)
+            channel = Channel("random", Transducer(
+                alphabet, t.num_states, t.initial, t.final,
+                t.transitions + ((p, (), (), q), (q, (), (), p))))
+            exclusion = Exclusion(channel)
+            got = {w for w in pool if exclusion.excludes(trellis, w)}
+            assert got == brute_excluded(channel, code, ell), \
+                (channel.transducer.to_text(), trellis.to_text())
+            if trellis.num_states > trellis.minimal.num_states:
+                kinds.add("trie" if k % 4 < 2 else "dag")
+            if any(len(i) > 1 or len(o) > 1
+                   for _, i, o, _ in t.transitions):
+                kinds.add("two-symbol label")
+            if got - code:
+                kinds.add("blocked")
+        assert kinds == {"trie", "dag", "two-symbol label", "blocked"}
 
     def test_blocked_cache_never_changes_a_verdict(self):
         # grow codes one open word at a time, reusing one Exclusion, and

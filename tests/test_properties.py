@@ -653,36 +653,15 @@ def two_pass_violation(machine, t):
     return None
 
 
-def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
-    """``_identity_violation``, one forward search that decides liveness
-    only at a conflict, returns the answer of the two-pass search over the
-    live triples, and both NONE and violating answers skip some conflict at
-    a dead triple.  Every triple it marks dead, mirrors included, lies
-    outside the live set, and on some NONE answer a mirror saves a
-    completion: without mirrors the same search runs more of them.  Random
-    transducers (labels of length 0-2, cycles, epsilon/epsilon edges), their
+def referee_cases():
+    """(words, code, sigma) for the two-pass referee: random transducers
+    (labels of length 0-2, cycles, epsilon/epsilon edges), their
     sigma^-1 . sigma compositions and built-in channels, on random
     prefix-tree codes."""
-    from chancodes import channel_from_spec, properties
+    from chancodes import channel_from_spec
     from test_codegen import random_channel
 
-    completion = properties._completion
-    misses = []
-    buried = set()
-    mirrors_on = [True]
-
-    def recorded(triple, successors, accepting, dead, mirror):
-        before = set(dead)
-        rest = completion(triple, successors, accepting, dead,
-                          mirror if mirrors_on[0] else None)
-        misses.append(rest is None)
-        buried.update(dead - before)
-        return rest
-
-    monkeypatch.setattr(properties, "_completion", recorded)
     rng = random.Random(23)
-    skipped = set()
-    mirror_saves = 0
     for k in range(240):
         built_in, composed = k % 8 >= 6, k % 2 == 1
         alphabet = BINARY if k % 4 else Alphabet(("a", "bc"))
@@ -696,7 +675,37 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
         ell = rng.randint(0, 5)
         words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
                  for _ in range(rng.randint(1, 8))]
-        code = oracles.prefix_tree(words, alphabet)
+        yield words, oracles.prefix_tree(words, alphabet), sigma
+
+
+def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
+    """``_identity_violation``, one forward search that decides liveness
+    only at a conflict, returns the answer of the two-pass search over the
+    live triples, and both NONE and violating answers skip some conflict at
+    a dead triple.  Every triple that a failed completion leaves in the
+    visited map, mirrors included, lies outside the live set, and on some
+    NONE answer a mirror saves a completion: without mirrors the same
+    search runs more of them.  On the ``referee_cases``."""
+    from chancodes import properties
+
+    completion = properties._completion
+    misses = []
+    buried = set()
+    mirrors_on = [True]
+
+    def recorded(triple, expand, accepting, visited, mirror):
+        before = set(visited)
+        rest = completion(triple, expand, accepting, visited,
+                          mirror if mirrors_on[0] else None)
+        misses.append(rest is None)
+        if rest is None:  # what it left in the map is marked dead
+            buried.update(visited.keys() - before)
+        return rest
+
+    monkeypatch.setattr(properties, "_completion", recorded)
+    skipped = set()
+    mirror_saves = 0
+    for words, code, sigma in referee_cases():
         misses.clear()
         buried.clear()
         found = properties._identity_violation(code, sigma)
@@ -715,6 +724,42 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
     # a dead conflict is skipped on the way to either kind of answer
     assert skipped == {True, False}
     assert mirror_saves > 0
+
+
+def test_a_search_expands_each_triple_once_across_its_completions(
+        monkeypatch):
+    """The completions of one detection search share one visited map, so no
+    completion expands a triple that an earlier one expanded: on the
+    ``referee_cases``, with and without mirrors, the expander handed to
+    ``_completion`` sees each triple at most once per search, also on
+    searches that run several completions that expand triples."""
+    from chancodes import properties
+
+    completion = properties._completion
+    expanded = []  # per completion, the triples it expanded
+    mirrors_on = [True]
+
+    def recorded(triple, expand, accepting, visited, mirror):
+        mine = []
+        expanded.append(mine)
+
+        def counted(s):
+            mine.append(s)
+            return expand(s)
+
+        return completion(triple, counted, accepting, visited,
+                          mirror if mirrors_on[0] else None)
+
+    monkeypatch.setattr(properties, "_completion", recorded)
+    busy = 0
+    for words, code, sigma in referee_cases():
+        for mirrors_on[0] in (True, False):
+            expanded.clear()
+            properties._identity_violation(code, sigma)
+            every = [s for mine in expanded for s in mine]
+            assert len(every) == len(set(every)), (words, sigma.to_text())
+            busy += sum(1 for mine in expanded if mine) >= 2
+    assert busy > 0
 
 
 def test_witnesses_depend_only_on_the_words():

@@ -7,6 +7,7 @@ from chancodes import (
     AlphabetMismatchError,
     Alphabet,
     BINARY,
+    Dfa,
     Nfa,
     Transducer,
     channel_from_spec,
@@ -329,6 +330,84 @@ class TestTransducerTrim:
                 if s in remap and d in remap)
             removed += len(keep) < t.num_states
         assert removed > 30
+
+
+    def test_dropped_states_renumber_like_a_plain_comprehension(
+            self, monkeypatch):
+        """Where ``trim`` drops states, its result equals, type for type, the
+        machine that plain comprehensions build on the states of some
+        initial->final path: on the exclusion products and sigma^-1 . sigma
+        compositions of del1, ins1 and segd:3, and on random transducers
+        and their compositions."""
+        trimmed = []
+        trim = Transducer.trim
+
+        def recorded(self, _walked=False):
+            result = trim(self, _walked)
+            trimmed.append((self, result))
+            return result
+
+        monkeypatch.setattr(Nfa, "trim", recorded)
+        monkeypatch.setattr(Transducer, "trim", recorded)
+        rng = random.Random(31)
+        for spec in ("del1", "ins1", "segd:3"):
+            channel = channel_from_spec(spec)
+            t = channel.transducer
+            t.inverse().compose(t)
+            for ell in range(3, 8):
+                words = {"".join(rng.choice("01") for _ in range(ell))
+                         for _ in range(rng.randint(1, 12))}
+                product(trellis_from_words(words, BINARY).minimal,
+                        channel.self_union_inverse())
+        for k in range(60):
+            t = random_channel(rng, RANDOM_ALPHABETS[k % 3]).transducer
+            t.trim()
+            t.inverse().compose(t)
+        dropped = set()
+        for machine, got in trimmed:
+            keep = _useful_by_search(machine)
+            if len(keep) == machine.num_states:
+                continue
+            remap = {q: i for i, q in enumerate(keep)}
+            kept = [tr for tr in machine.transitions
+                    if tr[0] in remap and tr[-1] in remap]
+            if isinstance(machine, Transducer):
+                transitions = [(remap[s], i, o, remap[d])
+                               for s, i, o, d in kept]
+            else:
+                transitions = [(remap[s], a, remap[d]) for s, a, d in kept]
+            initial = {remap[q] for q in machine.initial if q in remap}
+            kind = type(machine)
+            if isinstance(machine, Dfa):
+                kind = Dfa if initial else Nfa
+            expected = kind(machine.alphabet, len(keep), initial,
+                            {remap[q] for q in machine.final if q in remap},
+                            transitions)
+            assert type(got) is kind
+            assert got == expected
+            dropped.add(type(got))
+        assert dropped == {Nfa, Transducer}
+
+
+def _useful_by_search(machine) -> list[int]:
+    """The states reachable from an initial state and co-reachable from a
+    final one, by two plain searches over the transition endpoints."""
+    def reach(roots, edges):
+        seen, stack = set(roots), list(roots)
+        while stack:
+            q = stack.pop()
+            for d in edges.get(q, ()):
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
+
+    forward, backward = {}, {}
+    for tr in machine.transitions:
+        forward.setdefault(tr[0], []).append(tr[-1])
+        backward.setdefault(tr[-1], []).append(tr[0])
+    return sorted(reach(machine.initial, forward)
+                  & reach(machine.final, backward))
 
 
 class TestQuotient:
