@@ -49,7 +49,6 @@ from .properties import (
 from .transducers import Transducer, product
 from .universes import (
     is_overlap_free,
-    is_solid_code,
     overlap_free_trellis,
     overlap_free_words,
     suffix_universe,
@@ -62,7 +61,7 @@ __all__ = [
     "Transducer", "Trellis", "Witness", "Word",
     "as_trellis", "channel_from_spec", "correction_witness",
     "detection_witness", "exclusion_automaton", "format_word",
-    "is_overlap_free", "is_solid_code",
+    "is_overlap_free",
     "make_bsid", "make_code", "make_del1_insend", "make_id",
     "make_ins1_delend", "make_overlap", "make_segd", "make_sub",
     "maximality_index", "maximality_witness", "next_word",

@@ -1,8 +1,9 @@
 """Finite automata: NFA/DFA/trellis construction, boolean algebra, counting, sampling.
 
 Words are tuples of symbols.  Symbols are non-empty strings without whitespace;
-when every symbol is a single character a word prints as a plain string, so the
-binary alphabet behaves exactly like working with ``"0101"``-style strings.
+over an alphabet whose symbols are all single characters a word prints as a
+plain string, so the binary alphabet behaves exactly like working with
+``"0101"``-style strings; over any other alphabet every word prints spaced.
 Epsilon (the empty word as a transition label) is represented by ``None``.
 
 ``Machine`` is the core that automata and ``transducers.Transducer`` share:
@@ -75,15 +76,13 @@ class Alphabet:
 
     def word(self, text: "str | Iterable[str]") -> Word:
         """Coerce ``text`` to a word.  A string with whitespace is split on
-        it; a string that is one symbol, and not also one symbol per
-        character, is that symbol; any other string is split into
-        characters.  So ``format_word`` output reads back (but see there)."""
+        it; a string that is one symbol is that symbol; any other string is
+        split into characters.  So ``format_word(w, self)`` reads back."""
         if isinstance(text, str):
             parts = text.split()
             if parts != [text]:  # some whitespace, or the empty string
                 text = parts
-            elif text in self._index and \
-                    not all(c in self._index for c in text):
+            elif text in self._index:
                 text = (text,)
         w = tuple(text)
         for s in w:
@@ -101,12 +100,13 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"))
 
 
-def format_word(w: Word) -> str:
-    """The word as ``Alphabet.word`` reads it back: its symbols joined
-    plainly when each is one character, else with spaces.  Over an alphabet
-    where one symbol is a concatenation of others, such as {a, aa}, the
-    plain form is ambiguous: ``aa`` reads back as two symbols ``a``."""
-    if all(len(s) == 1 for s in w):
+def format_word(w: Word, alphabet: "Alphabet | None" = None) -> str:
+    """The word in the one written form of ``alphabet``, which
+    ``alphabet.word`` reads back: its symbols joined plainly when every
+    symbol of the alphabet is one character, else with spaces.  Without an
+    alphabet the word's own symbols choose, which over {a, aa} writes the
+    word (a, a) as ``aa``, the symbol aa."""
+    if all(len(s) == 1 for s in (w if alphabet is None else alphabet)):
         return "".join(w)
     return " ".join(w)
 

@@ -6,11 +6,15 @@ Subcommands: ``gen``, ``check``, ``correct-check``, ``maximal``, ``index``,
 Exit codes: 0 success (including "violation-free" answers), 1 usage/file/parse
 errors, 2 precondition failures (e.g. a non-detecting input code where a
 detecting one is required), 3 a violation was found by check/correct-check.
+
+``main`` builds its parser on its first call and reuses it for the rest of
+the process; ``build_parser`` builds a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,11 +69,8 @@ def _resolve_channel(spec: str, alphabet: Alphabet) -> Channel:
 
 
 def _combined_channel(specs: list[str], alphabet: Alphabet) -> Channel:
-    channels = [_resolve_channel(s, alphabet) for s in specs]
-    combined = channels[0]
-    for ch in channels[1:]:
-        combined = combined.union(ch)
-    return combined
+    return functools.reduce(Channel.union,
+                            [_resolve_channel(s, alphabet) for s in specs])
 
 
 def _read_code_file(path: str, alphabet: Alphabet,
@@ -190,12 +191,14 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _witness_payload(witness, fmt: str, out: "str | None") -> None:
+def _witness_payload(witness, alphabet: Alphabet, fmt: str,
+                     out: "str | None") -> None:
+    text = witness.to_text(alphabet)
     if fmt == "json":
-        payload = {"witness": str(witness), "kind": witness.kind}
+        payload = {"witness": text, "kind": witness.kind}
         _write_out(json.dumps(payload) + "\n", out)
     else:
-        _write_out(str(witness) + "\n", out)
+        _write_out(text + "\n", out)
 
 
 def _cmd_check(args, correcting: bool) -> int:
@@ -205,7 +208,7 @@ def _cmd_check(args, correcting: bool) -> int:
     witness = (correction_witness if correcting else detection_witness)(
         code, channel
     )
-    _witness_payload(witness, args.format, args.output)
+    _witness_payload(witness, alphabet, args.format, args.output)
     return EXIT_VIOLATION if witness else EXIT_OK
 
 
@@ -215,12 +218,13 @@ def _cmd_maximal(args) -> int:
     code = _read_code_file(args.code, alphabet, args.len)
     witness = detection_witness(code, channel)
     if witness:
-        raise _CliFailure(f"code is not detecting: {witness}", EXIT_PRECONDITION)
+        raise _CliFailure(f"code is not detecting: {witness.to_text(alphabet)}",
+                          EXIT_PRECONDITION)
     universe, _ = _build_universe(alphabet, code.length, args.universe,
                                   args.end)
     found = maximality_witness(code, channel, universe)
     if found:
-        _witness_payload(found, args.format, args.output)
+        _witness_payload(found, alphabet, args.format, args.output)
     else:
         _write_out(
             json.dumps({"witness": "MAXIMAL", "kind": "maximal"}) + "\n"
@@ -375,8 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":

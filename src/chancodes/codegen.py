@@ -257,7 +257,7 @@ class GenReport:
             f"universe: {self.universe}",
             "words:",
         ]
-        lines += [format_word(w) for w in self.words]
+        lines += [format_word(w, self.alphabet) for w in self.words]
         lines += [
             f"size: {self.size}",
             f"exhausted: {'true' if self.exhausted else 'false'}",
@@ -278,7 +278,7 @@ class GenReport:
             "seed": self.seed,
             "rng": self.rng,
             "universe": self.universe,
-            "words": [format_word(w) for w in self.words],
+            "words": [format_word(w, self.alphabet) for w in self.words],
             "trials": list(self.trials_per_word),
             "size": self.size,
             "exhausted": self.exhausted,
@@ -323,7 +323,8 @@ def make_code(
         witness = detection_witness(code, channel)
         if witness:
             raise NotDetectingError(
-                f"seed code is not {channel.name}-detecting: {witness}",
+                f"seed code is not {channel.name}-detecting: "
+                f"{witness.to_text(code.alphabet)}",
                 witness=witness,
             )
     else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .automata import Nfa, Trellis, Word, format_word, \
+from .automata import Alphabet, Nfa, Trellis, Word, format_word, \
     length_masks, universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
@@ -67,17 +67,21 @@ class Witness:
         """True when something was found (violation or addable word)."""
         return self.kind != NONE_KIND
 
-    def __str__(self) -> str:
+    def to_text(self, alphabet: "Alphabet | None" = None) -> str:
+        """The witness line, its words as ``format_word`` writes them over
+        ``alphabet``."""
+        u, v, z, w = (format_word(x or (), alphabet)
+                      for x in (self.u, self.v, self.z, self.w))
         if self.kind == NONE_KIND:
             return "NONE"
         if self.kind == DETECT_KIND:
-            return f"DETECT-VIOLATION {format_word(self.u)} {format_word(self.v)}"
+            return f"DETECT-VIOLATION {u} {v}"
         if self.kind == CORRECT_KIND:
-            return (
-                f"CORRECT-VIOLATION {format_word(self.u)} {format_word(self.v)}"
-                f" via {format_word(self.z)}"
-            )
-        return f"ADDABLE {format_word(self.w)}"
+            return f"CORRECT-VIOLATION {u} {v} via {z}"
+        return f"ADDABLE {w}"
+
+    def __str__(self) -> str:
+        return self.to_text()
 
 
 # -- three-way product with overhang tracking -------------------------------------
@@ -418,7 +422,8 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     witness = detection_witness(code, channel)
     if witness:
         raise NotDetectingError(
-            f"code is not error-detecting for {channel.name}: {witness}",
+            f"code is not error-detecting for {channel.name}: "
+            f"{witness.to_text(code.alphabet)}",
             witness=witness,
         )
     x, fits, start = _exclusion_walk(code, channel)

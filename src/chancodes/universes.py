@@ -1,6 +1,6 @@
 """Sampling universes: constraint trellises used to restrict generated words
 (all words of a length, overlap-free words, fixed-suffix words) plus the
-word-level predicates behind them."""
+word-level predicate behind them."""
 
 from __future__ import annotations
 
@@ -17,19 +17,6 @@ def is_overlap_free(word: "str | Iterable[str]") -> bool:
     """True when no proper non-empty prefix of the word is also its suffix."""
     w = tuple(word)
     return not any(w[:k] == w[len(w) - k :] for k in range(1, len(w)))
-
-
-def is_solid_code(words: Iterable["str | Iterable[str]"]) -> bool:
-    """Block solid code predicate: all words overlap-free, and no proper
-    non-empty prefix of any codeword is a suffix of any codeword."""
-    code = [tuple(w) for w in words]
-    if not all(is_overlap_free(w) for w in code):
-        return False
-    for u in code:
-        for v in code:
-            if any(u[:k] == v[len(v) - k :] for k in range(1, len(u))):
-                return False
-    return True
 
 
 def overlap_free_words(alphabet: Alphabet, length: int) -> list[Word]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from chancodes import Alphabet, Transducer, Trellis, Word
+from chancodes import Alphabet, Transducer, Trellis, Word, is_overlap_free
 
 
 def enumerate_image(t: Transducer, word, max_len: int) -> set[Word]:
@@ -198,6 +198,19 @@ def brute_correcting(code, images: dict[Word, set[Word]]) -> bool:
     for i, u in enumerate(code):
         for v in code[i + 1 :]:
             if images[u] & images[v]:
+                return False
+    return True
+
+
+def is_solid_code(words) -> bool:
+    """Block solid code predicate: all words overlap-free, and no proper
+    non-empty prefix of any codeword is a suffix of any codeword."""
+    code = [tuple(w) for w in words]
+    if not all(is_overlap_free(w) for w in code):
+        return False
+    for u in code:
+        for v in code:
+            if any(u[:k] == v[len(v) - k :] for k in range(1, len(u))):
                 return False
     return True
 

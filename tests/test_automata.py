@@ -108,10 +108,28 @@ class TestAlphabetWord:
         with pytest.raises(WordError, match="symbol 'b' not in"):
             ab.word("abc")
         assert suffix_universe(ab, 3, "a bc").count_words() == 2
-        # a symbol that is also one symbol per character reads per character
+        # a line that is one symbol is that symbol, also where the symbol
+        # is a concatenation of others; other lines split per character
         aa = Alphabet(("a", "aa"))
-        assert aa.word("aa") == ("a", "a")
+        assert aa.word("aa") == ("aa",)
+        assert aa.word("a a") == ("a", "a")
+        assert aa.word("aaa") == ("a", "a", "a")
         assert aa.word("aa a") == ("aa", "a")
+
+    def test_every_word_reads_back_in_its_alphabets_form(self):
+        # one written form per alphabet: spaced as soon as one symbol is
+        # longer than a character, plain (as before) over {0,1}
+        for alphabet in (Alphabet(("a", "aa")), Alphabet(("a", "bc")),
+                         Alphabet(("bc", "a", "d")), BINARY):
+            spaced = alphabet != BINARY
+            for n in range(5):
+                for w in alphabet.words_of_length(n):
+                    text = format_word(w, alphabet)
+                    assert alphabet.word(text) == w
+                    assert (" " in text) == (spaced and n > 1)
+        assert format_word(("a", "a", "a", "a"), Alphabet(("a", "bc"))) == \
+            "a a a a"
+        assert format_word(("0", "1", "1"), BINARY) == "011"
 
 
 class TestMembership:

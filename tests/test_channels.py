@@ -10,7 +10,6 @@ from chancodes import (
     ParameterError,
     detection_witness,
     format_word,
-    is_solid_code,
     make_bsid,
     make_del1_insend,
     make_id,
@@ -25,6 +24,7 @@ from chancodes import (
 )
 
 import oracles
+from oracles import is_solid_code
 
 DEL1_TEXT = (
     "@Transducer 0 2 * 0\n"

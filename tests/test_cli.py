@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
+import chancodes
 from chancodes import BINARY, channel_from_spec, format_word, make_code, \
     universe_trellis
-from chancodes.cli import main
+from chancodes import cli
+from chancodes.cli import build_parser, main
 from chancodes.codegen import derive_seed
 
 HAMMING = [
@@ -85,7 +92,7 @@ class TestGen:
         )
         assert code == 0
         payload = json.loads(out)
-        from chancodes import is_solid_code
+        from oracles import is_solid_code
 
         assert payload["exhausted"]
         assert is_solid_code(payload["words"])
@@ -358,6 +365,27 @@ def test_gen_words_read_back_over_a_longer_symbol(capsys, tmp_path, length,
                str(f)) == (0, "NONE\n", "")
 
 
+@pytest.mark.parametrize("length, words", [
+    ("1", ["a", "aa"]), ("2", ["a a", "a aa"]),
+])
+def test_gen_words_read_back_over_a_concatenated_symbol(capsys, tmp_path,
+                                                         length, words):
+    # over {a,aa} every word is written spaced, so the one-symbol word aa
+    # reads back as the symbol aa, not as two symbols a
+    code, out, _ = run(capsys, "gen", "--channel", "sub:0", "--alphabet",
+                       "a,aa", "--len", length, "--n", "2", "--seed", "1",
+                       "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)["words"]) == words
+    f = tmp_path / "code.txt"
+    f.write_text("\n".join(words) + "\n")
+    assert run(capsys, "check", "--channel", "sub:0", "--alphabet", "a,aa",
+               str(f)) == (0, "NONE\n", "")
+    assert run(capsys, "check", "--channel", "sub:1", "--alphabet", "a,aa",
+               str(f)) == (3, f"DETECT-VIOLATION {words[0]} {words[1]}\n",
+                           "")
+
+
 class TestMaximalAndIndex:
     def test_maximal_systematic_code(self, capsys, tmp_path):
         f = tmp_path / "sys.txt"
@@ -396,7 +424,8 @@ class TestMaximalAndIndex:
         assert code == 0
         assert out.startswith("ADDABLE") or out.strip() == "MAXIMAL"
         if out.startswith("ADDABLE"):
-            from chancodes import is_overlap_free, is_solid_code
+            from chancodes import is_overlap_free
+            from oracles import is_solid_code
 
             word = out.split()[1]
             assert is_overlap_free(word)
@@ -633,3 +662,142 @@ class TestNegativeLengthAndReps:
                              "--len", "4", "--n", "2", "--reps", reps)
         assert (code, out) == (1, "")
         assert err == f"error: --reps must be >= 1, got {reps}\n"
+
+
+def in_process(capsys, argv) -> tuple:
+    """Exit code, stdout and stderr of ``main`` in this process, with a
+    usage error's SystemExit read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_process(argv, seed_env: "str | None") -> tuple:
+    """Exit code, stdout and stderr of ``python -m chancodes.cli argv``."""
+    src = str(Path(chancodes.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"
+    if seed_env is not None:
+        env[cli.SEED_ENV] = seed_env
+    done = subprocess.run([sys.executable, "-m", "chancodes.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestReusedParser:
+    """``main`` reuses one parser per process: every call prints what a
+    fresh process prints, whatever ran before it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        texts = {"hamming": "\n".join(HAMMING), "close": "000\n011",
+                 "one": "0000", "sys": "0001\n0110\n1011\n1100"}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text + "\n")
+        return {name: str(path) for name, path in paths.items()}
+
+    def replay(self, capsys, monkeypatch, calls) -> None:
+        """Run ``calls``, (argv, CHANCODES_SEED or None) pairs, in order in
+        this process, then each in a fresh process, and compare.  An
+        unseeded gen is replayed with the seed its report records."""
+        monkeypatch.setenv("COLUMNS", "80")
+        here, replays = [], []
+        for argv, seed_env in calls:
+            if seed_env is None:
+                monkeypatch.delenv(cli.SEED_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli.SEED_ENV, seed_env)
+            got = in_process(capsys, argv)
+            if argv[0] == "gen" and seed_env is None and \
+                    "--seed" not in argv and got[0] == 0:
+                seed_env = json.loads(got[1])["seed"] \
+                    if "json" in argv else got[1].split("seed: ")[1].split()[0]
+                seed_env = str(seed_env)
+            here.append(got)
+            replays.append((argv, seed_env))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fresh = list(pool.map(lambda c: fresh_process(*c), replays))
+        for (argv, _), got, want in zip(replays, here, fresh):
+            assert got == want, argv
+
+    def test_every_command_prints_what_a_fresh_process_prints(
+            self, capsys, monkeypatch, files):
+        self.replay(capsys, monkeypatch, [
+            (("gen", "--channel", "del1", "--channel", "sub:2", "--len", "6",
+              "--n", "5", "--seed", "3"), None),
+            (("gen", "--channel", "sub:1", "--len", "6", "--n", "5",
+              "--format", "json"), "11"),
+            (("gen", "--channel", "id:1", "--len", "5", "--n", "4"), None),
+            (("check", "--channel", "sub:2", files["hamming"]), None),
+            (("correct-check", "--channel", "sub:1", files["close"]), None),
+            (("maximal", "--channel", "sub:1", files["one"]), None),
+            (("index", "--channel", "sub:1", files["one"], "--format",
+              "json"), None),
+            (("experiment", "--channel", "sub:1", "--len", "5", "--n", "3",
+              "--reps", "2"), "4"),
+            (("experiment", "--channel", "id:1", "--len", "4", "--n", "3",
+              "--reps", "2", "--seed", "2"), None),
+            (("channel", "show", "del1"), None),
+        ])
+
+    def test_usage_errors_leave_the_next_call_unchanged(
+            self, capsys, monkeypatch, files):
+        check = ("check", "--channel", "sub:1", files["sys"])
+        self.replay(capsys, monkeypatch, [
+            (check, None),
+            (("gen", "--bogus"), None),
+            (check, None),
+            (("channel", "show"), None),
+            (("gen", "--channel", "sub:1", "--len", "4", "--n", "2",
+              "--seed", "5"), None),
+        ])
+
+    def test_usage_error_lines(self, capsys, monkeypatch):
+        # the top-level parser.error path: usage lines, one error line
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            code, out, err = in_process(capsys, ["channel", "show"])
+            assert (code, out) == (1, "")
+            assert err.startswith("usage: chancodes ")
+            assert err.endswith("\nchancodes: error: channel show needs a "
+                                "name\n")
+            assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("columns", ["80", "44"])
+    def test_help_equals_a_freshly_built_parsers(self, capsys, monkeypatch,
+                                                 columns):
+        # the help is formatted at call time, so COLUMNS still applies
+        monkeypatch.setenv("COLUMNS", columns)
+        in_process(capsys, ["channel", "list"])
+        assert cli._parser() is cli._parser()
+        for command in ([], ["gen"], ["check"], ["correct-check"],
+                        ["maximal"], ["index"], ["experiment"], ["channel"]):
+            got = in_process(capsys, [*command, "--help"])
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*command, "--help"])
+            want = (exc.value.code, *capsys.readouterr())
+            assert got == want and got[0] == 0 and got[1], command
+
+    def test_repeated_channels_share_no_list(self, capsys):
+        parser = cli._parser()
+        two = parser.parse_args(["gen", "--channel", "del1", "--channel",
+                                 "sub:2", "--n", "1"])
+        one = parser.parse_args(["gen", "--channel", "sub:1", "--n", "1"])
+        assert (two.channel, one.channel) == (["del1", "sub:2"], ["sub:1"])
+        labels = []
+        for channels in (("del1", "sub:2"), ("sub:1",), ("del1", "sub:2")):
+            argv = ["gen", "--len", "4", "--n", "1", "--seed", "1",
+                    "--format", "json"]
+            for name in channels:
+                argv += ["--channel", name]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            labels.append(json.loads(out)["channel"])
+        assert labels == ["del1|sub:2", "sub:1", "del1|sub:2"]

@@ -12,7 +12,6 @@ from chancodes import (
     ParameterError,
     detection_witness,
     format_word,
-    is_solid_code,
     make_code,
     make_del1_insend,
     make_id,
@@ -33,6 +32,7 @@ from chancodes import codegen
 from chancodes.codegen import Exclusion, NextWord, derive_seed
 
 import oracles
+from oracles import is_solid_code
 
 
 class TestTrialBound:

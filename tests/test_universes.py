@@ -5,11 +5,12 @@ from chancodes import (
     ParameterError,
     format_word,
     is_overlap_free,
-    is_solid_code,
     overlap_free_trellis,
     overlap_free_words,
     suffix_universe,
 )
+
+from oracles import is_solid_code
 
 
 class TestOverlapFree:
