@@ -56,12 +56,6 @@ class Alphabet:
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.symbols)}
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise WordError(f"symbol {symbol!r} not in alphabet {self}") from None
-
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 
@@ -100,13 +94,11 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"))
 
 
-def format_word(w: Word, alphabet: "Alphabet | None" = None) -> str:
+def format_word(w: Word, alphabet: Alphabet) -> str:
     """The word in the one written form of ``alphabet``, which
     ``alphabet.word`` reads back: its symbols joined plainly when every
-    symbol of the alphabet is one character, else with spaces.  Without an
-    alphabet the word's own symbols choose, which over {a, aa} writes the
-    word (a, a) as ``aa``, the symbol aa."""
-    if all(len(s) == 1 for s in (w if alphabet is None else alphabet)):
+    symbol of the alphabet is one character, else with spaces."""
+    if all(len(s) == 1 for s in alphabet):
         return "".join(w)
     return " ".join(w)
 
@@ -253,12 +245,6 @@ class Machine:
     @property
     def states(self) -> range:
         return range(self.num_states)
-
-    def size(self) -> int:
-        """States plus transition sizes (a transition counts 1 + the number
-        of symbols on its labels)."""
-        return self.num_states + sum(
-            1 + len(self._symbols(tr)) for tr in self.transitions)
 
     def trim(self, _walked: bool = False):
         """Keep only states on some initial->final path; relabel densely.

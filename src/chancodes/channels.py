@@ -115,29 +115,16 @@ def make_bsid(k: int = 2, alphabet: Alphabet = BINARY) -> Channel:
     (an adjacent "01" becomes "10" or vice versa).  Binary alphabet only."""
     if tuple(alphabet.symbols) != ("0", "1"):
         raise ParameterError("bit-shift channel requires the binary alphabet")
-    if k < 0:
-        raise ParameterError("error count k must be >= 0")
-    # full states 0..k carry the error count; each error level i < k owns two
-    # intermediate states for the half-completed shifts
-    transitions: list[tuple[int, Word, Word, int]] = []
-    num = k + 1
-    for i in range(k + 1):
+
+    def edges():
         for a in alphabet:
-            transitions.append((i, (a,), (a,), i))
-    for i in range(k):
-        for a in alphabet:
-            transitions.append((i, (a,), (), i + 1))  # deletion
-            transitions.append((i, (), (a,), i + 1))  # insertion
-        shift_a = num      # saw 0, emitted 1, owes a 1/0 step
-        shift_b = num + 1  # saw 1, emitted 0, owes a 0/1 step
-        num += 2
-        transitions.append((i, ("0",), ("1",), shift_a))
-        transitions.append((shift_a, ("1",), ("0",), i + 1))
-        transitions.append((i, ("1",), ("0",), shift_b))
-        transitions.append((shift_b, ("0",), ("1",), i + 1))
-    t = Transducer(alphabet, num, frozenset({0}),
-                   frozenset(range(k + 1)), tuple(transitions))
-    return Channel(f"bsid{k}", t)
+            yield (a,), ()   # deletion
+            yield (), (a,)   # insertion
+        yield ("0", "1"), ("1", "0")  # bit shifts; standard_form splits
+        yield ("1", "0"), ("0", "1")  # each through one fresh state
+
+    return Channel(f"bsid{k}",
+                   _error_chain(k, alphabet, edges).standard_form())
 
 
 def make_segd(b: int, alphabet: Alphabet = BINARY) -> Channel:

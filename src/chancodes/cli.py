@@ -7,6 +7,7 @@ Exit codes: 0 success (including "violation-free" answers), 1 usage/file/parse
 errors, 2 precondition failures (e.g. a non-detecting input code where a
 detecting one is required), 3 a violation was found by check/correct-check.
 
+Each subcommand's parser names its handler (``run``), which ``main`` calls.
 ``main`` builds its parser on its first call and reuses it for the rest of
 the process; ``build_parser`` builds a fresh one.
 """
@@ -24,7 +25,7 @@ from .automata import Alphabet, BINARY, Trellis, as_trellis, \
     trellis_from_words
 from .channels import Channel, channel_from_spec, registry_names, parse_channel, \
     serialize_channel
-from .codegen import derive_seed, make_code
+from .codegen import DEFAULT_EPS, DEFAULT_F, derive_seed, make_code
 from .errors import ChancodesError, FormatError, NotDetectingError, ParameterError
 from .properties import correction_witness, detection_witness, \
     maximality_index, maximality_witness
@@ -48,7 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _CliFailure(Exception):
-    def __init__(self, message: str, code: int):
+    """A failure that ``main`` reports as one error line and exit ``code``.
+    Not a ChancodesError, so a file parser's own failure is not reworded as
+    a bad file."""
+
+    def __init__(self, message: str, code: int = EXIT_ERROR):
         super().__init__(message)
         self.code = code
 
@@ -63,9 +68,9 @@ def _resolve_channel(spec: str, alphabet: Alphabet) -> Channel:
                     return parse_channel(fh.read(), alphabet,
                                          name=os.path.basename(spec))
             except (OSError, FormatError) as exc:
-                raise _CliFailure(f"cannot load channel {spec!r}: {exc}",
-                                  EXIT_ERROR) from exc
-        raise _CliFailure(str(registry_error), EXIT_ERROR) from registry_error
+                raise _CliFailure(
+                    f"cannot load channel {spec!r}: {exc}") from exc
+        raise _CliFailure(str(registry_error)) from registry_error
 
 
 def _combined_channel(specs: list[str], alphabet: Alphabet) -> Channel:
@@ -73,35 +78,35 @@ def _combined_channel(specs: list[str], alphabet: Alphabet) -> Channel:
                             [_resolve_channel(s, alphabet) for s in specs])
 
 
+def _read_file(path: str, what: str, parse):
+    """``parse`` of the text of the file at ``path``; an unreadable file, or
+    a ChancodesError from ``parse``, fails naming the ``what`` file."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _CliFailure(f"cannot read {what} file {path!r}: {exc}") from exc
+    try:
+        return parse(text)
+    except ChancodesError as exc:
+        raise _CliFailure(f"bad {what} file {path!r}: {exc}") from exc
+
+
 def _read_code_file(path: str, alphabet: Alphabet,
                     length: "int | None") -> Trellis:
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise _CliFailure(f"cannot read code file {path!r}: {exc}", EXIT_ERROR)
-    words = [ln for ln in lines if ln and not ln.startswith("#")]
-    try:
-        if not words:
-            if length is None:
-                raise _CliFailure(
-                    "empty code file needs --len to fix the block length",
-                    EXIT_ERROR,
-                )
-            return trellis_from_words((), alphabet, length=length)
+    """One codeword per line; blank lines and lines starting with # are
+    skipped.  Lines end only at newlines, as when iterating the file
+    (``str.splitlines`` would also end them at form feeds and the like)."""
+
+    def parse(text: str) -> Trellis:
+        words = [ln for ln in map(str.strip, text.split("\n"))
+                 if ln and not ln.startswith("#")]
+        if not words and length is None:
+            raise _CliFailure(
+                "empty code file needs --len to fix the block length")
         return trellis_from_words(words, alphabet, length=length)
-    except ChancodesError as exc:
-        raise _CliFailure(f"bad code file {path!r}: {exc}", EXIT_ERROR) from exc
 
-
-def _read_trellis_file(path: str, alphabet: Alphabet) -> Trellis:
-    try:
-        with open(path) as fh:
-            return Trellis.from_text(fh.read(), alphabet)
-    except OSError as exc:
-        raise _CliFailure(f"cannot read trellis file {path!r}: {exc}", EXIT_ERROR)
-    except ChancodesError as exc:
-        raise _CliFailure(f"bad trellis file {path!r}: {exc}", EXIT_ERROR) from exc
+    return _read_file(path, "code", parse)
 
 
 def _build_universe(alphabet: Alphabet, length: int, spec: "str | None",
@@ -115,7 +120,8 @@ def _build_universe(alphabet: Alphabet, length: int, spec: "str | None",
             universe = overlap_free_trellis(alphabet, length)
             label = "of"
         else:
-            universe = _read_trellis_file(spec, alphabet)
+            universe = _read_file(
+                spec, "trellis", lambda text: Trellis.from_text(text, alphabet))
             label = spec
     if end:
         suffix = suffix_universe(alphabet, length, end)
@@ -151,8 +157,22 @@ def _seed_from_args(args) -> "int | None":
     try:
         return int(env)
     except ValueError:
-        raise _CliFailure(f"{SEED_ENV} must be an integer, got {env!r}",
-                          EXIT_ERROR) from None
+        raise _CliFailure(
+            f"{SEED_ENV} must be an integer, got {env!r}") from None
+
+
+def _read_inputs(args) -> "tuple[Alphabet, Channel, Trellis]":
+    """The alphabet, the combined channel and the code of a decision
+    command, read in that order."""
+    alphabet = _alphabet_from_arg(args.alphabet)
+    channel = _combined_channel(args.channel, alphabet)
+    return alphabet, channel, _read_code_file(args.code, alphabet, args.len)
+
+
+def _emit(args, text: str, payload: dict) -> None:
+    """The answer line: ``text``, or ``payload`` under --format json."""
+    _write_out((json.dumps(payload) if args.format == "json" else text) + "\n",
+               args.output)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -167,7 +187,7 @@ def _cmd_gen(args) -> int:
         seed_code = _read_code_file(args.seed_code, alphabet, args.len)
         length = seed_code.length
     if length is None:
-        raise _CliFailure("--len is required without --seed-code", EXIT_ERROR)
+        raise _CliFailure("--len is required without --seed-code")
     universe, label = _build_universe(alphabet, length, args.universe, args.end)
     try:
         report = make_code(
@@ -184,38 +204,24 @@ def _cmd_gen(args) -> int:
         )
     except NotDetectingError as exc:
         raise _CliFailure(f"seed code rejected: {exc}", EXIT_PRECONDITION)
-    if args.format == "json":
-        _write_out(report.to_json(include_timing=args.timing), args.output)
-    else:
-        _write_out(report.to_text(include_timing=args.timing), args.output)
+    write = report.to_json if args.format == "json" else report.to_text
+    _write_out(write(include_timing=args.timing), args.output)
     return EXIT_OK
 
 
-def _witness_payload(witness, alphabet: Alphabet, fmt: str,
-                     out: "str | None") -> None:
+def _cmd_check(args) -> int:
+    alphabet, channel, code = _read_inputs(args)
+    # chosen per call, not stored in the cached parser, so the calls still
+    # reach perfbench's tracer, which wraps these names after the first run
+    decide = correction_witness if args.correcting else detection_witness
+    witness = decide(code, channel)
     text = witness.to_text(alphabet)
-    if fmt == "json":
-        payload = {"witness": text, "kind": witness.kind}
-        _write_out(json.dumps(payload) + "\n", out)
-    else:
-        _write_out(text + "\n", out)
-
-
-def _cmd_check(args, correcting: bool) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    channel = _combined_channel(args.channel, alphabet)
-    code = _read_code_file(args.code, alphabet, args.len)
-    witness = (correction_witness if correcting else detection_witness)(
-        code, channel
-    )
-    _witness_payload(witness, alphabet, args.format, args.output)
+    _emit(args, text, {"witness": text, "kind": witness.kind})
     return EXIT_VIOLATION if witness else EXIT_OK
 
 
 def _cmd_maximal(args) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    channel = _combined_channel(args.channel, alphabet)
-    code = _read_code_file(args.code, alphabet, args.len)
+    alphabet, channel, code = _read_inputs(args)
     witness = detection_witness(code, channel)
     if witness:
         raise _CliFailure(f"code is not detecting: {witness.to_text(alphabet)}",
@@ -223,45 +229,31 @@ def _cmd_maximal(args) -> int:
     universe, _ = _build_universe(alphabet, code.length, args.universe,
                                   args.end)
     found = maximality_witness(code, channel, universe)
-    if found:
-        _witness_payload(found, alphabet, args.format, args.output)
-    else:
-        _write_out(
-            json.dumps({"witness": "MAXIMAL", "kind": "maximal"}) + "\n"
-            if args.format == "json" else "MAXIMAL\n",
-            args.output,
-        )
+    text, kind = ((found.to_text(alphabet), found.kind) if found
+                  else ("MAXIMAL", "maximal"))
+    _emit(args, text, {"witness": text, "kind": kind})
     return EXIT_OK
 
 
 def _cmd_index(args) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    channel = _combined_channel(args.channel, alphabet)
-    code = _read_code_file(args.code, alphabet, args.len)
+    _, channel, code = _read_inputs(args)
     try:
         value = maximality_index(code, channel)
     except NotDetectingError as exc:
         raise _CliFailure(str(exc), EXIT_PRECONDITION)
-    if args.format == "json":
-        _write_out(
-            json.dumps({"index": str(value), "decimal": float(value)}) + "\n",
-            args.output,
-        )
-    else:
-        _write_out(f"{value} ({float(value)})\n", args.output)
+    _emit(args, f"{value} ({float(value)})",
+          {"index": str(value), "decimal": float(value)})
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     alphabet = _alphabet_from_arg(args.alphabet)
     if args.reps < 1:
-        raise _CliFailure(f"--reps must be >= 1, got {args.reps}", EXIT_ERROR)
+        raise _CliFailure(f"--reps must be >= 1, got {args.reps}")
     if args.len > args.max_len or args.n > args.max_n:
         raise _CliFailure(
             f"cell exceeds the default caps (len <= {args.max_len}, "
-            f"n <= {args.max_n}); raise --max-len/--max-n to override",
-            EXIT_ERROR,
-        )
+            f"n <= {args.max_n}); raise --max-len/--max-n to override")
     seed = _seed_from_args(args)
     universe, label = _build_universe(alphabet, args.len, args.universe,
                                       args.end)
@@ -313,6 +305,17 @@ def _add_common(p, with_format=True):
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
 
+def _add_code(p):
+    p.add_argument("code", help="code file, one codeword per line")
+    p.add_argument("--len", type=int, help="block length (for empty files)")
+
+
+def _add_draw(p):
+    p.add_argument("--f", default=DEFAULT_F, help="maximality threshold")
+    p.add_argument("--eps", default=DEFAULT_EPS, help="failure probability")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chancodes",
@@ -322,12 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="randomly generate a detecting block code")
+    gen.set_defaults(run=_cmd_gen)
     _add_common(gen)
     gen.add_argument("--len", type=int, help="block length")
     gen.add_argument("--n", type=int, required=True, help="words to add")
-    gen.add_argument("--f", default="0.95", help="maximality threshold")
-    gen.add_argument("--eps", default="0.05", help="failure probability")
-    gen.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV})")
+    _add_draw(gen)
     gen.add_argument("--seed-code", help="code file to grow (must be detecting)")
     gen.add_argument("--universe", help="'of' or a trellis file restricting words")
     gen.add_argument("--end", help="require codewords to end with this pattern")
@@ -340,30 +342,28 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"test {'error-correction' if correcting else 'error-detection'}"
                  " and print a witness or NONE",
         )
+        c.set_defaults(run=_cmd_check, correcting=correcting)
         _add_common(c)
-        c.add_argument("code", help="code file, one codeword per line")
-        c.add_argument("--len", type=int, help="block length (for empty files)")
-        c.set_defaults(correcting=correcting)
+        _add_code(c)
 
     mx = sub.add_parser("maximal", help="find an addable word or print MAXIMAL")
+    mx.set_defaults(run=_cmd_maximal)
     _add_common(mx)
-    mx.add_argument("code")
-    mx.add_argument("--len", type=int)
+    _add_code(mx)
     mx.add_argument("--universe", help="'of' or a trellis file")
     mx.add_argument("--end", help="restrict candidates to this suffix")
 
     ix = sub.add_parser("index", help="exact maximality index of a code")
+    ix.set_defaults(run=_cmd_index)
     _add_common(ix)
-    ix.add_argument("code")
-    ix.add_argument("--len", type=int)
+    _add_code(ix)
 
     ex = sub.add_parser("experiment", help="repeated generation, size statistics")
+    ex.set_defaults(run=_cmd_experiment)
     _add_common(ex, with_format=False)
     ex.add_argument("--len", type=int, required=True)
     ex.add_argument("--n", type=int, required=True)
-    ex.add_argument("--f", default="0.95")
-    ex.add_argument("--eps", default="0.05")
-    ex.add_argument("--seed", type=int)
+    _add_draw(ex)
     ex.add_argument("--reps", type=int, default=21)
     ex.add_argument("--end", help="required codeword suffix")
     ex.add_argument("--universe", choices=("of",), help="overlap-free universe")
@@ -371,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--max-n", type=int, default=500)
 
     ch = sub.add_parser("channel", help="inspect the channel registry")
+    ch.set_defaults(run=_cmd_channel)
     ch.add_argument("action", choices=("list", "show"))
     ch.add_argument("name", nargs="?", help="registry name or file (for show)")
     ch.add_argument("--alphabet")
@@ -385,27 +386,13 @@ _parser = functools.cache(build_parser)
 def main(argv: "list[str] | None" = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if args.command == "channel" and args.action == "show" and not args.name:
+        parser.error("channel show needs a name")
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command in ("check", "correct-check"):
-            return _cmd_check(args, args.correcting)
-        if args.command == "maximal":
-            return _cmd_maximal(args)
-        if args.command == "index":
-            return _cmd_index(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        # the subparsers are required, so "channel" is the one command left
-        if args.action == "show" and not args.name:
-            parser.error("channel show needs a name")
-        return _cmd_channel(args)
-    except _CliFailure as exc:
+        return args.run(args)
+    except (_CliFailure, ChancodesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ChancodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return exc.code if isinstance(exc, _CliFailure) else EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -246,7 +246,7 @@ class GenReport:
     def to_text(self, include_timing: bool = False) -> str:
         lines = [
             f"channel: {self.channel}",
-            f"alphabet: {format_word(self.alphabet.symbols)}",
+            f"alphabet: {format_word(self.alphabet.symbols, self.alphabet)}",
             f"length: {self.length}",
             f"requested: {self.requested}",
             f"f: {self.f}",

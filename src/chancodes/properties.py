@@ -67,7 +67,7 @@ class Witness:
         """True when something was found (violation or addable word)."""
         return self.kind != NONE_KIND
 
-    def to_text(self, alphabet: "Alphabet | None" = None) -> str:
+    def to_text(self, alphabet: Alphabet) -> str:
         """The witness line, its words as ``format_word`` writes them over
         ``alphabet``."""
         u, v, z, w = (format_word(x or (), alphabet)
@@ -79,9 +79,6 @@ class Witness:
         if self.kind == CORRECT_KIND:
             return f"CORRECT-VIOLATION {u} {v} via {z}"
         return f"ADDABLE {w}"
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 # -- three-way product with overhang tracking -------------------------------------

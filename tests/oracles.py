@@ -246,3 +246,15 @@ def prefix_tree(words, alphabet: Alphabet, length=None) -> Trellis:
     return Trellis(alphabet, final + 1, {0}, {final},
                    [(s, a, final if d == -1 else d) for s, a, d in transitions],
                    length=ell)
+
+
+def machine_size(m) -> int:
+    """States plus transition sizes: a transition counts 1 plus the symbols
+    on its labels.  An automaton transition is (source, symbol or None,
+    target); a transducer's is (source, input word, output word, target)."""
+    def symbols(tr) -> int:
+        if len(tr) == 4:
+            return len(tr[1]) + len(tr[2])
+        return tr[1] is not None
+
+    return m.num_states + sum(1 + symbols(tr) for tr in m.transitions)

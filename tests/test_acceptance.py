@@ -72,7 +72,7 @@ def test_criterion_2_worked_example_id1():
     started = time.perf_counter()
     code = trellis_from_words(["00", "11"], BINARY)
     image = product(code, make_id(1).transducer)
-    got = {format_word(w) for w in image.words_up_to(3)}
+    got = {format_word(w, BINARY) for w in image.words_up_to(3)}
     expected = {
         "00", "0", "000", "100", "010", "001",
         "11", "1", "011", "101", "110", "111",
@@ -84,7 +84,7 @@ def test_criterion_2_worked_example_id1():
 
 def test_criterion_3_add_word_equivalence():
     started = time.perf_counter()
-    pool = [format_word(w) for w in BINARY.words_of_length(4)]
+    pool = [format_word(w, BINARY) for w in BINARY.words_of_length(4)]
     mismatches = 0
     checked = 0
     for ch in eq2_channels():
@@ -107,7 +107,7 @@ def test_criterion_3_add_word_equivalence():
                 excluded = product(
                     trellis, ch.self_union_inverse()
                 ).words_up_to(4)
-                blocked = {format_word(w) for w in excluded if len(w) == 4}
+                blocked = {format_word(w, BINARY) for w in excluded if len(w) == 4}
                 for w in pool:
                     if w in combo:
                         continue
@@ -123,7 +123,7 @@ def test_criterion_3_add_word_equivalence():
 
 def test_criterion_4_correction_reduction():
     started = time.perf_counter()
-    pool = [format_word(w) for w in BINARY.words_of_length(4)]
+    pool = [format_word(w, BINARY) for w in BINARY.words_of_length(4)]
     mismatches = 0
     checked = 0
     for ch in eq2_channels():
@@ -144,8 +144,8 @@ def test_criterion_4_correction_reduction():
                 if brute_correcting != (not witness):
                     mismatches += 1
                 elif witness and not (
-                    witness.z in images[format_word(witness.u)]
-                    and witness.z in images[format_word(witness.v)]
+                    witness.z in images[format_word(witness.u, BINARY)]
+                    and witness.z in images[format_word(witness.v, BINARY)]
                 ):
                     mismatches += 1
     elapsed = time.perf_counter() - started
@@ -276,8 +276,8 @@ def test_criterion_9_product_size_linear():
             words.add("".join(rng.choice("01") for _ in range(12)))
         trellis = trellis_from_words(words, BINARY)
         prod = product(trellis, transducer)
-        xs.append(trellis.size())
-        ys.append(prod.size())
+        xs.append(oracles.machine_size(trellis))
+        ys.append(oracles.machine_size(prod))
     ratios = [y / x for x, y in zip(xs, ys)]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)

@@ -97,7 +97,7 @@ class TestAlphabetWord:
                          Alphabet(("bc", "a", "d"))):
             for n in range(4):
                 for w in alphabet.words_of_length(n):
-                    assert alphabet.word(format_word(w)) == w
+                    assert alphabet.word(format_word(w, alphabet)) == w
 
     def test_readings_of_a_string(self):
         ab = Alphabet(("a", "bc"))
@@ -211,7 +211,7 @@ class TestDeterminize:
                 ((0, "0", 2), (1, "1", 3)))
         d = a.determinize()
         assert len(d.initial) == 1
-        assert {format_word(w) for w in d.words_up_to(3)} == {"0", "1"}
+        assert {format_word(w, BINARY) for w in d.words_up_to(3)} == {"0", "1"}
 
     def test_numbering_is_pinned(self):
         """SHA-256 of the fields of 400 determinized random NFAs, epsilon
@@ -242,7 +242,8 @@ class TestBooleanOps:
         u = universe_trellis(BINARY, 3)
         t = trellis_from_words(["010", "111"], BINARY)
         both = u.intersect(t).trim()
-        assert {format_word(w) for w in both.words_up_to(3)} == {"010", "111"}
+        assert {format_word(w, BINARY) for w in both.words_up_to(3)} == \
+            {"010", "111"}
 
     @pytest.mark.parametrize("alphabet", [BINARY, Alphabet(("1", "0"))],
                              ids=["01", "10"])
@@ -352,7 +353,8 @@ class TestUniverseTrellis:
     def test_small(self):
         u = universe_trellis(BINARY, 2)
         assert u.num_states == 3
-        assert {format_word(w) for w in u.iter_words()} == {"00", "01", "10", "11"}
+        assert {format_word(w, BINARY) for w in u.iter_words()} == \
+            {"00", "01", "10", "11"}
 
     def test_count(self):
         assert universe_trellis(BINARY, 8).count_words() == 256
@@ -360,7 +362,7 @@ class TestUniverseTrellis:
     def test_other_alphabet(self):
         abc = Alphabet(("a", "b", "c"))
         u = universe_trellis(abc, 1)
-        assert {format_word(w) for w in u.iter_words()} == {"a", "b", "c"}
+        assert {format_word(w, abc) for w in u.iter_words()} == {"a", "b", "c"}
 
     def test_degenerate_zero_length(self):
         u = universe_trellis(BINARY, 0)
@@ -375,12 +377,13 @@ class TestUniverseTrellis:
 class TestTrellisFromWords:
     def test_two_words(self):
         t = trellis_from_words(["00", "11"], BINARY)
-        assert {format_word(w) for w in t.iter_words()} == {"00", "11"}
+        assert {format_word(w, BINARY) for w in t.iter_words()} == {"00", "11"}
         assert len(t.final) == 1
 
     def test_exact_language(self):
         t = trellis_from_words(["0100", "1001"], BINARY)
-        assert sorted(map(format_word, t.iter_words())) == ["0100", "1001"]
+        assert sorted(format_word(w, BINARY) for w in t.iter_words()) == \
+            ["0100", "1001"]
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(WordError):
@@ -544,12 +547,12 @@ class TestAddWord:
     def test_basic(self):
         t = trellis_from_words(["00"], BINARY)
         t2 = t.add_word("01")
-        assert {format_word(w) for w in t2.iter_words()} == {"00", "01"}
+        assert {format_word(w, BINARY) for w in t2.iter_words()} == {"00", "01"}
 
     def test_grow_from_empty(self):
         t = trellis_from_words([], BINARY, length=2)
         t = t.add_word("11").add_word("10")
-        assert {format_word(w) for w in t.iter_words()} == {"10", "11"}
+        assert {format_word(w, BINARY) for w in t.iter_words()} == {"10", "11"}
 
     def test_noop_when_present(self):
         t = trellis_from_words(["00", "11"], BINARY)
@@ -574,7 +577,7 @@ class TestAddWord:
                 t = t.add_word(w)
                 expected.add(w)
                 assert isinstance(t, Trellis)
-                assert {format_word(x) for x in t.iter_words()} == expected
+                assert {format_word(x, BINARY) for x in t.iter_words()} == expected
 
     def test_trusted_result_equals_validated_trellis(self):
         # add_word skips the trim/acyclicity/depth checks; rebuilding the same
@@ -686,7 +689,7 @@ class TestAddWord:
         # language is {11}); branching off there must not add 111100 too
         t = trellis_from_words(["000000", "001011", "111111"], BINARY).minimal
         grown = t.add_word("001000")
-        assert {format_word(w) for w in grown.iter_words()} == \
+        assert {format_word(w, BINARY) for w in grown.iter_words()} == \
             {"000000", "001000", "001011", "111111"}
 
 
@@ -789,18 +792,18 @@ class TestCountingAndSampling:
             }
             t = trellis_from_words(words, BINARY)
             assert t.count_words() == len(words)
-            assert {format_word(w) for w in t.iter_words()} == words
+            assert {format_word(w, BINARY) for w in t.iter_words()} == words
 
     def test_sampling_uniform_chi_squared(self):
         # 30 words, 1e5 draws, fixed seed; critical value for df=29 at the
         # 0.001 level is 58.3012
-        words = [format_word(w) for w in BINARY.words_of_length(6)][:30]
+        words = [format_word(w, BINARY) for w in BINARY.words_of_length(6)][:30]
         t = trellis_from_words(words, BINARY)
         rng = random.Random(20240817)
         draws = 100_000
         counts: dict[str, int] = {w: 0 for w in words}
         for _ in range(draws):
-            counts[format_word(t.sample_uniform(rng))] += 1
+            counts[format_word(t.sample_uniform(rng), BINARY)] += 1
         expected = draws / 30
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 58.3012
@@ -811,7 +814,7 @@ class TestCountingAndSampling:
         rng = random.Random(8)
         hits = sum(
             1 for _ in range(10_000)
-            if format_word(t.sample_uniform(rng)) == "0100"
+            if format_word(t.sample_uniform(rng), BINARY) == "0100"
         )
         # 3 sigma around p=1/2 over 10k draws
         assert abs(hits / 10_000 - 0.5) < 3 * 0.005
@@ -824,7 +827,7 @@ class TestCountingAndSampling:
     def test_counts_on_universe(self):
         u = universe_trellis(BINARY, 8)
         rng = random.Random(17)
-        seen = {format_word(u.sample_uniform(rng)) for _ in range(2000)}
+        seen = {format_word(u.sample_uniform(rng), BINARY) for _ in range(2000)}
         assert len(seen) > 250  # almost all of the 256 words show up
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -35,7 +36,7 @@ DEL1_TEXT = (
 
 
 def words_4() -> list[str]:
-    return [format_word(w) for w in BINARY.words_of_length(4)]
+    return [format_word(w, BINARY) for w in BINARY.words_of_length(4)]
 
 
 class TestSubstitutionChannel:
@@ -79,7 +80,7 @@ class TestSubstitutionChannel:
 
     def test_hamming_equivalence_length_five_samples(self):
         rng = random.Random(55)
-        pool5 = [format_word(w) for w in BINARY.words_of_length(5)]
+        pool5 = [format_word(w, BINARY) for w in BINARY.words_of_length(5)]
         for k in (1, 2):
             ch = make_sub(k)
             for _ in range(150):
@@ -97,7 +98,7 @@ class TestSubstitutionChannel:
 class TestIndelChannel:
     def test_worked_example(self):
         # image of 00 under at most one insertion/deletion
-        got = {format_word(w) for w in make_id(1).image_set("00", 3)}
+        got = {format_word(w, BINARY) for w in make_id(1).image_set("00", 3)}
         assert got == {"00", "0", "000", "100", "010", "001"}
 
     def test_zero_is_identity(self):
@@ -106,7 +107,7 @@ class TestIndelChannel:
             assert ch.image_set(w, 4) == {w}
 
     def test_image_of_empty_word(self):
-        assert {format_word(w) for w in make_id(2).image_set("", 2)} == \
+        assert {format_word(w, BINARY) for w in make_id(2).image_set("", 2)} == \
             {"", "0", "1", "00", "01", "10", "11"}
 
     def test_image_is_indel_ball(self):
@@ -145,7 +146,8 @@ class TestDelInsChannels:
             assert all(len(v) == 4 for v in ch.image_set(w, 6))
 
     def test_del1_image_of_01(self):
-        got = {format_word(w) for w in make_del1_insend().image_set("01", 2)}
+        got = {format_word(w, BINARY)
+               for w in make_del1_insend().image_set("01", 2)}
         assert got == {"01", "10", "11", "00"}
 
     def test_ins1_image_model(self):
@@ -181,6 +183,20 @@ class TestBitShiftChannel:
     def test_requires_binary(self):
         with pytest.raises(ParameterError):
             make_bsid(2, Alphabet(("a", "b", "c")))
+        with pytest.raises(ParameterError, match="binary"):
+            make_bsid(-1, Alphabet(("a", "b", "c")))
+
+    # SHA-256 of the serialized transducer, which pins the numbering of the
+    # states inside each bit shift as well as the relation
+    @pytest.mark.parametrize("k,digest", [
+        (0, "43e08e5c8ecb75cebe8379d5df492d05435cdfa5eae5443c61af11fbaf669452"),
+        (1, "524fd948506ae9bc9dd94ea0d9953e49e8b434b65dfc1ca5f08a6b1378cfb1b1"),
+        (2, "72d5f2631c7c9bf82eca230efa18c2fc8e45db393113094c0493ff66664805a9"),
+        (3, "b114be68928b698c2852aa5516dd4287f07e094daa8830ddd84e2f543542e69c"),
+    ])
+    def test_serialization_is_pinned(self, k, digest):
+        text = serialize_channel(make_bsid(k))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_caption_examples(self):
         ch = make_bsid()
@@ -195,7 +211,7 @@ class TestBitShiftChannel:
         for n in range(5):
             for w in BINARY.words_of_length(n):
                 assert ch.image_set(w, n + 2) == \
-                    oracles.bsid_image(w, 2, BINARY), format_word(w)
+                    oracles.bsid_image(w, 2, BINARY), format_word(w, BINARY)
 
     def test_single_error_variant(self):
         ch = make_bsid(1)
@@ -210,7 +226,7 @@ class TestSegmentedDeletionChannel:
 
     def test_examples(self):
         ch = make_segd(2)
-        img = {format_word(w) for w in ch.image_set("0101", 4)}
+        img = {format_word(w, BINARY) for w in ch.image_set("0101", 4)}
         assert {"101", "010", "11"} <= img
         ch4 = make_segd(4)
         assert ch4.transducer.image("0110").accepts("0110")
@@ -222,7 +238,7 @@ class TestSegmentedDeletionChannel:
             for n in range(0, 2 * b + 1):
                 for w in BINARY.words_of_length(n):
                     assert ch.image_set(w, n) == oracles.segd_image(w, b), \
-                        (b, format_word(w))
+                        (b, format_word(w, BINARY))
 
 
 class TestOverlapChannel:

@@ -231,43 +231,56 @@ def test_gen_report_digest_is_pinned(capsys, channel, length, extra, digest):
 
 
 # SHA-256 of the check / correct-check / maximal / index transcript of one
-# (channel, length) cell; each transcript holds violating and NONE answers,
-# ADDABLE and MAXIMAL, and indices below and at 1.  Witnesses are read off
-# the minimal trellis and the channel's standard form (for correct-check, of
-# its composition with its inverse), so these also pin how those are built.
+# (channel, length) cell, in text and in json; each transcript holds
+# violating and NONE answers, ADDABLE and MAXIMAL, and indices below and at
+# 1.  Witnesses are read off the minimal trellis and the channel's standard
+# form (for correct-check, of its composition with its inverse), so these
+# also pin how those are built.
 PINNED_DECISIONS = [
     ("sub:2", 6, 1,
-     "0f6b45c97ee46f27d83b4e7a0efb064c80aca7754893de8c6bf251b879927e9c"),
+     "0f6b45c97ee46f27d83b4e7a0efb064c80aca7754893de8c6bf251b879927e9c",
+     "19bdda4ba4c154abb0aa8b44ac42c2944ec8391420b476cc6fbc1f36c160c848"),
     ("sub:2", 8, 2,
-     "4e5ceebeebdd36af4000fe3f9df4444b9eed30ba8211a8b6c15d269bb87b2a92"),
+     "4e5ceebeebdd36af4000fe3f9df4444b9eed30ba8211a8b6c15d269bb87b2a92",
+     "3b6ff5737f636df7feb60d3a7e5e066ea7f81f67ecc1fe456a97ec731f105342"),
     ("id:2", 7, 3,
-     "e28cda70b0671c1d14f27357fabdb8640b2a7d9a7c7ba2c813abf9a16daa43a1"),
+     "e28cda70b0671c1d14f27357fabdb8640b2a7d9a7c7ba2c813abf9a16daa43a1",
+     "fde14367af0aa18fc125349682bd181c68123d69db3e09ce1c6009fb9a1e83fa"),
     ("id:2", 8, 4,
-     "6fc139502647dccebdb173fedbcd44123d5795666945ee043a394bc674d3b3e3"),
+     "6fc139502647dccebdb173fedbcd44123d5795666945ee043a394bc674d3b3e3",
+     "c5d50709a6aa9f0d7a07d442536e824138c949a2b707b68cee382d9a535fb9a5"),
     ("del1", 6, 5,
-     "f206441db1188be92a85a4149f64d02e8cb0f251d8b5aaf23f167d7e64251466"),
+     "f206441db1188be92a85a4149f64d02e8cb0f251d8b5aaf23f167d7e64251466",
+     "c1842ffcf446dda9b12d2ecba9aedd56968c85d828bbb4d53d260b69834f518c"),
     ("del1", 8, 6,
-     "2fc713c43c15e3b5c08683c7641162d3bb16b028f735382e75e196bd51697381"),
+     "2fc713c43c15e3b5c08683c7641162d3bb16b028f735382e75e196bd51697381",
+     "7f0b0b76f3153ee8845da70a411e749814cebfa8a04e0c75b0a137a0badd68d7"),
     ("bsid2", 6, 7,
-     "e99590adb2551a13a8bc3fd4f8b84d3bb3463f48a987dffe71c56ead57dbe3b9"),
+     "e99590adb2551a13a8bc3fd4f8b84d3bb3463f48a987dffe71c56ead57dbe3b9",
+     "7129f67aa95eac56c1dae5bbb008dd99866127d0ee13416c1282075ddbaed0fb"),
     ("bsid2", 7, 8,
-     "5c8bb6c010fae6366cf2491b4071fa38fed91b2b0e3c65897248b0975850ef64"),
+     "5c8bb6c010fae6366cf2491b4071fa38fed91b2b0e3c65897248b0975850ef64",
+     "0c0a6adc607d9a741fd33b297f970d952a9770ecc8c30aa748067a388f1756c3"),
     ("ov", 7, 9,
-     "13dba1b8df3ecb00a412762f10fbaafbf2a7720420f08a956d608a778b8b5cfd"),
+     "13dba1b8df3ecb00a412762f10fbaafbf2a7720420f08a956d608a778b8b5cfd",
+     "7badd6a98808f74659f536dcfd9736f2019a0ee655e75b745b5ae695e1ca7323"),
     ("ov", 8, 10,
-     "ef0d345651f646b0c91580b0f6f4a56250d804aa721c41e2c46898c6864767c3"),
+     "ef0d345651f646b0c91580b0f6f4a56250d804aa721c41e2c46898c6864767c3",
+     "c9084c0f08e7c2c7bc837575dcb766105306e7e10440a83667a762cd291fd6ff"),
 ]
 
 
-def decision_transcript(capsys, tmp_path, channel, length, seed) -> str:
-    """Every decision command on three codes: 12 random words, a greedy
-    code grown until it gives up, and the first half of that code."""
+def decision_transcript(capsys, tmp_path, channel, length, seed,
+                        fmt="text") -> str:
+    """Every decision command, answering in ``fmt``, on three codes: 12
+    random words, a greedy code grown until it gives up, and the first half
+    of that code."""
     rng = random.Random(seed)
     codes = {"random": sorted({
         "".join(rng.choice("01") for _ in range(length)) for _ in range(12)
     })}
     report = make_code(channel_from_spec(channel), 200, length, seed=seed)
-    codes["greedy"] = [format_word(w) for w in report.words]
+    codes["greedy"] = [format_word(w, BINARY) for w in report.words]
     codes["half"] = codes["greedy"][: len(codes["greedy"]) // 2]
     files = {}
     for name, words in codes.items():
@@ -279,22 +292,41 @@ def decision_transcript(capsys, tmp_path, channel, length, seed) -> str:
             if cmd in ("maximal", "index") and name == "random":
                 continue  # not detecting: a precondition failure
             code, out, _ = run(capsys, cmd, "--channel", channel,
-                               str(files[name]))
+                               "--format", fmt, str(files[name]))
             lines.append(f"{cmd} {name}: {code} {out}")
     return "".join(lines)
 
 
+DECISION_IDS = [f"{channel}-{length}-{seed}"
+                for channel, length, seed, _, _ in PINNED_DECISIONS]
+
+
 @pytest.mark.parametrize(
-    "channel,length,seed,digest", PINNED_DECISIONS,
-    ids=[f"{channel}-{length}-{seed}"
-         for channel, length, seed, _ in PINNED_DECISIONS])
+    "channel,length,seed,digest,_", PINNED_DECISIONS, ids=DECISION_IDS)
 def test_decision_outputs_are_pinned(capsys, tmp_path, channel, length, seed,
-                                     digest):
+                                     digest, _):
     transcript = decision_transcript(capsys, tmp_path, channel, length, seed)
     assert "check greedy: 0 NONE" in transcript
     assert "check random: 3 DETECT-VIOLATION" in transcript
     assert "maximal greedy: 0 MAXIMAL" in transcript
     assert "maximal half: 0 ADDABLE" in transcript
+    got = hashlib.sha256(transcript.encode()).hexdigest()
+    assert got == digest, transcript
+
+
+@pytest.mark.parametrize(
+    "channel,length,seed,_,digest", PINNED_DECISIONS, ids=DECISION_IDS)
+def test_decision_json_outputs_are_pinned(capsys, tmp_path, channel, length,
+                                          seed, _, digest):
+    transcript = decision_transcript(capsys, tmp_path, channel, length, seed,
+                                     "json")
+    assert 'check greedy: 0 {"witness": "NONE", "kind": "none"}' in transcript
+    assert ('check random: 3 {"witness": "DETECT-VIOLATION '
+            in transcript)
+    assert ('maximal greedy: 0 {"witness": "MAXIMAL", "kind": "maximal"}'
+            in transcript)
+    assert 'maximal half: 0 {"witness": "ADDABLE ' in transcript
+    assert 'index greedy: 0 {"index": "1", "decimal": 1.0}' in transcript
     got = hashlib.sha256(transcript.encode()).hexdigest()
     assert got == digest, transcript
 
@@ -321,6 +353,12 @@ class TestCheck:
         )
         assert code == 0
         assert out.strip() == "NONE"
+        # without --len the file is refused in its own words, not as a
+        # bad code file
+        code, _, err = run(capsys, "check", "--channel", "sub:1", str(f))
+        assert code == 1
+        assert err == "error: empty code file needs --len to fix the block " \
+            "length\n"
 
     def test_correct_check(self, capsys, tmp_path, hamming_file):
         code, out, _ = run(
@@ -340,6 +378,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--channel", "sub:1", str(f))
         assert code == 1
         assert "mixed" in err
+        # only a newline ends a line, as when the file is iterated, so a
+        # form feed leaves one line and one bad word
+        f.write_text("000\x0c111\n")
+        code, _, err = run(capsys, "check", "--channel", "sub:1", str(f))
+        assert code == 1
+        assert err == f"error: bad code file {str(f)!r}: symbol '000' not " \
+            "in alphabet {0,1}\n"
 
 
 @pytest.mark.parametrize("length, extra", [

@@ -68,7 +68,7 @@ class TestAutomatonFormat:
     def test_comments_and_blanks_ignored(self):
         text = "# a universe\n\n@DFA 2 * 0\n0 0 1\n0 1 1\n# mid\n1 0 2\n1 1 2\n"
         a = Nfa.from_text(text)
-        assert sorted(map(format_word, a.words_up_to(2))) == \
+        assert sorted(format_word(w, BINARY) for w in a.words_up_to(2)) == \
             ["00", "01", "10", "11"]
 
 
@@ -129,5 +129,5 @@ class TestTransducerFormat:
 class TestCodeFileConventions:
     def test_words_print_one_per_line(self):
         u = universe_trellis(BINARY, 2)
-        listing = "\n".join(format_word(w) for w in u.iter_words())
+        listing = "\n".join(format_word(w, BINARY) for w in u.iter_words())
         assert listing == "00\n01\n10\n11"

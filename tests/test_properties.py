@@ -61,12 +61,15 @@ def systematic_del1_code() -> list[str]:
 class TestWitnessRendering:
     def test_strings(self):
         w = BINARY.word
-        assert str(Witness.none()) == "NONE"
-        assert str(Witness.detection(w("00"), w("01"))) == \
+        assert Witness.none().to_text(BINARY) == "NONE"
+        assert Witness.detection(w("00"), w("01")).to_text(BINARY) == \
             "DETECT-VIOLATION 00 01"
-        assert str(Witness.correction(w("00"), w("11"), w("01"))) == \
-            "CORRECT-VIOLATION 00 11 via 01"
-        assert str(Witness.addable(w("10"))) == "ADDABLE 10"
+        assert Witness.correction(w("00"), w("11"), w("01")).to_text(
+            BINARY) == "CORRECT-VIOLATION 00 11 via 01"
+        assert Witness.addable(w("10")).to_text(BINARY) == "ADDABLE 10"
+        # over {a, aa} the word (a, a) is written spaced, so it reads back
+        aa = Alphabet(("a", "aa"))
+        assert Witness.addable(("a", "a")).to_text(aa) == "ADDABLE a a"
         assert not Witness.none()
         assert Witness.addable(w("10"))
 
@@ -76,7 +79,8 @@ class TestDetection:
         t = trellis_from_words(["0100", "1001"], BINARY)
         w = detection_witness(t, make_overlap())
         assert w.kind == "detect-violation"
-        assert {format_word(w.u), format_word(w.v)} == {"0100", "1001"}
+        assert {format_word(w.u, BINARY), format_word(w.v, BINARY)} == \
+            {"0100", "1001"}
         # the reported pair is a genuine one
         assert make_overlap().transducer.image(w.u).accepts(w.v)
 
@@ -126,7 +130,7 @@ class TestDetection:
     def test_witness_pair_verified_against_oracle(self, ell, rounds, max_size):
         rng = random.Random(3)
         channels = [make_sub(1), make_id(1), make_del1_insend(), make_overlap()]
-        pool = [format_word(w) for w in BINARY.words_of_length(ell)]
+        pool = [format_word(w, BINARY) for w in BINARY.words_of_length(ell)]
         for _ in range(rounds):
             combo = rng.sample(pool, rng.randint(1, max_size))
             t = trellis_from_words(combo, BINARY)
@@ -143,8 +147,8 @@ class TestDetection:
                 got = detection_witness(t, ch)
                 assert (not got) == expected, (combo, ch.name)
                 if got:
-                    assert format_word(got.u) in combo
-                    assert format_word(got.v) in combo
+                    assert format_word(got.u, BINARY) in combo
+                    assert format_word(got.v, BINARY) in combo
                     assert got.u != got.v
                     assert got.v in images[got.u]
 
@@ -158,8 +162,9 @@ class TestCorrection:
         t = trellis_from_words(["000", "011"], BINARY)
         w = correction_witness(t, make_sub(1))
         assert w.kind == "correct-violation"
-        assert format_word(w.z) in {"010", "001"}
-        assert {format_word(w.u), format_word(w.v)} == {"000", "011"}
+        assert format_word(w.z, BINARY) in {"010", "001"}
+        assert {format_word(w.u, BINARY), format_word(w.v, BINARY)} == \
+            {"000", "011"}
 
     def test_distance_three_pair(self):
         t = trellis_from_words(["000", "111"], BINARY)
@@ -167,7 +172,7 @@ class TestCorrection:
 
     def test_shared_output_is_genuine(self):
         rng = random.Random(11)
-        pool = [format_word(w) for w in BINARY.words_of_length(4)]
+        pool = [format_word(w, BINARY) for w in BINARY.words_of_length(4)]
         channels = [make_sub(1), make_id(1), make_del1_insend()]
         for _ in range(60):
             combo = rng.sample(pool, rng.randint(2, 3))
@@ -200,7 +205,7 @@ class TestMaximality:
         w = maximality_witness(t, make_sub(2))
         assert w.kind == "addable"
         assert oracles.hamming_distance(w.w, BINARY.word("0000")) >= 3
-        assert format_word(w.w) == "0111"  # least witness under 0 < 1
+        assert format_word(w.w, BINARY) == "0111"  # least witness under 0 < 1
 
     def test_index_singleton_sub1(self):
         t = trellis_from_words(["0000"], BINARY)
@@ -220,7 +225,7 @@ class TestMaximality:
 
     def test_witness_agrees_with_index(self):
         rng = random.Random(41)
-        pool = [format_word(w) for w in BINARY.words_of_length(4)]
+        pool = [format_word(w, BINARY) for w in BINARY.words_of_length(4)]
         channels = [make_sub(1), make_sub(2), make_id(1), make_del1_insend()]
         checked_maximal = 0
         for _ in range(60):
@@ -247,7 +252,7 @@ class TestMaximality:
         universe = suffix_universe(BINARY, 4, "1")
         w = maximality_witness(t, make_sub(1), universe)
         assert w.kind == "addable"
-        assert format_word(w.w).endswith("1")
+        assert format_word(w.w, BINARY).endswith("1")
         assert oracles.hamming_distance(w.w, BINARY.word("0001")) >= 2
         # the answers of the CLI's --universe of and --end universes
         of4, of6 = (overlap_free_trellis(BINARY, n) for n in (4, 6))
@@ -412,7 +417,7 @@ class TestMaximalCorrectionEquivalence:
         # maximal correcting iff maximal detecting for the composed channel,
         # checked directly against brute force on length-3 codes
         ch = make_sub(1)
-        pool = [format_word(w) for w in BINARY.words_of_length(3)]
+        pool = [format_word(w, BINARY) for w in BINARY.words_of_length(3)]
         images = {
             BINARY.word(w): oracles.enumerate_image(
                 ch.transducer, BINARY.word(w), 5
@@ -796,7 +801,7 @@ BATTERY_SPECS = ("sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
 # order of the channel's standard-form moves; this pins that tie-break rule
 # along with every answer.
 PINNED_SEARCH_DIGEST = \
-    "d8dc084c5d3a74b77fa073612e2b91a9a65f8d71a2c9a23936b8e1cbe4eba5d6"
+    "165337de9797b95040e7dda9a624b3594a92f9c3aa5257f870ff21be1dfe34d3"
 
 
 def _transcript_label(t: Transducer) -> str:
@@ -829,9 +834,11 @@ def search_transcript() -> str:
                     for _ in range(rng.randint(1, 16))
                 })
                 code = trellis_from_words(words, BINARY)
+                detect = detection_witness(code, channel)
+                correct = correction_witness(code, channel)
                 lines.append(f"{spec} {','.join(words)}: "
-                             f"{detection_witness(code, channel)} | "
-                             f"{correction_witness(code, channel)}")
+                             f"{detect.to_text(BINARY)} | "
+                             f"{correct.to_text(BINARY)}")
     kinds = set()
     for k in range(300):
         alphabet = BINARY if k % 3 else Alphabet(("a", "bc"))
@@ -848,8 +855,9 @@ def search_transcript() -> str:
         assert (not found) == oracles.brute_detecting(words, images), words
         kinds.add(bool(found))
         lines.append(f"random {k} {_transcript_label(channel.transducer)!r} "
-                     f"{' '.join(format_word(w) for w in words)}: "
-                     f"{found} | {correction_witness(code, channel)}")
+                     f"{' '.join(format_word(w, alphabet) for w in words)}: "
+                     f"{found.to_text(alphabet)} | "
+                     f"{correction_witness(code, channel).to_text(alphabet)}")
     assert kinds == {True, False}
     return "\n".join(lines) + "\n"
 

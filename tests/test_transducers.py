@@ -128,7 +128,7 @@ class TestCompose:
     def test_hamming_ball_of_radius_two(self):
         sub1 = make_sub(1).transducer
         comp = sub1.inverse().compose(sub1)
-        got = {format_word(w) for w in comp.image("00").words_up_to(2)}
+        got = {format_word(w, BINARY) for w in comp.image("00").words_up_to(2)}
         assert got == {"00", "01", "10", "11"}
 
     def test_identity_neutral(self):
@@ -154,7 +154,7 @@ class TestCompose:
     def test_segmented_composition_builds(self):
         segd = make_segd(4).transducer
         comp = segd.inverse().compose(segd)
-        img = {format_word(w) for w in comp.image("0000").words_up_to(4)}
+        img = {format_word(w, BINARY) for w in comp.image("0000").words_up_to(4)}
         assert "0000" in img
         # one deletion in the only segment, then one reverse insertion
         assert "1000" in img
@@ -188,7 +188,8 @@ class TestImageAndProduct:
     def test_product_identity(self):
         t = trellis_from_words(["010", "111"], BINARY)
         out = product(t, make_sub(0).transducer)
-        assert {format_word(w) for w in out.words_up_to(3)} == {"010", "111"}
+        assert {format_word(w, BINARY) for w in out.words_up_to(3)} == \
+            {"010", "111"}
 
     def test_product_is_union_of_word_images(self):
         rng = random.Random(2)
@@ -219,13 +220,14 @@ class TestImageAndProduct:
             }
             a = trellis_from_words(words, BINARY)
             p = product(a, t)
-            assert p.size() <= 2 * a.size() * t.size()
+            size = oracles.machine_size
+            assert size(p) <= 2 * size(a) * size(t)
 
     def test_epsilon_input_handled(self):
         # a channel that may insert needs the stay-in-place pairing
         ins = make_id(1).transducer
         t = trellis_from_words(["0"], BINARY)
-        got = {format_word(w) for w in product(t, ins).words_up_to(2)}
+        got = {format_word(w, BINARY) for w in product(t, ins).words_up_to(2)}
         assert got == {"0", "", "00", "01", "10"}
 
     def test_numbering_is_pinned(self):

@@ -57,7 +57,7 @@ class TestSolidCode:
         # no two-word solid code exists at length 4 at all
         from itertools import combinations
 
-        pool = [format_word(w) for w in overlap_free_words(BINARY, 4)]
+        pool = [format_word(w, BINARY) for w in overlap_free_words(BINARY, 4)]
         assert not any(is_solid_code(c) for c in combinations(pool, 2))
 
     def test_bordered_word_disqualifies(self):
@@ -70,7 +70,7 @@ class TestSuffixUniverse:
             u = suffix_universe(BINARY, ell, pattern)
             assert u.count_words() == 2 ** (ell - len(pattern))
             for w in u.iter_words():
-                assert format_word(w).endswith(pattern)
+                assert format_word(w, BINARY).endswith(pattern)
 
     def test_pattern_too_long(self):
         with pytest.raises(ParameterError):
