@@ -67,7 +67,7 @@ def _resolve_channel(spec: str, alphabet: Alphabet) -> Channel:
                 with open(spec) as fh:
                     return parse_channel(fh.read(), alphabet,
                                          name=os.path.basename(spec))
-            except (OSError, FormatError) as exc:
+            except (OSError, UnicodeDecodeError, FormatError) as exc:
                 raise _CliFailure(
                     f"cannot load channel {spec!r}: {exc}") from exc
         raise _CliFailure(str(registry_error)) from registry_error
@@ -79,12 +79,13 @@ def _combined_channel(specs: list[str], alphabet: Alphabet) -> Channel:
 
 
 def _read_file(path: str, what: str, parse):
-    """``parse`` of the text of the file at ``path``; an unreadable file, or
-    a ChancodesError from ``parse``, fails naming the ``what`` file."""
+    """``parse`` of the text of the file at ``path``; an unreadable or
+    undecodable file, or a ChancodesError from ``parse``, fails naming the
+    ``what`` file."""
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(f"cannot read {what} file {path!r}: {exc}") from exc
     try:
         return parse(text)
@@ -138,8 +139,12 @@ def _write_out(text: str, path: "str | None"):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliFailure(
+                f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _alphabet_from_arg(arg: "str | None") -> Alphabet:

@@ -15,15 +15,20 @@ state can still read and write, prunes this search and the membership
 test of ``codegen.Exclusion``.
 
 Exact maximality walks the subset construction of the exclusion automaton
-(channel | channel^-1)(C) lazily and keeps no transitions: the witness
-search stops at the least addable word, and the index counts Sigma^l layer
-by layer.  The channel enters reduced by ``Transducer.quotient``, which
-keeps one copy of a symmetric channel (sub:2, id:2: 6 -> 3 states).
+(channel | channel^-1)(C) without building it: a subset state is a set of
+(minimal trellis state, channel state) pairs, each pair's successors are
+built the first time a step meets it, and ``_feasible`` drops the pairs
+that cannot finish a word of the block length (``_exclusion_steps``).  The
+witness search stops at the least addable word, and the index counts
+Sigma^l layer by layer.  The channel enters reduced by
+``Transducer.quotient``, which keeps one copy of a symmetric channel
+(sub:2, id:2: 6 -> 3 states).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from typing import Optional
 
@@ -338,32 +343,103 @@ def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
     return product(code.minimal, channel.self_union_inverse())
 
 
-def _exclusion_walk(code: Trellis, channel: Channel):
-    """The exclusion automaton x, ``fits`` and the start set of a lazy walk
-    of its subset construction.  ``fits[k]`` holds the states of x with a
-    path of exactly k symbols on to a final state: with k symbols left, no
-    other state (nor any it leads to) can end a word of the block length."""
-    x = exclusion_automaton(code, channel)
-    masks = length_masks(
-        x.num_states, x.final,
-        ((s, 0 if a is None else 1, d) for s, a, d in x.transitions),
-        (1 << code.length + 1) - 1)
-    fits = [frozenset([q for q in x.states if masks[q] >> k & 1])
-            for k in range(code.length + 1)]
-    return x, fits, x.epsilon_closure(x.initial) & fits[-1]
+def _exclusion_steps(code: Trellis, channel: Channel):
+    """(step, start set, final pairs) of the subset walk of the exclusion
+    automaton (channel | channel^-1)(C), stepped on demand: no product is
+    built.
+
+    A subset state is a frozenset of pairs m * n + q: m a state of the
+    minimal trellis, q one of the n states of T =
+    ``channel.self_union_inverse()``, which reads a codeword along the
+    trellis and writes the word walked.  ``step(s, a, k)`` is the set of
+    pairs in ``fits[k]`` that s reaches on a; a pair's epsilon-closed
+    successor set on a is built at the first step that needs it, and kept.
+
+    ``fits[k]`` holds the pairs met so far whose T state can read the rest
+    of the codeword and write exactly k symbols: ``feasible[q]`` at
+    ``left(m) * (l + 2) + k``, the test of ``_identity_violation``.  It
+    may keep a pair that reaches no final pair in k symbols, but then no
+    pair it leads to does in fewer, so the count and the least addable word
+    are those of the trimmed product (``exclusion_automaton``).  No memo
+    refers back to its own filler, so a walk is freed when it ends.
+    """
+    t = channel.self_union_inverse()
+    machine, ell, n = code.minimal, code.length, t.num_states
+    stride = ell + 2
+    # per T state and code length left, the lengths it can write
+    ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
+           for i in range(ell + 1)] for row in _feasible(t, ell)]
+    # per output (None: none), per T state, its (input, target) moves
+    by_output = {y: [[] for _ in t.states]
+                 for y in (None, *code.alphabet.symbols)}
+    for q, row in enumerate(t._moves):
+        for x, xmoves in row.items():
+            for y, d in xmoves:
+                by_output[y][q].append((x, d))
+    rows = machine._rows
+    left = [0] * machine.num_states  # set as each m is met
+    fits: list[set] = [set() for _ in range(ell + 1)]
+
+    def targets(p: int, moves) -> list[int]:
+        """The pairs that p reaches on its T state's ``moves``."""
+        m, q = divmod(p, n)
+        row = rows[m]
+        found = []
+        for x, qd in moves[q]:
+            md = m if x is None else row.get(x)
+            if md is not None:
+                left[md] = left[m] - (x is not None)
+                found.append(md * n + qd)
+        return found
+
+    @cache
+    def closure(p: int) -> frozenset:
+        """The pairs that p reaches on moves that write nothing; each joins
+        ``fits`` at the k it passes."""
+        seen = {p}
+        stack = [p]
+        while stack:
+            for d in targets(stack.pop(), by_output[None]):
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        for d in seen:
+            m, q = divmod(d, n)
+            for k in ks[q][left[m]]:
+                fits[k].add(d)
+        return frozenset(seen)
+
+    def successors(moves, p: int) -> frozenset:
+        """The epsilon-closed set of pairs that p reaches on ``moves``."""
+        return frozenset().union(*map(closure, targets(p, moves)))
+
+    following = {a: cache(partial(successors, by_output[a]))
+                 for a in code.alphabet.symbols}
+
+    def step(s: frozenset, a: str, k: int) -> frozenset:
+        return frozenset().union(*map(following[a], s)) & fits[k]
+
+    if not machine.final:
+        return step, frozenset(), frozenset()
+    m = machine.initial_state
+    left[m] = ell
+    start = frozenset().union(*map(closure, [m * n + q for q in t.initial]))
+    return step, start & fits[-1], frozenset(
+        machine.final_state * n + q for q in t.final)
 
 
 def _least_addable(walk, u: int, m: "int | None", s: frozenset,
                    left: int) -> "Word | None":
     """The least completion, ``left`` symbols long, of a prefix that reached
     universe state u, minimal code state m (None off the code) and the set
-    s of exclusion states into an addable word, or None.  ``walk`` is
-    (universe, minimal trellis, exclusion automaton, ``fits``, the dead
-    keys: those that lead to no addable word)."""
-    universe, minimal, x, fits, dead = walk
+    s of exclusion pairs into an addable word, or None.  ``walk`` is
+    (universe, minimal trellis, the step and the final pairs of
+    ``_exclusion_steps``, the dead keys: those that lead to no addable
+    word)."""
+    universe, minimal, step, final, dead = walk
     if not left:
         addable = u in universe.final and m not in minimal.final \
-            and s.isdisjoint(x.final)
+            and s.isdisjoint(final)
         return () if addable else None
     row = universe._rows[u]
     if m is None and not s:  # every completion is addable
@@ -375,7 +451,7 @@ def _least_addable(walk, u: int, m: "int | None", s: frozenset,
         if a in row:
             rest = _least_addable(
                 walk, row[a], m if m is None else minimal._rows[m].get(a),
-                x._step(s, a) & fits[left - 1], left - 1)
+                step(s, a, left - 1), left - 1)
             if rest is not None:
                 return (a,) + rest
     dead.add((u, m, s))
@@ -394,15 +470,15 @@ def maximality_witness(
     non-detecting code with exit 2 before asking).
 
     A depth-first search in alphabet order, so in lexicographic order, over
-    keys (universe state, minimal code state, set of exclusion states)
+    keys (universe state, minimal code state, set of exclusion pairs)
     (``_least_addable``).  Exact but worst-case exponential, hence meant
     for small block lengths.
     """
     _require_same_alphabet(code, channel)
     universe = _fitting_universe(code, universe)
-    x, fits, start = _exclusion_walk(code, channel)
+    step, start, final = _exclusion_steps(code, channel)
     minimal = code.minimal
-    found = _least_addable((universe, minimal, x, fits, set()),
+    found = _least_addable((universe, minimal, step, final, set()),
                            universe.initial_state, minimal.initial_state,
                            start, code.length)
     return Witness.none() if found is None else Witness.addable(found)
@@ -411,10 +487,10 @@ def maximality_witness(
 def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     """|Sigma^l  intersect  (channel | channel^-1)(C)| / |Sigma^l|, exactly.
 
-    Counted layer by layer: a map from each nonempty filtered set of
-    exclusion states to the number of prefixes that reach it.  Requires
-    the code to be detecting (Definition of the index presupposes it); a
-    violating code raises NotDetectingError carrying the witness.
+    Counted layer by layer: a map from each nonempty set of exclusion
+    pairs (``_exclusion_steps``) to the number of prefixes that reach it.
+    Requires the code to be detecting (Definition of the index presupposes
+    it); a violating code raises NotDetectingError carrying the witness.
     """
     witness = detection_witness(code, channel)
     if witness:
@@ -423,15 +499,15 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             f"{witness.to_text(code.alphabet)}",
             witness=witness,
         )
-    x, fits, start = _exclusion_walk(code, channel)
+    step, start, final = _exclusion_steps(code, channel)
     layer = {start: 1} if start else {}
     for k in reversed(range(code.length)):
         following: dict = {}
         for s, n in layer.items():
             for a in code.alphabet.symbols:
-                d = x._step(s, a) & fits[k]
+                d = step(s, a, k)
                 if d:
                     following[d] = following.get(d, 0) + n
         layer = following
-    used = sum(n for s, n in layer.items() if not s.isdisjoint(x.final))
+    used = sum(n for s, n in layer.items() if not s.isdisjoint(final))
     return Fraction(used, len(code.alphabet) ** code.length)

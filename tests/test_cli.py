@@ -386,6 +386,39 @@ class TestCheck:
         assert err == f"error: bad code file {str(f)!r}: symbol '000' not " \
             "in alphabet {0,1}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--channel", "sub:1", "{bad}"), "cannot read code file"),
+        (("maximal", "--channel", "sub:1", "--universe", "{bad}", "{good}"),
+         "cannot read trellis file"),
+        (("check", "--channel", "{bad}", "{good}"), "cannot load channel"),
+    ], ids=["code", "trellis", "channel"])
+    def test_undecodable_file_exits_1(self, capsys, tmp_path, argv, message):
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_bytes(b"0\xff0\n")
+        good.write_text("0011\n1100\n")
+        code, out, err = run(capsys, *(a.format(bad=bad, good=good)
+                                       for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message} {str(bad)!r}: 'utf-8' "
+                              "codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--channel", "sub:1", "{good}"),
+        ("gen", "--channel", "sub:1", "--len", "4", "--n", "2", "--seed", "1"),
+    ], ids=["check", "gen"])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, argv):
+        good = tmp_path / "good.txt"
+        good.write_text("0011\n1100\n")
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, *(a.format(good=good) for a in argv),
+                             "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write output file {str(target)!r}: " \
+            f"[Errno 2] No such file or directory: {str(target)!r}\n"
+
 
 @pytest.mark.parametrize("length, extra", [
     ("1", ()), ("2", ()), ("4", ()), ("3", ("--end", "bc")),

@@ -10,7 +10,6 @@ from chancodes import (
     Alphabet,
     AlphabetMismatchError,
     Channel,
-    Nfa,
     NotDetectingError,
     ParameterError,
     Transducer,
@@ -33,6 +32,8 @@ from chancodes import (
     trellis_from_words,
     universe_trellis,
 )
+
+from chancodes import properties
 
 import oracles
 
@@ -339,8 +340,8 @@ class TestMaximality:
     def test_witness_stops_at_the_least_addable_word(self, monkeypatch):
         """On a half-greedy sub:2 code of length 10 the search stops at
         the least addable word, in well under half the subset steps of
-        building universe - C - exclusion in full first (932 ``_step``
-        calls, counted the same way)."""
+        building universe - C - exclusion in full first (932 subset
+        steps, counted as ``Nfa._step`` calls)."""
         rng = random.Random(0)
         pool = list(BINARY.words_of_length(10))
         rng.shuffle(pool)
@@ -352,14 +353,19 @@ class TestMaximality:
                 blocked |= oracles.sub_image(w, 2, BINARY)
         code = trellis_from_words(words, BINARY, length=10)
         calls = 0
-        step = Nfa._step
+        walk = properties._exclusion_steps
 
-        def counting(self, subset, sym):
-            nonlocal calls
-            calls += 1
-            return step(self, subset, sym)
+        def counting(code, channel):
+            step, start, final = walk(code, channel)
 
-        monkeypatch.setattr(Nfa, "_step", counting)
+            def counted(subset, sym, k):
+                nonlocal calls
+                calls += 1
+                return step(subset, sym, k)
+
+            return counted, start, final
+
+        monkeypatch.setattr(properties, "_exclusion_steps", counting)
         found = maximality_witness(code, make_sub(2))
         assert found == Witness.addable(BINARY.word("0110111100"))
         assert 0 < 2 * calls < 932
@@ -545,6 +551,79 @@ def test_random_channel_maximality_matches_brute_force(alphabet):
     assert {(True, True), (True, False)} <= {(e, f) for e, f, _, _ in seen}
     assert {d for _, _, d, _ in seen} == {True, False}
     assert {(True, False), (False, False)} <= {(f, u) for _, f, _, u in seen}
+
+
+def greedy_detecting(rng, pool, code, channel, tries):
+    """``code`` grown by up to ``tries`` random words of ``pool`` that keep
+    it detecting for ``channel``."""
+    for w in rng.sample(pool, min(tries, len(pool))):
+        grown = code.add_word(w)
+        if not detection_witness(grown, channel):
+            code = grown
+    return code
+
+
+def test_lazy_exclusion_walk_matches_the_trimmed_product(monkeypatch):
+    """The index and the least addable word that the on-demand walk finds
+    are those read off the trimmed product ``exclusion_automaton``, on
+    random transducers and on every zoo channel at block lengths 4-6,
+    over the full universe, random sub-universes, overlap-free words and a
+    suffix universe.  The walk's length filter is looser than trimming, so
+    some walks keep more pairs than the trimmed product has states."""
+    from test_codegen import random_channel
+
+    kept: set = set()
+    walk = properties._exclusion_steps
+
+    def recording(code, channel):
+        step, start, final = walk(code, channel)
+
+        def recorded(subset, sym, k):
+            found = step(subset, sym, k)
+            kept.update(found)
+            return found
+
+        return recorded, start, final
+
+    monkeypatch.setattr(properties, "_exclusion_steps", recording)
+    rng = random.Random(43)
+    zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
+           "segd:3", "ov"]
+    cases = [(channel_from_spec(spec), ell) for spec in zoo
+             for ell in (4, 6)]
+    cases += [(random_channel(rng, BINARY), rng.randint(4, 6))
+              for _ in range(60)]
+    loose = 0
+    for channel, ell in cases:
+        pool = list(BINARY.words_of_length(ell))
+        full = universe_trellis(BINARY, ell)
+        empty = trellis_from_words([], BINARY, length=ell)
+        codes = [greedy_detecting(rng, pool, empty, channel, 6),
+                 trellis_from_words(rng.sample(pool, 3), BINARY)]
+        universes = [None, overlap_free_trellis(BINARY, ell),
+                     suffix_universe(BINARY, ell, rng.choice(["1", "01"])),
+                     trellis_from_words(
+                         rng.sample(pool, rng.randint(0, len(pool) // 2)),
+                         BINARY, length=ell)]
+        for code in codes:
+            x = exclusion_automaton(code, channel)
+            blocked = x.determinize()
+            for universe in universes:
+                least = next((w for w in (universe or full).iter_words()
+                              if not code.accepts(w)
+                              and not blocked.accepts(w)), None)
+                expected = Witness.none() if least is None \
+                    else Witness.addable(least)
+                kept.clear()
+                assert maximality_witness(code, channel, universe) \
+                    == expected, (channel.name, ell, list(code.iter_words()))
+                loose += len(kept) > x.num_states
+            if not detection_witness(code, channel):
+                kept.clear()
+                assert maximality_index(code, channel) == Fraction(
+                    full.intersect(x).count_words(), 2 ** ell), channel.name
+                loose += len(kept) > x.num_states
+    assert loose
 
 
 def unpruned_live_triples(machine, t) -> set:
