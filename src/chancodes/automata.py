@@ -700,35 +700,48 @@ class Trellis(Dfa):
     def final_state(self) -> "int | None":
         return next(iter(self.final)) if self.final else None
 
-    @cached_property
+    @property
     def minimal(self) -> "Trellis":
-        """The minimal trellis of the same code.
+        """The minimal trellis of the same code: ``self`` for the empty code
+        and for each result of ``trellis_from_words``, which is built
+        minimal, returned rather than cached so that no trellis refers to
+        itself."""
+        return self._reduced or self
 
-        One bottom-up pass (Revuz, TCS 1992): a state's signature is its
-        final flag plus the class of its successor on each symbol, so two
-        states share a signature exactly when they have the same right
-        language.  Classes are numbered by ``_class_trellis``.  The empty
-        code, a lone state, is its own minimal trellis, and so is every
-        result of ``trellis_from_words``, which builds the minimal trellis
-        directly.
-        """
+    @cached_property
+    def _reduced(self) -> "Trellis | None":
+        """``minimal`` when it is another trellis, else None.  One bottom-up
+        pass (Revuz, TCS 1992): a state's signature is the class of its
+        successor on each symbol, so two states share a signature exactly
+        when they have the same right language.  Classes are numbered by
+        ``_class_trellis``."""
         if not self.final:
-            return self
+            return None
         rows = self._rows
         signatures: dict = {}
         layered = [0] * self.num_states  # class ids in bottom-up order
         class_rows: list[dict[str, int]] = []
         for q in self._postorder:  # successors before predecessors
+            # trim, so the final state is the one with an empty row
             row = tuple((a, layered[d]) for a, d in rows[q].items())
-            sig = (q in self.final, row)
-            c = signatures.get(sig)
+            c = signatures.get(row)
             if c is None:
-                c = signatures[sig] = len(class_rows)
+                c = signatures[row] = len(class_rows)
                 class_rows.append(dict(row))
             layered[q] = c
         return _class_trellis(self.alphabet, class_rows,
                               layered[self.initial_state],
                               layered[self.final_state], self.length)
+
+    @cached_property
+    def _left(self) -> tuple[int, ...]:
+        """Per state, the number of symbols from it to the final state."""
+        left = [0] * self.num_states
+        for q in self._postorder:  # successors before predecessors
+            for d in self._rows[q].values():  # layered: all successors agree
+                left[q] = left[d] + 1
+                break
+        return tuple(left)
 
     @cached_property
     def _shared(self) -> frozenset[int]:
@@ -827,17 +840,15 @@ def _class_trellis(alphabet: Alphabet, rows: Sequence[dict[str, int]],
     """The trellis on the classes of a minimal trellis, given per class its
     successor class on each symbol: classes numbered breadth-first from
     ``root``, symbols in alphabet order, so that the same code always gives
-    the same machine.  The result is stored as its own ``minimal``."""
+    the same machine.  The result is marked as its own ``minimal``."""
     def successors(c):
         row = rows[c]
         return ((a, row[a]) for a in alphabet if a in row)
 
     order, edges = walk([root], successors)
-    t = Trellis._trusted(alphabet, len(order), frozenset({0}),
-                         frozenset({order.index(final)}), tuple(sorted(edges)),
-                         length=length)
-    t.__dict__["minimal"] = t
-    return t
+    return Trellis._trusted(alphabet, len(order), frozenset({0}),
+                            frozenset({order.index(final)}),
+                            tuple(sorted(edges)), length=length, _reduced=None)
 
 
 def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:
@@ -869,8 +880,8 @@ def trellis_from_words(
     length: "int | None" = None,
 ) -> Trellis:
     """The minimal trellis accepting exactly the given equal-length words,
-    numbered as ``Trellis.minimal`` numbers it and stored as its own
-    ``minimal``.  An empty collection needs an explicit length.
+    numbered as ``Trellis.minimal`` numbers it and its own ``minimal``.
+    An empty collection needs an explicit length.
 
     One pass over the sorted words (Daciuk, Mihov, Watson & Watson, Comput.
     Linguist. 2000), with no prefix tree in between.  The state of each

@@ -7,12 +7,13 @@ channel, code as output language) for an accepted pair of different words.
 Insertions and deletions desynchronize the two sides, so each triple
 carries the *overhang* by which one side is ahead; with no conflict every
 accepted pair is an identity pair (``_identity_violation``).  The
-completions at conflicts share one visited map, which keeps the triples
-proved dead; when the channel's states have mirrors
-(``Transducer._mirror``), each triple proved dead proves its mirror dead
-too.  ``_feasible``, the table of (input, output) lengths that a channel
-state can still read and write, prunes this search and the membership
-test of ``codegen.Exclusion``.
+completions at conflicts (``_completion``) expand their triples inline and
+share one visited map of parents, which keeps the triples proved dead; when
+the channel's states have mirrors (``Transducer._mirror``), each triple
+proved dead proves its mirror dead too.  A witness path reads its labels
+back off the move table (``_labels``).  ``_feasible``, the table of (input,
+output) lengths that a channel state can still read and write, prunes this
+search and the membership test of ``codegen.Exclusion``.
 
 Exact maximality walks the subset construction of the exclusion automaton
 (channel | channel^-1)(C) without building it: a subset state is a set of
@@ -108,32 +109,34 @@ def _feasible(t: Transducer, ell: int) -> tuple[bytes, ...]:
 
 def _advance(delay: tuple[Word, Word], x: Optional[str], y: Optional[str]):
     """The overhang after reading x on the input side and y on the output
-    side, or None when the two sides disagree at an aligned position."""
+    side, or None when the two sides disagree at an aligned position.  One
+    side of an overhang is empty, so at most one pair of symbols aligns."""
     pin, pout = delay
     if x is not None:
-        pin = pin + (x,)
+        pin += (x,)
     if y is not None:
-        pout = pout + (y,)
-    while pin and pout:
-        if pin[0] != pout[0]:
-            return None
-        pin = pin[1:]
-        pout = pout[1:]
+        pout += (y,)
+    if pin and pout:
+        return None if pin[0] != pout[0] else (pin[1:], pout[1:])
     return (pin, pout)
 
 
-def _labels(links: dict, triple) -> list:
-    """The (x, y) labels of the path that ``links`` (triple -> (predecessor,
-    x, y)) records back to a triple without a link (absent, or None), in
-    path order."""
+def _labels(parents: dict, triple, table, rows) -> list:
+    """The (x, y) labels of the path that ``parents`` (triple ->
+    predecessor) records back to a triple without one, in path order.  A
+    search enters each triple on the first move, in ``table`` order, that
+    reaches it, so that is the label read back; two can reach one triple
+    where the minimal trellis merges paths."""
     labels = []
-    link = links.get(triple)
-    while link is not None:
-        triple, x, y = link
-        labels.append((x, y))
-        link = links.get(triple)
-    labels.reverse()
-    return labels
+    s = parents.get(triple)
+    while s is not None:
+        p, q, r = s
+        labels.append(next(
+            (x, y) for x, xmoves in table[q] for y, qd, _ in xmoves
+            if (p if x is None else rows[p].get(x), qd,
+                r if y is None else rows[r].get(y)) == triple))
+        triple, s = s, parents.get(s)
+    return labels[::-1]
 
 
 def _words(labels: list) -> tuple[Word, Word]:
@@ -141,25 +144,36 @@ def _words(labels: list) -> tuple[Word, Word]:
             tuple(y for _, y in labels if y is not None))
 
 
-def _completion(triple, expand, accepting: set, visited: dict, mirror):
-    """The (x, y) labels of a shortest path from ``triple`` to a triple in
-    ``accepting``, or None when there is none.
+def _completion(triple, search, visited: dict, mirror):
+    """The (x, y) labels of a shortest path from ``triple`` to an accepted
+    triple, or None when there is none.
 
-    ``expand(s)`` lists the (x, y, successor) moves of s in order.  The
-    search enters no triple that ``visited`` holds and records each one it
-    enters there as successor -> (predecessor, x, y), ``triple`` as None.
-    When no path is found every triple (p, q, r) it entered is dead, and
-    its entry stays in ``visited`` to mark it so; (r, mirror[q], p) is
-    marked dead too unless ``mirror`` is None."""
+    ``search`` holds the tables of ``_identity_violation``.  The search
+    enters no triple that ``visited`` holds and records each one it enters
+    there as successor -> predecessor, ``triple`` -> None.  When no path is
+    found every triple (p, q, r) it entered is dead, and its entry stays in
+    ``visited`` to mark it so; (r, mirror[q], p) is marked dead too unless
+    ``mirror`` is None."""
+    table, rows, left_in, left_out, final, accepting = search
     visited[triple] = None
     queue = [triple]
     for s in queue:
-        if s in accepting:
-            return _labels(visited, s)
-        for x, y, d in expand(s):
-            if d not in visited:
-                visited[d] = (s, x, y)
-                queue.append(d)
+        p, q, r = s
+        if p == final and r == final and q in accepting:
+            return _labels(visited, s, table, rows)
+        row_p, row_r = rows[p], rows[r]
+        for x, xmoves in table[q]:
+            pd = p if x is None else row_p.get(x)
+            if pd is None:
+                continue
+            base = left_in[pd]
+            for y, qd, row in xmoves:
+                rd = r if y is None else row_r.get(y)
+                if rd is not None and row[base + left_out[rd]]:
+                    d = (pd, qd, rd)
+                    if d not in visited:
+                        visited[d] = s
+                        queue.append(d)
     if mirror is not None:
         for p, q, r in queue:
             visited[r, mirror[q], p] = None
@@ -177,71 +191,43 @@ def _identity_violation(code: Trellis, sigma: Transducer):
 
     One breadth-first search carries the overhangs over the triples that
     pass a length test (sigma must be able to read and write what is left
-    of two codewords); every triple on an accepted path passes it.  At an
-    overhang conflict at triple d, a second search forward from d completes
-    the witness to a final triple (``_completion``).  When it finds none,
-    every triple it visited is dead, and both searches skip them from then
-    on.  A reached triple with a live successor is itself live, so the live
-    triples are met in the same order, with the same first parent and
-    overhang, as by a search over the live triples alone, and the witness
-    is that of the full product.  Every walk meets successors in ``_moves``
-    order, so ties always resolve the same way.
+    of two codewords, ``Trellis._left``); every triple on an accepted path
+    passes it.  At an overhang conflict at triple d, a second search
+    forward from d completes the witness to a final triple
+    (``_completion``).  When it finds none, every triple it visited is
+    dead, and both searches skip them from then on.  A reached triple with
+    a live successor is itself live, so the live triples are met in the
+    same order, with the same first parent and overhang, as by a search
+    over the live triples alone, and the witness is that of the full
+    product.  Every walk meets successors in ``_moves`` order, so ties
+    always resolve the same way.
 
-    The completions share one map, ``visited``: a failed completion leaves
-    its entries there as the dead set, so no completion enters a triple
-    that an earlier one entered, and each edge costs one lookup.  The move
-    table pairs each target sigma state with its ``_feasible`` row, and
-    the main search expands its triples inline.
-
-    (p, q, r) is dead exactly when (r, q-bar, p) is, where q-bar relates
-    inversely to q (``Transducer._mirror``), so a failed completion marks
-    both.  Every state has a mirror for sub:k, id:k, bsid2 and every sigma^-1
-    . sigma, so every correction search; on the maximal length-14 greedy
-    codes this halves the dead triples entered (sub:2 23183 -> 12212
-    triples in all, id:2 32439 -> 18361).
+    Both searches expand triples inline from one move table, which pairs
+    each target sigma state with its ``_feasible`` row, and keep only each
+    triple's parent; a witness reads its labels back (``_labels``).  The
+    completions share one map, ``visited``: a failed completion leaves its
+    entries there as the dead set, so no completion enters a triple that an
+    earlier one entered, and each edge costs one lookup.  (p, q, r) is dead
+    exactly when (r, q-bar, p) is, where q-bar relates inversely to q
+    (``Transducer._mirror``), so a failed completion marks both; every
+    state has a mirror for sub:k, id:k, bsid2 and every sigma^-1 . sigma.
     """
     if not code.final:
         return None
     t = sigma.standard_form()
     machine = code.minimal
-    rows, mirror = machine._rows, t._mirror
-    final, start = machine.final_state, machine.initial_state
-    stride = machine.length + 2
+    rows, start = machine._rows, machine.initial_state
     feasible = _feasible(t, machine.length)
     table = [tuple((x, tuple((y, qd, feasible[qd]) for y, qd in xmoves))
                    for x, xmoves in row.items()) for row in t._moves]
-    # the minimal trellis is layered: each state has one remaining length
-    left_out = [m.bit_length() - 1 for m in length_masks(
-        machine.num_states, machine.final,
-        ((s, 1, d) for s, _, d in machine.transitions),
-        (1 << machine.length + 1) - 1)]
-    left_in = [k * stride for k in left_out]
-    accepting = {(final, q, final) for q in t.final}
-    visited: dict = {}
-
-    def expand(triple):
-        p, q, r = triple
-        row_p, row_r = rows[p], rows[r]
-        found = []
-        for x, xmoves in table[q]:
-            pd = p if x is None else row_p.get(x)
-            if pd is None:
-                continue
-            base = left_in[pd]
-            for y, qd, row in xmoves:
-                rd = r if y is None else row_r.get(y)
-                if rd is not None and row[base + left_out[rd]]:
-                    found.append((x, y, (pd, qd, rd)))
-        return found
-
-    delays = {}
+    left_out = machine._left
+    left_in = [k * (machine.length + 2) for k in left_out]
+    search = (table, rows, left_in, left_out, machine.final_state, t.final)
+    queue = [(start, q, start) for q in sorted(t.initial)
+             if feasible[q][left_in[start] + left_out[start]]]
+    delays = dict.fromkeys(queue, _SYNCED)
     links = {}
-    queue = []
-    for q in sorted(t.initial):
-        if feasible[q][left_in[start] + left_out[start]]:
-            s = (start, q, start)
-            delays[s] = _SYNCED
-            queue.append(s)
+    visited: dict = {}
     # a final triple needs no check of its own: both sides of a path to it
     # have read a whole codeword, all of one length, so neither is ahead
     for s in queue:
@@ -264,7 +250,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 if seen is None:
                     if nd is not None:
                         delays[d] = nd
-                        links[d] = (s, x, y)
+                        links[d] = s
                         queue.append(d)
                         continue
                 elif seen == nd:
@@ -272,10 +258,11 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 # a mismatch at an aligned position, or a second overhang
                 # at d: the path along this edge, or else the first path to
                 # d, disagrees with any completion, if d has one
-                rest = _completion(d, expand, accepting, visited, mirror)
+                rest = _completion(d, search, visited, t._mirror)
                 if rest is None:
                     continue
-                for path in (_labels(links, s) + [(x, y)], _labels(links, d)):
+                for path in (_labels(links, s, table, rows) + [(x, y)],
+                             _labels(links, d, table, rows)):
                     u, v = _words(path + rest)
                     if u != v:
                         return u, v
@@ -357,7 +344,7 @@ def _exclusion_steps(code: Trellis, channel: Channel):
 
     ``fits[k]`` holds the pairs met so far whose T state can read the rest
     of the codeword and write exactly k symbols: ``feasible[q]`` at
-    ``left(m) * (l + 2) + k``, the test of ``_identity_violation``.  It
+    ``_left[m] * (l + 2) + k``, the test of ``_identity_violation``.  It
     may keep a pair that reaches no final pair in k symbols, but then no
     pair it leads to does in fewer, so the count and the least addable word
     are those of the trimmed product (``exclusion_automaton``).  No memo
@@ -376,21 +363,15 @@ def _exclusion_steps(code: Trellis, channel: Channel):
         for x, xmoves in row.items():
             for y, d in xmoves:
                 by_output[y][q].append((x, d))
-    rows = machine._rows
-    left = [0] * machine.num_states  # set as each m is met
+    rows, left = machine._rows, machine._left
     fits: list[set] = [set() for _ in range(ell + 1)]
 
     def targets(p: int, moves) -> list[int]:
         """The pairs that p reaches on its T state's ``moves``."""
         m, q = divmod(p, n)
         row = rows[m]
-        found = []
-        for x, qd in moves[q]:
-            md = m if x is None else row.get(x)
-            if md is not None:
-                left[md] = left[m] - (x is not None)
-                found.append(md * n + qd)
-        return found
+        return [md * n + qd for x, qd in moves[q]
+                if (md := m if x is None else row.get(x)) is not None]
 
     @cache
     def closure(p: int) -> frozenset:
@@ -422,7 +403,6 @@ def _exclusion_steps(code: Trellis, channel: Channel):
     if not machine.final:
         return step, frozenset(), frozenset()
     m = machine.initial_state
-    left[m] = ell
     start = frozenset().union(*map(closure, [m * n + q for q in t.initial]))
     return step, start & fits[-1], frozenset(
         machine.final_state * n + q for q in t.final)

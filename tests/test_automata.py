@@ -780,6 +780,33 @@ class TestMinimal:
         t = trellis_from_words(["0100", "1001"], BINARY)
         assert t.minimal is t.minimal
 
+    @pytest.mark.parametrize("words, length", [
+        (["0100", "1001", "1000"], None), ([], 3), ([""], None),
+    ], ids=["code", "empty", "length-0"])
+    def test_freed_without_the_cycle_collector(self, words, length):
+        """No trellis refers to itself: with the cycle collector off, a
+        ``trellis_from_words`` result, its own ``minimal``, is freed as
+        soon as it is dropped, and so are a prefix tree and the minimal
+        trellis it caches."""
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = trellis_from_words(words, BINARY, length)
+            assert t.minimal is t and t._left == t.minimal._left
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+            tree = oracles.prefix_tree(words, BINARY, length=length)
+            refs = [weakref.ref(tree), weakref.ref(tree.minimal)]
+            del tree
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestCountingAndSampling:
     def test_count_matches_enumeration(self):

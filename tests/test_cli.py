@@ -372,6 +372,22 @@ class TestCheck:
         assert out.startswith("CORRECT-VIOLATION")
         assert "via" in out
 
+    @pytest.mark.parametrize("command, channel, words, expected", [
+        ("check", "id:2", "010\n011\n", "DETECT-VIOLATION 010 011"),
+        ("check", "bsid2", "100\n110\n", "DETECT-VIOLATION 100 110"),
+        ("correct-check", "bsid2", "100\n110\n",
+         "CORRECT-VIOLATION 100 110 via 0"),
+    ], ids=["id2-check", "bsid2-check", "bsid2-correct"])
+    def test_witness_through_two_labels_to_one_triple(
+            self, capsys, tmp_path, command, channel, words, expected):
+        # the witness path takes a step where two labels lead to one
+        # successor; the search reads back the first of them
+        f = tmp_path / "code.txt"
+        f.write_text(words)
+        code, out, _ = run(capsys, command, "--channel", channel, str(f))
+        assert code == 3
+        assert out == expected + "\n"
+
     def test_bad_code_file_exits_1(self, capsys, tmp_path):
         f = tmp_path / "mixed.txt"
         f.write_text("0\n00\n")

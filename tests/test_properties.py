@@ -777,9 +777,9 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
     buried = set()
     mirrors_on = [True]
 
-    def recorded(triple, expand, accepting, visited, mirror):
+    def recorded(triple, search, visited, mirror):
         before = set(visited)
-        rest = completion(triple, expand, accepting, visited,
+        rest = completion(triple, search, visited,
                           mirror if mirrors_on[0] else None)
         misses.append(rest is None)
         if rest is None:  # what it left in the map is marked dead
@@ -810,29 +810,48 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
     assert mirror_saves > 0
 
 
+class _Entering(dict):
+    """A copy of a visited map that lists, in order, the triples a
+    completion from ``start`` enters in it: ``start`` and each triple
+    stored with a predecessor.  Mirror marks are stored with None."""
+
+    def __init__(self, visited, start):
+        super().__init__(visited)
+        self.start, self.entered = start, []
+
+    def __setitem__(self, triple, parent):
+        if parent is not None or triple == self.start:
+            self.entered.append(triple)
+        super().__setitem__(triple, parent)
+
+
 def test_a_search_expands_each_triple_once_across_its_completions(
         monkeypatch):
     """The completions of one detection search share one visited map, so no
     completion expands a triple that an earlier one expanded: on the
-    ``referee_cases``, with and without mirrors, the expander handed to
-    ``_completion`` sees each triple at most once per search, also on
-    searches that run several completions that expand triples."""
+    ``referee_cases``, with and without mirrors, the triples that
+    ``_completion`` expands are distinct within each search, also on
+    searches that run several completions that expand triples.  A
+    completion is breadth-first, so it expands the triples it enters in
+    the order entered, up to the first accepted one."""
     from chancodes import properties
 
     completion = properties._completion
     expanded = []  # per completion, the triples it expanded
     mirrors_on = [True]
 
-    def recorded(triple, expand, accepting, visited, mirror):
-        mine = []
-        expanded.append(mine)
-
-        def counted(s):
-            mine.append(s)
-            return expand(s)
-
-        return completion(triple, counted, accepting, visited,
+    def recorded(triple, search, visited, mirror):
+        *_, final, accepting = search
+        spy = _Entering(visited, triple)
+        rest = completion(triple, search, spy,
                           mirror if mirrors_on[0] else None)
+        visited.update(spy)
+        entered = spy.entered
+        done = next((i for i, (p, q, r) in enumerate(entered)
+                     if p == final and r == final and q in accepting),
+                    len(entered))
+        expanded.append(entered[:done])
+        return rest
 
     monkeypatch.setattr(properties, "_completion", recorded)
     busy = 0
@@ -844,6 +863,45 @@ def test_a_search_expands_each_triple_once_across_its_completions(
             assert len(every) == len(set(every)), (words, sigma.to_text())
             busy += sum(1 for mine in expanded if mine) >= 2
     assert busy > 0
+
+
+@pytest.mark.parametrize("spec, words, correct, expected", [
+    ("id:2", ["010", "011"], False, ("010", "011")),
+    ("bsid2", ["100", "110"], False, ("100", "110")),
+    ("bsid2", ["100", "110"], True, ("100", "110")),
+], ids=["id2-check", "bsid2-check", "bsid2-correct"])
+def test_a_witness_path_through_two_labels_to_one_triple(
+        monkeypatch, spec, words, correct, expected):
+    """Where two labels lead from one triple to the same successor (the
+    minimal trellis merges the paths of 010 and 011 after their first
+    symbol), the witness path reads back the first of them, the move the
+    search entered the successor on, and the witness is the two-pass
+    referee's.  The path of each case takes such a step."""
+    from chancodes import channel_from_spec, properties
+
+    labels = properties._labels
+    merges = []
+
+    def recorded(parents, triple, table, rows):
+        s, d = parents.get(triple), triple
+        while s is not None:
+            p, q, r = s
+            merges.append(sum(
+                (p if x is None else rows[p].get(x), qd,
+                 r if y is None else rows[r].get(y)) == d
+                for x, xmoves in table[q] for y, qd, _ in xmoves) > 1)
+            s, d = parents.get(s), s
+        return labels(parents, triple, table, rows)
+
+    monkeypatch.setattr(properties, "_labels", recorded)
+    sigma = channel_from_spec(spec).transducer
+    if correct:
+        sigma = sigma.inverse().compose(sigma)
+    code = trellis_from_words(words, BINARY)
+    found = properties._identity_violation(code, sigma)
+    assert found == tuple(BINARY.word(w) for w in expected)
+    assert found == two_pass_violation(code.minimal, sigma.standard_form())
+    assert any(merges)
 
 
 def test_witnesses_depend_only_on_the_words():
