@@ -20,8 +20,11 @@ Exact maximality walks the subset construction of the exclusion automaton
 (minimal trellis state, channel state) pairs, each pair's successors are
 built the first time a step meets it, and ``_feasible`` drops the pairs
 that cannot finish a word of the block length (``_exclusion_steps``).  The
-witness search stops at the least addable word, and the index counts
-Sigma^l layer by layer.  The channel enters reduced by
+witness search stops at the least addable word.  The index meets in the
+middle: it counts the sets that the first floor(l / 2) symbols reach
+forward and those that the rest reach backward, where the same walk runs
+on the reversed trellis and channel, and adds up the products of the
+counts of the sets that meet.  The channel enters reduced by
 ``Transducer.quotient``, which keeps one copy of a symmetric channel
 (sub:2, id:2: 6 -> 3 states).
 """
@@ -330,28 +333,46 @@ def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
     return product(code.minimal, channel.self_union_inverse())
 
 
-def _exclusion_steps(code: Trellis, channel: Channel):
+def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     """(step, start set, final pairs) of the subset walk of the exclusion
-    automaton (channel | channel^-1)(C), stepped on demand: no product is
-    built.
+    automaton T(C), with T = ``channel.self_union_inverse()`` in standard
+    form, stepped on demand: no product is built.
 
     A subset state is a frozenset of pairs m * n + q: m a state of the
-    minimal trellis, q one of the n states of T =
-    ``channel.self_union_inverse()``, which reads a codeword along the
-    trellis and writes the word walked.  ``step(s, a, k)`` is the set of
-    pairs in ``fits[k]`` that s reaches on a; a pair's epsilon-closed
-    successor set on a is built at the first step that needs it, and kept.
+    minimal trellis, q one of the n states of T, which reads a codeword
+    along the trellis and writes the word walked.  ``step(s, a, k)`` is the
+    set of pairs in ``fits[k]`` that s reaches on a; a pair's
+    epsilon-closed successor set on a is built at the first step that needs
+    it, and kept.
 
-    ``fits[k]`` holds the pairs met so far whose T state can read the rest
-    of the codeword and write exactly k symbols: ``feasible[q]`` at
-    ``_left[m] * (l + 2) + k``, the test of ``_identity_violation``.  It
-    may keep a pair that reaches no final pair in k symbols, but then no
-    pair it leads to does in fewer, so the count and the least addable word
-    are those of the trimmed product (``exclusion_automaton``).  No memo
-    refers back to its own filler, so a walk is freed when it ends.
+    ``fits[k]`` holds the pairs met so far whose T state can read the
+    ``left[m]`` symbols left of the codeword and write exactly k symbols:
+    ``feasible[q]`` at ``left[m] * (l + 2) + k``, the test of
+    ``_identity_violation``.  It may keep a pair that reaches no final pair
+    in k symbols, but then no pair it leads to does in fewer, so the count
+    and the least addable word are those of the trimmed product
+    (``exclusion_automaton``).  No memo refers back to its own filler, so a
+    walk is freed when it ends.
+
+    ``backward`` walks the reversed problem with the same body: the minimal
+    trellis along its predecessor rows, which are multi-valued, from its
+    final state; T reversed (``Transducer.reverse``), whose initial states
+    are T's final ones; and ``left`` the depth l - ``_left[m]``.  So its
+    start pairs are the final pairs, and the set it reaches on the reverse
+    of a suffix holds the pairs from which T can write that suffix and
+    finish.
     """
-    t = channel.self_union_inverse()
     machine, ell, n = code.minimal, code.length, t.num_states
+    first, last, left = machine.initial_state, machine.final_state, \
+        machine._left
+    if backward:
+        t = t.reverse()
+        rows = [{} for _ in machine.states]
+        for p, a, d in machine.transitions:
+            rows[d][a] = rows[d].get(a, ()) + (p,)
+        first, last, left = last, first, [ell - k for k in left]
+    else:
+        rows = [{a: (d,) for a, d in row.items()} for row in machine._rows]
     stride = ell + 2
     # per T state and code length left, the lengths it can write
     ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
@@ -363,7 +384,6 @@ def _exclusion_steps(code: Trellis, channel: Channel):
         for x, xmoves in row.items():
             for y, d in xmoves:
                 by_output[y][q].append((x, d))
-    rows, left = machine._rows, machine._left
     fits: list[set] = [set() for _ in range(ell + 1)]
 
     def targets(p: int, moves) -> list[int]:
@@ -371,7 +391,7 @@ def _exclusion_steps(code: Trellis, channel: Channel):
         m, q = divmod(p, n)
         row = rows[m]
         return [md * n + qd for x, qd in moves[q]
-                if (md := m if x is None else row.get(x)) is not None]
+                for md in ((m,) if x is None else row.get(x, ()))]
 
     @cache
     def closure(p: int) -> frozenset:
@@ -402,10 +422,9 @@ def _exclusion_steps(code: Trellis, channel: Channel):
 
     if not machine.final:
         return step, frozenset(), frozenset()
-    m = machine.initial_state
-    start = frozenset().union(*map(closure, [m * n + q for q in t.initial]))
-    return step, start & fits[-1], frozenset(
-        machine.final_state * n + q for q in t.final)
+    start = frozenset().union(*map(closure,
+                                   [first * n + q for q in t.initial]))
+    return step, start & fits[-1], frozenset(last * n + q for q in t.final)
 
 
 def _least_addable(walk, u: int, m: "int | None", s: frozenset,
@@ -456,7 +475,7 @@ def maximality_witness(
     """
     _require_same_alphabet(code, channel)
     universe = _fitting_universe(code, universe)
-    step, start, final = _exclusion_steps(code, channel)
+    step, start, final = _exclusion_steps(code, channel.self_union_inverse())
     minimal = code.minimal
     found = _least_addable((universe, minimal, step, final, set()),
                            universe.initial_state, minimal.initial_state,
@@ -464,13 +483,42 @@ def maximality_witness(
     return Witness.none() if found is None else Witness.addable(found)
 
 
+def _layer_counts(walk, code: Trellis, layers: int) -> dict:
+    """Per nonempty set that ``walk`` (a result of ``_exclusion_steps`` on
+    ``code``) reaches in ``layers`` steps from its start set, the number of
+    words that reach it."""
+    step, start, _ = walk
+    layer = {start: 1} if start else {}
+    for k in range(code.length - 1, code.length - 1 - layers, -1):
+        following: dict = {}
+        for s, n in layer.items():
+            for a in code.alphabet.symbols:
+                d = step(s, a, k)
+                if d:
+                    following[d] = following.get(d, 0) + n
+        layer = following
+    return layer
+
+
 def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     """|Sigma^l  intersect  (channel | channel^-1)(C)| / |Sigma^l|, exactly.
 
-    Counted layer by layer: a map from each nonempty set of exclusion
-    pairs (``_exclusion_steps``) to the number of prefixes that reach it.
-    Requires the code to be detecting (Definition of the index presupposes
-    it); a violating code raises NotDetectingError carrying the witness.
+    Counted by meeting in the middle (Horowitz & Sahni, J. ACM 1974) at
+    h = floor(l / 2): the forward walk of ``_exclusion_steps`` maps each
+    set S it reaches after h symbols to the number of prefixes that reach
+    it, and the backward walk maps each set B it reaches after the other
+    l - h symbols to the number of suffixes; a word is counted exactly when
+    the set of its prefix meets the set of its suffix, so the index sums
+    count(S) * count(B) over the pairs that meet.
+
+    The count is of (channel | channel^-1)(C) alone, while
+    ``maximality_witness`` also excludes C itself.  The two agree whenever
+    the channel is input-preserving, since C then lies inside the image;
+    on a channel that is not, a maximal code can have an index below 1:
+    a channel that flips every bit maps {0} to {1}, so the code {0} is
+    maximal at length 1 and its index is 1/2.  Requires the code to be
+    detecting (Definition of the index presupposes it); a violating code
+    raises NotDetectingError carrying the witness.
     """
     witness = detection_witness(code, channel)
     if witness:
@@ -479,15 +527,11 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             f"{witness.to_text(code.alphabet)}",
             witness=witness,
         )
-    step, start, final = _exclusion_steps(code, channel)
-    layer = {start: 1} if start else {}
-    for k in reversed(range(code.length)):
-        following: dict = {}
-        for s, n in layer.items():
-            for a in code.alphabet.symbols:
-                d = step(s, a, k)
-                if d:
-                    following[d] = following.get(d, 0) + n
-        layer = following
-    used = sum(n for s, n in layer.items() if not s.isdisjoint(final))
+    t = channel.self_union_inverse()
+    half = code.length // 2
+    ahead = _layer_counts(_exclusion_steps(code, t), code, half)
+    behind = _layer_counts(_exclusion_steps(code, t, backward=True), code,
+                           code.length - half)
+    used = sum(n * m for s, n in ahead.items() for b, m in behind.items()
+               if not s.isdisjoint(b))
     return Fraction(used, len(code.alphabet) ** code.length)

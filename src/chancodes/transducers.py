@@ -116,6 +116,19 @@ class Transducer(Machine):
             self._normalize((s, o, i, d) for s, i, o, d in self.transitions),
         )
 
+    def reverse(self) -> "Transducer":
+        """Reverse every transition and its labels and swap the initial and
+        final states: y in rev(x) iff y reversed is in self(x reversed).
+        States keep their numbers, and standard form stays standard."""
+        return Transducer._trusted(
+            self.alphabet,
+            self.num_states,
+            self.final,
+            self.initial,
+            self._normalize((d, i[::-1], o[::-1], s)
+                            for s, i, o, d in self.transitions),
+        )
+
     def union(self, other: "Transducer") -> "Transducer":
         """Pointwise union of relations: (self | other)(x) = self(x) | other(x)."""
         if self.alphabet != other.alphabet:

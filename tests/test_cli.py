@@ -502,6 +502,22 @@ class TestMaximalAndIndex:
         assert code == 0
         assert out.strip() == "5/16 (0.3125)"
 
+    def test_index_counts_the_channel_image_alone(self, capsys, tmp_path):
+        """``index`` counts (sigma | sigma^-1)(C), while ``maximal`` also
+        excludes C itself.  They part only on a channel that is not
+        input-preserving, which the CLI warns about: flipping every bit
+        maps the code {0} to {1}, so 0 lies outside the image, yet it is
+        the codeword and cannot be added."""
+        flip = tmp_path / "flip.tr"
+        flip.write_text("@Transducer 0 * 0\n0 0 1 0\n0 1 0 0\n")
+        f = tmp_path / "zero.txt"
+        f.write_text("0\n")
+        for cmd, answer in (("maximal", "MAXIMAL\n"),
+                            ("index", "1/2 (0.5)\n")):
+            with pytest.warns(UserWarning, match="not input-preserving"):
+                code, out, _ = run(capsys, cmd, "--channel", str(flip), str(f))
+            assert (code, out) == (0, answer)
+
     def test_non_detecting_input_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("0000\n0001\n")

@@ -355,8 +355,8 @@ class TestMaximality:
         calls = 0
         walk = properties._exclusion_steps
 
-        def counting(code, channel):
-            step, start, final = walk(code, channel)
+        def counting(code, t, backward=False):
+            step, start, final = walk(code, t, backward)
 
             def counted(subset, sym, k):
                 nonlocal calls
@@ -369,6 +369,38 @@ class TestMaximality:
         found = maximality_witness(code, make_sub(2))
         assert found == Witness.addable(BINARY.word("0110111100"))
         assert 0 < 2 * calls < 932
+
+    def test_index_steps_each_half_at_most_once_per_set(self, monkeypatch):
+        """On a maximal greedy sub:2 code of length 12 the index steps each
+        half six layers deep, at most once per symbol from each set it
+        reaches: 2 * (2^6 - 1) subset steps per half, where a walk through
+        all twelve layers takes 2188."""
+        rng = random.Random(0)
+        pool = list(BINARY.words_of_length(12))
+        rng.shuffle(pool)
+        words: list = []
+        blocked: set = set()
+        for w in pool:
+            if w not in blocked:
+                words.append(w)
+                blocked |= oracles.sub_image(w, 2, BINARY)
+        code = trellis_from_words(words, BINARY, length=12)
+        calls: dict = {}
+        walk = properties._exclusion_steps
+
+        def counting(code, t, backward=False):
+            step, start, final = walk(code, t, backward)
+
+            def counted(subset, sym, k):
+                calls[backward] = calls.get(backward, 0) + 1
+                return step(subset, sym, k)
+
+            return counted, start, final
+
+        monkeypatch.setattr(properties, "_exclusion_steps", counting)
+        assert maximality_index(code, make_sub(2)) == 1
+        assert set(calls) == {False, True}
+        assert all(0 < n <= 2 * (2 ** 6 - 1) for n in calls.values())
 
     def test_universe_must_fit_the_code(self):
         t = trellis_from_words(["0000", "1111"], BINARY)
@@ -575,8 +607,8 @@ def test_lazy_exclusion_walk_matches_the_trimmed_product(monkeypatch):
     kept: set = set()
     walk = properties._exclusion_steps
 
-    def recording(code, channel):
-        step, start, final = walk(code, channel)
+    def recording(code, t, backward=False):
+        step, start, final = walk(code, t, backward)
 
         def recorded(subset, sym, k):
             found = step(subset, sym, k)
@@ -624,6 +656,46 @@ def test_lazy_exclusion_walk_matches_the_trimmed_product(monkeypatch):
                     full.intersect(x).count_words(), 2 ** ell), channel.name
                 loose += len(kept) > x.num_states
     assert loose
+
+
+def test_index_meets_in_the_middle_at_every_split_parity():
+    """The index, counted by meeting in the middle at floor(l / 2), equals
+    the count read off the trimmed product ``exclusion_automaton`` at block
+    lengths 0, 1, 2, 3, 5 and 7, where the two halves are equal, differ by
+    one or one is empty: on every zoo channel and on random transducers,
+    for the empty code, a one-word code and greedy codes."""
+    from test_codegen import random_channel
+
+    rng = random.Random(47)
+    zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
+           "segd:3", "ov"]
+    answers, moves = set(), set()
+    for ell in (0, 1, 2, 3, 5, 7):
+        pool = list(BINARY.words_of_length(ell))
+        full = universe_trellis(BINARY, ell)
+        empty = trellis_from_words([], BINARY, length=ell)
+        channels = [channel_from_spec(spec) for spec in zoo]
+        channels += [random_channel(rng, BINARY) for _ in range(25)]
+        for channel in channels:
+            codes = [empty, trellis_from_words([rng.choice(pool)], BINARY),
+                     greedy_detecting(rng, pool, empty, channel, 8),
+                     greedy_detecting(rng, pool, empty, channel, len(pool))]
+            for code in codes:
+                if detection_witness(code, channel):
+                    continue
+                x = exclusion_automaton(code, channel)
+                index = maximality_index(code, channel)
+                assert index == Fraction(full.intersect(x).count_words(),
+                                         2 ** ell), \
+                    (channel.transducer.to_text(), ell,
+                     list(code.iter_words()))
+                answers.add(index == 1)
+                if channel.name == "random":
+                    moves |= {(not i, not o) for _, i, o, _
+                              in channel.transducer.transitions}
+    assert answers == {True, False}
+    # epsilon-input, epsilon-output and epsilon/epsilon moves all occur
+    assert {(True, False), (False, True), (True, True)} <= moves
 
 
 def unpruned_live_triples(machine, t) -> set:

@@ -91,6 +91,22 @@ class TestInverse:
             assert fwd == {(y, x) for x, y in bwd}
 
 
+class TestReverse:
+    def test_relation_of_reversed_words(self):
+        """y in rev(x) iff y reversed is in t(x reversed), for |x|, |y| <= 4,
+        on the zoo, the standard form of bsid2 and random transducers,
+        whose labels of two symbols reverse too."""
+        rng = random.Random(53)
+        channels = zoo() + [random_channel(rng, BINARY) for _ in range(30)]
+        for ch in channels:
+            t = ch.transducer
+            fwd = oracles.relation_pairs(t, BINARY, 4, 4)
+            rev = oracles.relation_pairs(t.reverse(), BINARY, 4, 4)
+            assert rev == {(x[::-1], y[::-1]) for x, y in fwd}, t.to_text()
+            assert t.reverse().reverse() == t
+            assert t.standard_form().reverse().is_standard
+
+
 class TestUnion:
     def test_image_is_union_of_images(self):
         d, i = make_del1_insend().transducer, make_ins1_delend().transducer
