@@ -42,7 +42,6 @@ from .properties import (
     Witness,
     correction_witness,
     detection_witness,
-    exclusion_automaton,
     maximality_index,
     maximality_witness,
 )
@@ -60,8 +59,7 @@ __all__ = [
     "Alphabet", "BINARY", "Channel", "Dfa", "GenReport", "Nfa", "NextWord",
     "Transducer", "Trellis", "Witness", "Word",
     "as_trellis", "channel_from_spec", "correction_witness",
-    "detection_witness", "exclusion_automaton", "format_word",
-    "is_overlap_free",
+    "detection_witness", "format_word", "is_overlap_free",
     "make_bsid", "make_code", "make_del1_insend", "make_id",
     "make_ins1_delend", "make_overlap", "make_segd", "make_sub",
     "maximality_index", "maximality_witness", "next_word",

@@ -6,10 +6,10 @@ C itself; after n = 1 + floor(1 / (4 eps (1-f)^2)) failed trials it gives up.
 When the code is not yet f-maximal with respect to the universe, the give-up
 probability is below eps (a Chebyshev bound on the binomial trial count).
 Each draw is tested by a search on the current trellis (``Exclusion``),
-pruned by what the channel can still read and write; no exclusion
-automaton is built.  The words found excluded are kept, and once
-they are the whole universe the loop gives up without drawing further: no
-draw could succeed, so that give-up certifies exact maximality.
+pruned by what the channel can still read and write (``Transducer._table``);
+no exclusion automaton is built.  The words found excluded are kept, and
+once they are the whole universe the loop gives up without drawing further:
+no draw could succeed, so that give-up certifies exact maximality.
 
 ``make_code`` checks its inputs and fixes n once per run, then runs the
 same draw loop (``_draw``) until the requested number of words is added or
@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional
 from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words
 from .channels import Channel
 from .errors import NotDetectingError, ParameterError
-from .properties import _feasible, _fitting_universe, \
-    _require_same_alphabet, detection_witness
+from .properties import _fitting_universe, _require_same_alphabet, \
+    detection_witness
 
 RNG_NAME = "python-random-mt19937"
 MAX_TRIALS = 10**9
@@ -82,11 +82,11 @@ class Exclusion:
     depth-first search over (T state, trellis state, what is left to read
     and write) in which T reads w and its outputs walk the trellis.  Every
     trellis is layered, so a trellis state fixes how much of a codeword is
-    left to write, and a move is pushed only when the ``_feasible`` table of
-    T, built once per block length, lets T read and write exactly what is
-    left.  A blocked word stays blocked while C grows, so blocked words are
-    kept in ``blocked``; an open draw joins the code, so open verdicts are
-    not kept.
+    left to write, and a move is pushed only when the rows of T's
+    ``Transducer._table`` let T read and write exactly what is left.  A
+    blocked word stays blocked while C grows, so blocked words are kept in
+    ``blocked``; an open draw joins the code, so open verdicts are not
+    kept.
 
     Invariant, as ``_draw`` and ``make_code`` use it: ``blocked`` holds
     only words drawn from the sampling universe that lie in T(C) | C, the
@@ -99,7 +99,6 @@ class Exclusion:
         self._t = channel.self_union_inverse()
         self.blocked: set[Word] = set()
         self._initial = tuple(sorted(self._t.initial))
-        self._tables: dict[int, tuple] = {}
 
     def excludes(self, code: Trellis, w: Word) -> bool:
         """True when ``w`` is in T(C) | C; ``w`` must be a valid word."""
@@ -110,29 +109,17 @@ class Exclusion:
             return True
         return False
 
-    def _table(self, bound: int) -> tuple:
-        """The ``_feasible`` rows of T for lengths up to ``bound``, and per
-        T state, input symbol (None for epsilon) -> its moves (output symbol
-        or None, target, the target's row), in ``_moves`` order."""
-        table = self._tables.get(bound)
-        if table is None:
-            feasible = _feasible(self._t, bound)
-            table = self._tables[bound] = (feasible, tuple(
-                {x: tuple((y, d, feasible[d]) for y, d in moves)
-                 for x, moves in row.items()} for row in self._t._moves))
-        return table
-
     def _image_meets(self, code: Trellis, w: Word) -> bool:
         """True when T(w) and C share a word.  A search key (t, q, k) holds
-        in k the ``_feasible`` index of what is left: n - i symbols of w to
-        read and l - j to write, where i symbols of w are read and q is j
-        layers down the trellis."""
+        in k the index, in a length row of ``Transducer._table``, of what
+        is left: n - i symbols of w to read and l - j to write, where i
+        symbols of w are read and q is j layers down the trellis."""
         if not code.final:
             return False
         n = len(w)
         bound = max(n, code.length)
         stride = bound + 2
-        feasible, table = self._table(bound)
+        feasible, table = self._t._table(bound)
         rows = code._rows
         k = n * stride + code.length
         stack = [(t, code.initial_state, k) for t in self._initial

@@ -11,22 +11,23 @@ completions at conflicts (``_completion``) expand their triples inline and
 share one visited map of parents, which keeps the triples proved dead; when
 the channel's states have mirrors (``Transducer._mirror``), each triple
 proved dead proves its mirror dead too.  A witness path reads its labels
-back off the move table (``_labels``).  ``_feasible``, the table of (input,
-output) lengths that a channel state can still read and write, prunes this
-search and the membership test of ``codegen.Exclusion``.
+back off the move table (``_labels``).  This search, the membership test
+of ``codegen.Exclusion`` and the maximality walk all read the channel's
+``Transducer._table``, built once per block length, and prune by the
+(input, output) lengths a channel state can still read and write.
 
 Exact maximality walks the subset construction of the exclusion automaton
 (channel | channel^-1)(C) without building it: a subset state is a set of
 (minimal trellis state, channel state) pairs, each pair's successors are
-built the first time a step meets it, and ``_feasible`` drops the pairs
-that cannot finish a word of the block length (``_exclusion_steps``).  The
-witness search stops at the least addable word.  The index meets in the
-middle: it counts the sets that the first floor(l / 2) symbols reach
-forward and those that the rest reach backward, where the same walk runs
-on the reversed trellis and channel, and adds up the products of the
-counts of the sets that meet.  The channel enters reduced by
-``Transducer.quotient``, which keeps one copy of a symmetric channel
-(sub:2, id:2: 6 -> 3 states).
+built the first time a step meets it, and the ``Transducer._table`` rows
+drop the pairs that cannot finish a word of the block length
+(``_exclusion_steps``).  The witness search stops at the least addable
+word.  The index meets in the middle: it counts the sets that the first
+floor(l / 2) symbols reach forward and those that the rest reach backward,
+where the same walk runs on the reversed trellis and channel, and adds up
+the products of the counts of the sets that meet.  The channel enters
+reduced by ``Transducer.quotient``, which keeps one copy of a symmetric
+channel (sub:2, id:2: 6 -> 3 states).
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from functools import cache, partial
 from fractions import Fraction
 from typing import Optional
 
-from .automata import Alphabet, Nfa, Trellis, Word, format_word, \
-    length_masks, universe_trellis
+from .automata import Alphabet, Trellis, Word, format_word, universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
-from .transducers import Transducer, product
+from .transducers import Transducer
 
 NONE_KIND = "none"
 DETECT_KIND = "detect-violation"
@@ -93,21 +93,6 @@ class Witness:
 # -- three-way product with overhang tracking -------------------------------------
 
 _SYNCED = ((), ())
-
-
-def _feasible(t: Transducer, ell: int) -> tuple[bytes, ...]:
-    """Per state q of ``t`` (standard form), a table with a nonzero entry at
-    ``i * (ell + 2) + o`` when some path from q to a final state reads i
-    and writes o symbols, for i, o <= ell.  Column ell + 1 is a guard that
-    keeps a count past ell out of the next row."""
-    stride = ell + 2
-    valid = sum(((1 << ell + 1) - 1) << i * stride for i in range(ell + 1))
-    masks = length_masks(
-        t.num_states, t.final,
-        ((s, len(i) * stride + len(o), d) for s, i, o, d in t.transitions),
-        valid)
-    size = (ell + 1) * stride
-    return tuple(bytes(m >> k & 1 for k in range(size)) for m in masks)
 
 
 def _advance(delay: tuple[Word, Word], x: Optional[str], y: Optional[str]):
@@ -205,8 +190,8 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     product.  Every walk meets successors in ``_moves`` order, so ties
     always resolve the same way.
 
-    Both searches expand triples inline from one move table, which pairs
-    each target sigma state with its ``_feasible`` row, and keep only each
+    Both searches expand triples inline from sigma's ``Transducer._table``,
+    whose moves carry each target's length row, and keep only each
     triple's parent; a witness reads its labels back (``_labels``).  The
     completions share one map, ``visited``: a failed completion leaves its
     entries there as the dead set, so no completion enters a triple that an
@@ -220,9 +205,8 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     t = sigma.standard_form()
     machine = code.minimal
     rows, start = machine._rows, machine.initial_state
-    feasible = _feasible(t, machine.length)
-    table = [tuple((x, tuple((y, qd, feasible[qd]) for y, qd in xmoves))
-                   for x, xmoves in row.items()) for row in t._moves]
+    feasible, moves = t._table(machine.length)
+    table = [tuple(row.items()) for row in moves]
     left_out = machine._left
     left_in = [k * (machine.length + 2) for k in left_out]
     search = (table, rows, left_in, left_out, machine.final_state, t.final)
@@ -327,12 +311,6 @@ def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
     return z
 
 
-def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
-    """Automaton for (channel | channel^-1)(C): the words excluded by C.
-    Built on the minimal trellis, which accepts the same code."""
-    return product(code.minimal, channel.self_union_inverse())
-
-
 def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     """(step, start set, final pairs) of the subset walk of the exclusion
     automaton T(C), with T = ``channel.self_union_inverse()`` in standard
@@ -347,12 +325,12 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
 
     ``fits[k]`` holds the pairs met so far whose T state can read the
     ``left[m]`` symbols left of the codeword and write exactly k symbols:
-    ``feasible[q]`` at ``left[m] * (l + 2) + k``, the test of
+    ``T._table(l)[0][q]`` at ``left[m] * (l + 2) + k``, the test of
     ``_identity_violation``.  It may keep a pair that reaches no final pair
     in k symbols, but then no pair it leads to does in fewer, so the count
-    and the least addable word are those of the trimmed product
-    (``exclusion_automaton``).  No memo refers back to its own filler, so a
-    walk is freed when it ends.
+    and the least addable word are those of the trimmed product (the
+    tests' ``exclusion_automaton``).  No memo refers back to its own
+    filler, so a walk is freed when it ends.
 
     ``backward`` walks the reversed problem with the same body: the minimal
     trellis along its predecessor rows, which are multi-valued, from its
@@ -376,7 +354,7 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     stride = ell + 2
     # per T state and code length left, the lengths it can write
     ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
-           for i in range(ell + 1)] for row in _feasible(t, ell)]
+           for i in range(ell + 1)] for row in t._table(ell)[0]]
     # per output (None: none), per T state, its (input, target) moves
     by_output = {y: [[] for _ in t.states]
                  for y in (None, *code.alphabet.symbols)}

@@ -8,6 +8,9 @@ operation that needs standard form converts its operands internally.
 ``Transducer`` is an ``automata.Machine``: validation, ``trim`` and the text
 format are shared with the automata, and every operation builds its result
 through ``_trusted``, unchecked.
+
+``Transducer._table`` is the one table that the channel searches read:
+per block length, what each state can still read and write, and its moves.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .automata import Machine, Nfa, Word, _chain_trellis, walk
+from .automata import Machine, Nfa, Word, _chain_trellis, length_masks, walk
 from .errors import AlphabetMismatchError
 
 
@@ -64,6 +67,37 @@ class Transducer(Machine):
                 (out[0] if out else None, dst))
         return tuple({x: tuple(moves) for x, moves in row.items()}
                      for row in table)
+
+    @cached_property
+    def _tables(self) -> dict[int, tuple]:
+        """``_table`` by length; unlike a method cache, it keeps no self."""
+        return {}
+
+    def _table(self, ell: int) -> tuple:
+        """Standard form only: (feasible, moves) for lengths up to ``ell``,
+        built once per length.  ``feasible[q]`` is nonzero at ``i * (ell +
+        2) + o`` when some path from q to a final state reads i and writes o
+        symbols, i, o <= ell (column ell + 1 keeps a count past ell out of
+        the next row); ``moves[q]`` maps each input symbol (None: epsilon)
+        to its (output or None, target, ``feasible[target]``) moves, in
+        ``_moves`` order."""
+        table = self._tables.get(ell)
+        if table is None:
+            stride = ell + 2
+            valid = sum(((1 << ell + 1) - 1) << i * stride
+                        for i in range(ell + 1))
+            masks = length_masks(
+                self.num_states, self.final,
+                ((s, len(i) * stride + len(o), d)
+                 for s, i, o, d in self.transitions),
+                valid)
+            size = (ell + 1) * stride
+            feasible = tuple(bytes(m >> k & 1 for k in range(size))
+                             for m in masks)
+            table = self._tables[ell] = (feasible, tuple(
+                {x: tuple((y, d, feasible[d]) for y, d in moves)
+                 for x, moves in row.items()} for row in self._moves))
+        return table
 
     @cached_property
     def _mirror(self) -> "tuple[int, ...] | None":

@@ -2,14 +2,18 @@
 
 Nothing here goes through the product/image machinery under test: images are
 enumerated by walking raw transducer transitions, and the per-channel models
-are written directly from each channel's informal description.
+are written directly from each channel's informal description.  The one
+exception is ``exclusion_automaton``, the trimmed product that the
+maximality walks, which never build it, are checked against; ``product``
+is itself checked against path enumeration.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from chancodes import Alphabet, Transducer, Trellis, Word, is_overlap_free
+from chancodes import Alphabet, Channel, Nfa, Transducer, Trellis, Word, \
+    is_overlap_free, product
 
 
 def enumerate_image(t: Transducer, word, max_len: int) -> set[Word]:
@@ -36,6 +40,22 @@ def enumerate_image(t: Transducer, word, max_len: int) -> set[Word]:
                 continue
             stack.append((dst, pos + len(inp), new_out))
     return results
+
+
+def length_pairs(t: Transducer, q: int, bound: int) -> set[tuple[int, int]]:
+    """The (input, output) lengths, each at most ``bound``, of the paths
+    from state q to a final state: a search over (state, symbols read,
+    symbols written) along the raw transitions."""
+    seen = {(q, 0, 0)}
+    stack = [(q, 0, 0)]
+    while stack:
+        state, i, o = stack.pop()
+        for src, inp, out, dst in t.transitions:
+            key = (dst, i + len(inp), o + len(out))
+            if src == state and max(key[1:]) <= bound and key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return {(i, o) for state, i, o in seen if state in t.final}
 
 
 def relation_pairs(t: Transducer, alphabet: Alphabet, max_in: int,
@@ -213,6 +233,12 @@ def is_solid_code(words) -> bool:
             if any(u[:k] == v[len(v) - k :] for k in range(1, len(u))):
                 return False
     return True
+
+
+def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
+    """Automaton for (channel | channel^-1)(C): the words excluded by C.
+    Built on the minimal trellis, which accepts the same code."""
+    return product(code.minimal, channel.self_union_inverse())
 
 
 # -- trellises ------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from chancodes import (
     make_sub,
     maximality_index,
     next_word,
-    exclusion_automaton,
     overlap_free_trellis,
     product,
     suffix_universe,
@@ -31,6 +30,7 @@ from chancodes import (
 from chancodes.codegen import derive_seed
 
 import oracles
+from oracles import exclusion_automaton
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

@@ -18,7 +18,6 @@ from chancodes import (
     channel_from_spec,
     correction_witness,
     detection_witness,
-    exclusion_automaton,
     format_word,
     make_del1_insend,
     make_id,
@@ -36,6 +35,7 @@ from chancodes import (
 from chancodes import properties
 
 import oracles
+from oracles import exclusion_automaton
 
 
 def hamming_7_4() -> list[str]:

@@ -19,9 +19,12 @@ from chancodes import (
     make_segd,
     make_sub,
     make_bsid,
+    make_code,
+    maximality_index,
     product,
     trellis_from_words,
 )
+from chancodes import transducers
 
 import oracles
 from test_automata import machine_fields
@@ -309,6 +312,117 @@ class TestMoves:
                           () if y is None else (y,), d) for x, y, d in edges]
             assert flat == list(t.transitions)
         assert epsilon_first and reordered
+
+
+def _table_cases() -> list[Transducer]:
+    """The zoo in standard form, and random transducers of which every other
+    one gains an epsilon/epsilon cycle through one or two states."""
+    rng = random.Random(26)
+    cases = [ch.transducer.standard_form() for ch in zoo()]
+    for k in range(40):
+        t = random_channel(rng, RANDOM_ALPHABETS[k % 3]).transducer
+        if k % 2:
+            p, q = rng.randrange(t.num_states), rng.randrange(t.num_states)
+            t = Transducer(t.alphabet, t.num_states, t.initial, t.final,
+                           t.transitions + ((p, (), (), q), (q, (), (), p)))
+        cases.append(t.standard_form())
+    return cases
+
+
+class TestTable:
+    """``Transducer._table``, the one table of the channel searches."""
+
+    def test_rows_are_the_length_pairs_of_paths_to_a_final_state(self):
+        """Row q marks exactly the (input, output) lengths up to l of the
+        paths from q to a final state, enumerated along the raw
+        transitions, at l = 0-6; the guard column stays clear."""
+        marked = 0
+        for t in _table_cases():
+            for ell in range(7):
+                feasible, _ = t._table(ell)
+                stride = ell + 2
+                assert len(feasible) == t.num_states
+                for q in t.states:
+                    want = bytearray((ell + 1) * stride)
+                    for i, o in oracles.length_pairs(t, q, ell):
+                        want[i * stride + o] = 1
+                    assert feasible[q] == want, (t.to_text(), ell, q)
+                    marked += sum(want)
+        assert marked
+
+    def test_moves_keep_moves_order_and_carry_each_target_row(self):
+        for t in _table_cases():
+            for ell in (0, 3, 6):
+                feasible, moves = t._table(ell)
+                assert len(moves) == t.num_states
+                for q in t.states:
+                    assert list(moves[q]) == list(t._moves[q])
+                    for x, xmoves in moves[q].items():
+                        assert [(y, d) for y, d, _ in xmoves] == \
+                            list(t._moves[q][x])
+                        assert all(row is feasible[d] for _, d, row in xmoves)
+
+    def test_a_second_call_returns_the_same_table(self):
+        t = make_id(2).self_union_inverse()
+        first = t._table(5)
+        assert t._table(5) is first
+        assert t._table(4) is not first
+        assert t._table(4) is t._table(4)
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        """The ``length_masks`` calls of ``_table``, recorded from now on."""
+        calls = []
+        real = transducers.length_masks
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(transducers, "length_masks", counted)
+        return calls
+
+    def test_one_build_per_make_code_run(self, monkeypatch):
+        """An empty-start run builds the table of its sigma | sigma^-1 once,
+        however many words it adds."""
+        calls = self._count_builds(monkeypatch)
+        for spec in ("sub:1", "sub:2", "del1", "id:2", "bsid2"):
+            calls.clear()
+            report = make_code(channel_from_spec(spec), 40, 8, seed=3)
+            assert len(report.words) > 3, spec
+            assert len(calls) == 1, spec
+
+    def test_three_builds_per_maximality_index(self, monkeypatch):
+        """sigma's for the detection search, and those of T = sigma |
+        sigma^-1 and of T reversed for the two halves of the count."""
+        calls = self._count_builds(monkeypatch)
+        for spec in ("sub:1", "sub:2", "del1", "id:2", "bsid2"):
+            code = make_code(channel_from_spec(spec), 40, 8, seed=3).trellis
+            calls.clear()
+            maximality_index(code, channel_from_spec(spec))
+            assert len(calls) == 3, spec
+
+    def test_freed_without_the_cycle_collector(self):
+        """A built table refers to no transducer: with the cycle collector
+        off, a transducer with tables, and its reverse, are freed as soon as
+        they are dropped."""
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = make_id(2).self_union_inverse()
+            back = t.reverse()
+            for u in (t, back):
+                for ell in (3, 6):
+                    u._table(ell)
+            refs = [weakref.ref(t), weakref.ref(back)]
+            del t, back, u
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _brute_useful(t: Transducer) -> list[int]:
