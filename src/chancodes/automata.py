@@ -103,16 +103,17 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     return " ".join(w)
 
 
-def useful_states(num_states: int, initial: "Iterable[int] | None",
+def useful_states(num_states: int, initial: Iterable[int],
                   final: Iterable[int], arcs: Iterable[tuple[int, int]]
                   ) -> dict[int, int]:
     """The states on some initial->final path along ``arcs`` (source, target
-    pairs), each mapped to its new number; the renumbering keeps their order.
-    ``initial`` None means every state is reachable, so only the backward
-    pass runs."""
+    pairs), each mapped to its new number; the renumbering keeps their
+    order."""
     pred: list[list[int]] = [[] for _ in range(num_states)]
+    succ: list[list[int]] = [[] for _ in range(num_states)]
     for src, dst in arcs:
         pred[dst].append(src)
+        succ[src].append(dst)
 
     def reach(roots: Iterable[int], adjacent: list[list[int]]) -> set[int]:
         seen = set(roots)
@@ -124,13 +125,7 @@ def useful_states(num_states: int, initial: "Iterable[int] | None",
                     stack.append(q)
         return seen
 
-    keep = reach(final, pred)
-    if initial is not None:
-        succ: list[list[int]] = [[] for _ in range(num_states)]
-        for dst, sources in enumerate(pred):
-            for src in sources:
-                succ[src].append(dst)
-        keep &= reach(initial, succ)
+    keep = reach(final, pred) & reach(initial, succ)
     return {q: i for i, q in enumerate(sorted(keep))}
 
 
@@ -246,13 +241,9 @@ class Machine:
     def states(self) -> range:
         return range(self.num_states)
 
-    def trim(self, _walked: bool = False):
-        """Keep only states on some initial->final path; relabel densely.
-
-        ``_walked`` is for results that ``walk`` built from their initial
-        states: every state is reachable, so only the backward pass runs."""
-        remap = useful_states(self.num_states,
-                              None if _walked else self.initial, self.final,
+    def trim(self):
+        """Keep only states on some initial->final path; relabel densely."""
+        remap = useful_states(self.num_states, self.initial, self.final,
                               ((tr[0], tr[-1]) for tr in self.transitions))
         initial, final, transitions = self.initial, self.final, self.transitions
         if len(remap) < self.num_states:  # some state goes: renumber

@@ -3,8 +3,9 @@ parser/serializer for user-supplied channels.
 
 A channel is an input-preserving transducer: whatever errors it may introduce,
 transmitting a word unchanged is always possible.  Constructors here build the
-transducer in standard form; ``parse_channel`` additionally runs a bounded
-input-preservation check and warns (without failing) when it does not hold.
+transducer, which ``Transducer`` keeps in standard form; ``parse_channel``
+additionally runs a bounded input-preservation check and warns (without
+failing) when it does not hold.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ class Channel:
         )
 
     def self_union_inverse(self) -> Transducer:
-        """sigma | sigma^-1 for the add-word test, in standard form and
-        reduced by ``Transducer.quotient``; the same relation."""
-        return self.transducer.union(
-            self.transducer.inverse()).standard_form().quotient()
+        """sigma | sigma^-1 for the add-word test, reduced by
+        ``Transducer.quotient``; the same relation."""
+        return self.transducer.union(self.transducer.inverse()).quotient()
 
 
 def _error_chain(k: int, alphabet: Alphabet, error_edges) -> Transducer:
@@ -120,11 +120,10 @@ def make_bsid(k: int = 2, alphabet: Alphabet = BINARY) -> Channel:
         for a in alphabet:
             yield (a,), ()   # deletion
             yield (), (a,)   # insertion
-        yield ("0", "1"), ("1", "0")  # bit shifts; standard_form splits
+        yield ("0", "1"), ("1", "0")  # bit shifts; the constructor splits
         yield ("1", "0"), ("0", "1")  # each through one fresh state
 
-    return Channel(f"bsid{k}",
-                   _error_chain(k, alphabet, edges).standard_form())
+    return Channel(f"bsid{k}", _error_chain(k, alphabet, edges))
 
 
 def make_segd(b: int, alphabet: Alphabet = BINARY) -> Channel:

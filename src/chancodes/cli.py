@@ -148,8 +148,13 @@ def _write_out(text: str, path: "str | None"):
 
 
 def _alphabet_from_arg(arg: "str | None") -> Alphabet:
+    """Symbols separated by spaces (as a report's ``alphabet:`` line writes
+    them) or by commas, else one character each."""
     if arg is None:  # no --alphabet; an empty one is refused by Alphabet
         return BINARY
+    parts = arg.split()
+    if len(parts) > 1:
+        return Alphabet(tuple(parts))
     return Alphabet(tuple(arg.split(",")) if "," in arg else tuple(arg))
 
 
@@ -298,13 +303,14 @@ def _cmd_channel(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _add_common(p, with_format=True):
+def _add_common(p, with_format=True, repeat="combine channels"):
     p.add_argument(
         "--channel", action="append", required=True, metavar="SPEC",
         help=f"registry name ({', '.join(registry_names())}) "
-             "or a transducer file; repeat to combine channels",
+             f"or a transducer file; repeat to {repeat}",
     )
-    p.add_argument("--alphabet", help="symbols, e.g. 01 or a,b,c (default 01)")
+    p.add_argument("--alphabet",
+                   help="symbols, e.g. 01, a,b,c or 'a bc' (default 01)")
     if with_format:
         p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--output", help="output file (default stdout)")
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("experiment", help="repeated generation, size statistics")
     ex.set_defaults(run=_cmd_experiment)
-    _add_common(ex, with_format=False)
+    _add_common(ex, with_format=False, repeat="run one cell per channel")
     ex.add_argument("--len", type=int, required=True)
     ex.add_argument("--n", type=int, required=True)
     _add_draw(ex)

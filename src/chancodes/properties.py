@@ -202,15 +202,14 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     """
     if not code.final:
         return None
-    t = sigma.standard_form()
     machine = code.minimal
     rows, start = machine._rows, machine.initial_state
-    feasible, moves = t._table(machine.length)
+    feasible, moves = sigma._table(machine.length)
     table = [tuple(row.items()) for row in moves]
     left_out = machine._left
     left_in = [k * (machine.length + 2) for k in left_out]
-    search = (table, rows, left_in, left_out, machine.final_state, t.final)
-    queue = [(start, q, start) for q in sorted(t.initial)
+    search = (table, rows, left_in, left_out, machine.final_state, sigma.final)
+    queue = [(start, q, start) for q in sorted(sigma.initial)
              if feasible[q][left_in[start] + left_out[start]]]
     delays = dict.fromkeys(queue, _SYNCED)
     links = {}
@@ -245,7 +244,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 # a mismatch at an aligned position, or a second overhang
                 # at d: the path along this edge, or else the first path to
                 # d, disagrees with any completion, if d has one
-                rest = _completion(d, search, visited, t._mirror)
+                rest = _completion(d, search, visited, sigma._mirror)
                 if rest is None:
                     continue
                 for path in (_labels(links, s, table, rows) + [(x, y)],
@@ -313,8 +312,8 @@ def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
 
 def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     """(step, start set, final pairs) of the subset walk of the exclusion
-    automaton T(C), with T = ``channel.self_union_inverse()`` in standard
-    form, stepped on demand: no product is built.
+    automaton T(C), with T = ``channel.self_union_inverse()``, stepped on
+    demand: no product is built.
 
     A subset state is a frozenset of pairs m * n + q: m a state of the
     minimal trellis, q one of the n states of T, which reads a codeword

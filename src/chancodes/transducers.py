@@ -3,11 +3,12 @@ and the automaton-through-transducer product; the image of a word is the
 product with its chain trellis (``automata._chain_trellis``).
 
 A transducer transition carries an input word and an output word (either may
-be empty).  In standard form both labels have length at most one; every
-operation that needs standard form converts its operands internally.
-``Transducer`` is an ``automata.Machine``: validation, ``trim`` and the text
-format are shared with the automata, and every operation builds its result
-through ``_trusted``, unchecked.
+be empty).  Every ``Transducer`` is in standard form, both labels of length
+at most one: the constructor splits longer labels through fresh chain states,
+and every operation keeps standard operands standard.  ``Transducer`` is an
+``automata.Machine``: validation, ``trim`` and the text format are shared
+with the automata, and every operation builds its result through
+``_trusted``, unchecked.
 
 ``Transducer._table`` is the one table that the channel searches read:
 per block length, what each state can still read and write, and its moves.
@@ -26,6 +27,23 @@ class Transducer(Machine):
     """Each transition is (source, input word, output word, target)."""
 
     _headers = ("@Transducer",)
+
+    def __post_init__(self):
+        """Validate, then split each label longer than one symbol through
+        fresh chain states, one symbol or epsilon per side and step, in
+        transition order: the standard form, with the same relation."""
+        super().__post_init__()
+        split = []
+        fresh = self.num_states
+        for src, inp, out, dst in self.transitions:
+            last = max(len(inp), len(out), 1) - 1
+            for k in range(last):
+                split.append((src, inp[k:k + 1], out[k:k + 1], fresh))
+                src, fresh = fresh, fresh + 1
+            split.append((src, inp[last:], out[last:], dst))
+        if fresh > self.num_states:
+            object.__setattr__(self, "num_states", fresh)
+            object.__setattr__(self, "transitions", self._normalize(split))
 
     @staticmethod
     def _normalize(transitions) -> tuple[tuple[int, Word, Word, int], ...]:
@@ -49,18 +67,12 @@ class Transducer(Machine):
                       if s in remap and d in remap])
 
     @cached_property
-    def is_standard(self) -> bool:
-        return all(
-            len(i) <= 1 and len(o) <= 1 for _, i, o, _ in self.transitions
-        )
-
-    @cached_property
     def _moves(self) -> tuple[dict["str | None",
                                    tuple[tuple["str | None", int], ...]], ...]:
-        """Standard form only: per state, input symbol (None for epsilon) ->
-        its moves (output symbol or None, target).  Keys and moves keep the
-        transition order: epsilon input first, then by (input, output,
-        target) in string order, which the witness tie-breaks rely on."""
+        """Per state, input symbol (None for epsilon) -> its moves (output
+        symbol or None, target).  Keys and moves keep the transition order:
+        epsilon input first, then by (input, output, target) in string
+        order, which the witness tie-breaks rely on."""
         table: list[dict] = [{} for _ in self.states]
         for src, inp, out, dst in self.transitions:
             table[src].setdefault(inp[0] if inp else None, []).append(
@@ -74,13 +86,12 @@ class Transducer(Machine):
         return {}
 
     def _table(self, ell: int) -> tuple:
-        """Standard form only: (feasible, moves) for lengths up to ``ell``,
-        built once per length.  ``feasible[q]`` is nonzero at ``i * (ell +
-        2) + o`` when some path from q to a final state reads i and writes o
-        symbols, i, o <= ell (column ell + 1 keeps a count past ell out of
-        the next row); ``moves[q]`` maps each input symbol (None: epsilon)
-        to its (output or None, target, ``feasible[target]``) moves, in
-        ``_moves`` order."""
+        """(feasible, moves) for lengths up to ``ell``, built once per
+        length.  ``feasible[q]`` is nonzero at ``i * (ell + 2) + o`` when
+        some path from q to a final state reads i and writes o symbols, i, o
+        <= ell (column ell + 1 keeps a count past ell out of the next row);
+        ``moves[q]`` maps each input symbol (None: epsilon) to its (output
+        or None, target, ``feasible[target]``) moves, in ``_moves`` order."""
         table = self._tables.get(ell)
         if table is None:
             stride = ell + 2
@@ -117,29 +128,6 @@ class Transducer(Machine):
 
     # -- core operations -----------------------------------------------------
 
-    def standard_form(self) -> "Transducer":
-        """Split long labels through fresh chain states; same relation."""
-        if self.is_standard:
-            return self
-        transitions: list[tuple[int, Word, Word, int]] = []
-        counter = self.num_states
-        for src, inp, out, dst in self.transitions:
-            steps = max(len(inp), len(out), 1)
-            if steps == 1:
-                transitions.append((src, inp, out, dst))
-                continue
-            here = src
-            for k in range(steps):
-                if k == steps - 1:
-                    nxt = dst
-                else:
-                    nxt = counter
-                    counter += 1
-                transitions.append((here, inp[k : k + 1], out[k : k + 1], nxt))
-                here = nxt
-        return Transducer._trusted(self.alphabet, counter, self.initial,
-                                   self.final, self._normalize(transitions))
-
     def inverse(self) -> "Transducer":
         """Swap input and output labels; x in inv(y) iff y in self(x)."""
         return Transducer._trusted(
@@ -153,7 +141,7 @@ class Transducer(Machine):
     def reverse(self) -> "Transducer":
         """Reverse every transition and its labels and swap the initial and
         final states: y in rev(x) iff y reversed is in self(x reversed).
-        States keep their numbers, and standard form stays standard."""
+        States keep their numbers."""
         return Transducer._trusted(
             self.alphabet,
             self.num_states,
@@ -184,19 +172,17 @@ class Transducer(Machine):
     def compose(self, inner: "Transducer") -> "Transducer":
         """Relational composition: (self . inner)(x) = self(inner(x)).
 
-        ``inner`` runs first.  Built on standard-form operands; a transition of
-        the pair state advances both sides on a matching middle symbol, or one
-        side alone on an epsilon-output / epsilon-input move.  Only the pairs
-        reachable from the initial pairs are built, numbered in breadth-first
-        discovery order, then the result is trimmed.
+        ``inner`` runs first.  A transition of the pair state advances both
+        sides on a matching middle symbol, or one side alone on an
+        epsilon-output / epsilon-input move.  Only the pairs reachable from
+        the initial pairs are built, numbered in breadth-first discovery
+        order, then the result is trimmed.
         """
         if self.alphabet != inner.alphabet:
             raise AlphabetMismatchError(
                 f"cannot compose over {self.alphabet} and {inner.alphabet}"
             )
-        t = inner.standard_form()
-        s = self.standard_form()
-        t_moves, s_moves = t._moves, s._moves
+        t_moves, s_moves = inner._moves, self._moves
         def successors(pair):
             p, q = pair
             s_row = s_moves[q]
@@ -210,7 +196,8 @@ class Transducer(Machine):
             for out, sd in s_row.get(None, ()):
                 yield (None, out), (p, sd)
 
-        starts = [(p, q) for p in sorted(t.initial) for q in sorted(s.initial)]
+        starts = [(p, q) for p in sorted(inner.initial)
+                  for q in sorted(self.initial)]
         order, edges = walk(starts, successors)
         composed = Transducer._trusted(
             self.alphabet,
@@ -218,12 +205,12 @@ class Transducer(Machine):
             frozenset(range(len(starts))),
             frozenset(
                 i for i, (p, q) in enumerate(order)
-                if p in t.final and q in s.final
+                if p in inner.final and q in self.final
             ),
             self._normalize((a, self._label(x), self._label(y), b)
                             for a, (x, y), b in edges),
         )
-        return composed.trim(_walked=True)
+        return composed.trim()
 
     def _blocks(self) -> list[int]:
         """The forward-bisimulation block of each state, by partition
@@ -276,27 +263,20 @@ class Transducer(Machine):
                     return False
         return True
 
-    def to_text(self) -> str:
-        """The standard form in the text format, one symbol or
-        ``@epsilon`` per label, so ``from_text`` reads back the same
-        relation; a standard transducer prints as itself."""
-        return Machine.to_text(self.standard_form())
-
 
 def product(a: Nfa, t: Transducer) -> Nfa:
     """The automaton accepting t(L(a)), built by synchronized state pairing.
 
-    ``t`` is converted to standard form.  An epsilon move of ``a`` is a pair
-    move that leaves ``t`` standing still, and an epsilon-input move of
-    ``t`` one that leaves ``a`` standing still.  The result is trimmed, with
-    states renumbered in discovery order.
+    An epsilon move of ``a`` is a pair move that leaves ``t`` standing
+    still, and an epsilon-input move of ``t`` one that leaves ``a`` standing
+    still.  The result is trimmed, with states renumbered in discovery
+    order.
     """
     if a.alphabet != t.alphabet:
         raise AlphabetMismatchError(
             f"cannot build product over {a.alphabet} and {t.alphabet}"
         )
-    t2 = t.standard_form()
-    a_out, t_moves = a._out, t2._moves
+    a_out, t_moves = a._out, t._moves
 
     def successors(pair):
         p, q = pair
@@ -310,13 +290,13 @@ def product(a: Nfa, t: Transducer) -> Nfa:
                 for ap in targets:
                     yield label, (ap, dst)
 
-    starts = [(p, q) for p in sorted(a.initial) for q in sorted(t2.initial)]
+    starts = [(p, q) for p in sorted(a.initial) for q in sorted(t.initial)]
     order, edges = walk(starts, successors)
     finals = frozenset(
         i
         for i, (p, q) in enumerate(order)
-        if p in a.final and q in t2.final
+        if p in a.final and q in t.final
     )
     raw = Nfa._trusted(a.alphabet, len(order), frozenset(range(len(starts))),
                        finals, Nfa._normalize(edges))
-    return raw.trim(_walked=True)
+    return raw.trim()

@@ -58,6 +58,11 @@ def length_pairs(t: Transducer, q: int, bound: int) -> set[tuple[int, int]]:
     return {(i, o) for state, i, o in seen if state in t.final}
 
 
+def is_standard(t: Transducer) -> bool:
+    """Every label holds at most one symbol on each side."""
+    return all(len(i) <= 1 and len(o) <= 1 for _, i, o, _ in t.transitions)
+
+
 def relation_pairs(t: Transducer, alphabet: Alphabet, max_in: int,
                    max_out: int) -> set[tuple[Word, Word]]:
     pairs = set()

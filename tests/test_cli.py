@@ -480,6 +480,19 @@ def test_gen_words_read_back_over_a_concatenated_symbol(capsys, tmp_path,
                            "")
 
 
+@pytest.mark.parametrize("alphabet", ["01", "a,bc", "0,1,2"])
+def test_gen_repeats_from_its_reports_alphabet_line(capsys, alphabet):
+    # the report's alphabet line, given back to --alphabet, repeats the run
+    argv = ["gen", "--channel", "sub:1", "--len", "3", "--n", "4",
+            "--seed", "2"]
+    code, first, _ = run(capsys, *argv, "--alphabet", alphabet)
+    assert code == 0
+    line = next(ln for ln in first.splitlines()
+                if ln.startswith("alphabet: "))
+    again = line[len("alphabet: "):]
+    assert run(capsys, *argv, "--alphabet", again) == (0, first, "")
+
+
 class TestMaximalAndIndex:
     def test_maximal_systematic_code(self, capsys, tmp_path):
         f = tmp_path / "sys.txt"
@@ -575,6 +588,19 @@ class TestExperiment:
         assert lines[0].startswith("channel=sub:2")
         assert lines[1].startswith("channel=id:2")
 
+    def test_channel_help_names_one_cell_per_channel(self, capsys,
+                                                     monkeypatch):
+        # experiment runs each --channel alone; the other commands take
+        # the union of theirs
+        monkeypatch.setenv("COLUMNS", "200")
+        for command, phrase in (("experiment", "run one cell per channel"),
+                                ("gen", "combine channels"),
+                                ("check", "combine channels")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = capsys.readouterr().out
+            assert f"or a transducer file; repeat to {phrase}\n" in out
+
     def test_overlap_free_universe_with_suffix(self, capsys):
         # experiment builds its universe like gen does; only sizes are
         # printed, so gen's "of&end=01" label never shows here
@@ -655,6 +681,7 @@ class TestUsageErrors:
         ("00", "alphabet has duplicate symbols"),
         ("0,*", "bad alphabet symbol: '*'"),
         ("0,,1", "bad alphabet symbol: ''"),
+        ("a,", "bad alphabet symbol: ''"),
         ("", "alphabet must be non-empty"),
     ])
     @pytest.mark.parametrize("cmd", ["check", "maximal", "gen"])

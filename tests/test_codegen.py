@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -252,7 +253,20 @@ class TestSeedDerivation:
         assert derive_seed(8, 0) != derive_seed(7, 0)
 
 
-def random_channel(rng: random.Random, alphabet: Alphabet) -> Channel:
+class RandomSpec(NamedTuple):
+    """The fields of a random transducer as they were drawn: unsorted,
+    possibly repeated transitions whose labels hold 0-2 symbols.  The
+    oracles read it like a transducer, along the raw transitions;
+    ``Transducer(*spec)`` holds its standard form."""
+
+    alphabet: Alphabet
+    num_states: int
+    initial: list
+    final: list
+    transitions: tuple
+
+
+def random_spec(rng: random.Random, alphabet: Alphabet) -> RandomSpec:
     """A small transducer with labels of length 0-2 on either side, so it has
     epsilon-input and epsilon-output edges, cycles, and several initial and
     final states more often than not; it need not be input-preserving."""
@@ -267,8 +281,12 @@ def random_channel(rng: random.Random, alphabet: Alphabet) -> Channel:
         transitions.append((rng.randrange(n), inp, out, rng.randrange(n)))
     initial = rng.sample(range(n), rng.randint(1, n))
     final = rng.sample(range(n), rng.randint(1, n))
-    return Channel("random", Transducer(alphabet, n, initial, final,
-                                        tuple(transitions)))
+    return RandomSpec(alphabet, n, initial, final, tuple(transitions))
+
+
+def random_channel(rng: random.Random, alphabet: Alphabet) -> Channel:
+    """``random_spec`` as a channel."""
+    return Channel("random", Transducer(*random_spec(rng, alphabet)))
 
 
 def random_layered_dfa(rng: random.Random, alphabet: Alphabet,
@@ -303,7 +321,7 @@ def brute_excluded(channel: Channel, code: set, length: int) -> set:
     return out
 
 
-def _features(t: Transducer, alphabet: Alphabet, length: int) -> set:
+def _features(t: RandomSpec, alphabet: Alphabet, length: int) -> set:
     found = set()
     for _, inp, out, _ in t.transitions:
         found.add("eps-in" if not inp else "in")
@@ -336,7 +354,8 @@ class TestExclusion:
         outcomes = set()
         for _ in range(150):
             alphabet = rng.choice(alphabets)
-            channel = random_channel(rng, alphabet)
+            spec = random_spec(rng, alphabet)
+            channel = Channel("random", Transducer(*spec))
             ell = rng.randint(1, 4)
             pool = list(alphabet.words_of_length(ell))
             code = set(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
@@ -345,7 +364,7 @@ class TestExclusion:
             exclusion = Exclusion(channel)
             got = {w for w in pool if exclusion.excludes(trellis, w)}
             assert got == expected, (channel.transducer.to_text(), code)
-            seen_features |= _features(channel.transducer, alphabet, ell)
+            seen_features |= _features(spec, alphabet, ell)
             outcomes |= {"open" if len(got) < len(pool) else "full",
                          "blocked" if got - code else "code-only"}
         assert seen_features == {
@@ -385,7 +404,7 @@ class TestExclusion:
                 trellis = Trellis.from_text(
                     random_layered_dfa(rng, alphabet, ell), alphabet)
             code = set(trellis.iter_words())
-            t = random_channel(rng, alphabet).transducer
+            t = random_spec(rng, alphabet)
             p, q = rng.randrange(t.num_states), rng.randrange(t.num_states)
             channel = Channel("random", Transducer(
                 alphabet, t.num_states, t.initial, t.final,

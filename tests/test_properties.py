@@ -865,10 +865,9 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
         misses.clear()
         buried.clear()
         found = properties._identity_violation(code, sigma)
-        referee = two_pass_violation(code.minimal, sigma.standard_form())
+        referee = two_pass_violation(code.minimal, sigma)
         assert found == referee, (words, sigma.to_text())
-        assert buried.isdisjoint(
-            unpruned_live_triples(code.minimal, sigma.standard_form()))
+        assert buried.isdisjoint(unpruned_live_triples(code.minimal, sigma))
         if any(misses):
             skipped.add(found is None)
         completions = len(misses)
@@ -972,7 +971,7 @@ def test_a_witness_path_through_two_labels_to_one_triple(
     code = trellis_from_words(words, BINARY)
     found = properties._identity_violation(code, sigma)
     assert found == tuple(BINARY.word(w) for w in expected)
-    assert found == two_pass_violation(code.minimal, sigma.standard_form())
+    assert found == two_pass_violation(code.minimal, sigma)
     assert any(merges)
 
 
@@ -1013,15 +1012,16 @@ PINNED_SEARCH_DIGEST = \
     "165337de9797b95040e7dda9a624b3594a92f9c3aa5257f870ff21be1dfe34d3"
 
 
-def _transcript_label(t: Transducer) -> str:
-    """A random transducer as the transcript names it: the text-format
-    layout with each label's symbols joined by spaces.  ``to_text`` writes
-    the standard form instead, which splits long labels into new states."""
-    finals = " ".join(str(q) for q in sorted(t.final))
-    initials = " ".join(str(q) for q in sorted(t.initial))
+def _transcript_label(spec) -> str:
+    """A random transducer as the transcript names it, by its raw spec: the
+    text-format layout over the sorted, deduplicated raw transitions, with
+    each label's symbols joined by spaces.  ``to_text`` writes the
+    transducer, whose constructor splits long labels into new states."""
+    finals = " ".join(str(q) for q in sorted(spec.final))
+    initials = " ".join(str(q) for q in sorted(spec.initial))
     lines = [f"@Transducer {finals} * {initials}".rstrip()]
     lines += [f"{s} {' '.join(i) or '@epsilon'} {' '.join(o) or '@epsilon'} {d}"
-              for s, i, o, d in t.transitions]
+              for s, i, o, d in sorted(set(spec.transitions))]
     return "\n".join(lines) + "\n"
 
 
@@ -1030,7 +1030,7 @@ def search_transcript() -> str:
     codes at lengths 4-7, then on random transducers, where each detection
     answer is also checked against the brute-force oracle."""
     from chancodes import channel_from_spec
-    from test_codegen import random_channel
+    from test_codegen import random_spec
 
     rng = random.Random(4)
     lines = []
@@ -1051,7 +1051,8 @@ def search_transcript() -> str:
     kinds = set()
     for k in range(300):
         alphabet = BINARY if k % 3 else Alphabet(("a", "bc"))
-        channel = random_channel(rng, alphabet)
+        spec = random_spec(rng, alphabet)
+        channel = Channel("random", Transducer(*spec))
         ell = rng.randint(1, 4)
         words = sorted({
             tuple(rng.choice(alphabet.symbols) for _ in range(ell))
@@ -1063,7 +1064,7 @@ def search_transcript() -> str:
                   for w in words}
         assert (not found) == oracles.brute_detecting(words, images), words
         kinds.add(bool(found))
-        lines.append(f"random {k} {_transcript_label(channel.transducer)!r} "
+        lines.append(f"random {k} {_transcript_label(spec)!r} "
                      f"{' '.join(format_word(w, alphabet) for w in words)}: "
                      f"{found.to_text(alphabet)} | "
                      f"{correction_witness(code, channel).to_text(alphabet)}")

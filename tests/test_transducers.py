@@ -28,7 +28,7 @@ from chancodes import transducers
 
 import oracles
 from test_automata import machine_fields
-from test_codegen import random_channel
+from test_codegen import RandomSpec, random_channel, random_spec
 
 
 def zoo():
@@ -40,30 +40,57 @@ def zoo():
 
 
 class TestStandardForm:
+    """The constructor holds every transducer in standard form."""
+
     def test_splits_long_labels(self):
-        t = Transducer(
-            BINARY, 2, frozenset({0}), frozenset({1}),
-            (((0, ("0", "1"), ("1",), 1)),),
-        )
-        std = t.standard_form()
-        assert std.is_standard
+        raw = RandomSpec(BINARY, 2, [0], [1], ((0, ("0", "1"), ("1",), 1),))
+        t = Transducer(*raw)
+        assert oracles.is_standard(t) and t.num_states == 3
+        assert t.transitions == ((0, ("0",), ("1",), 2), (2, ("1",), (), 1))
         for n in range(4):
             for w in BINARY.words_of_length(n):
                 assert oracles.enumerate_image(t, w, 4) == \
-                    oracles.enumerate_image(std, w, 4)
+                    oracles.enumerate_image(raw, w, 4)
 
     def test_standard_input_unchanged(self):
-        t = make_sub(2).transducer
-        assert t.standard_form() is t
+        for ch in zoo():
+            t = ch.transducer
+            assert Transducer(t.alphabet, t.num_states, t.initial, t.final,
+                              t.transitions) == t
 
     def test_epsilon_epsilon_label_kept(self):
         t = Transducer(
             BINARY, 2, frozenset({0}), frozenset({1}),
             ((0, (), (), 1), (1, ("0",), ("0",), 1)),
         )
-        std = t.standard_form()
-        assert std == t
-        assert oracles.enumerate_image(std, "00", 3) == {("0", "0")}
+        assert t.num_states == 2
+        assert t.transitions == ((0, (), (), 1), (1, ("0",), ("0",), 1))
+        assert oracles.enumerate_image(t, "00", 3) == {("0", "0")}
+
+    def test_random_specs_keep_their_raw_relation(self):
+        """On random specs over 01 and {a, bc}: every label of the built
+        transducer holds at most one symbol, its relation is that of the
+        raw transitions as drawn, and its text reads back as itself (the
+        text names no state that no transition, initial or final set
+        does, so that is asked only where every state is named)."""
+        rng = random.Random(27)
+        split = read_back = 0
+        for k in range(80):
+            alphabet = BINARY if k % 2 else Alphabet(("a", "bc"))
+            raw = random_spec(rng, alphabet)
+            t = Transducer(*raw)
+            assert oracles.is_standard(t)
+            relation = oracles.relation_pairs(raw, alphabet, 3, 4)
+            assert oracles.relation_pairs(t, alphabet, 3, 4) == relation, raw
+            back = Transducer.from_text(t.to_text(), alphabet)
+            assert oracles.relation_pairs(back, alphabet, 3, 4) == relation
+            named = t.initial | t.final | {
+                q for s, _, _, d in t.transitions for q in (s, d)}
+            if len(named) == t.num_states:
+                assert back == t, raw
+                read_back += 1
+            split += t.num_states > raw.num_states
+        assert split >= 30 and read_back >= 60
 
 
 class TestInverse:
@@ -97,8 +124,7 @@ class TestInverse:
 class TestReverse:
     def test_relation_of_reversed_words(self):
         """y in rev(x) iff y reversed is in t(x reversed), for |x|, |y| <= 4,
-        on the zoo, the standard form of bsid2 and random transducers,
-        whose labels of two symbols reverse too."""
+        on the zoo and random transducers; the reverse stays standard."""
         rng = random.Random(53)
         channels = zoo() + [random_channel(rng, BINARY) for _ in range(30)]
         for ch in channels:
@@ -107,7 +133,7 @@ class TestReverse:
             rev = oracles.relation_pairs(t.reverse(), BINARY, 4, 4)
             assert rev == {(x[::-1], y[::-1]) for x, y in fwd}, t.to_text()
             assert t.reverse().reverse() == t
-            assert t.standard_form().reverse().is_standard
+            assert oracles.is_standard(t.reverse())
 
 
 class TestUnion:
@@ -297,7 +323,7 @@ class TestMoves:
         epsilon_first = reordered = 0
         for k in range(300):
             alphabet = RANDOM_ALPHABETS[k % 3]
-            t = random_channel(rng, alphabet).transducer.standard_form()
+            t = random_channel(rng, alphabet).transducer
             flat = []
             for q in t.states:
                 row = t._moves[q]
@@ -315,17 +341,17 @@ class TestMoves:
 
 
 def _table_cases() -> list[Transducer]:
-    """The zoo in standard form, and random transducers of which every other
-    one gains an epsilon/epsilon cycle through one or two states."""
+    """The zoo, and random transducers of which every other one gains an
+    epsilon/epsilon cycle through one or two states."""
     rng = random.Random(26)
-    cases = [ch.transducer.standard_form() for ch in zoo()]
+    cases = [ch.transducer for ch in zoo()]
     for k in range(40):
-        t = random_channel(rng, RANDOM_ALPHABETS[k % 3]).transducer
+        t = random_spec(rng, RANDOM_ALPHABETS[k % 3])
         if k % 2:
             p, q = rng.randrange(t.num_states), rng.randrange(t.num_states)
-            t = Transducer(t.alphabet, t.num_states, t.initial, t.final,
-                           t.transitions + ((p, (), (), q), (q, (), (), p)))
-        cases.append(t.standard_form())
+            t = t._replace(transitions=t.transitions
+                           + ((p, (), (), q), (q, (), (), p)))
+        cases.append(Transducer(*t))
     return cases
 
 
@@ -448,8 +474,6 @@ class TestTransducerTrim:
         for k in range(300):
             alphabet = RANDOM_ALPHABETS[k % 3]
             t = random_channel(rng, alphabet).transducer
-            if k % 2:
-                t = t.standard_form()
             keep = _brute_useful(t)
             remap = {q: i for i, q in enumerate(keep)}
             trimmed = t.trim()
@@ -474,8 +498,8 @@ class TestTransducerTrim:
         trimmed = []
         trim = Transducer.trim
 
-        def recorded(self, _walked=False):
-            result = trim(self, _walked)
+        def recorded(self):
+            result = trim(self)
             trimmed.append((self, result))
             return result
 
@@ -555,7 +579,7 @@ class TestQuotient:
     def test_zoo_keeps_the_relation(self):
         for ch in zoo():
             t = ch.transducer
-            sym = t.union(t.inverse()).standard_form()
+            sym = t.union(t.inverse())
             assert self.check(sym, BINARY, 4) == ch.self_union_inverse()
             self.check(t.inverse().compose(t), BINARY, 4)
 
@@ -565,8 +589,6 @@ class TestQuotient:
         for k in range(200):
             alphabet = BINARY if k % 2 else Alphabet(("a", "bc"))
             t = random_channel(rng, alphabet).transducer
-            if k % 4 < 2:
-                t = t.standard_form()
             q = self.check(t, alphabet, 3)
             shrunk += q.num_states < t.num_states
             untrimmed += t.trim().num_states < t.num_states
@@ -579,7 +601,7 @@ class TestQuotient:
     def test_symmetrized_state_counts(self, spec, before, after):
         ch = channel_from_spec(spec)
         t = ch.transducer
-        assert t.union(t.inverse()).standard_form().num_states == before
+        assert t.union(t.inverse()).num_states == before
         assert ch.self_union_inverse().num_states == after
 
     def test_numbering_is_pinned(self):
@@ -621,8 +643,8 @@ class TestMirror:
         """Total for the self-inverse channels and for every sigma^-1 .
         sigma; None, with no partial entries, for the rest."""
         t = channel_from_spec(spec).transducer
-        composed = t.inverse().compose(t).standard_form()
-        assert (t.standard_form()._mirror, composed._mirror) == \
+        composed = t.inverse().compose(t)
+        assert (t._mirror, composed._mirror) == \
             PINNED_MIRRORS[spec]
 
     def test_a_mirror_state_relates_inversely(self):
@@ -638,7 +660,6 @@ class TestMirror:
                 t = t.union(t.inverse())
             elif k % 3 == 2:
                 t = t.inverse().compose(t)
-            t = t.standard_form()
             mirror = t._mirror
             if mirror is None:
                 continue

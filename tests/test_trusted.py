@@ -8,6 +8,7 @@ import random
 from chancodes import BINARY, Alphabet, Dfa, Nfa, Trellis, trellis_from_words
 from chancodes.transducers import product
 
+import oracles
 from test_automata import random_nfa
 from test_codegen import random_channel
 
@@ -59,12 +60,15 @@ def test_transducer_operations_on_random_channels():
         image = product(code, t)
         other = product(random_code(rng, alphabet), t)
         d = image.determinize()
-        for r in (t.standard_form(), t.inverse(), t.union(t.inverse()),
-                  t.quotient(), t.standard_form().quotient(), t.trim(),
-                  t.compose(t), t.inverse().compose(t),
-                  channel.self_union_inverse(), image, image.trim(), d,
-                  d.intersect(other.determinize()), d.intersect(other),
-                  t.image(word), code.trim(), code.add_word(word)):
+        # every transducer operation keeps its standard operands standard
+        for r in (t.inverse(), t.reverse(), t.union(t.inverse()),
+                  t.quotient(), t.trim(), t.compose(t),
+                  t.inverse().compose(t), channel.self_union_inverse()):
+            assert_trusted(r)
+            assert oracles.is_standard(r), t.to_text()
+        for r in (image, image.trim(), d, d.intersect(other.determinize()),
+                  d.intersect(other), t.image(word), code.trim(),
+                  code.add_word(word)):
             assert_trusted(r)
 
 
