@@ -263,7 +263,8 @@ class Machine:
 
     def to_text(self) -> str:
         """A header (the kind, the final states, ``*``, the initial states),
-        then one row per transition: source, labels, target."""
+        then one row per transition: source, labels, target.  ``from_text``
+        reads back the same machine exactly when these name every state."""
         finals = " ".join(str(q) for q in sorted(self.final))
         initials = " ".join(str(q) for q in sorted(self.initial))
         lines = [f"{self._headers[0]} {finals} * {initials}".rstrip()]

@@ -24,10 +24,9 @@ drop the pairs that cannot finish a word of the block length
 (``_exclusion_steps``).  The witness search stops at the least addable
 word.  The index meets in the middle: it counts the sets that the first
 floor(l / 2) symbols reach forward and those that the rest reach backward,
-where the same walk runs on the reversed trellis and channel, and adds up
-the products of the counts of the sets that meet.  The channel enters
-reduced by ``Transducer.quotient``, which keeps one copy of a symmetric
-channel (sub:2, id:2: 6 -> 3 states).
+on the reversed channel and the reversed trellis determinized on demand,
+and adds up the products of the counts of the sets that meet.  The channel
+enters reduced by ``Transducer.quotient`` (sub:2, id:2: 6 -> 3 states).
 """
 
 from __future__ import annotations
@@ -331,25 +330,34 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     tests' ``exclusion_automaton``).  No memo refers back to its own
     filler, so a walk is freed when it ends.
 
-    ``backward`` walks the reversed problem with the same body: the minimal
-    trellis along its predecessor rows, which are multi-valued, from its
-    final state; T reversed (``Transducer.reverse``), whose initial states
-    are T's final ones; and ``left`` the depth l - ``_left[m]``.  So its
-    start pairs are the final pairs, and the set it reaches on the reverse
-    of a suffix holds the pairs from which T can write that suffix and
-    finish.
+    ``backward`` walks the reversed problem with the same body: T reversed
+    (``Transducer.reverse``) and the reversed minimal trellis determinized
+    on demand (Brzozowski 1962).  Its state m, ``subsets[m]`` (returned
+    third), holds the states at depth ``left[m]`` from which the suffix read
+    reaches the final state; its row on a, their a-predecessors.  A set
+    reached on a reversed suffix holds the pairs that can write it and end.
     """
     machine, ell, n = code.minimal, code.length, t.num_states
-    first, last, left = machine.initial_state, machine.final_state, \
-        machine._left
+    row_of, left = machine._rows.__getitem__, machine._left
     if backward:
         t = t.reverse()
-        rows = [{} for _ in machine.states]
+        preds = [{} for _ in machine.states]
         for p, a, d in machine.transitions:
-            rows[d][a] = rows[d].get(a, ()) + (p,)
-        first, last, left = last, first, [ell - k for k in left]
-    else:
-        rows = [{a: (d,) for a, d in row.items()} for row in machine._rows]
+            preds[d][a] = preds[d].get(a, ()) + (p,)
+        subsets, ids, left = [frozenset(machine.final)], {}, [ell]
+
+        @cache
+        def row_of(i: int) -> dict:
+            row: dict = {}
+            for m in subsets[i]:
+                for a, ps in preds[m].items():
+                    row[a] = row.get(a, ()) + ps
+            for a, ps in row.items():
+                row[a] = ids.setdefault(frozenset(ps), len(subsets))
+                if row[a] == len(subsets):  # met first here
+                    subsets.append(frozenset(ps))
+                    left.append(left[i] - 1)
+            return row
     stride = ell + 2
     # per T state and code length left, the lengths it can write
     ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
@@ -366,9 +374,9 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     def targets(p: int, moves) -> list[int]:
         """The pairs that p reaches on its T state's ``moves``."""
         m, q = divmod(p, n)
-        row = rows[m]
+        row = row_of(m)
         return [md * n + qd for x, qd in moves[q]
-                for md in ((m,) if x is None else row.get(x, ()))]
+                if (md := m if x is None else row.get(x)) is not None]
 
     @cache
     def closure(p: int) -> frozenset:
@@ -399,9 +407,10 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
 
     if not machine.final:
         return step, frozenset(), frozenset()
-    start = frozenset().union(*map(closure,
-                                   [first * n + q for q in t.initial]))
-    return step, start & fits[-1], frozenset(last * n + q for q in t.final)
+    # pairs 0 * n + q: state 0 is the initial one, or {final} backward
+    start = frozenset().union(*map(closure, t.initial))
+    return step, start & fits[-1], subsets if backward else frozenset(
+        machine.final_state * n + q for q in t.final)
 
 
 def _least_addable(walk, u: int, m: "int | None", s: frozenset,
@@ -483,10 +492,11 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     Counted by meeting in the middle (Horowitz & Sahni, J. ACM 1974) at
     h = floor(l / 2): the forward walk of ``_exclusion_steps`` maps each
     set S it reaches after h symbols to the number of prefixes that reach
-    it, and the backward walk maps each set B it reaches after the other
-    l - h symbols to the number of suffixes; a word is counted exactly when
-    the set of its prefix meets the set of its suffix, so the index sums
-    count(S) * count(B) over the pairs that meet.
+    it, and the backward walk each set it reaches after the other l - h
+    symbols, expanded to the minimal-trellis pairs B of its subsets, to the
+    number of suffixes; a word is counted exactly when the set of its prefix
+    meets the set of its suffix, so the index sums count(S) * count(B) over
+    the pairs that meet.
 
     The count is of (channel | channel^-1)(C) alone, while
     ``maximality_witness`` also excludes C itself.  The two agree whenever
@@ -505,10 +515,14 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             witness=witness,
         )
     t = channel.self_union_inverse()
-    half = code.length // 2
+    half, k = code.length // 2, t.num_states
     ahead = _layer_counts(_exclusion_steps(code, t), code, half)
-    behind = _layer_counts(_exclusion_steps(code, t, backward=True), code,
-                           code.length - half)
+    walk = _exclusion_steps(code, t, backward=True)
+    pairs = cache(lambda p: frozenset(m * k + p % k for m in walk[2][p // k]))
+    behind: dict = {}
+    for b, count in _layer_counts(walk, code, code.length - half).items():
+        expanded = frozenset().union(*map(pairs, b))
+        behind[expanded] = behind.get(expanded, 0) + count
     used = sum(n * m for s, n in ahead.items() for b, m in behind.items()
                if not s.isdisjoint(b))
     return Fraction(used, len(code.alphabet) ** code.length)

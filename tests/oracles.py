@@ -2,14 +2,18 @@
 
 Nothing here goes through the product/image machinery under test: images are
 enumerated by walking raw transducer transitions, and the per-channel models
-are written directly from each channel's informal description.  The one
-exception is ``exclusion_automaton``, the trimmed product that the
-maximality walks, which never build it, are checked against; ``product``
-is itself checked against path enumeration.
+are written directly from each channel's informal description.  The
+exceptions are ``exclusion_automaton``, the trimmed product that the
+maximality walks, which never build it, are checked against (``product``
+is itself checked against path enumeration), and
+``predecessor_exclusion_steps``, the backward walk of the index on the
+minimal trellis's own states, which the walk on the determinized reverse
+is checked against.
 """
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import product as iproduct
 
 from chancodes import Alphabet, Channel, Nfa, Transducer, Trellis, Word, \
@@ -244,6 +248,69 @@ def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
     """Automaton for (channel | channel^-1)(C): the words excluded by C.
     Built on the minimal trellis, which accepts the same code."""
     return product(code.minimal, channel.self_union_inverse())
+
+
+def predecessor_exclusion_steps(code: Trellis, t: Transducer):
+    """(step, start set, final pairs) of the backward subset walk of the
+    exclusion automaton T(C) on pairs m * n + q, m a state of the minimal
+    trellis: its predecessor rows, several per symbol, read from the final
+    state, and T reversed.  ``step(s, a, k)`` keeps the pairs whose T state
+    can read the depth of m and write exactly k symbols.  The walk on the
+    determinized reverse (``properties._exclusion_steps`` with
+    ``backward``) reaches sets that expand to these, with the same counts.
+    """
+    machine, ell, n = code.minimal, code.length, t.num_states
+    t = t.reverse()
+    rows = [{} for _ in machine.states]
+    for p, a, d in machine.transitions:
+        rows[d][a] = rows[d].get(a, ()) + (p,)
+    depth = [ell - k for k in machine._left]
+    stride = ell + 2
+    ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
+           for i in range(ell + 1)] for row in t._table(ell)[0]]
+    by_output = {y: [[] for _ in t.states]
+                 for y in (None, *code.alphabet.symbols)}
+    for q, row in enumerate(t._moves):
+        for x, xmoves in row.items():
+            for y, d in xmoves:
+                by_output[y][q].append((x, d))
+    fits: list[set] = [set() for _ in range(ell + 1)]
+
+    def targets(p: int, moves) -> list[int]:
+        m, q = divmod(p, n)
+        return [md * n + qd for x, qd in moves[q]
+                for md in ((m,) if x is None else rows[m].get(x, ()))]
+
+    @cache
+    def closure(p: int) -> frozenset:
+        seen = {p}
+        stack = [p]
+        while stack:
+            for d in targets(stack.pop(), by_output[None]):
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        for d in seen:
+            m, q = divmod(d, n)
+            for k in ks[q][depth[m]]:
+                fits[k].add(d)
+        return frozenset(seen)
+
+    def successors(moves, p: int) -> frozenset:
+        return frozenset().union(*map(closure, targets(p, moves)))
+
+    following = {a: cache(partial(successors, by_output[a]))
+                 for a in code.alphabet.symbols}
+
+    def step(s: frozenset, a: str, k: int) -> frozenset:
+        return frozenset().union(*map(following[a], s)) & fits[k]
+
+    if not machine.final:
+        return step, frozenset(), frozenset()
+    start = frozenset().union(*map(closure, [machine.final_state * n + q
+                                             for q in t.initial]))
+    return step, start & fits[-1], frozenset(machine.initial_state * n + q
+                                             for q in t.final)
 
 
 # -- trellises ------------------------------------------------------------------------

@@ -90,6 +90,29 @@ class TestTransducerFormat:
         assert parsed == t
         assert parsed.to_text() == text
 
+    def test_round_trip_needs_every_state_named(self):
+        """``to_text`` writes no state that no transition, initial or final
+        set names, so such a machine reads back with fewer states, numbered
+        by first occurrence (final states first); once trimmed, every state
+        is named and the round trip is exact."""
+        t = Transducer(BINARY, 3, {0}, {2}, [(0, ("0",), ("0",), 2)])
+        back = Transducer.from_text(t.to_text(), BINARY)
+        assert back.num_states == 2
+        assert back == Transducer(BINARY, 2, {1}, {0},
+                                  [(1, ("0",), ("0",), 0)])
+        trimmed = t.trim()
+        assert trimmed.num_states == 2
+        assert Transducer.from_text(trimmed.to_text(), BINARY) == trimmed
+        from test_codegen import random_layered_dfa, random_spec
+
+        rng = random.Random(28)
+        for _ in range(20):
+            dfa = Nfa.from_text(random_layered_dfa(rng, BINARY, 4)).trim()
+            assert Nfa.from_text(dfa.to_text(), BINARY) == dfa
+        for _ in range(40):
+            raw = Transducer(*random_spec(rng, BINARY)).trim()
+            assert Transducer.from_text(raw.to_text(), BINARY) == raw
+
     def test_alphabet_can_be_given(self):
         text = "@Transducer 0 * 0\n0 0 0 0\n"
         t = Transducer.from_text(text, BINARY)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -696,6 +697,71 @@ def test_index_meets_in_the_middle_at_every_split_parity():
     assert answers == {True, False}
     # epsilon-input, epsilon-output and epsilon/epsilon moves all occur
     assert {(True, False), (False, True), (True, True)} <= moves
+
+
+def expanded_counts(layer: dict, subsets: list, n: int) -> dict:
+    """A backward ``_layer_counts`` map with each pair i * n + q replaced by
+    the pairs m * n + q, m in ``subsets[i]``, and the counts of sets that
+    expand alike added up."""
+    expanded: dict = {}
+    for b, count in layer.items():
+        pairs = frozenset(m * n + p % n for p in b for m in subsets[p // n])
+        expanded[pairs] = expanded.get(pairs, 0) + count
+    return expanded
+
+
+def test_backward_walk_on_the_determinized_reverse_matches_predecessor_rows():
+    """The index's backward walk on the reversed minimal trellis,
+    determinized on demand, reaches sets that expand to those of the walk
+    along the minimal trellis's predecessor rows
+    (``oracles.predecessor_exclusion_steps``), with the same counts, at
+    every depth: on every zoo channel and on 60 random transducers, at
+    block lengths 0, 1, 2, 3, 5 and 7, for greedy and random codes.  Every
+    subset lies at one depth, and a walk through all the layers, with the
+    identity added to T so that it meets every codeword suffix, numbers as
+    many subsets at each depth as the minimal trellis of the reversed words
+    has states there (Brzozowski 1962)."""
+    from test_codegen import random_channel
+
+    rng = random.Random(53)
+    zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
+           "segd:3", "ov"]
+    identity = make_sub(0).transducer
+    merged = 0  # compared walks' subsets of more than one trellis state
+    for ell in (0, 1, 2, 3, 5, 7):
+        pool = list(BINARY.words_of_length(ell))
+        empty = trellis_from_words([], BINARY, length=ell)
+        channels = [channel_from_spec(spec) for spec in zoo]
+        channels += [random_channel(rng, BINARY) for _ in range(10)]
+        for channel in channels:
+            t = channel.self_union_inverse()
+            codes = [greedy_detecting(rng, pool, empty, channel, 8),
+                     trellis_from_words(
+                         rng.sample(pool, rng.randint(1, len(pool))),
+                         BINARY)]
+            for code in codes:
+                for layers in range(ell + 1):
+                    walk = properties._exclusion_steps(code, t, True)
+                    found = properties._layer_counts(walk, code, layers)
+                    referee = properties._layer_counts(
+                        oracles.predecessor_exclusion_steps(code, t), code,
+                        layers)
+                    assert expanded_counts(found, walk[2], t.num_states) \
+                        == referee, (channel.name, ell, layers)
+                    merged += sum(len(s) > 1 for s in walk[2])
+                words = list(code.iter_words())
+                if not words:
+                    continue
+                walk = properties._exclusion_steps(code, t.union(identity),
+                                                   True)
+                properties._layer_counts(walk, code, ell)
+                depths = [{ell - code.minimal._left[m] for m in s}
+                          for s in walk[2]]
+                assert all(len(d) == 1 for d in depths)
+                met = Counter(d for (d,) in depths)
+                reverse = trellis_from_words([w[::-1] for w in words], BINARY)
+                assert met == Counter(reverse.minimal._left)
+    assert merged
 
 
 def unpruned_live_triples(machine, t) -> set:
