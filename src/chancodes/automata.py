@@ -11,7 +11,9 @@ the fields, the validating constructor, ``_trusted`` for internal results,
 ``trim`` and the text format.  ``walk`` numbers the states of every
 pair-state construction (``product``, ``Transducer.compose``, the subset
 walk of ``intersect``, which ``determinize`` runs too, and the minimal
-trellises).
+trellises).  ``_reach`` is the one reachability loop (``trim``, epsilon
+closures), and ``Dfa._postorder`` the one topological order (counting,
+sampling, ``Dfa._left`` layers, trellis checks and folding).
 
 A block code is a ``Trellis``.  ``trellis_from_words`` builds the minimal
 trellis of a word list in one pass over the sorted words, ``Trellis.minimal``
@@ -103,6 +105,20 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     return " ".join(w)
 
 
+def _reach(roots: Iterable[int], adjacent: Sequence[Iterable[int]]
+           ) -> set[int]:
+    """The states reachable from ``roots`` along ``adjacent``, which lists
+    per state the states it leads to."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for q in adjacent[stack.pop()]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
 def useful_states(num_states: int, initial: Iterable[int],
                   final: Iterable[int], arcs: Iterable[tuple[int, int]]
                   ) -> dict[int, int]:
@@ -114,18 +130,7 @@ def useful_states(num_states: int, initial: Iterable[int],
     for src, dst in arcs:
         pred[dst].append(src)
         succ[src].append(dst)
-
-    def reach(roots: Iterable[int], adjacent: list[list[int]]) -> set[int]:
-        seen = set(roots)
-        stack = list(seen)
-        while stack:
-            for q in adjacent[stack.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    keep = reach(final, pred) & reach(initial, succ)
+    keep = _reach(final, pred) & _reach(initial, succ)
     return {q: i for i, q in enumerate(sorted(keep))}
 
 
@@ -352,18 +357,8 @@ class Nfa(Machine):
     @cached_property
     def _closure(self) -> tuple[frozenset[int], ...]:
         """Per-state epsilon closure."""
-        out = []
-        for q in self.states:
-            seen = {q}
-            stack = [q]
-            while stack:
-                p = stack.pop()
-                for r in self._out[p].get(None, ()):
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            out.append(frozenset(seen))
-        return tuple(out)
+        epsilon = [row.get(None, ()) for row in self._out]
+        return tuple(frozenset(_reach((q,), epsilon)) for q in self.states)
 
     def epsilon_closure(self, states: Iterable[int]) -> frozenset[int]:
         result: set[int] = set()
@@ -510,34 +505,43 @@ class Dfa(Nfa):
 
     @cached_property
     def _postorder(self) -> "tuple[int, ...] | None":
-        """Every state after all of its successors (depth-first postorder),
-        or None when the automaton has a cycle."""
+        """Every state after all of its successors, or None when the
+        automaton has a cycle: the states in the order in which their
+        in-edges are counted down to none (Kahn, CACM 1962), reversed."""
         rows = self._rows
-        color = [0] * self.num_states  # 0 new, 1 on the stack, 2 done
-        order: list[int] = []
-        for root in self.states:
-            if color[root]:
-                continue
-            color[root] = 1
-            stack = [(root, iter(rows[root].values()))]
-            while stack:
-                q, successors = stack[-1]
-                for d in successors:
-                    if color[d] == 1:
-                        return None
-                    if color[d] == 0:
-                        color[d] = 1
-                        stack.append((d, iter(rows[d].values())))
-                        break
-                else:
-                    color[q] = 2
-                    order.append(q)
-                    stack.pop()
-        return tuple(order)
+        entering = [0] * self.num_states
+        for _, _, d in self.transitions:
+            entering[d] += 1
+        order = [q for q in self.states if not entering[q]]
+        for q in order:  # ``order`` grows while it is read
+            for d in rows[q].values():
+                entering[d] -= 1
+                if not entering[d]:
+                    order.append(d)
+        return None if len(order) < self.num_states else tuple(reversed(order))
 
     @property
     def is_acyclic(self) -> bool:
         return self._postorder is not None
+
+    @cached_property
+    def _left(self) -> tuple[int, ...]:
+        """Per state, the length of the path along first successors to a
+        state without successors (acyclic automata only): on a layered one,
+        of every such path; on a trellis, the symbols to its final state."""
+        left = [0] * self.num_states
+        for q in self._postorder:  # successors before predecessors
+            for d in self._rows[q].values():
+                left[q] = left[d] + 1
+                break
+        return tuple(left)
+
+    @property
+    def _is_layered(self) -> bool:
+        """Whether every edge goes one layer down ``_left`` (acyclic
+        automata only)."""
+        left = self._left
+        return all(left[s] == left[d] + 1 for s, _, d in self.transitions)
 
     @cached_property
     def _path_counts(self) -> tuple[int, ...]:
@@ -656,28 +660,24 @@ class Trellis(Dfa):
                 raise ValueError("a trellis without a final state must be "
                                  "the empty code: one state, no transitions")
             return
-        # one breadth-first pass: every state reached, every edge one layer
-        # down, and the final state the only one without successors hold
-        # together exactly for a trim acyclic DFA with one word length
-        rows = self._rows
-        depth = {self.initial_state: 0}
-        queue = [self.initial_state]
-        for q in queue:
-            nd = depth[q] + 1
-            for d in rows[q].values():
-                if d not in depth:
-                    depth[d] = nd
-                    queue.append(d)
-                elif depth[d] != nd:
-                    raise ValueError("trellis must be layered: it has a cycle "
-                                     "or paths of different lengths")
-        if len(queue) != self.num_states or \
-                [q for q in self.states if not rows[q]] != [self.final_state]:
+        # acyclic, the initial state the only one without in-edges and the
+        # final state the only one without successors hold together exactly
+        # for a trim acyclic DFA; layered then means one word length
+        unlayered = "trellis must be layered: it has a cycle or paths of " \
+            "different lengths"
+        if self._postorder is None:
+            raise ValueError(unlayered)
+        entered = {d for _, _, d in self.transitions}
+        if [q for q in self.states if q not in entered] != [self.initial_state] \
+                or [q for q in self.states if not self._rows[q]] != \
+                [self.final_state]:
             raise ValueError("trellis must be trim")
-        if depth[self.final_state] != self.length:
+        if not self._is_layered:
+            raise ValueError(unlayered)
+        ell = self._left[self.initial_state]
+        if ell != self.length:
             raise ValueError(
-                f"trellis accepts words of length {depth[self.final_state]}, "
-                f"declared {self.length}"
+                f"trellis accepts words of length {ell}, declared {self.length}"
             )
 
     @classmethod
@@ -724,16 +724,6 @@ class Trellis(Dfa):
         return _class_trellis(self.alphabet, class_rows,
                               layered[self.initial_state],
                               layered[self.final_state], self.length)
-
-    @cached_property
-    def _left(self) -> tuple[int, ...]:
-        """Per state, the number of symbols from it to the final state."""
-        left = [0] * self.num_states
-        for q in self._postorder:  # successors before predecessors
-            for d in self._rows[q].values():  # layered: all successors agree
-                left[q] = left[d] + 1
-                break
-        return tuple(left)
 
     @cached_property
     def _shared(self) -> frozenset[int]:
@@ -938,14 +928,11 @@ def as_trellis(machine: Nfa, length: "int | None" = None) -> Trellis:
         return trellis_from_words((), machine.alphabet, length)
     if not d.is_acyclic:
         raise WordError("automaton is cyclic; not a block code")
-    # trimmed, so the language is not empty: one bit means one word length;
-    # no word of an acyclic DFA is as long as its number of states
-    mask = length_masks(d.num_states, d.final,
-                        ((s, 1, t) for s, _, t in d.transitions),
-                        (1 << d.num_states) - 1)[d.initial_state]
-    if mask & (mask - 1):
+    # trimmed, so the language is not empty: it has one word length when
+    # every edge goes one layer down and no final state has a successor
+    if not d._is_layered or any(d._rows[q] for q in d.final):
         raise WordError("language has mixed lengths; not a block code")
-    ell = mask.bit_length() - 1
+    ell = d._left[d.initial_state]
     if length is not None and length != ell:
         raise WordError(f"language has length {ell}, declared {length}")
     if len(d.final) == 1:

@@ -204,7 +204,6 @@ def _cmd_gen(args) -> int:
             channel,
             args.n,
             length,
-            alphabet=alphabet,
             seed_code=seed_code,
             f=args.f,
             eps=args.eps,
@@ -271,9 +270,9 @@ def _cmd_experiment(args) -> int:
     for spec in args.channel:
         channel = _resolve_channel(spec, alphabet)
         sizes = [
-            make_code(channel, args.n, args.len, alphabet=alphabet, f=args.f,
-                      eps=args.eps, seed=derive_seed(seed, rep),
-                      universe=universe, universe_label=label).size
+            make_code(channel, args.n, args.len, f=args.f, eps=args.eps,
+                      seed=derive_seed(seed, rep), universe=universe,
+                      universe_label=label).size
             for rep in range(args.reps)
         ]
         med = median(sizes)

@@ -281,7 +281,6 @@ def make_code(
     n_words: int,
     length: "int | None" = None,
     *,
-    alphabet: "Alphabet | None" = None,
     seed_code: "Trellis | None" = None,
     f=DEFAULT_F,
     eps=DEFAULT_EPS,
@@ -292,8 +291,8 @@ def make_code(
     """Grow a detecting block code by up to ``n_words`` words.
 
     Starts from ``seed_code`` when given (it must itself be detecting), else
-    from the empty code, in which case ``length`` (and ``alphabet``, default
-    the channel's) are required.  The inputs are checked, and the universe
+    from the empty code over the channel's alphabet, in which case
+    ``length`` is required.  The inputs are checked, and the universe
     trellis and one ``Exclusion`` built, once per run; each word comes from
     the draw loop of ``next_word``.  Without a ``seed`` one is drawn from OS
     entropy and recorded in the report, so every run can be repeated.
@@ -305,8 +304,6 @@ def make_code(
         code = seed_code
         if length is not None and length != code.length:
             raise ParameterError("length argument contradicts the seed code")
-        if alphabet is not None and alphabet != code.alphabet:
-            raise ParameterError("alphabet argument contradicts the seed code")
         witness = detection_witness(code, channel)
         if witness:
             raise NotDetectingError(
@@ -317,8 +314,7 @@ def make_code(
     else:
         if length is None:
             raise ParameterError("an empty start needs an explicit length")
-        code = trellis_from_words((), alphabet or channel.alphabet, length=length)
-        _require_same_alphabet(code, channel)
+        code = trellis_from_words((), channel.alphabet, length=length)
     label = universe_label or ("full" if universe is None else "custom")
     universe = _fitting_universe(code, universe)
 

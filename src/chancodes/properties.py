@@ -426,12 +426,9 @@ def _least_addable(walk, u: int, m: "int | None", s: frozenset,
         addable = u in universe.final and m not in minimal.final \
             and s.isdisjoint(final)
         return () if addable else None
-    row = universe._rows[u]
-    if m is None and not s:  # every completion is addable
-        a = next(a for a in universe.alphabet if a in row)
-        return (a,) + _least_addable(walk, row[a], m, s, left - 1)
     if (u, m, s) in dead:
         return None
+    row = universe._rows[u]
     for a in universe.alphabet:
         if a in row:
             rest = _least_addable(

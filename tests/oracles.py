@@ -346,6 +346,106 @@ def prefix_tree(words, alphabet: Alphabet, length=None) -> Trellis:
                    length=ell)
 
 
+# -- orders and block shapes ----------------------------------------------------------
+
+
+def simple_paths(num_states: int, transitions, start: int
+                 ) -> list[tuple[int, ...]]:
+    """Every path from ``start`` along the (source, label, target)
+    ``transitions`` that repeats no state, as its tuple of states; the path
+    of ``start`` alone included."""
+    succ = [[d for s, _, d in transitions if s == q] for q in range(num_states)]
+    paths, stack = [], [(start,)]
+    while stack:
+        path = stack.pop()
+        paths.append(path)
+        stack += [path + (d,) for d in succ[path[-1]] if d not in path]
+    return paths
+
+
+def has_cycle(num_states: int, transitions) -> bool:
+    """Whether some edge leads back to a state that reaches its source."""
+    return any(s in {p[-1] for p in simple_paths(num_states, transitions, d)}
+               for s, _, d in transitions)
+
+
+def heights(num_states: int, transitions) -> list[set[int]]:
+    """Per state, the lengths of the paths from it to a state without
+    successors (acyclic machines: every path is simple)."""
+    sinks = set(range(num_states)) - {s for s, _, _ in transitions}
+    return [{len(p) - 1 for p in simple_paths(num_states, transitions, q)
+             if p[-1] in sinks} for q in range(num_states)]
+
+
+def trellis_faults(num_states: int, final: int, transitions, length: int
+                   ) -> dict[str, str]:
+    """The faults of a would-be trellis with initial state 0 and the one
+    final state ``final``, found by path enumeration, each mapped to the
+    message with which ``Trellis(...)`` refuses an input that has it alone:
+
+    - ``cycle``: some edge leads back to a state that reaches its source;
+    - ``trim``: some state is on no path from 0 to ``final``;
+    - ``layered``: some state is reached from 0 by paths of two lengths, or
+      reaches ``final`` by paths of two lengths;
+    - ``length``: the paths from 0 to ``final`` have one length, not
+      ``length``.
+
+    No fault means a valid trellis.
+    """
+    n = num_states
+    unlayered = "trellis must be layered: it has a cycle or paths of " \
+        "different lengths"
+    from_initial = simple_paths(n, transitions, 0)
+    depths = [{len(p) - 1 for p in from_initial if p[-1] == q}
+              for q in range(n)]
+    to_final = [{len(p) - 1 for p in simple_paths(n, transitions, q)
+                 if p[-1] == final} for q in range(n)]
+    faults = {}
+    if has_cycle(n, transitions):
+        faults["cycle"] = unlayered
+    if set().union(*(p for p in from_initial if p[-1] == final)) != \
+            set(range(n)):
+        faults["trim"] = "trellis must be trim"
+    if any(len(lengths) > 1 for lengths in depths + to_final):
+        faults["layered"] = unlayered
+    if len(depths[final]) == 1 and depths[final] != {length}:
+        (ell,) = depths[final]
+        faults["length"] = f"trellis accepts words of length {ell}, " \
+            f"declared {length}"
+    return faults
+
+
+def block_code(machine: Nfa, length=None) -> "set[Word] | str":
+    """What ``as_trellis(machine, length)`` makes of a DFA, by path
+    enumeration: the set of its words when it is a block code, else the
+    message of the error it raises.  Only the states on some initial->final
+    path count, so a cycle elsewhere does no harm."""
+    n, tr, final = machine.num_states, machine.transitions, machine.final
+    (start,) = machine.initial
+    useful = {p[-1] for p in simple_paths(n, tr, start)
+              if any(q[-1] in final for q in simple_paths(n, tr, p[-1]))}
+    if not useful:
+        if length is None:
+            return "empty language needs an explicit block length"
+        return set()
+    inner = [(s, a, d) for s, a, d in tr if s in useful and d in useful]
+    if has_cycle(n, inner):
+        return "automaton is cyclic; not a block code"
+    words, stack = set(), [(start, ())]
+    while stack:
+        q, w = stack.pop()
+        if q in final:
+            words.add(w)
+        stack += [(d, w + (a,)) for s, a, d in inner if s == q]
+    lengths = {len(w) for w in words}
+    if len(lengths) > 1:
+        return "language has mixed lengths; not a block code"
+    (ell,) = lengths
+    if length is not None and length != ell:
+        return f"language has length {ell}, declared {length}"
+    return words
+
+
 def machine_size(m) -> int:
     """States plus transition sizes: a transition counts 1 plus the symbols
     on its labels.  An automaton transition is (source, symbol or None,

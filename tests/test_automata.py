@@ -56,24 +56,27 @@ def machine_fields(m: Nfa) -> str:
                  sorted(m.final), m.transitions))
 
 
-def brute_is_trellis(num_states, final, transitions, length) -> bool:
-    """Trellis shape by path enumeration from state 0: every state on some
-    0->final path, no path that repeats a state, and every 0->final path of
-    the given length."""
-    succ = [[d for s, _, d in transitions if s == q] for q in range(num_states)]
-    on_a_path, lengths = set(), set()
-
-    def walk(path) -> bool:  # False once a path repeats a state
-        if path[-1] == final:
-            on_a_path.update(path)
-            lengths.add(len(path) - 1)
-        for d in succ[path[-1]]:
-            if d in path or not walk(path + [d]):
-                return False
-        return True
-
-    return (walk([0]) and on_a_path == set(range(num_states))
-            and lengths == {length})
+def random_dfa(rng: random.Random, max_states=6) -> Dfa:
+    """A random partial DFA whose states lie on four layers: most edges go
+    one layer down, so many of them are layered, and a few go anywhere, so
+    some have cycles or paths of mixed lengths.  Unreachable parts, several
+    final states and final states with successors all come up."""
+    n = rng.randint(1, max_states)
+    layer = [rng.randrange(4) for _ in range(n)]
+    transitions = []
+    for s in range(n):
+        below = [d for d in range(n) if layer[d] == layer[s] - 1]
+        for a in "01":
+            r = rng.random()
+            if r < 0.15:
+                transitions.append((s, a, rng.randrange(n)))
+            elif r < 0.7 and below:
+                transitions.append((s, a, rng.choice(below)))
+    top = [q for q in range(n) if layer[q] == max(layer)]
+    initial = rng.choice(top if rng.random() < 0.7 else range(n))
+    final = {q for q in range(n)
+             if rng.random() < (0.8 if layer[q] == 0 else 0.15)}
+    return Dfa(BINARY, n, {initial}, final, tuple(transitions))
 
 
 class TestWordsOfLength:
@@ -349,6 +352,63 @@ class TestCyclicDfa:
         assert self.TWO_CYCLE.least_word() == ("0",)
 
 
+class TestTopologicalOrder:
+    def test_order_and_layers_match_path_enumeration(self):
+        """Random DFAs, among them cyclic ones, ones with unreachable
+        parts, with several final states and with final states that have
+        successors: ``_postorder`` is None exactly on a cycle and else puts
+        every edge's target before its source; ``_left`` is the one length
+        of the paths to a state without successors on layered DFAs; and
+        ``as_trellis`` builds the words or raises the message that path
+        enumeration gives."""
+        rng = random.Random(71)
+        kinds = set()
+        for _ in range(400):
+            d = random_dfa(rng)
+            n, transitions = d.num_states, d.transitions
+            order = d._postorder
+            assert (order is None) == oracles.has_cycle(n, transitions)
+            if order is not None:
+                place = {q: i for i, q in enumerate(order)}
+                assert sorted(order) == list(d.states)
+                assert all(place[t] < place[s] for s, _, t in transitions)
+                heights = oracles.heights(n, transitions)
+                layered = all(len(h) == 1 for h in heights)
+                assert d._is_layered == layered
+                if layered:
+                    assert d._left == tuple(min(h) for h in heights)
+                    kinds.add("layered")
+            length = rng.choice((None, None, rng.randint(0, 3)))
+            expected = oracles.block_code(d, length)
+            try:
+                t = as_trellis(d, length)
+            except WordError as exc:
+                assert str(exc) == expected
+                kinds.add(expected.split(";")[0])
+            else:
+                assert set(t.iter_words()) == expected
+                if expected:
+                    assert t.length == len(next(iter(expected)))
+                kinds.add("block code")
+            kinds.add(("cyclic", order is None))
+            reached = {p[-1] for p in oracles.simple_paths(
+                n, transitions, d.initial_state)}
+            kinds.add(("unreachable", len(reached) < n))
+            kinds.add(("finals", min(len(d.final), 2)))
+            kinds.add(("final with successor",
+                       any(s in d.final for s, _, _ in transitions)))
+        assert kinds >= {
+            "layered", "block code", "automaton is cyclic",
+            "language has mixed lengths",
+            "empty language needs an explicit block length",
+            *(("cyclic", b) for b in (True, False)),
+            *(("unreachable", b) for b in (True, False)),
+            *(("finals", k) for k in (0, 1, 2)),
+            *(("final with successor", b) for b in (True, False))}
+        assert any(kind.startswith("language has length")
+                   for kind in kinds if isinstance(kind, str))
+
+
 class TestUniverseTrellis:
     def test_small(self):
         u = universe_trellis(BINARY, 2)
@@ -448,9 +508,11 @@ class TestTrellisValidation:
     def test_layered_check_matches_path_enumeration(self):
         """Mutated prefix trees: the constructor accepts exactly the inputs
         on which every state lies on an initial->final path, no path repeats
-        a state, and every initial->final path has the declared length."""
+        a state, and every initial->final path has the declared length.  An
+        input with one fault gets that fault's message; one with several
+        gets the message of one of them."""
         rng = random.Random(31)
-        verdicts = set()
+        verdicts, single = set(), set()
         for _ in range(1500):
             ell = rng.randint(1, 4)
             words = [tuple(rng.choice("01") for _ in range(ell))
@@ -466,17 +528,25 @@ class TestTrellisValidation:
                     rows[key] = rng.randrange(num)
             length = ell + rng.choice((0, 0, 0, 1, -1))
             transitions = tuple((s, a, d) for (s, a), d in rows.items())
-            expected = brute_is_trellis(num, tree.final_state, transitions,
-                                        length)
+            faults = oracles.trellis_faults(num, tree.final_state, transitions,
+                                            length)
             try:
                 Trellis(BINARY, num, {0}, tree.final, transitions,
                         length=length)
-                verdict = True
-            except ValueError:
-                verdict = False
-            assert verdict == expected, (num, transitions, length)
-            verdicts.add(verdict)
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            assert (message is None) == (not faults), (num, transitions, length)
+            if len(faults) == 1:
+                assert [message] == list(faults.values())
+                successor = any(s == tree.final_state for s, _ in rows)
+                single.add((*faults, successor))
+            elif faults:
+                assert message in faults.values()
+            verdicts.add(message is None)
         assert verdicts == {True, False}
+        assert single >= {("cycle", False), ("trim", False), ("trim", True),
+                          ("layered", False), ("length", False)}
 
     def test_empty_code_still_builds(self):
         t = trellis_from_words((), BINARY, length=2)

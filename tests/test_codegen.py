@@ -240,8 +240,10 @@ class TestMakeCode:
             seed_code = trellis_from_words(seed_code, BINARY)
         rep = make_code(make_sub(1), 20, 8, seed_code=seed_code, seed=2)
         assert len(rep.words) == 20
+        # the empty start is built over the channel's alphabet, so only a
+        # seed code needs the alphabet check (in ``detection_witness``)
         assert calls == {"trial_bound": 1, "_fitting_universe": 1,
-                         "_require_same_alphabet": 1}
+                         "_require_same_alphabet": int(seed_code is not None)}
 
 
 class TestSeedDerivation:
@@ -554,7 +556,7 @@ class TestSaturationStop:
             channel = random_channel(rng, alphabet)
             f, eps = (("0.5", "0.25"), ("0.95", "0.05"))[k % 4 < 1]
             self.check(both_loops, tally, channel, rng.randint(1, 20),
-                       rng.randint(1, 4), alphabet=alphabet, f=f, eps=eps,
+                       rng.randint(1, 4), f=f, eps=eps,
                        seed=rng.randrange(1000))
         assert tally["exhausted"] > 20 and tally["stopped"] > 10
         assert tally["open"] > 0
