@@ -10,15 +10,16 @@ Epsilon (the empty word as a transition label) is represented by ``None``.
 the fields, the validating constructor, ``_trusted`` for internal results,
 ``trim`` and the text format.  ``walk`` numbers the states of every
 pair-state construction (``product``, ``Transducer.compose``, the subset
-walk of ``intersect``, which ``determinize`` runs too, and the minimal
-trellises).  ``_reach`` is the one reachability loop (``trim``, epsilon
-closures), and ``Dfa._postorder`` the one topological order (counting,
-sampling, ``Dfa._left`` layers, trellis checks and folding).
+walk of ``intersect``, which ``determinize`` runs too).  ``_reach`` is the
+one reachability loop (``trim``, epsilon closures), and ``Dfa._postorder``
+the one topological order (counting, sampling, ``Dfa._left`` layers,
+trellis checks and folding).
 
 A block code is a ``Trellis``.  ``trellis_from_words`` builds the minimal
 trellis of a word list in one pass over the sorted words, ``Trellis.minimal``
-folds any other trellis, and ``Trellis.add_word`` grows any trellis by one
-word, cloning the states where paths meet.
+folds any other trellis (both number it in ``_class_trellis``, which hands
+it its ``_rows`` and ``_left``), and ``Trellis.add_word`` grows any trellis
+by one word, cloning the states where paths meet.
 """
 
 from __future__ import annotations
@@ -820,17 +821,27 @@ class Trellis(Dfa):
 def _class_trellis(alphabet: Alphabet, rows: Sequence[dict[str, int]],
                    root: int, final: int, length: int) -> Trellis:
     """The trellis on the classes of a minimal trellis, given per class its
-    successor class on each symbol: classes numbered breadth-first from
-    ``root``, symbols in alphabet order, so that the same code always gives
-    the same machine.  The result is marked as its own ``minimal``."""
-    def successors(c):
+    successor class on each symbol in string order: classes numbered
+    breadth-first from ``root``, symbols in alphabet order, so that the same
+    code always gives the same machine.  The result comes with its ``_rows``
+    and ``_left`` and is marked as its own ``minimal``."""
+    ids = {root: 0}  # class -> state number
+    order, left = [root], [length]  # left: the symbols to the final state
+    for i, c in enumerate(order):  # ``order`` grows while it is read
         row = rows[c]
-        return ((a, row[a]) for a in alphabet if a in row)
-
-    order, edges = walk([root], successors)
-    return Trellis._trusted(alphabet, len(order), frozenset({0}),
-                            frozenset({order.index(final)}),
-                            tuple(sorted(edges)), length=length, _reduced=None)
+        for a in alphabet.symbols:
+            d = row.get(a)
+            if d is not None and d not in ids:
+                ids[d] = len(order)
+                order.append(d)
+                left.append(left[i] - 1)
+    # the states in order, each row in string order: the canonical order
+    numbered = tuple({a: ids[d] for a, d in rows[c].items()} for c in order)
+    return Trellis._trusted(
+        alphabet, len(order), frozenset({0}), frozenset({ids[final]}),
+        tuple([(i, a, d) for i, row in enumerate(numbered)
+               for a, d in row.items()]),
+        length=length, _rows=numbered, _left=tuple(left), _reduced=None)
 
 
 def universe_trellis(alphabet: Alphabet, length: int) -> Trellis:
@@ -863,11 +874,14 @@ def trellis_from_words(
 ) -> Trellis:
     """The minimal trellis accepting exactly the given equal-length words,
     numbered as ``Trellis.minimal`` numbers it and its own ``minimal``.
-    An empty collection needs an explicit length.
+    An empty collection needs an explicit length.  ``words`` is read once;
+    over an alphabet of one-character symbols, strings of symbols are
+    sorted as they are (they sort as their words do), and any other input
+    is read with ``Alphabet.word``.
 
     One pass over the sorted words (Daciuk, Mihov, Watson & Watson, Comput.
     Linguist. 2000), with no prefix tree in between.  The state of each
-    prefix of the previous word stays open; when the next word leaves it at
+    prefix of the current word stays open; when the next word leaves it at
     position c, the open states deeper than c are closed, deepest first.  A
     closed state's row of (symbol, class) pairs is looked up in a register,
     so states with the same right language get one class; class 0 is the
@@ -875,13 +889,18 @@ def trellis_from_words(
     """
     if length is not None and length < 0:
         raise ParameterError(f"block length must be >= 0, got {length}")
-    coerced = sorted({alphabet.word(w) for w in words})
+    words = list(words)
+    plain = all(len(s) == 1 for s in alphabet) and \
+        set(map(type, words)) == {str} and \
+        set("".join(words)).issubset(alphabet.symbols)
+    coerced = sorted(set(words) if plain else
+                     {alphabet.word(w) for w in words})
     if not coerced:
         if length is None:
             raise WordError("empty word set needs an explicit block length")
         return Trellis._trusted(alphabet, 1, frozenset({0}), frozenset(), (),
                                 length=length)
-    lengths = {len(w) for w in coerced}
+    lengths = set(map(len, coerced))
     if len(lengths) != 1:
         raise WordError(f"words have mixed lengths: {sorted(lengths)}")
     (ell,) = lengths
@@ -889,30 +908,21 @@ def trellis_from_words(
         raise WordError(f"words have length {ell}, declared {length}")
     if ell == 0:
         return _class_trellis(alphabet, [{}], 0, 0, 0)
-    register: dict[tuple[tuple[str, int], ...], int] = {}
-    rows: list[dict[str, int]] = [{}]  # per class, symbol -> class
+    # row of (symbol, class) pairs -> class; class 0 is the final state
+    register: dict[tuple[tuple[str, int], ...], int] = {(): 0}
     open_rows: list[list[tuple[str, int]]] = [[] for _ in range(ell)]
-
-    def close(prefix: Word, depth: int) -> None:
-        """Close the open states of ``prefix`` deeper than ``depth``."""
-        for d in range(ell - 1, depth, -1):
+    # sorted: one prefix's words come together; the sentinel shares nothing
+    for w, following in zip(coerced, coerced[1:] + [(None,)]):
+        open_rows[-1].append((w[-1], 0))
+        c = 0  # the next word shares w's states down to depth c
+        while w[c] == following[c]:  # distinct words part before ell
+            c += 1
+        for d in range(ell - 1, c, -1):
             row = tuple(open_rows[d])
             open_rows[d].clear()
-            c = register.get(row)
-            if c is None:
-                c = register[row] = len(rows)
-                rows.append(dict(row))
-            open_rows[d - 1].append((prefix[d - 1], c))
-
-    previous = coerced[0]
-    for w in coerced:  # sorted: the words of one prefix come together
-        c = 0
-        while c < ell and previous[c] == w[c]:
-            c += 1
-        close(previous, c)
-        open_rows[-1].append((w[-1], 0))
-        previous = w
-    close(previous, 0)
+            open_rows[d - 1].append(
+                (w[d - 1], register.setdefault(row, len(register))))
+    rows = [dict(row) for row in register]
     rows.append(dict(open_rows[0]))  # the root, the only state at depth 0
     return _class_trellis(alphabet, rows, len(rows) - 1, 0, ell)
 

@@ -21,7 +21,7 @@ import os
 import sys
 from statistics import median
 
-from .automata import Alphabet, BINARY, Trellis, as_trellis, \
+from .automata import Alphabet, BINARY, EPSILON_TOKEN, Trellis, as_trellis, \
     trellis_from_words
 from .channels import Channel, channel_from_spec, registry_names, parse_channel, \
     serialize_channel
@@ -96,11 +96,13 @@ def _read_file(path: str, what: str, parse):
 def _read_code_file(path: str, alphabet: Alphabet,
                     length: "int | None") -> Trellis:
     """One codeword per line; blank lines and lines starting with # are
-    skipped.  Lines end only at newlines, as when iterating the file
-    (``str.splitlines`` would also end them at form feeds and the like)."""
+    skipped, and a line ``@epsilon`` is the empty word.  Lines end only at
+    newlines, as when iterating the file (``str.splitlines`` would also end
+    them at form feeds and the like)."""
 
     def parse(text: str) -> Trellis:
-        words = [ln for ln in map(str.strip, text.split("\n"))
+        words = ["" if ln == EPSILON_TOKEN else ln
+                 for ln in map(str.strip, text.split("\n"))
                  if ln and not ln.startswith("#")]
         if not words and length is None:
             raise _CliFailure(

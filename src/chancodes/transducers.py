@@ -103,8 +103,9 @@ class Transducer(Machine):
                  for s, i, o, d in self.transitions),
                 valid)
             size = (ell + 1) * stride
-            feasible = tuple(bytes(m >> k & 1 for k in range(size))
-                             for m in masks)
+            digits = bytes.maketrans(b"01", b"\0\1")  # bit k as byte k
+            feasible = tuple(bin(m)[:1:-1].ljust(size, "0").encode()
+                             .translate(digits) for m in masks)
             table = self._tables[ell] = (feasible, tuple(
                 {x: tuple((y, d, feasible[d]) for y, d in moves)
                  for x, moves in row.items()} for row in self._moves))

@@ -346,6 +346,29 @@ def prefix_tree(words, alphabet: Alphabet, length=None) -> Trellis:
                    length=ell)
 
 
+def minimal_trellis(words, alphabet: Alphabet, length=None) -> Trellis:
+    """The minimal trellis of equal-length words from its definition: one
+    state per distinct set of suffixes that completes some prefix of a word
+    into a word, numbered breadth-first from the set of all words with
+    symbols in alphabet order.  The final state is the set {()}."""
+    code = frozenset(alphabet.word(w) for w in words)
+    if not code:
+        return Trellis(alphabet, 1, {0}, set(), (), length=length)
+    (ell,) = {len(w) for w in code}
+    assert length in (None, ell)
+    order = [code]
+    transitions = []
+    for i, suffixes in enumerate(order):  # ``order`` grows while it is read
+        for sym in alphabet:
+            after = frozenset(w[1:] for w in suffixes if w[:1] == (sym,))
+            if after:
+                if after not in order:
+                    order.append(after)
+                transitions.append((i, sym, order.index(after)))
+    return Trellis(alphabet, len(order), {0}, {order.index(frozenset({()}))},
+                   transitions, length=ell)
+
+
 # -- orders and block shapes ----------------------------------------------------------
 
 

@@ -476,6 +476,105 @@ class TestTrellisFromWords:
             assert t == Trellis(alphabet, t.num_states, t.initial, t.final,
                                 t.transitions, length=ell)
 
+    @pytest.mark.parametrize("form", ["strings", "spaced", "tuples",
+                                      "generator"])
+    def test_equals_the_minimal_trellis_of_suffix_sets(self, form):
+        """The build equals the referee from suffix sets, with the same
+        ``_rows`` (dict item order included) and ``_left``, whatever form
+        the words come in.  It hands both tables over, and with them
+        deleted the trellis recomputes them equal."""
+        rng = random.Random(30)
+        for k in range(160):
+            alphabet = FROM_WORDS_ALPHABETS[k % 4]
+            ell = k % 10
+            words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                     for _ in range(rng.randint(0, 40))]
+            given = {
+                "strings": [format_word(w, alphabet) for w in words],
+                "spaced": [rng.choice((" ", "\t", "  ")).join(w)
+                           for w in words],
+                "tuples": words,
+                "generator": (format_word(w, alphabet) for w in words),
+            }[form]
+            t = trellis_from_words(given, alphabet, length=ell)
+            if words:
+                assert {"_rows", "_left"} <= t.__dict__.keys()
+            want = oracles.minimal_trellis(words, alphabet, length=ell)
+            assert t == want
+            assert row_items(t) == row_items(want) and t._left == want._left
+            handed = row_items(t), t._left
+            t.__dict__.pop("_rows", None)
+            t.__dict__.pop("_left", None)
+            assert (row_items(t), t._left) == handed
+
+    def test_plain_strings_are_sorted_as_they_are(self, monkeypatch):
+        """Over one-character symbols a list of strings of symbols is read
+        without ``Alphabet.word``; a tuple, whitespace, a symbol outside the
+        alphabet or a longer symbol sends every word through it."""
+        read = []
+        word = Alphabet.word
+        monkeypatch.setattr(Alphabet, "word",
+                            lambda self, w: read.append(w) or word(self, w))
+        for words, alphabet, reads in (
+                (["0110", "1001", "0110"], BINARY, 0),
+                (["zyx", "xxy"], Alphabet(("z", "y", "x")), 0),
+                (["0110", ("1", "0", "0", "1")], BINARY, 2),
+                (["0110", "1 0 0 1"], BINARY, 2),
+                (["a d", "d bc"], Alphabet(("a", "bc", "d")), 2)):
+            read.clear()
+            trellis_from_words(words, alphabet)
+            assert len(read) == reads, words
+        read.clear()
+        with pytest.raises(WordError):
+            trellis_from_words(["0110", "01x0"], BINARY)
+        assert read == ["0110", "01x0"]
+
+    def test_folding_add_word_growth_gives_the_same_trellis(self):
+        """``minimal`` of a code grown word by word from the empty code
+        (``Trellis._reduced``) numbers its classes as the direct build and
+        comes with its ``_rows`` and ``_left``."""
+        rng = random.Random(31)
+        for k in range(160):
+            alphabet = FROM_WORDS_ALPHABETS[k % 4]
+            ell = k % 10
+            t = trellis_from_words([], alphabet, length=ell)
+            words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                     for _ in range(rng.randint(1, 30))]
+            for w in words:
+                t = t.add_word(w)
+            m = t.minimal
+            assert {"_rows", "_left"} <= m.__dict__.keys()
+            want = oracles.minimal_trellis(words, alphabet)
+            assert m == want == trellis_from_words(words, alphabet)
+            assert row_items(m) == row_items(want) and m._left == want._left
+
+    @pytest.mark.parametrize("words, alphabet, length, error, message", [
+        (["01", "0y", "0x"], BINARY, None, WordError,
+         "symbol 'y' not in alphabet {0,1}"),
+        (["01", "1 2"], BINARY, None, WordError,
+         "symbol '2' not in alphabet {0,1}"),
+        (["01", ("0", "10")], BINARY, None, WordError,
+         "symbol '10' not in alphabet {0,1}"),
+        (["0\t1", "#1"], BINARY, None, WordError,
+         "symbol '#' not in alphabet {0,1}"),
+        (["a d", "abc"], Alphabet(("a", "bc", "d")), None, WordError,
+         "symbol 'b' not in alphabet {a,bc,d}"),
+        (["0", "00", ""], BINARY, None, WordError,
+         "words have mixed lengths: [0, 1, 2]"),
+        (["01", "1 0"], BINARY, 3, WordError,
+         "words have length 2, declared 3"),
+        ([], BINARY, None, WordError,
+         "empty word set needs an explicit block length"),
+        (["01"], BINARY, -1, ParameterError,
+         "block length must be >= 0, got -1"),
+    ], ids=["first-bad-word", "spaced", "tuple", "whitespace", "multi-char",
+            "mixed", "declared", "empty", "negative"])
+    def test_error_messages(self, words, alphabet, length, error, message):
+        for given in (words, iter(words)):
+            with pytest.raises(error) as info:
+                trellis_from_words(given, alphabet, length)
+            assert str(info.value) == message
+
 
 class TestTrellisValidation:
     def test_final_less_trellis_must_be_the_empty_code(self):
@@ -764,6 +863,14 @@ class TestAddWord:
 
 
 REVERSED = Alphabet(("1", "0"))
+# one-character symbols in and against string order, and a longer symbol
+FROM_WORDS_ALPHABETS = [BINARY, REVERSED, Alphabet(("a", "bc", "d")),
+                        Alphabet(("z", "y", "x"))]
+
+
+def row_items(t: Trellis) -> list:
+    """``t._rows`` with the order of each row's items."""
+    return [list(row.items()) for row in t._rows]
 
 
 def enters_a_shared_state(t: Trellis, w) -> bool:

@@ -515,6 +515,23 @@ class TestMaximalAndIndex:
         assert code == 0
         assert out.strip() == "5/16 (0.3125)"
 
+    def test_epsilon_line_is_the_empty_word(self, capsys, tmp_path):
+        """A line ``@epsilon`` states the length-0 code {e}, which fills
+        the one word of length 0; blank lines around it are still skipped,
+        and next to a longer word it is a word of another length."""
+        f = tmp_path / "eps.txt"
+        f.write_text("\n@epsilon\n\n")
+        for argv, answer in ((("index", "--len", "0"), "1 (1.0)\n"),
+                             (("index",), "1 (1.0)\n"),
+                             (("maximal",), "MAXIMAL\n")):
+            code, out, _ = run(capsys, *argv, "--channel", "sub:1", str(f))
+            assert (code, out) == (0, answer)
+        f.write_text("@epsilon\n0110\n")
+        code, _, err = run(capsys, "check", "--channel", "sub:1", str(f))
+        assert code == 1
+        assert err == f"error: bad code file {str(f)!r}: words have mixed " \
+            "lengths: [0, 4]\n"
+
     def test_index_counts_the_channel_image_alone(self, capsys, tmp_path):
         """``index`` counts (sigma | sigma^-1)(C), while ``maximal`` also
         excludes C itself.  They part only on a channel that is not

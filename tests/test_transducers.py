@@ -361,10 +361,11 @@ class TestTable:
     def test_rows_are_the_length_pairs_of_paths_to_a_final_state(self):
         """Row q marks exactly the (input, output) lengths up to l of the
         paths from q to a final state, enumerated along the raw
-        transitions, at l = 0-6; the guard column stays clear."""
+        transitions, at l = 0-6, and at 12 and 16, where a
+        row spans more than 64 bits; the guard column stays clear."""
         marked = 0
         for t in _table_cases():
-            for ell in range(7):
+            for ell in (*range(7), 12, 16):
                 feasible, _ = t._table(ell)
                 stride = ell + 2
                 assert len(feasible) == t.num_states
