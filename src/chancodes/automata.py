@@ -13,7 +13,7 @@ pair-state construction (``product``, ``Transducer.compose``, the subset
 walk of ``intersect``, which ``determinize`` runs too).  ``_reach`` is the
 one reachability loop (``trim``, epsilon closures), and ``Dfa._postorder``
 the one topological order (counting, sampling, ``Dfa._left`` layers,
-trellis checks and folding).
+trellis checks, folding and suffix masks).
 
 A block code is a ``Trellis``.  ``trellis_from_words`` builds the minimal
 trellis of a word list in one pass over the sorted words, ``Trellis.minimal``
@@ -725,6 +725,30 @@ class Trellis(Dfa):
         return _class_trellis(self.alphabet, class_rows,
                               layered[self.initial_state],
                               layered[self.final_state], self.length)
+
+    @cached_property
+    def _suffix_masks(self) -> tuple[int, ...]:
+        """Per state, the words that lead from it to the final state as a
+        bitmask over their ranks in Sigma^left (symbols as digits in
+        alphabet order, the first most significant), so two states of one
+        layer share such a word exactly when their masks meet.  A state
+        gets -1, which meets every mask, where its mask would hold more than
+        256 bits per word in it or a successor has none: a mask is at most
+        256 |S| bits for the |S| words it holds, and all of them at most
+        256 (length + 1) |C| bits.  Built bottom-up in one pass."""
+        masks = [-1] * self.num_states
+        rows, left, digit = self._rows, self._left, self.alphabet._index
+        spans = [len(self.alphabet) ** k for k in range(self.length + 1)]
+        for q in self._postorder:  # successors before predecessors
+            mask = int(q in self.final)
+            for a, d in rows[q].items():
+                if masks[d] < 0:
+                    break
+                mask |= masks[d] << digit[a] * spans[left[d]]
+            else:
+                if spans[left[q]] <= 256 * mask.bit_count():
+                    masks[q] = mask
+        return tuple(masks)
 
     @cached_property
     def _shared(self) -> frozenset[int]:

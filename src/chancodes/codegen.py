@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .automata import Alphabet, Trellis, Word, format_word, trellis_from_words
+from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, format_word, \
+    trellis_from_words
 from .channels import Channel
 from .errors import NotDetectingError, ParameterError
 from .properties import _fitting_universe, _require_same_alphabet, \
@@ -230,6 +231,13 @@ class GenReport:
     def size(self) -> int:
         return self.trellis.count_words()
 
+    @property
+    def _word_lines(self) -> list[str]:
+        """The words as a code file reads them back: as ``format_word``
+        writes them, and the empty word as ``@epsilon``."""
+        return [format_word(w, self.alphabet) or EPSILON_TOKEN
+                for w in self.words]
+
     def to_text(self, include_timing: bool = False) -> str:
         lines = [
             f"channel: {self.channel}",
@@ -244,7 +252,7 @@ class GenReport:
             f"universe: {self.universe}",
             "words:",
         ]
-        lines += [format_word(w, self.alphabet) for w in self.words]
+        lines += self._word_lines
         lines += [
             f"size: {self.size}",
             f"exhausted: {'true' if self.exhausted else 'false'}",
@@ -265,7 +273,7 @@ class GenReport:
             "seed": self.seed,
             "rng": self.rng,
             "universe": self.universe,
-            "words": [format_word(w, self.alphabet) for w in self.words],
+            "words": self._word_lines,
             "trials": list(self.trials_per_word),
             "size": self.size,
             "exhausted": self.exhausted,

@@ -10,11 +10,14 @@ accepted pair is an identity pair (``_identity_violation``).  The
 completions at conflicts (``_completion``) expand their triples inline and
 share one visited map of parents, which keeps the triples proved dead; when
 the channel's states have mirrors (``Transducer._mirror``), each triple
-proved dead proves its mirror dead too.  A witness path reads its labels
-back off the move table (``_labels``).  This search, the membership test
-of ``codegen.Exclusion`` and the maximality walk all read the channel's
-``Transducer._table``, built once per block length, and prune by the
-(input, output) lengths a channel state can still read and write.
+proved dead proves its mirror dead too.  At a channel state that only copies
+(``Transducer._identity_tails``) one AND of two suffix masks
+(``Trellis._suffix_masks``) settles a triple, and a dead one is never
+entered.  A witness path reads its labels back off the move table
+(``_labels``).  This search, the membership test of ``codegen.Exclusion``
+and the maximality walk all read the channel's ``Transducer._table``, built
+once per block length, and prune by the (input, output) lengths a channel
+state can still read and write.
 
 Exact maximality walks the subset construction of the exclusion automaton
 (channel | channel^-1)(C) without building it: a subset state is a set of
@@ -34,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .automata import Alphabet, Trellis, Word, format_word, universe_trellis
+from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, format_word, \
+    universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
 from .transducers import Transducer
@@ -77,8 +81,9 @@ class Witness:
 
     def to_text(self, alphabet: Alphabet) -> str:
         """The witness line, its words as ``format_word`` writes them over
-        ``alphabet``."""
-        u, v, z, w = (format_word(x or (), alphabet)
+        ``alphabet`` and the empty word as ``@epsilon``, as code files read
+        it."""
+        u, v, z, w = (format_word(x or (), alphabet) or EPSILON_TOKEN
                       for x in (self.u, self.v, self.z, self.w))
         if self.kind == NONE_KIND:
             return "NONE"
@@ -131,17 +136,30 @@ def _words(labels: list) -> tuple[Word, Word]:
             tuple(y for _, y in labels if y is not None))
 
 
-def _completion(triple, search, visited: dict, mirror):
+class _Search(NamedTuple):
+    """The tables of one detection search (``_identity_violation``)."""
+
+    table: list  # per channel state, its (x, ((y, target, row), ...)) moves
+    rows: tuple  # the minimal trellis's ``_rows``
+    left_in: list  # per trellis state, ``_left`` times the row stride
+    left_out: tuple  # per trellis state, its ``_left``
+    final: int  # the minimal trellis's final state
+    accepting: frozenset  # the channel's final states
+    tails: frozenset  # the channel's ``_identity_tails``
+    machine: Trellis  # the minimal trellis, for its ``_suffix_masks``
+
+
+def _completion(triple, search: _Search, visited: dict, mirror):
     """The (x, y) labels of a shortest path from ``triple`` to an accepted
     triple, or None when there is none.
 
-    ``search`` holds the tables of ``_identity_violation``.  The search
-    enters no triple that ``visited`` holds and records each one it enters
-    there as successor -> predecessor, ``triple`` -> None.  When no path is
-    found every triple (p, q, r) it entered is dead, and its entry stays in
-    ``visited`` to mark it so; (r, mirror[q], p) is marked dead too unless
-    ``mirror`` is None."""
-    table, rows, left_in, left_out, final, accepting = search
+    The search enters no triple that ``visited`` holds, nor one at an
+    identity tail that the suffix masks prove dead, and records each one it
+    enters there as successor -> predecessor, ``triple`` -> None.  When no
+    path is found every triple (p, q, r) it entered is dead, and its entry
+    stays in ``visited`` to mark it so; (r, mirror[q], p) is marked dead too
+    unless ``mirror`` is None."""
+    table, rows, left_in, left_out, final, accepting, tails, machine = search
     visited[triple] = None
     queue = [triple]
     for s in queue:
@@ -158,7 +176,8 @@ def _completion(triple, search, visited: dict, mirror):
                 rd = r if y is None else row_r.get(y)
                 if rd is not None and row[base + left_out[rd]]:
                     d = (pd, qd, rd)
-                    if d not in visited:
+                    if d not in visited and (qd not in tails or (
+                            m := machine._suffix_masks)[pd] & m[rd]):
                         visited[d] = s
                         queue.append(d)
     if mirror is not None:
@@ -198,6 +217,16 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     exactly when (r, q-bar, p) is, where q-bar relates inversely to q
     (``Transducer._mirror``), so a failed completion marks both; every
     state has a mirror for sub:k, id:k, bsid2 and every sigma^-1 . sigma.
+
+    Those channels also end in an identity tail q
+    (``Transducer._identity_tails``), from which sigma relates each word to
+    itself alone, so (p, q, r) is live exactly when p and r share a suffix;
+    the length rows already put p and r in one layer.  Both searches skip
+    such a triple, unentered, when the suffix masks of p and r
+    (``Trellis._suffix_masks``, built at the first such test) do not meet,
+    and enter it as any other where one of them has no mask.  Only dead
+    triples are skipped, so by the argument above the witness stays the
+    same.
     """
     if not code.final:
         return None
@@ -207,7 +236,9 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     table = [tuple(row.items()) for row in moves]
     left_out = machine._left
     left_in = [k * (machine.length + 2) for k in left_out]
-    search = (table, rows, left_in, left_out, machine.final_state, sigma.final)
+    tails = sigma._identity_tails
+    search = _Search(table, rows, left_in, left_out, machine.final_state,
+                     sigma.final, tails, machine)
     queue = [(start, q, start) for q in sorted(sigma.initial)
              if feasible[q][left_in[start] + left_out[start]]]
     delays = dict.fromkeys(queue, _SYNCED)
@@ -233,6 +264,9 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 nd = _advance(delay, x, y)
                 seen = delays.get(d)
                 if seen is None:
+                    if qd in tails \
+                            and not (m := machine._suffix_masks)[pd] & m[rd]:
+                        continue  # dead: qd copies, and pd, rd share no suffix
                     if nd is not None:
                         delays[d] = nd
                         links[d] = s

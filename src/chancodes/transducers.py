@@ -127,6 +127,15 @@ class Transducer(Machine):
         except KeyError:
             return None
 
+    @cached_property
+    def _identity_tails(self) -> frozenset[int]:
+        """The final states whose only moves are the loops a/a, one per
+        symbol a: from each, the relation on to a final state is the
+        identity on Sigma*.  Every budgeted channel of the zoo ends in one."""
+        return frozenset(q for q, row in enumerate(self._moves)
+                         if q in self.final
+                         and row == {a: ((a, q),) for a in self.alphabet})
+
     # -- core operations -----------------------------------------------------
 
     def inverse(self) -> "Transducer":

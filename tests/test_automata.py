@@ -899,6 +899,12 @@ def random_block_code(rng: random.Random, alphabet: Alphabet) -> Trellis:
 def right_languages(t: Trellis) -> set:
     """The distinct right languages of the states, by word enumeration over
     the raw transition tuples."""
+    return set(suffix_sets(t))
+
+
+def suffix_sets(t: Trellis) -> list:
+    """Per state, its right language, by word enumeration over the raw
+    transition tuples."""
     langs: dict[int, frozenset] = {}
 
     def lang(q: int) -> frozenset:
@@ -910,7 +916,7 @@ def right_languages(t: Trellis) -> set:
             langs[q] = frozenset(words)
         return langs[q]
 
-    return {lang(q) for q in t.states}
+    return [lang(q) for q in t.states]
 
 
 class TestMinimal:
@@ -942,6 +948,47 @@ class TestMinimal:
             assert order == list(m.states)
         # reversed symbol order: state 1 is reached on "1"
         assert m._rows[0]["1"] == 1
+
+    def test_suffix_masks_hold_the_ranks_of_the_suffixes(self):
+        """A state's ``_suffix_masks`` entry has bit i set exactly for the
+        word of rank i in Sigma^left that leads from it to the final state
+        (symbols as digits in alphabet order, the first most significant),
+        and spends at most 256 bits per such word.  It is -1 exactly where
+        that would be more, or where a successor has -1.  Binary masks up
+        to length 8 always fit; over three symbols some do not."""
+        rng = random.Random(31)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        unmasked = set()
+        for k in range(150):
+            m = random_block_code(rng, alphabets[k % 3]).minimal
+            size = len(m.alphabet)
+            digit = {a: i for i, a in enumerate(m.alphabet)}
+            masks = m._suffix_masks
+            for q, words in enumerate(suffix_sets(m)):
+                below = [masks[d] for d in m._rows[q].values()]
+                if size ** m._left[q] > 256 * len(words) \
+                        or min(below, default=0) < 0:
+                    assert masks[q] == -1
+                    if words:  # the one state of the empty code has none
+                        unmasked.add(m.alphabet)
+                    continue
+                ranks = {sum(digit[a] * size ** i
+                             for i, a in enumerate(reversed(w)))
+                         for w in words}
+                assert masks[q] == sum(1 << i for i in ranks)
+        assert unmasked == {alphabets[2]}
+
+    def test_suffix_masks_stay_small_on_long_sparse_codes(self):
+        """On three words of length 40 no state near the root gets a mask
+        (2^40 bits), and all masks together hold at most 256 (l + 1) |C|
+        bits."""
+        words = ["0" * 40, "01" * 20, "1" * 40]
+        m = trellis_from_words(words, BINARY)
+        masks = m._suffix_masks
+        assert masks[m.initial_state] == -1
+        assert max(masks) > 0
+        assert sum(2 ** m._left[q] for q in m.states if masks[q] >= 0) \
+            <= 256 * 41 * 3
 
     def test_empty_code(self):
         t = trellis_from_words([], BINARY, length=3)

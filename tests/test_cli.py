@@ -388,6 +388,22 @@ class TestCheck:
         assert code == 3
         assert out == expected + "\n"
 
+    @pytest.mark.parametrize("command, channel, expected", [
+        ("check", "sub:2", "DETECT-VIOLATION 0000000 1100000"),
+        ("correct-check", "id:2",
+         "CORRECT-VIOLATION 1100000 0000000 via 00000"),
+    ], ids=["sub2-check", "id2-correct"])
+    def test_witness_through_an_identity_tail(
+            self, capsys, tmp_path, command, channel, expected):
+        # after its errors the path copies the last five symbols in the
+        # channel state that only copies, where the search tests triples
+        # by their suffix masks
+        f = tmp_path / "code.txt"
+        f.write_text("0000000\n1100000\n")
+        code, out, _ = run(capsys, command, "--channel", channel, str(f))
+        assert code == 3
+        assert out == expected + "\n"
+
     def test_bad_code_file_exits_1(self, capsys, tmp_path):
         f = tmp_path / "mixed.txt"
         f.write_text("0\n00\n")
@@ -531,6 +547,31 @@ class TestMaximalAndIndex:
         assert code == 1
         assert err == f"error: bad code file {str(f)!r}: words have mixed " \
             "lengths: [0, 4]\n"
+
+    def test_the_empty_word_is_written_as_epsilon(self, capsys, tmp_path):
+        """Report and witness words write the empty word as ``@epsilon``,
+        the line that code files read as it, so each reads back: the
+        words of a length-0 ``gen`` report give the code {e}, whose index
+        is 1; ``maximal`` adds the empty word to the empty length-0 code;
+        and 0 and 1 share the empty output of id:1."""
+        gen = ("gen", "--channel", "sub:1", "--len", "0", "--n", "2",
+               "--seed", "1")
+        code, out, _ = run(capsys, *gen)
+        assert code == 0
+        words = out.split("words:\n")[1].split("size:")[0]
+        assert words == "@epsilon\n"
+        f = tmp_path / "gen0.txt"
+        f.write_text(words)
+        assert run(capsys, "index", "--channel", "sub:1", str(f))[:2] == \
+            (0, "1 (1.0)\n")
+        code, out, _ = run(capsys, *gen, "--format", "json")
+        assert json.loads(out)["words"] == ["@epsilon"]
+        f.write_text("")
+        assert run(capsys, "maximal", "--channel", "sub:1", "--len", "0",
+                   str(f))[:2] == (0, "ADDABLE @epsilon\n")
+        f.write_text("0\n1\n")
+        assert run(capsys, "correct-check", "--channel", "id:1",
+                   str(f))[:2] == (3, "CORRECT-VIOLATION 0 1 via @epsilon\n")
 
     def test_index_counts_the_channel_image_alone(self, capsys, tmp_path):
         """``index`` counts (sigma | sigma^-1)(C), while ``maximal`` also

@@ -970,24 +970,28 @@ def test_a_search_expands_each_triple_once_across_its_completions(
     ``_completion`` expands are distinct within each search, also on
     searches that run several completions that expand triples.  A
     completion is breadth-first, so it expands the triples it enters in
-    the order entered, up to the first accepted one."""
+    the order entered, up to the first accepted one; some completions
+    stop at one."""
     from chancodes import properties
 
     completion = properties._completion
     expanded = []  # per completion, the triples it expanded
     mirrors_on = [True]
+    stops = 0
 
     def recorded(triple, search, visited, mirror):
-        *_, final, accepting = search
+        nonlocal stops
         spy = _Entering(visited, triple)
         rest = completion(triple, search, spy,
                           mirror if mirrors_on[0] else None)
         visited.update(spy)
         entered = spy.entered
         done = next((i for i, (p, q, r) in enumerate(entered)
-                     if p == final and r == final and q in accepting),
-                    len(entered))
-        expanded.append(entered[:done])
+                     if p == search.final and r == search.final
+                     and q in search.accepting), None)
+        assert (done is None) == (rest is None)
+        stops += done is not None
+        expanded.append(entered if done is None else entered[:done])
         return rest
 
     monkeypatch.setattr(properties, "_completion", recorded)
@@ -999,7 +1003,127 @@ def test_a_search_expands_each_triple_once_across_its_completions(
             every = [s for mine in expanded for s in mine]
             assert len(every) == len(set(every)), (words, sigma.to_text())
             busy += sum(1 for mine in expanded if mine) >= 2
-    assert busy > 0
+    assert busy > 0 and stops > 0
+
+
+def zoo_cases():
+    """(words, code, sigma) on every zoo channel and its sigma^-1 . sigma,
+    on random binary codes of lengths 0-6, some of them greedy detecting
+    codes, so that both kinds of answer occur."""
+    rng = random.Random(41)
+    for spec in BATTERY_SPECS:
+        channel = channel_from_spec(spec)
+        for sigma in (channel.transducer,
+                      channel.transducer.inverse().compose(
+                          channel.transducer)):
+            for _ in range(8):
+                ell = rng.randint(0, 6)
+                pool = ["".join(w) for w in iproduct("01", repeat=ell)]
+                words = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+                yield words, oracles.prefix_tree(words, BINARY), sigma
+
+
+def test_identity_tails_are_the_copy_states_of_the_zoo():
+    """The states from which a channel only copies: state k of sub:k, id:k
+    and bsid2, one state of each of their sigma^-1 . sigma, and none of
+    del1, ins1, ov or segd:b, nor of their compositions."""
+    for spec, tail in (("sub:1", 1), ("sub:2", 2), ("sub:3", 3),
+                       ("id:1", 1), ("id:2", 2), ("bsid2", 2),
+                       ("del1", None), ("ins1", None), ("ov", None),
+                       ("segd:2", None), ("segd:3", None)):
+        sigma = channel_from_spec(spec).transducer
+        composed = sigma.inverse().compose(sigma)
+        assert sigma._identity_tails == ({tail} if tail else set()), spec
+        assert len(composed._identity_tails) == (1 if tail else 0), spec
+        for q in composed._identity_tails:
+            assert q in composed.final
+            assert composed._moves[q] == {a: ((a, q),) for a in BINARY}
+
+
+def test_suffix_masks_skip_only_dead_triples(monkeypatch):
+    """Every triple (p, q, r) at an identity tail q that the search skips
+    because the suffix masks of p and r do not meet lies outside the live
+    triples (``unpruned_live_triples``), and with no identity tails the
+    search gives the same answer.  On the ``referee_cases`` and the zoo,
+    with and without sigma^-1 . sigma; some skips occur, and on some NONE
+    answer the masks keep triples out of the visited map."""
+    from chancodes import Trellis
+
+    masks_of = Trellis._suffix_masks.func
+    reads = []
+
+    class Logged(tuple):
+        """Suffix masks that log the states read, two per test."""
+
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    sizes = []
+    completion = properties._completion
+
+    def recorded(triple, search, visited, mirror):
+        rest = completion(triple, search, visited, mirror)
+        sizes[-1] = len(visited)
+        return rest
+
+    monkeypatch.setattr(properties, "_completion", recorded)
+    skips = smaller = 0
+    for words, code, sigma in [*referee_cases(), *zoo_cases()]:
+        masks = masks_of(code.minimal)
+        monkeypatch.setattr(Trellis, "_suffix_masks",
+                            property(lambda self: Logged(masks)))
+        reads.clear()
+        sizes.append(0)
+        found = properties._identity_violation(code, sigma)
+        alive = unpruned_live_triples(code.minimal, sigma)
+        skipped = {(p, r) for p, r in zip(reads[::2], reads[1::2])
+                   if not masks[p] & masks[r]}
+        skips += len(skipped)
+        for p, r in skipped:
+            for q in sigma._identity_tails:
+                assert (p, q, r) not in alive, (words, sigma.to_text())
+        monkeypatch.setattr(type(sigma), "_identity_tails",
+                            property(lambda self: frozenset()))
+        sizes.append(0)
+        assert properties._identity_violation(code, sigma) == found
+        monkeypatch.undo()
+        monkeypatch.setattr(properties, "_completion", recorded)
+        smaller += found is None and sizes[-2] < sizes[-1]
+    assert skips > 0 and smaller > 0
+
+
+@pytest.mark.parametrize("alphabet, words", [
+    (BINARY, ["0" * 40, "01" * 20, "1" * 40]),
+    (BINARY, ["0" * 40, "0" * 39 + "1", "1" * 40]),
+    (Alphabet(("a", "b", "c", "d")),
+     ["abcdabcdab", "aaaaaaaaaa", "ddddcccbba", "bacdbacdbd", "cccccccccc",
+      "dacbdacbda"]),
+], ids=["l40-none", "l40-violation", "l10-four-symbols"])
+@pytest.mark.parametrize("spec", ["sub:2", "id:2"])
+def test_detection_memory_stays_bounded_on_long_codes(alphabet, words, spec):
+    """A suffix mask spends at most 256 bits per word it holds, so all of
+    them hold at most 256 (l + 1) |C| bits: about 4 KB on three words of
+    length 40, where a mask at the root would need 2^40 bits.  The whole
+    detection search stays under 4 MB of Python allocations there and on
+    a six-word code over four symbols at length 10, and its answers are
+    the brute-force ones."""
+    import tracemalloc
+
+    channel = channel_from_spec(spec, alphabet)
+    code = trellis_from_words(words, alphabet)
+    tracemalloc.start()
+    try:
+        found = detection_witness(code, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    ell = len(alphabet.word(words[0]))
+    images = {alphabet.word(w): oracles.enumerate_image(
+        channel.transducer, alphabet.word(w), ell) for w in words}
+    assert (not found) == oracles.brute_detecting(
+        [alphabet.word(w) for w in words], images)
 
 
 @pytest.mark.parametrize("spec, words, correct, expected", [
@@ -1075,7 +1199,7 @@ BATTERY_SPECS = ("sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
 # order of the channel's standard-form moves; this pins that tie-break rule
 # along with every answer.
 PINNED_SEARCH_DIGEST = \
-    "165337de9797b95040e7dda9a624b3594a92f9c3aa5257f870ff21be1dfe34d3"
+    "15f09bebaa818c790ae19bdeaa533b6ace3afc207ffc58d566f2a0d697673934"
 
 
 def _transcript_label(spec) -> str:
