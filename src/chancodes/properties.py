@@ -25,22 +25,23 @@ Exact maximality walks the subset construction of the exclusion automaton
 built the first time a step meets it, and the ``Transducer._table`` rows
 drop the pairs that cannot finish a word of the block length
 (``_exclusion_steps``).  The witness search stops at the least addable
-word.  The index meets in the middle: it counts the sets that the first
-floor(l / 2) symbols reach forward and those that the rest reach backward,
-on the reversed channel and the reversed trellis determinized on demand,
-and adds up the products of the counts of the sets that meet.  The channel
-enters reduced by ``Transducer.quotient`` (sub:2, id:2: 6 -> 3 states).
+word.  The index walks the sets forward down to a cut above the last
+layers, which hold at most 2^12 words, and there reads each pair's
+suffixes as one bitmask (``_tail_masks``): a set at the cut adds its
+count times the bits of the OR of its pairs' masks.  The channel enters
+reduced by ``Transducer.quotient`` (sub:2, id:2: 6 -> 3 states).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from fractions import Fraction
+from operator import or_
 from typing import NamedTuple, Optional
 
-from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, format_word, \
-    universe_trellis
+from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, _reach, \
+    format_word, universe_trellis
 from .channels import Channel
 from .errors import AlphabetMismatchError, NotDetectingError, ParameterError
 from .transducers import Transducer
@@ -343,7 +344,7 @@ def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
     return z
 
 
-def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
+def _exclusion_steps(code: Trellis, t: Transducer):
     """(step, start set, final pairs) of the subset walk of the exclusion
     automaton T(C), with T = ``channel.self_union_inverse()``, stepped on
     demand: no product is built.
@@ -363,35 +364,9 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     and the least addable word are those of the trimmed product (the
     tests' ``exclusion_automaton``).  No memo refers back to its own
     filler, so a walk is freed when it ends.
-
-    ``backward`` walks the reversed problem with the same body: T reversed
-    (``Transducer.reverse``) and the reversed minimal trellis determinized
-    on demand (Brzozowski 1962).  Its state m, ``subsets[m]`` (returned
-    third), holds the states at depth ``left[m]`` from which the suffix read
-    reaches the final state; its row on a, their a-predecessors.  A set
-    reached on a reversed suffix holds the pairs that can write it and end.
     """
     machine, ell, n = code.minimal, code.length, t.num_states
-    row_of, left = machine._rows.__getitem__, machine._left
-    if backward:
-        t = t.reverse()
-        preds = [{} for _ in machine.states]
-        for p, a, d in machine.transitions:
-            preds[d][a] = preds[d].get(a, ()) + (p,)
-        subsets, ids, left = [frozenset(machine.final)], {}, [ell]
-
-        @cache
-        def row_of(i: int) -> dict:
-            row: dict = {}
-            for m in subsets[i]:
-                for a, ps in preds[m].items():
-                    row[a] = row.get(a, ()) + ps
-            for a, ps in row.items():
-                row[a] = ids.setdefault(frozenset(ps), len(subsets))
-                if row[a] == len(subsets):  # met first here
-                    subsets.append(frozenset(ps))
-                    left.append(left[i] - 1)
-            return row
+    rows, left = machine._rows, machine._left
     stride = ell + 2
     # per T state and code length left, the lengths it can write
     ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
@@ -408,7 +383,7 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
     def targets(p: int, moves) -> list[int]:
         """The pairs that p reaches on its T state's ``moves``."""
         m, q = divmod(p, n)
-        row = row_of(m)
+        row = rows[m]
         return [md * n + qd for x, qd in moves[q]
                 if (md := m if x is None else row.get(x)) is not None]
 
@@ -441,9 +416,8 @@ def _exclusion_steps(code: Trellis, t: Transducer, backward: bool = False):
 
     if not machine.final:
         return step, frozenset(), frozenset()
-    # pairs 0 * n + q: state 0 is the initial one, or {final} backward
-    start = frozenset().union(*map(closure, t.initial))
-    return step, start & fits[-1], subsets if backward else frozenset(
+    start = frozenset().union(*map(closure, t.initial))  # pairs 0 * n + q
+    return step, start & fits[-1], frozenset(
         machine.final_state * n + q for q in t.final)
 
 
@@ -517,17 +491,105 @@ def _layer_counts(walk, code: Trellis, layers: int) -> dict:
     return layer
 
 
+# a suffix mask below the index's cut holds at most 2 ** _TAIL_BITS bits
+_TAIL_BITS = 12
+
+
+def _tail_moves(t: Transducer) -> tuple[list, list]:
+    """(moves, ends) per state q of t: the moves that read or write a symbol
+    from the states that q reaches on epsilon/epsilon moves, q among them,
+    as (input or None, output digit or None, target), and whether one of
+    those states is final.  Such moves can cycle, and folding them in
+    leaves a pair no move that keeps both its trellis state and its
+    layer."""
+    digit = t.alphabet._index
+    silent = [[d for y, d in row.get(None, ()) if y is None]
+              for row in t._moves]
+    moves, ends = [], []
+    for q in t.states:
+        closed = _reach((q,), silent)
+        moves.append(tuple(dict.fromkeys(
+            (x, None if y is None else digit[y], d)
+            for r in sorted(closed) for x, xmoves in t._moves[r].items()
+            for y, d in xmoves if x is not None or y is not None)))
+        ends.append(not closed.isdisjoint(t.final))
+    return moves, ends
+
+
+def _tail_masks(code: Trellis, t: Transducer, cut, layers: int) -> dict:
+    """Per pair of ``cut`` (pairs m * n + q of ``_exclusion_steps`` that
+    have ``layers`` symbols left to write) and per pair that they reach
+    without writing, the words of that length that T can write from it to
+    a final pair, as a bitmask over their ranks in
+    Sigma^layers (symbols as digits in alphabet order, the first most
+    significant; Baeza-Yates & Gonnet, CACM 1992).
+
+    One pass down collects, per number k of symbols left to write, the
+    pairs that the cut reaches and that pass the length test of
+    ``_exclusion_steps``.  One pass up gives each its mask: a move that
+    writes symbol i shifts the mask of its target, one layer down, by i
+    |Sigma|^(k-1), and a move that reads a symbol and writes none ORs in
+    that of its target, deeper in the trellis and in the same layer.
+    ``_tail_moves`` folds in the epsilon/epsilon moves, and the minimal
+    trellis numbers its states breadth-first, so a layer's pairs taken in
+    decreasing order meet every such target first."""
+    machine, ell, n = code.minimal, code.length, t.num_states
+    rows, left, final = machine._rows, machine._left, machine.final_state
+    feasible, stride = t._table(ell)[0], ell + 2
+    moves, ends = _tail_moves(t)
+    reached, here = [], set(cut)
+    for k in range(layers, -1, -1):
+        below: set = set()
+        stack = list(here)
+        while stack:
+            m, q = divmod(stack.pop(), n)
+            row = rows[m]
+            for x, i, qd in moves[q]:
+                md = m if x is None else row.get(x)
+                if md is None:
+                    continue
+                d = md * n + qd
+                if i is None:
+                    if d not in here and feasible[qd][left[md] * stride + k]:
+                        here.add(d)
+                        stack.append(d)
+                elif k and d not in below \
+                        and feasible[qd][left[md] * stride + k - 1]:
+                    below.add(d)
+        reached.append(here)
+        here = below
+    masks: dict = {}
+    for k, here in enumerate(reversed(reached)):
+        lower, masks = masks, {}
+        span = len(code.alphabet) ** (k - 1) if k else 0
+        for p in sorted(here, reverse=True):
+            m, q = divmod(p, n)
+            row = rows[m]
+            mask = int(m == final and ends[q]) if not k else 0
+            for x, i, qd in moves[q]:
+                md = m if x is None else row.get(x)
+                if md is not None:
+                    if i is None:
+                        mask |= masks.get(md * n + qd, 0)
+                    else:
+                        mask |= lower.get(md * n + qd, 0) << i * span
+            masks[p] = mask
+    return masks
+
+
 def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     """|Sigma^l  intersect  (channel | channel^-1)(C)| / |Sigma^l|, exactly.
 
-    Counted by meeting in the middle (Horowitz & Sahni, J. ACM 1974) at
-    h = floor(l / 2): the forward walk of ``_exclusion_steps`` maps each
-    set S it reaches after h symbols to the number of prefixes that reach
-    it, and the backward walk each set it reaches after the other l - h
-    symbols, expanded to the minimal-trellis pairs B of its subsets, to the
-    number of suffixes; a word is counted exactly when the set of its prefix
-    meets the set of its suffix, so the index sums count(S) * count(B) over
-    the pairs that meet.
+    The last b layers form the tail, b the most with |Sigma|^b <= 2^12 (12
+    on a binary alphabet, 7 on a ternary one), and the cut sits at depth
+    l - b.  Above it the forward walk of ``_exclusion_steps`` maps each set
+    S it reaches to the number of prefixes that reach it (``_layer_counts``;
+    at l <= 12 on a binary alphabet only the start set).  Below it each
+    pair gets the bitmask of the suffixes it can write to the end
+    (``_tail_masks``; shift-and, Baeza-Yates & Gonnet, CACM 1992).  A word
+    is counted exactly when some pair of its prefix's set can write its
+    suffix, so the index sums count(S) times the number of bits of the OR
+    of the masks of S's pairs, one term per set.
 
     The count is of (channel | channel^-1)(C) alone, while
     ``maximality_witness`` also excludes C itself.  The two agree whenever
@@ -546,14 +608,11 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             witness=witness,
         )
     t = channel.self_union_inverse()
-    half, k = code.length // 2, t.num_states
-    ahead = _layer_counts(_exclusion_steps(code, t), code, half)
-    walk = _exclusion_steps(code, t, backward=True)
-    pairs = cache(lambda p: frozenset(m * k + p % k for m in walk[2][p // k]))
-    behind: dict = {}
-    for b, count in _layer_counts(walk, code, code.length - half).items():
-        expanded = frozenset().union(*map(pairs, b))
-        behind[expanded] = behind.get(expanded, 0) + count
-    used = sum(n * m for s, n in ahead.items() for b, m in behind.items()
-               if not s.isdisjoint(b))
-    return Fraction(used, len(code.alphabet) ** code.length)
+    size, tail = len(code.alphabet), 0
+    while tail < code.length and size ** (tail + 1) <= 1 << _TAIL_BITS:
+        tail += 1
+    cut = _layer_counts(_exclusion_steps(code, t), code, code.length - tail)
+    masks = _tail_masks(code, t, frozenset().union(*cut), tail)
+    used = sum(count * reduce(or_, map(masks.__getitem__, s)).bit_count()
+               for s, count in cut.items())
+    return Fraction(used, size ** code.length)

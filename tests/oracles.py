@@ -6,9 +6,8 @@ are written directly from each channel's informal description.  The
 exceptions are ``exclusion_automaton``, the trimmed product that the
 maximality walks, which never build it, are checked against (``product``
 is itself checked against path enumeration), and
-``predecessor_exclusion_steps``, the backward walk of the index on the
-minimal trellis's own states, which the walk on the determinized reverse
-is checked against.
+``predecessor_exclusion_steps``, a backward walk on the minimal
+trellis's own states, which the index's suffix masks are checked against.
 """
 
 from __future__ import annotations
@@ -147,6 +146,34 @@ def ins1_image(word, alphabet: Alphabet) -> set[Word]:
     }
 
 
+def edit_ball(word, spec: str, alphabet: Alphabet) -> set[Word]:
+    """The words of the word's length in (sigma | sigma^-1)(word), built by
+    applying the edits themselves rather than by testing all of Sigma^l, so
+    that long words stay cheap: for sub:k at most k substitutions; for id:k
+    rounds of one deletion and one insertion, k // 2 of them; for del1 the
+    del1 image and its inverse, one symbol of the word without its last
+    inserted anywhere."""
+    w = tuple(word)
+    head, _, arg = spec.partition(":")
+    ball = {w}
+    if head == "sub":
+        for _ in range(int(arg)):
+            ball |= {v[:i] + (a,) + v[i + 1:] for v in ball
+                     for i in range(len(v)) for a in alphabet}
+    elif head == "id":
+        for _ in range(int(arg) // 2):
+            ball |= {t[:j] + (a,) + t[j:] for v in ball
+                     for i in range(len(v)) for t in (v[:i] + v[i + 1:],)
+                     for j in range(len(t) + 1) for a in alphabet}
+    elif spec == "del1":
+        ball |= del1_image(w, alphabet) | {
+            w[:-1][:i] + (a,) + w[:-1][i:] for i in range(len(w))
+            for a in alphabet}
+    else:
+        raise ValueError(f"no edit ball for {spec}")
+    return ball
+
+
 def bsid_image(word, k: int, alphabet: Alphabet) -> set[Word]:
     """One left-to-right pass over the word with at most k events, each event a
     deletion, an insertion (also possible at the very end), or a swap of two
@@ -255,9 +282,10 @@ def predecessor_exclusion_steps(code: Trellis, t: Transducer):
     exclusion automaton T(C) on pairs m * n + q, m a state of the minimal
     trellis: its predecessor rows, several per symbol, read from the final
     state, and T reversed.  ``step(s, a, k)`` keeps the pairs whose T state
-    can read the depth of m and write exactly k symbols.  The walk on the
-    determinized reverse (``properties._exclusion_steps`` with
-    ``backward``) reaches sets that expand to these, with the same counts.
+    can read the depth of m and write exactly k symbols.  A set B reached
+    on a suffix holds the pairs that can write it and end, so the suffix
+    masks of the index (``properties._tail_masks``) of the pairs of a set
+    S hold, together, as many suffixes as the sets B that meet S count.
     """
     machine, ell, n = code.minimal, code.length, t.num_states
     t = t.reverse()

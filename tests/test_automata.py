@@ -986,9 +986,49 @@ class TestMinimal:
         m = trellis_from_words(words, BINARY)
         masks = m._suffix_masks
         assert masks[m.initial_state] == -1
-        assert max(masks) > 0
+        assert max(masks[q] for q in m.states) > 0
         assert sum(2 ** m._left[q] for q in m.states if masks[q] >= 0) \
             <= 256 * 41 * 3
+
+    def test_suffix_masks_built_on_lookup_equal_the_eager_pass(self):
+        """Masks built state by state at their first lookup, in a random
+        order of states, equal those of one eager bottom-up pass on every
+        state; a lookup builds only the states below the one it asks for,
+        and builds them without recursion on a code longer than the
+        recursion limit."""
+        import sys
+
+        def eager(m):
+            masks = [-1] * m.num_states
+            size = len(m.alphabet)
+            digit = {a: i for i, a in enumerate(m.alphabet)}
+            for q in m._postorder:  # successors before predecessors
+                mask = int(q in m.final)
+                for a, d in m._rows[q].items():
+                    if masks[d] < 0:
+                        break
+                    mask |= masks[d] << digit[a] * size ** m._left[d]
+                else:
+                    if size ** m._left[q] <= 256 * mask.bit_count():
+                        masks[q] = mask
+            return masks
+
+        rng = random.Random(37)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        for k in range(150):
+            m = random_block_code(rng, alphabets[k % 3]).minimal
+            order = list(m.states)
+            rng.shuffle(order)
+            lazy = m._suffix_masks
+            first = order[0]
+            lazy[first]
+            below = {first} | {d for q in lazy for d in m._rows[q].values()}
+            assert set(lazy) == below
+            assert [lazy[q] for q in order] == [eager(m)[q] for q in order]
+        long = "0" * (sys.getrecursionlimit() + 10)
+        m = trellis_from_words([long, long[1:] + "1"], BINARY)
+        assert m._suffix_masks[m.initial_state] == -1
+        assert m._suffix_masks[m.final_state] == 1
 
     def test_empty_code(self):
         t = trellis_from_words([], BINARY, length=3)

@@ -356,8 +356,8 @@ class TestMaximality:
         calls = 0
         walk = properties._exclusion_steps
 
-        def counting(code, t, backward=False):
-            step, start, final = walk(code, t, backward)
+        def counting(code, t):
+            step, start, final = walk(code, t)
 
             def counted(subset, sym, k):
                 nonlocal calls
@@ -371,11 +371,15 @@ class TestMaximality:
         assert found == Witness.addable(BINARY.word("0110111100"))
         assert 0 < 2 * calls < 932
 
-    def test_index_steps_each_half_at_most_once_per_set(self, monkeypatch):
-        """On a maximal greedy sub:2 code of length 12 the index steps each
-        half six layers deep, at most once per symbol from each set it
-        reaches: 2 * (2^6 - 1) subset steps per half, where a walk through
-        all twelve layers takes 2188."""
+    @pytest.mark.parametrize("spec", ["sub:2", "del1", "id:2"])
+    def test_index_expands_each_pair_once_per_layer_below_the_cut(
+            self, monkeypatch, spec):
+        """On a maximal greedy code of length 12 the cut sits at the start
+        set, so the index steps no set, and each pass of the tail expands
+        each pair at most once per layer it can be in: once in all on
+        sub:2, whose every pair writes as many symbols as it reads, and
+        there every pair of the trimmed product is met."""
+        channel = channel_from_spec(spec)
         rng = random.Random(0)
         pool = list(BINARY.words_of_length(12))
         rng.shuffle(pool)
@@ -384,24 +388,71 @@ class TestMaximality:
         for w in pool:
             if w not in blocked:
                 words.append(w)
-                blocked |= oracles.sub_image(w, 2, BINARY)
+                blocked |= oracles.edit_ball(w, spec, BINARY)
         code = trellis_from_words(words, BINARY, length=12)
-        calls: dict = {}
+        steps = []
         walk = properties._exclusion_steps
 
-        def counting(code, t, backward=False):
-            step, start, final = walk(code, t, backward)
+        def counting(code, t):
+            step, start, final = walk(code, t)
 
             def counted(subset, sym, k):
-                calls[backward] = calls.get(backward, 0) + 1
+                steps.append(k)
                 return step(subset, sym, k)
 
             return counted, start, final
 
+        read_rows, read_moves = [], []
+
+        class Rows(tuple):
+            def __getitem__(self, m):
+                read_rows.append(m)
+                return tuple.__getitem__(self, m)
+
+        class Moves(tuple):
+            def __iter__(self):
+                read_moves.append(self.q)
+                return tuple.__iter__(self)
+
+        tail_moves = properties._tail_moves
+
+        def logged_moves(t):
+            moves, ends = tail_moves(t)
+            logged = [Moves(row) for row in moves]
+            for q, row in enumerate(logged):
+                row.q = q
+            return logged, ends
+
+        tail = properties._tail_masks
+        layers = []
+
+        def logged_tail(code, t, cut, width):
+            layers.append(width)
+            m = code.minimal
+            rows = m._rows
+            object.__setattr__(m, "_rows", Rows(rows))
+            try:
+                return tail(code, t, cut, width)
+            finally:
+                object.__setattr__(m, "_rows", rows)
+
         monkeypatch.setattr(properties, "_exclusion_steps", counting)
-        assert maximality_index(code, make_sub(2)) == 1
-        assert set(calls) == {False, True}
-        assert all(0 < n <= 2 * (2 ** 6 - 1) for n in calls.values())
+        monkeypatch.setattr(properties, "_tail_moves", logged_moves)
+        monkeypatch.setattr(properties, "_tail_masks", logged_tail)
+        assert maximality_index(code, channel) == 1
+        assert steps == [] and layers == [12]
+        assert len(read_rows) == len(read_moves) > 0
+        t = channel.self_union_inverse()
+        n, stride = t.num_states, 14
+        feasible, left = t._table(12)[0], code.minimal._left
+        met = Counter(m * n + q for m, q in zip(read_rows, read_moves))
+        for p, times in met.items():
+            m, q = divmod(p, n)
+            fits = sum(feasible[q][left[m] * stride + k] for k in range(13))
+            assert times <= 2 * fits, (spec, p)
+        if spec == "sub:2":
+            assert set(met.values()) == {2}
+            assert len(met) == exclusion_automaton(code, channel).num_states
 
     def test_universe_must_fit_the_code(self):
         t = trellis_from_words(["0000", "1111"], BINARY)
@@ -608,8 +659,8 @@ def test_lazy_exclusion_walk_matches_the_trimmed_product(monkeypatch):
     kept: set = set()
     walk = properties._exclusion_steps
 
-    def recording(code, t, backward=False):
-        step, start, final = walk(code, t, backward)
+    def recording(code, t):
+        step, start, final = walk(code, t)
 
         def recorded(subset, sym, k):
             found = step(subset, sym, k)
@@ -660,11 +711,11 @@ def test_lazy_exclusion_walk_matches_the_trimmed_product(monkeypatch):
 
 
 def test_index_meets_in_the_middle_at_every_split_parity():
-    """The index, counted by meeting in the middle at floor(l / 2), equals
-    the count read off the trimmed product ``exclusion_automaton`` at block
-    lengths 0, 1, 2, 3, 5 and 7, where the two halves are equal, differ by
-    one or one is empty: on every zoo channel and on random transducers,
-    for the empty code, a one-word code and greedy codes."""
+    """The index equals the count read off the trimmed product
+    ``exclusion_automaton`` at block lengths 0, 1, 2, 3, 5 and 7, odd and
+    even, where the suffix-mask tail covers every layer and the cut is the
+    start set: on every zoo channel and on random transducers, for the
+    empty code, a one-word code and greedy codes."""
     from test_codegen import random_channel
 
     rng = random.Random(47)
@@ -699,35 +750,83 @@ def test_index_meets_in_the_middle_at_every_split_parity():
     assert {(True, False), (False, True), (True, True)} <= moves
 
 
-def expanded_counts(layer: dict, subsets: list, n: int) -> dict:
-    """A backward ``_layer_counts`` map with each pair i * n + q replaced by
-    the pairs m * n + q, m in ``subsets[i]``, and the counts of sets that
-    expand alike added up."""
-    expanded: dict = {}
-    for b, count in layer.items():
-        pairs = frozenset(m * n + p % n for p in b for m in subsets[p // n])
-        expanded[pairs] = expanded.get(pairs, 0) + count
-    return expanded
+def brute_image_count(sigma: Transducer, words, alphabet, ell: int) -> int:
+    """|Sigma^l intersect (sigma | sigma^-1)(C)|, by path enumeration over
+    the raw transducer: the outputs of each codeword, and the words with a
+    codeword among their outputs."""
+    excluded = {w for c in words for w in oracles.enumerate_image(sigma, c, ell)
+                if len(w) == ell}
+    excluded |= {w for w in alphabet.words_of_length(ell)
+                 if not set(words).isdisjoint(
+                     oracles.enumerate_image(sigma, w, ell))}
+    return len(excluded)
 
 
-def test_backward_walk_on_the_determinized_reverse_matches_predecessor_rows():
-    """The index's backward walk on the reversed minimal trellis,
-    determinized on demand, reaches sets that expand to those of the walk
-    along the minimal trellis's predecessor rows
-    (``oracles.predecessor_exclusion_steps``), with the same counts, at
-    every depth: on every zoo channel and on 60 random transducers, at
-    block lengths 0, 1, 2, 3, 5 and 7, for greedy and random codes.  Every
-    subset lies at one depth, and a walk through all the layers, with the
-    identity added to T so that it meets every codeword suffix, numbers as
-    many subsets at each depth as the minimal trellis of the reversed words
-    has states there (Brzozowski 1962)."""
+def test_index_matches_brute_force_at_every_cut(monkeypatch):
+    """The index equals the brute-force count of (sigma | sigma^-1)(C) with
+    the tail masks at most 2, 4, 8 or 4096 bits wide, so that the cut
+    falls at every depth of the codes up to length 4: over the alphabets 01, {a, bc}
+    and {0, 1, 2}, on zoo channels and random transducers, for detecting
+    codes that ``make_code`` grows and for one-word codes."""
+    from chancodes import make_code
+    from test_codegen import random_channel
+
+    tail = properties._tail_masks
+    widths = set()
+
+    def recorded(code, t, cut, layers):
+        widths.add((code.length, layers))
+        return tail(code, t, cut, layers)
+
+    monkeypatch.setattr(properties, "_tail_masks", recorded)
+    rng = random.Random(59)
+    zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "ov"]
+    alphabets = [BINARY, Alphabet(("a", "bc")), Alphabet(("0", "1", "2"))]
+    answers = set()
+    for k in range(300):
+        alphabet = alphabets[k % 3]
+        if k % 2:
+            channel = random_channel(rng, alphabet)
+        else:
+            channel = channel_from_spec(rng.choice(zoo), alphabet)
+        ell = rng.randint(0, 5 if len(alphabet) == 2 else 4)
+        if rng.random() < 0.7:
+            words = make_code(channel, rng.randint(1, 12), ell,
+                              seed=k).words
+        else:
+            words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))]
+        code = trellis_from_words(words, alphabet, length=ell)
+        if detection_witness(code, channel):
+            continue
+        expected = Fraction(brute_image_count(
+            channel.transducer, words, alphabet, ell), len(alphabet) ** ell)
+        for bits in (1, 2, 3, 12):
+            monkeypatch.setattr(properties, "_TAIL_BITS", bits)
+            assert maximality_index(code, channel) == expected, \
+                (channel.transducer.to_text(), alphabet, words, bits)
+        answers.add(expected == 1)
+    assert answers == {True, False}
+    cuts = {(ell, ell - layers) for ell, layers in widths}
+    assert {(ell, h) for ell in range(5) for h in range(ell + 1)} <= cuts
+
+
+def test_tail_masks_count_the_suffixes_of_the_predecessor_walk():
+    """For each set S that the forward walk reaches at the cut, the OR of
+    the suffix masks of its pairs has as many bits as there are suffixes
+    whose set under the walk along the minimal trellis's predecessor rows
+    (``oracles.predecessor_exclusion_steps``) meets S: the sum of the
+    counts of those sets.  The same holds for each pair of S alone.  At
+    every cut depth, on every zoo channel and on 10 random transducers per
+    block length 0, 1, 2, 3, 5 and 7, for greedy and random codes."""
+    from functools import reduce
+    from operator import or_
+
     from test_codegen import random_channel
 
     rng = random.Random(53)
     zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
            "segd:3", "ov"]
-    identity = make_sub(0).transducer
-    merged = 0  # compared walks' subsets of more than one trellis state
+    compared = 0
     for ell in (0, 1, 2, 3, 5, 7):
         pool = list(BINARY.words_of_length(ell))
         empty = trellis_from_words([], BINARY, length=ell)
@@ -740,28 +839,26 @@ def test_backward_walk_on_the_determinized_reverse_matches_predecessor_rows():
                          rng.sample(pool, rng.randint(1, len(pool))),
                          BINARY)]
             for code in codes:
-                for layers in range(ell + 1):
-                    walk = properties._exclusion_steps(code, t, True)
-                    found = properties._layer_counts(walk, code, layers)
-                    referee = properties._layer_counts(
+                for tail in range(ell + 1):
+                    cut = properties._layer_counts(
+                        properties._exclusion_steps(code, t), code,
+                        ell - tail)
+                    if not cut:
+                        continue
+                    masks = properties._tail_masks(
+                        code, t, frozenset().union(*cut), tail)
+                    behind = properties._layer_counts(
                         oracles.predecessor_exclusion_steps(code, t), code,
-                        layers)
-                    assert expanded_counts(found, walk[2], t.num_states) \
-                        == referee, (channel.name, ell, layers)
-                    merged += sum(len(s) > 1 for s in walk[2])
-                words = list(code.iter_words())
-                if not words:
-                    continue
-                walk = properties._exclusion_steps(code, t.union(identity),
-                                                   True)
-                properties._layer_counts(walk, code, ell)
-                depths = [{ell - code.minimal._left[m] for m in s}
-                          for s in walk[2]]
-                assert all(len(d) == 1 for d in depths)
-                met = Counter(d for (d,) in depths)
-                reverse = trellis_from_words([w[::-1] for w in words], BINARY)
-                assert met == Counter(reverse.minimal._left)
-    assert merged
+                        tail)
+                    for s in cut:
+                        for group in (s, *({p} for p in s)):
+                            bits = reduce(or_, (masks[p] for p in group))
+                            assert bits.bit_count() == sum(
+                                n for b, n in behind.items()
+                                if not group.isdisjoint(b)), \
+                                (channel.name, ell, tail)
+                            compared += bits > 0
+    assert compared
 
 
 def unpruned_live_triples(machine, t) -> set:
@@ -1052,12 +1149,12 @@ def test_suffix_masks_skip_only_dead_triples(monkeypatch):
     masks_of = Trellis._suffix_masks.func
     reads = []
 
-    class Logged(tuple):
+    class Logged(dict):
         """Suffix masks that log the states read, two per test."""
 
         def __getitem__(self, i):
             reads.append(i)
-            return tuple.__getitem__(self, i)
+            return masks[i]
 
     sizes = []
     completion = properties._completion
@@ -1072,7 +1169,7 @@ def test_suffix_masks_skip_only_dead_triples(monkeypatch):
     for words, code, sigma in [*referee_cases(), *zoo_cases()]:
         masks = masks_of(code.minimal)
         monkeypatch.setattr(Trellis, "_suffix_masks",
-                            property(lambda self: Logged(masks)))
+                            property(lambda self: Logged()))
         reads.clear()
         sizes.append(0)
         found = properties._identity_violation(code, sigma)
@@ -1124,6 +1221,59 @@ def test_detection_memory_stays_bounded_on_long_codes(alphabet, words, spec):
         channel.transducer, alphabet.word(w), ell) for w in words}
     assert (not found) == oracles.brute_detecting(
         [alphabet.word(w) for w in words], images)
+
+
+def long_code(rng, spec: str, size: int, ell: int) -> list:
+    """``size`` random words of length ``ell``, each outside the edit balls
+    of those before it, so detecting for the symmetric channel ``spec``."""
+    words: list = []
+    blocked: set = set()
+    while len(words) < size:
+        w = tuple(rng.choice("01") for _ in range(ell))
+        if w not in blocked:
+            words.append(w)
+            blocked |= oracles.edit_ball(w, spec, BINARY)
+    return words
+
+
+@pytest.mark.parametrize("size, ell", [(3, 40), (30, 24)],
+                         ids=["3-words-l40", "30-words-l24"])
+@pytest.mark.parametrize("spec", ["sub:2", "id:2", "del1"])
+def test_index_memory_stays_bounded_on_long_codes(spec, size, ell):
+    """Only the last 12 layers carry suffix masks, 2^12 bits at most, so
+    ``index`` on long sparse codes stays under 8 MB of Python allocations
+    (measured: 0.1-1.4 MB; the forward sets above the cut are small
+    there), where masks on both halves of a length-40 code would need 2^20
+    bits each.  The answer is
+    the size of the union of the codewords' edit balls."""
+    import tracemalloc
+
+    words = long_code(random.Random(ell + size), spec, size, ell)
+    channel = channel_from_spec(spec)
+    code = trellis_from_words(words, BINARY)
+    tracemalloc.start()
+    try:
+        index = maximality_index(code, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    ball = set().union(*(oracles.edit_ball(w, spec, BINARY) for w in words))
+    assert index == Fraction(len(ball), 2 ** ell)
+
+
+def test_edit_balls_are_the_same_length_images():
+    """``oracles.edit_ball`` is the same-length part of the images that the
+    brute-force oracles enumerate over all of Sigma^l, at lengths 0-6."""
+    for ell in range(7):
+        for w in BINARY.words_of_length(ell):
+            assert oracles.edit_ball(w, "sub:2", BINARY) \
+                == oracles.sub_image(w, 2, BINARY)
+            assert oracles.edit_ball(w, "id:2", BINARY) == {
+                v for v in oracles.id_image(w, 2, BINARY) if len(v) == ell}
+            assert oracles.edit_ball(w, "del1", BINARY) \
+                == oracles.del1_image(w, BINARY) \
+                | oracles.ins1_image(w, BINARY)
 
 
 @pytest.mark.parametrize("spec, words, correct, expected", [

@@ -419,15 +419,15 @@ class TestTable:
             assert len(report.words) > 3, spec
             assert len(calls) == 1, spec
 
-    def test_three_builds_per_maximality_index(self, monkeypatch):
-        """sigma's for the detection search, and those of T = sigma |
-        sigma^-1 and of T reversed for the two halves of the count."""
+    def test_two_builds_per_maximality_index(self, monkeypatch):
+        """sigma's for the detection search, and that of T = sigma |
+        sigma^-1, which the forward walk and the suffix masks share."""
         calls = self._count_builds(monkeypatch)
         for spec in ("sub:1", "sub:2", "del1", "id:2", "bsid2"):
             code = make_code(channel_from_spec(spec), 40, 8, seed=3).trellis
             calls.clear()
             maximality_index(code, channel_from_spec(spec))
-            assert len(calls) == 3, spec
+            assert len(calls) == 2, spec
 
     def test_freed_without_the_cycle_collector(self):
         """A built table refers to no transducer: with the cycle collector
