@@ -727,7 +727,7 @@ class Trellis(Dfa):
                               layered[self.final_state], self.length)
 
     @cached_property
-    def _suffix_masks(self) -> "_SuffixMasks":
+    def _suffix_masks(self) -> tuple[int, ...]:
         """Per state, the words that lead from it to the final state as a
         bitmask over their ranks in Sigma^left (symbols as digits in
         alphabet order, the first most significant), so two states of one
@@ -735,8 +735,21 @@ class Trellis(Dfa):
         gets -1, which meets every mask, where its mask would hold more than
         256 bits per word in it or a successor has none: a mask is at most
         256 |S| bits for the |S| words it holds, and all of them at most
-        256 (length + 1) |C| bits.  Each is built at its first lookup."""
-        return _SuffixMasks(self)
+        256 (length + 1) |C| bits.  Built bottom-up in one pass along
+        ``_postorder``."""
+        masks = [-1] * self.num_states
+        rows, left, digit = self._rows, self._left, self.alphabet._index
+        spans = [len(self.alphabet) ** k for k in range(self.length + 1)]
+        for q in self._postorder:  # successors before predecessors
+            mask = int(q in self.final)
+            for a, d in rows[q].items():
+                if masks[d] < 0:
+                    break
+                mask |= masks[d] << digit[a] * spans[left[d]]
+            else:
+                if spans[left[q]] <= 256 * mask.bit_count():
+                    masks[q] = mask
+        return tuple(masks)
 
     @cached_property
     def _shared(self) -> frozenset[int]:
@@ -828,46 +841,6 @@ class Trellis(Dfa):
         return Trellis._trusted(self.alphabet, len(rows), self.initial,
                                 frozenset({final}), tuple(transitions),
                                 length=self.length, _rows=tuple(rows), **kept)
-
-
-class _SuffixMasks(dict):
-    """``Trellis._suffix_masks``: a state's mask is built the first time it
-    is looked up, together with those of the states below it that have
-    none yet, so a search pays only for the part of the trellis below the
-    states it tests.  The states to build are collected with a list of
-    their own, not by recursion, since a code can be longer than the
-    recursion limit, and built deepest first.  It keeps the trellis's
-    tables but not the trellis."""
-
-    def __init__(self, machine: Trellis):
-        super().__init__()
-        self._rows, self._left = machine._rows, machine._left
-        self._final, self._digit = machine.final, machine.alphabet._index
-        size = len(machine.alphabet)
-        self._spans = [size ** k for k in range(machine.length + 1)]
-
-    def __missing__(self, q: int) -> int:
-        rows, left, spans, digit = self._rows, self._left, self._spans, \
-            self._digit
-        todo, seen = [q], {q}
-        for s in todo:  # breadth first, so one layer after another
-            for d in rows[s].values():
-                if d not in seen and d not in self:
-                    seen.add(d)
-                    todo.append(d)
-        for s in reversed(todo):  # successors first
-            mask = int(s in self._final)
-            for a, d in rows[s].items():
-                below = self[d]
-                if below < 0:
-                    mask = -1
-                    break
-                mask |= below << digit[a] * spans[left[d]]
-            else:
-                if spans[left[s]] > 256 * mask.bit_count():
-                    mask = -1
-            self[s] = mask
-        return self[q]
 
 
 def _class_trellis(alphabet: Alphabet, rows: Sequence[dict[str, int]],

@@ -12,8 +12,9 @@ share one visited map of parents, which keeps the triples proved dead; when
 the channel's states have mirrors (``Transducer._mirror``), each triple
 proved dead proves its mirror dead too.  At a channel state that only copies
 (``Transducer._identity_tails``) one AND of two suffix masks
-(``Trellis._suffix_masks``) settles a triple, and a dead one is never
-entered.  A witness path reads its labels back off the move table
+(``Trellis._suffix_masks``, one bottom-up pass, read when a search starts
+on a channel that has such a state) settles a triple, and a dead one is
+never entered.  A witness path reads its labels back off the move table
 (``_labels``).  This search, the membership test of ``codegen.Exclusion``
 and the maximality walk all read the channel's ``Transducer._table``, built
 once per block length, and prune by the (input, output) lengths a channel
@@ -147,7 +148,7 @@ class _Search(NamedTuple):
     final: int  # the minimal trellis's final state
     accepting: frozenset  # the channel's final states
     tails: frozenset  # the channel's ``_identity_tails``
-    machine: Trellis  # the minimal trellis, for its ``_suffix_masks``
+    masks: tuple  # the minimal trellis's ``_suffix_masks``, () if no tails
 
 
 def _completion(triple, search: _Search, visited: dict, mirror):
@@ -155,12 +156,12 @@ def _completion(triple, search: _Search, visited: dict, mirror):
     triple, or None when there is none.
 
     The search enters no triple that ``visited`` holds, nor one at an
-    identity tail that the suffix masks prove dead, and records each one it
-    enters there as successor -> predecessor, ``triple`` -> None.  When no
-    path is found every triple (p, q, r) it entered is dead, and its entry
-    stays in ``visited`` to mark it so; (r, mirror[q], p) is marked dead too
-    unless ``mirror`` is None."""
-    table, rows, left_in, left_out, final, accepting, tails, machine = search
+    identity tail whose trellis states' ``search.masks`` do not meet, and
+    records each one it enters there as successor -> predecessor,
+    ``triple`` -> None.  When no path is found every triple (p, q, r) it
+    entered is dead, and its entry stays in ``visited`` to mark it so;
+    (r, mirror[q], p) is marked dead too unless ``mirror`` is None."""
+    table, rows, left_in, left_out, final, accepting, tails, masks = search
     visited[triple] = None
     queue = [triple]
     for s in queue:
@@ -177,8 +178,8 @@ def _completion(triple, search: _Search, visited: dict, mirror):
                 rd = r if y is None else row_r.get(y)
                 if rd is not None and row[base + left_out[rd]]:
                     d = (pd, qd, rd)
-                    if d not in visited and (qd not in tails or (
-                            m := machine._suffix_masks)[pd] & m[rd]):
+                    if d not in visited and (qd not in tails
+                                             or masks[pd] & masks[rd]):
                         visited[d] = s
                         queue.append(d)
     if mirror is not None:
@@ -224,10 +225,10 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     itself alone, so (p, q, r) is live exactly when p and r share a suffix;
     the length rows already put p and r in one layer.  Both searches skip
     such a triple, unentered, when the suffix masks of p and r
-    (``Trellis._suffix_masks``, built at the first such test) do not meet,
-    and enter it as any other where one of them has no mask.  Only dead
-    triples are skipped, so by the argument above the witness stays the
-    same.
+    (``Trellis._suffix_masks``, read once here when sigma has an identity
+    tail, so del1, ins1, ov and segd:b build none) do not meet, and enter
+    it as any other where one of them has no mask.  Only dead triples are
+    skipped, so by the argument above the witness stays the same.
     """
     if not code.final:
         return None
@@ -238,8 +239,9 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     left_out = machine._left
     left_in = [k * (machine.length + 2) for k in left_out]
     tails = sigma._identity_tails
+    masks = machine._suffix_masks if tails else ()
     search = _Search(table, rows, left_in, left_out, machine.final_state,
-                     sigma.final, tails, machine)
+                     sigma.final, tails, masks)
     queue = [(start, q, start) for q in sorted(sigma.initial)
              if feasible[q][left_in[start] + left_out[start]]]
     delays = dict.fromkeys(queue, _SYNCED)
@@ -265,8 +267,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 nd = _advance(delay, x, y)
                 seen = delays.get(d)
                 if seen is None:
-                    if qd in tails \
-                            and not (m := machine._suffix_masks)[pd] & m[rd]:
+                    if qd in tails and not masks[pd] & masks[rd]:
                         continue  # dead: qd copies, and pd, rd share no suffix
                     if nd is not None:
                         delays[d] = nd

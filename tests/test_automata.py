@@ -981,7 +981,10 @@ class TestMinimal:
     def test_suffix_masks_stay_small_on_long_sparse_codes(self):
         """On three words of length 40 no state near the root gets a mask
         (2^40 bits), and all masks together hold at most 256 (l + 1) |C|
-        bits."""
+        bits.  A code longer than the recursion limit gets its masks too,
+        since the pass follows ``_postorder`` and does not recurse."""
+        import sys
+
         words = ["0" * 40, "01" * 20, "1" * 40]
         m = trellis_from_words(words, BINARY)
         masks = m._suffix_masks
@@ -989,42 +992,6 @@ class TestMinimal:
         assert max(masks[q] for q in m.states) > 0
         assert sum(2 ** m._left[q] for q in m.states if masks[q] >= 0) \
             <= 256 * 41 * 3
-
-    def test_suffix_masks_built_on_lookup_equal_the_eager_pass(self):
-        """Masks built state by state at their first lookup, in a random
-        order of states, equal those of one eager bottom-up pass on every
-        state; a lookup builds only the states below the one it asks for,
-        and builds them without recursion on a code longer than the
-        recursion limit."""
-        import sys
-
-        def eager(m):
-            masks = [-1] * m.num_states
-            size = len(m.alphabet)
-            digit = {a: i for i, a in enumerate(m.alphabet)}
-            for q in m._postorder:  # successors before predecessors
-                mask = int(q in m.final)
-                for a, d in m._rows[q].items():
-                    if masks[d] < 0:
-                        break
-                    mask |= masks[d] << digit[a] * size ** m._left[d]
-                else:
-                    if size ** m._left[q] <= 256 * mask.bit_count():
-                        masks[q] = mask
-            return masks
-
-        rng = random.Random(37)
-        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
-        for k in range(150):
-            m = random_block_code(rng, alphabets[k % 3]).minimal
-            order = list(m.states)
-            rng.shuffle(order)
-            lazy = m._suffix_masks
-            first = order[0]
-            lazy[first]
-            below = {first} | {d for q in lazy for d in m._rows[q].values()}
-            assert set(lazy) == below
-            assert [lazy[q] for q in order] == [eager(m)[q] for q in order]
         long = "0" * (sys.getrecursionlimit() + 10)
         m = trellis_from_words([long, long[1:] + "1"], BINARY)
         assert m._suffix_masks[m.initial_state] == -1

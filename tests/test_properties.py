@@ -1190,6 +1190,52 @@ def test_suffix_masks_skip_only_dead_triples(monkeypatch):
     assert skips > 0 and smaller > 0
 
 
+def test_id1_never_conflicts():
+    """One insertion or deletion changes the length, so every block code
+    detects id:1: Sigma^l itself gets NONE at l <= 6 over 01 and 012.  So
+    ``index`` is |C| / |Sigma|^l, and the least addable word is the least
+    word outside C (NONE on Sigma^l)."""
+    rng = random.Random(9)
+    for alphabet in (BINARY, Alphabet(("0", "1", "2"))):
+        channel = channel_from_spec("id:1", alphabet)
+        for ell in range(7):
+            universe = universe_trellis(alphabet, ell)
+            assert detection_witness(universe, channel) == Witness.none()
+        for _ in range(40):
+            ell = rng.randint(1, 6)
+            space = sorted(alphabet.words_of_length(ell))
+            words = rng.sample(space, rng.randint(1, min(len(space), 60)))
+            code = trellis_from_words(words, alphabet)
+            assert maximality_index(code, channel) \
+                == Fraction(len(words), len(alphabet) ** ell)
+            outside = sorted(set(space) - set(words))
+            assert maximality_witness(code, channel) == (
+                Witness.addable(outside[0]) if outside else Witness.none())
+
+
+def test_suffix_masks_are_built_only_for_identity_tails():
+    """The detection and correction searches build the minimal trellis's
+    suffix masks only for a channel with an identity tail: after del1,
+    ins1, ov and segd:3 it has none, and after sub:2, id:2 and bsid2 they
+    are one int per state in a tuple."""
+    rng = random.Random(33)
+    words = sorted({"".join(rng.choice("01") for _ in range(8))
+                    for _ in range(20)})
+    for spec, tails in [("del1", False), ("ins1", False), ("ov", False),
+                        ("segd:3", False), ("sub:2", True), ("id:2", True),
+                        ("bsid2", True)]:
+        for witness in (detection_witness, correction_witness):
+            code = trellis_from_words(words, BINARY)
+            witness(code, channel_from_spec(spec))
+            masks = vars(code.minimal).get("_suffix_masks")
+            if not tails:
+                assert masks is None, (spec, witness.__name__)
+                continue
+            assert type(masks) is tuple, (spec, witness.__name__)
+            assert len(masks) == code.minimal.num_states
+            assert all(type(mask) is int for mask in masks)
+
+
 @pytest.mark.parametrize("alphabet, words", [
     (BINARY, ["0" * 40, "01" * 20, "1" * 40]),
     (BINARY, ["0" * 40, "0" * 39 + "1", "1" * 40]),
