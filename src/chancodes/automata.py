@@ -38,6 +38,10 @@ Word = tuple[str, ...]
 
 EPSILON_TOKEN = "@epsilon"  # text-format spelling of the empty label
 
+# a suffix mask (``Trellis._suffix_masks``, ``properties._tail_masks``)
+# holds at most 2 ** _MASK_BITS bits
+_MASK_BITS = 12
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -730,25 +734,20 @@ class Trellis(Dfa):
     def _suffix_masks(self) -> tuple[int, ...]:
         """Per state, the words that lead from it to the final state as a
         bitmask over their ranks in Sigma^left (symbols as digits in
-        alphabet order, the first most significant), so two states of one
-        layer share such a word exactly when their masks meet.  A state
-        gets -1, which meets every mask, where its mask would hold more than
-        256 bits per word in it or a successor has none: a mask is at most
-        256 |S| bits for the |S| words it holds, and all of them at most
-        256 (length + 1) |C| bits.  Built bottom-up in one pass along
-        ``_postorder``."""
+        alphabet order, the first most significant; ``_unrank`` of the
+        words of that length reads a rank back), so two states of one layer
+        share such a word exactly when their masks meet.  A state with
+        |Sigma|^left > 2^_MASK_BITS gets -1, which meets every mask.  Built
+        bottom-up in one pass along ``_postorder``."""
         masks = [-1] * self.num_states
         rows, left, digit = self._rows, self._left, self.alphabet._index
-        spans = [len(self.alphabet) ** k for k in range(self.length + 1)]
+        size = len(self.alphabet)
         for q in self._postorder:  # successors before predecessors
-            mask = int(q in self.final)
-            for a, d in rows[q].items():
-                if masks[d] < 0:
-                    break
-                mask |= masks[d] << digit[a] * spans[left[d]]
-            else:
-                if spans[left[q]] <= 256 * mask.bit_count():
-                    masks[q] = mask
+            if size ** left[q] <= 1 << _MASK_BITS:
+                mask = int(q in self.final)
+                for a, d in rows[q].items():
+                    mask |= masks[d] << digit[a] * size ** left[d]
+                masks[q] = mask
         return tuple(masks)
 
     @cached_property

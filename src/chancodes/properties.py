@@ -25,12 +25,15 @@ Exact maximality walks the subset construction of the exclusion automaton
 (minimal trellis state, channel state) pairs, each pair's successors are
 built the first time a step meets it, and the ``Transducer._table`` rows
 drop the pairs that cannot finish a word of the block length
-(``_exclusion_steps``).  The witness search stops at the least addable
-word.  The index walks the sets forward down to a cut above the last
-layers, which hold at most 2^12 words, and there reads each pair's
-suffixes as one bitmask (``_tail_masks``): a set at the cut adds its
-count times the bits of the OR of its pairs' masks.  The channel enters
-reduced by ``Transducer.quotient`` (sub:2, id:2: 6 -> 3 states).
+(``_exclusion_steps``).  The witness and the index share one walk
+(``_cut``): it steps keys (universe state, code state, set) forward down
+to a cut above the last layers, which hold at most 2^12 words, keeping
+per key its number of prefixes and its least one, and there reads each
+pair's suffixes as one bitmask (``_tail_masks``).  A key adds its count
+times the bits of the OR of its pairs' masks to the index; the first key
+whose universe suffixes are not all covered by those masks and the
+code's gives the least addable word.  The channel enters reduced by
+``Transducer.quotient`` (sub:2, id:2: 6 -> 3 states).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from fractions import Fraction
 from operator import or_
 from typing import NamedTuple, Optional
 
+from . import automata
 from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, _reach, \
     format_word, universe_trellis
 from .channels import Channel
@@ -346,9 +350,9 @@ def _shared_output(sigma: Transducer, u: Word, v: Word) -> Word:
 
 
 def _exclusion_steps(code: Trellis, t: Transducer):
-    """(step, start set, final pairs) of the subset walk of the exclusion
-    automaton T(C), with T = ``channel.self_union_inverse()``, stepped on
-    demand: no product is built.
+    """(step, start set) of the subset walk of the exclusion automaton
+    T(C), with T = ``channel.self_union_inverse()``, stepped on demand: no
+    product is built.
 
     A subset state is a frozenset of pairs m * n + q: m a state of the
     minimal trellis, q one of the n states of T, which reads a codeword
@@ -416,84 +420,9 @@ def _exclusion_steps(code: Trellis, t: Transducer):
         return frozenset().union(*map(following[a], s)) & fits[k]
 
     if not machine.final:
-        return step, frozenset(), frozenset()
+        return step, frozenset()
     start = frozenset().union(*map(closure, t.initial))  # pairs 0 * n + q
-    return step, start & fits[-1], frozenset(
-        machine.final_state * n + q for q in t.final)
-
-
-def _least_addable(walk, u: int, m: "int | None", s: frozenset,
-                   left: int) -> "Word | None":
-    """The least completion, ``left`` symbols long, of a prefix that reached
-    universe state u, minimal code state m (None off the code) and the set
-    s of exclusion pairs into an addable word, or None.  ``walk`` is
-    (universe, minimal trellis, the step and the final pairs of
-    ``_exclusion_steps``, the dead keys: those that lead to no addable
-    word)."""
-    universe, minimal, step, final, dead = walk
-    if not left:
-        addable = u in universe.final and m not in minimal.final \
-            and s.isdisjoint(final)
-        return () if addable else None
-    if (u, m, s) in dead:
-        return None
-    row = universe._rows[u]
-    for a in universe.alphabet:
-        if a in row:
-            rest = _least_addable(
-                walk, row[a], m if m is None else minimal._rows[m].get(a),
-                step(s, a, left - 1), left - 1)
-            if rest is not None:
-                return (a,) + rest
-    dead.add((u, m, s))
-    return None
-
-
-def maximality_witness(
-    code: Trellis, channel: Channel, universe: "Trellis | None" = None
-) -> Witness:
-    """ADDABLE w for the least word of the universe that can join the code
-    while keeping it detecting, or NONE when the code is maximal in that
-    universe.  The default universe is all words of the code's length; a
-    given one must share the code's alphabet and length.  The code need
-    not be detecting: on any code the answer is the least word of the
-    universe outside C | (channel | channel^-1)(C) (the CLI refuses a
-    non-detecting code with exit 2 before asking).
-
-    A depth-first search in alphabet order, so in lexicographic order, over
-    keys (universe state, minimal code state, set of exclusion pairs)
-    (``_least_addable``).  Exact but worst-case exponential, hence meant
-    for small block lengths.
-    """
-    _require_same_alphabet(code, channel)
-    universe = _fitting_universe(code, universe)
-    step, start, final = _exclusion_steps(code, channel.self_union_inverse())
-    minimal = code.minimal
-    found = _least_addable((universe, minimal, step, final, set()),
-                           universe.initial_state, minimal.initial_state,
-                           start, code.length)
-    return Witness.none() if found is None else Witness.addable(found)
-
-
-def _layer_counts(walk, code: Trellis, layers: int) -> dict:
-    """Per nonempty set that ``walk`` (a result of ``_exclusion_steps`` on
-    ``code``) reaches in ``layers`` steps from its start set, the number of
-    words that reach it."""
-    step, start, _ = walk
-    layer = {start: 1} if start else {}
-    for k in range(code.length - 1, code.length - 1 - layers, -1):
-        following: dict = {}
-        for s, n in layer.items():
-            for a in code.alphabet.symbols:
-                d = step(s, a, k)
-                if d:
-                    following[d] = following.get(d, 0) + n
-        layer = following
-    return layer
-
-
-# a suffix mask below the index's cut holds at most 2 ** _TAIL_BITS bits
-_TAIL_BITS = 12
+    return step, start & fits[-1]
 
 
 def _tail_moves(t: Transducer) -> tuple[list, list]:
@@ -578,19 +507,90 @@ def _tail_masks(code: Trellis, t: Transducer, cut, layers: int) -> dict:
     return masks
 
 
+def _cut(code: Trellis, t: Transducer, universe: Trellis):
+    """(keys, masks, tail) of the exclusion walk that ``maximality_witness``
+    and ``maximality_index`` share.
+
+    The tail is the last b layers, b the most with |Sigma|^b <= 2^12
+    (``automata._MASK_BITS``: 12 on a binary alphabet, 7 on a ternary
+    one), and the cut sits at depth l - b.  Above it the forward walk of
+    ``_exclusion_steps`` maps each key (universe state, minimal code state
+    or None off the code, set of exclusion pairs) that a prefix of the
+    universe reaches at the cut to [number of such prefixes, least such
+    prefix], keys in least-prefix order: a key is first met from the key
+    with the least prefix and on the least symbol that reach it, in
+    alphabet order.  Below it each pair
+    of the cut sets gets the bitmask of the suffixes it can write to the
+    end (``_tail_masks``; shift-and, Baeza-Yates & Gonnet, CACM 1992), over
+    the ranks of ``Trellis._suffix_masks``, which are exact at the cut.
+    All prefixes of one key share their suffixes' fate, so each answer is
+    read off the keys and the masks."""
+    size, width, tail = len(code.alphabet), 1 << automata._MASK_BITS, 0
+    while tail < code.length and size ** (tail + 1) <= width:
+        tail += 1
+    step, start = _exclusion_steps(code, t)
+    minimal = code.minimal
+    rows, code_rows = universe._rows, minimal._rows
+    keys = {(universe.initial_state, minimal.initial_state, start): [1, ()]}
+    for k in range(code.length - 1, tail - 1, -1):
+        following: dict = {}
+        for (u, m, s), (n, prefix) in keys.items():
+            row, code_row = rows[u], {} if m is None else code_rows[m]
+            for a in code.alphabet.symbols:
+                if a in row:
+                    key = (row[a], code_row.get(a), step(s, a, k))
+                    entry = following.get(key)
+                    if entry is None:
+                        following[key] = [n, prefix + (a,)]
+                    else:
+                        entry[0] += n
+        keys = following
+    masks = _tail_masks(code, t, frozenset().union(*(s for _, _, s in keys)),
+                        tail)
+    return keys, masks, tail
+
+
+def maximality_witness(
+    code: Trellis, channel: Channel, universe: "Trellis | None" = None
+) -> Witness:
+    """ADDABLE w for the least word of the universe that can join the code
+    while keeping it detecting, or NONE when the code is maximal in that
+    universe.  The default universe is all words of the code's length; a
+    given one must share the code's alphabet and length.  The code need
+    not be detecting: on any code the answer is the least word of the
+    universe outside C | (channel | channel^-1)(C) (the CLI refuses a
+    non-detecting code with exit 2 before asking).
+
+    The first key of ``_cut`` at universe state u and code state m whose
+    free suffixes, the universe's mask of u without the masks of its pairs
+    and the code's mask of m (``Trellis._suffix_masks``), are not none
+    gives w: its least prefix, then the least free suffix, decoded from
+    its rank by ``_unrank`` on Sigma^tail.  Exact but worst-case
+    exponential, hence meant for small block lengths.
+    """
+    _require_same_alphabet(code, channel)
+    universe = _fitting_universe(code, universe)
+    keys, masks, tail = _cut(code, channel.self_union_inverse(), universe)
+    free, coded = universe._suffix_masks, code.minimal._suffix_masks
+    for (u, m, s), (_, prefix) in keys.items():
+        used = reduce(or_, map(masks.__getitem__, s), 0 if m is None
+                      else coded[m])
+        rest = free[u] & ~used
+        if rest:
+            rank = (rest & -rest).bit_length() - 1
+            return Witness.addable(prefix + universe_trellis(
+                code.alphabet, tail)._unrank(rank))
+    return Witness.none()
+
+
 def maximality_index(code: Trellis, channel: Channel) -> Fraction:
     """|Sigma^l  intersect  (channel | channel^-1)(C)| / |Sigma^l|, exactly.
 
-    The last b layers form the tail, b the most with |Sigma|^b <= 2^12 (12
-    on a binary alphabet, 7 on a ternary one), and the cut sits at depth
-    l - b.  Above it the forward walk of ``_exclusion_steps`` maps each set
-    S it reaches to the number of prefixes that reach it (``_layer_counts``;
-    at l <= 12 on a binary alphabet only the start set).  Below it each
-    pair gets the bitmask of the suffixes it can write to the end
-    (``_tail_masks``; shift-and, Baeza-Yates & Gonnet, CACM 1992).  A word
-    is counted exactly when some pair of its prefix's set can write its
-    suffix, so the index sums count(S) times the number of bits of the OR
-    of the masks of S's pairs, one term per set.
+    A word is counted exactly when some pair of its prefix's set at the
+    cut of ``_cut`` (over Sigma^l) can write its suffix, so the index sums
+    count times the number of bits of the OR of the masks of the key's
+    pairs, one term per key (at l <= 12 on a binary alphabet only the
+    start key).
 
     The count is of (channel | channel^-1)(C) alone, while
     ``maximality_witness`` also excludes C itself.  The two agree whenever
@@ -608,12 +608,8 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             f"{witness.to_text(code.alphabet)}",
             witness=witness,
         )
-    t = channel.self_union_inverse()
-    size, tail = len(code.alphabet), 0
-    while tail < code.length and size ** (tail + 1) <= 1 << _TAIL_BITS:
-        tail += 1
-    cut = _layer_counts(_exclusion_steps(code, t), code, code.length - tail)
-    masks = _tail_masks(code, t, frozenset().union(*cut), tail)
-    used = sum(count * reduce(or_, map(masks.__getitem__, s)).bit_count()
-               for s, count in cut.items())
-    return Fraction(used, size ** code.length)
+    keys, masks, _ = _cut(code, channel.self_union_inverse(),
+                          universe_trellis(code.alphabet, code.length))
+    used = sum(n * reduce(or_, map(masks.__getitem__, s), 0).bit_count()
+               for (_, _, s), (n, _) in keys.items())
+    return Fraction(used, len(code.alphabet) ** code.length)

@@ -7,7 +7,8 @@ exceptions are ``exclusion_automaton``, the trimmed product that the
 maximality walks, which never build it, are checked against (``product``
 is itself checked against path enumeration), and
 ``predecessor_exclusion_steps``, a backward walk on the minimal
-trellis's own states, which the index's suffix masks are checked against.
+trellis's own states, which the index's suffix masks are checked against,
+counting its sets per layer with ``layer_counts``.
 """
 
 from __future__ import annotations
@@ -278,8 +279,8 @@ def exclusion_automaton(code: Trellis, channel: Channel) -> Nfa:
 
 
 def predecessor_exclusion_steps(code: Trellis, t: Transducer):
-    """(step, start set, final pairs) of the backward subset walk of the
-    exclusion automaton T(C) on pairs m * n + q, m a state of the minimal
+    """(step, start set) of the backward subset walk of the exclusion
+    automaton T(C) on pairs m * n + q, m a state of the minimal
     trellis: its predecessor rows, several per symbol, read from the final
     state, and T reversed.  ``step(s, a, k)`` keeps the pairs whose T state
     can read the depth of m and write exactly k symbols.  A set B reached
@@ -334,11 +335,28 @@ def predecessor_exclusion_steps(code: Trellis, t: Transducer):
         return frozenset().union(*map(following[a], s)) & fits[k]
 
     if not machine.final:
-        return step, frozenset(), frozenset()
+        return step, frozenset()
     start = frozenset().union(*map(closure, [machine.final_state * n + q
                                              for q in t.initial]))
-    return step, start & fits[-1], frozenset(machine.initial_state * n + q
-                                             for q in t.final)
+    return step, start & fits[-1]
+
+
+def layer_counts(walk, code: Trellis, layers: int) -> dict:
+    """Per nonempty set that ``walk`` (the (step, start set) of
+    ``properties._exclusion_steps`` or of ``predecessor_exclusion_steps``
+    on ``code``) reaches in ``layers`` steps from its start set, the
+    number of words that reach it."""
+    step, start = walk
+    layer = {start: 1} if start else {}
+    for k in range(code.length - 1, code.length - 1 - layers, -1):
+        following: dict = {}
+        for s, n in layer.items():
+            for a in code.alphabet.symbols:
+                d = step(s, a, k)
+                if d:
+                    following[d] = following.get(d, 0) + n
+        layer = following
+    return layer
 
 
 # -- trellises ------------------------------------------------------------------------

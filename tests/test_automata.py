@@ -949,49 +949,55 @@ class TestMinimal:
         # reversed symbol order: state 1 is reached on "1"
         assert m._rows[0]["1"] == 1
 
-    def test_suffix_masks_hold_the_ranks_of_the_suffixes(self):
+    def test_suffix_masks_hold_the_ranks_of_the_suffixes(self, monkeypatch):
         """A state's ``_suffix_masks`` entry has bit i set exactly for the
         word of rank i in Sigma^left that leads from it to the final state
         (symbols as digits in alphabet order, the first most significant),
-        and spends at most 256 bits per such word.  It is -1 exactly where
-        that would be more, or where a successor has -1.  Binary masks up
-        to length 8 always fit; over three symbols some do not."""
+        and ``_unrank`` on Sigma^left reads each such bit back as its word.
+        It is -1 exactly where |Sigma|^left > 2^_MASK_BITS: with masks of
+        at most 4096, 16 and 4 bits, some states over each alphabet get
+        -1."""
+        from chancodes import automata, universe_trellis
+
         rng = random.Random(31)
         alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
         unmasked = set()
         for k in range(150):
+            bits = (12, 4, 2)[k // 3 % 3]
+            monkeypatch.setattr(automata, "_MASK_BITS", bits)
             m = random_block_code(rng, alphabets[k % 3]).minimal
             size = len(m.alphabet)
             digit = {a: i for i, a in enumerate(m.alphabet)}
             masks = m._suffix_masks
             for q, words in enumerate(suffix_sets(m)):
-                below = [masks[d] for d in m._rows[q].values()]
-                if size ** m._left[q] > 256 * len(words) \
-                        or min(below, default=0) < 0:
+                left = m._left[q]
+                if size ** left > 2 ** bits:
                     assert masks[q] == -1
-                    if words:  # the one state of the empty code has none
-                        unmasked.add(m.alphabet)
+                    unmasked.add(m.alphabet)
                     continue
                 ranks = {sum(digit[a] * size ** i
                              for i, a in enumerate(reversed(w)))
                          for w in words}
                 assert masks[q] == sum(1 << i for i in ranks)
-        assert unmasked == {alphabets[2]}
+                chain = universe_trellis(m.alphabet, left)
+                assert {chain._unrank(i) for i in ranks} == words
+        assert unmasked == set(alphabets)
 
     def test_suffix_masks_stay_small_on_long_sparse_codes(self):
-        """On three words of length 40 no state near the root gets a mask
-        (2^40 bits), and all masks together hold at most 256 (l + 1) |C|
-        bits.  A code longer than the recursion limit gets its masks too,
-        since the pass follows ``_postorder`` and does not recurse."""
+        """On three words of length 40 a state gets a mask exactly when it
+        has at most 12 symbols left, so no mask holds more than 2^12 bits,
+        where one at the root would take 2^40.  A code longer than the
+        recursion limit gets its masks too, since the pass follows
+        ``_postorder`` and does not recurse."""
         import sys
 
         words = ["0" * 40, "01" * 20, "1" * 40]
         m = trellis_from_words(words, BINARY)
         masks = m._suffix_masks
+        assert [q for q in m.states if masks[q] == -1] \
+            == [q for q in m.states if m._left[q] > 12]
         assert masks[m.initial_state] == -1
-        assert max(masks[q] for q in m.states) > 0
-        assert sum(2 ** m._left[q] for q in m.states if masks[q] >= 0) \
-            <= 256 * 41 * 3
+        assert 0 < max(mask.bit_length() for mask in masks) <= 2 ** 12
         long = "0" * (sys.getrecursionlimit() + 10)
         m = trellis_from_words([long, long[1:] + "1"], BINARY)
         assert m._suffix_masks[m.initial_state] == -1

@@ -573,6 +573,17 @@ class TestMaximalAndIndex:
         assert run(capsys, "correct-check", "--channel", "id:1",
                    str(f))[:2] == (3, "CORRECT-VIOLATION 0 1 via @epsilon\n")
 
+    def test_maximal_answers_past_the_recursion_limit(self, capsys,
+                                                     tmp_path):
+        """On {0^L, 1^L}, L above the recursion limit, ``maximal`` prints
+        one line, the least word at Hamming distance 3 from both, and
+        exits 0."""
+        n = sys.getrecursionlimit() + 10
+        f = tmp_path / "long.txt"
+        f.write_text("0" * n + "\n" + "1" * n + "\n")
+        code, out, err = run(capsys, "maximal", "--channel", "sub:2", str(f))
+        assert (code, out, err) == (0, f"ADDABLE {'0' * (n - 3)}111\n", "")
+
     def test_index_counts_the_channel_image_alone(self, capsys, tmp_path):
         """``index`` counts (sigma | sigma^-1)(C), while ``maximal`` also
         excludes C itself.  They part only on a channel that is not

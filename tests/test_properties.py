@@ -33,7 +33,7 @@ from chancodes import (
     universe_trellis,
 )
 
-from chancodes import properties
+from chancodes import automata, properties
 
 import oracles
 from oracles import exclusion_automaton
@@ -339,10 +339,12 @@ class TestMaximality:
             assert not maximality_witness(code, ch, empty)
 
     def test_witness_stops_at_the_least_addable_word(self, monkeypatch):
-        """On a half-greedy sub:2 code of length 10 the search stops at
-        the least addable word, in well under half the subset steps of
-        building universe - C - exclusion in full first (932 subset
-        steps, counted as ``Nfa._step`` calls)."""
+        """On a half-greedy sub:2 code of length 10 the witness is the least
+        addable word at every mask width.  At 12 bits the cut sits at the
+        start key, so no set is stepped; at 4 bits it sits at depth 6, and
+        each key above it is stepped once per symbol, at most 2 (2^6 - 1)
+        = 126 times, where building universe - C - exclusion in full took
+        932 subset steps (``Nfa._step`` calls)."""
         rng = random.Random(0)
         pool = list(BINARY.words_of_length(10))
         rng.shuffle(pool)
@@ -352,24 +354,42 @@ class TestMaximality:
             if w not in blocked:
                 words.append(w)
                 blocked |= oracles.sub_image(w, 2, BINARY)
-        code = trellis_from_words(words, BINARY, length=10)
         calls = 0
         walk = properties._exclusion_steps
 
         def counting(code, t):
-            step, start, final = walk(code, t)
+            step, start = walk(code, t)
 
             def counted(subset, sym, k):
                 nonlocal calls
                 calls += 1
                 return step(subset, sym, k)
 
-            return counted, start, final
+            return counted, start
 
         monkeypatch.setattr(properties, "_exclusion_steps", counting)
-        found = maximality_witness(code, make_sub(2))
-        assert found == Witness.addable(BINARY.word("0110111100"))
-        assert 0 < 2 * calls < 932
+        for bits, steps in ((12, range(1)), (4, range(1, 127))):
+            monkeypatch.setattr(automata, "_MASK_BITS", bits)
+            calls = 0
+            code = trellis_from_words(words, BINARY, length=10)
+            found = maximality_witness(code, make_sub(2))
+            assert found == Witness.addable(BINARY.word("0110111100"))
+            assert calls in steps, bits
+
+    def test_witness_answers_past_the_recursion_limit(self):
+        """On {0^L, 1^L}, L above the recursion limit, the walk answers
+        without recursing: under sub:2 the least addable word is
+        0^(L-3)111, the least word at distance 3 from both codewords, and
+        under del1 it is 0^(L-2)11, since every word of weight 1 is a del1
+        preimage of 0^L."""
+        import sys
+
+        n = sys.getrecursionlimit() + 10
+        code = trellis_from_words(["0" * n, "1" * n], BINARY)
+        for spec, least in (("sub:2", "0" * (n - 3) + "111"),
+                            ("del1", "0" * (n - 2) + "11")):
+            assert maximality_witness(code, channel_from_spec(spec)) \
+                == Witness.addable(BINARY.word(least)), spec
 
     @pytest.mark.parametrize("spec", ["sub:2", "del1", "id:2"])
     def test_index_expands_each_pair_once_per_layer_below_the_cut(
@@ -394,13 +414,13 @@ class TestMaximality:
         walk = properties._exclusion_steps
 
         def counting(code, t):
-            step, start, final = walk(code, t)
+            step, start = walk(code, t)
 
             def counted(subset, sym, k):
                 steps.append(k)
                 return step(subset, sym, k)
 
-            return counted, start, final
+            return counted, start
 
         read_rows, read_moves = [], []
 
@@ -652,24 +672,27 @@ def test_lazy_exclusion_walk_matches_the_trimmed_product(monkeypatch):
     are those read off the trimmed product ``exclusion_automaton``, on
     random transducers and on every zoo channel at block lengths 4-6,
     over the full universe, random sub-universes, overlap-free words and a
-    suffix universe.  The walk's length filter is looser than trimming, so
-    some walks keep more pairs than the trimmed product has states."""
+    suffix universe.  With masks of one bit the tail is the last layer, so
+    the walk steps every layer above it.  Its length filter is looser than
+    trimming, so some walks keep more pairs than the trimmed product has
+    states."""
     from test_codegen import random_channel
 
     kept: set = set()
     walk = properties._exclusion_steps
 
     def recording(code, t):
-        step, start, final = walk(code, t)
+        step, start = walk(code, t)
 
         def recorded(subset, sym, k):
             found = step(subset, sym, k)
             kept.update(found)
             return found
 
-        return recorded, start, final
+        return recorded, start
 
     monkeypatch.setattr(properties, "_exclusion_steps", recording)
+    monkeypatch.setattr(automata, "_MASK_BITS", 1)
     rng = random.Random(43)
     zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "bsid2",
            "segd:3", "ov"]
@@ -795,13 +818,14 @@ def test_index_matches_brute_force_at_every_cut(monkeypatch):
                               seed=k).words
         else:
             words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))]
-        code = trellis_from_words(words, alphabet, length=ell)
-        if detection_witness(code, channel):
+        if detection_witness(trellis_from_words(words, alphabet, length=ell),
+                             channel):
             continue
         expected = Fraction(brute_image_count(
             channel.transducer, words, alphabet, ell), len(alphabet) ** ell)
         for bits in (1, 2, 3, 12):
-            monkeypatch.setattr(properties, "_TAIL_BITS", bits)
+            monkeypatch.setattr(automata, "_MASK_BITS", bits)
+            code = trellis_from_words(words, alphabet, length=ell)
             assert maximality_index(code, channel) == expected, \
                 (channel.transducer.to_text(), alphabet, words, bits)
         answers.add(expected == 1)
@@ -810,8 +834,79 @@ def test_index_matches_brute_force_at_every_cut(monkeypatch):
     assert {(ell, h) for ell in range(5) for h in range(ell + 1)} <= cuts
 
 
+def test_witness_matches_brute_force_at_every_cut(monkeypatch):
+    """The witness is the brute-force least word of U - (C | (sigma |
+    sigma^-1)(C)) with the masks at most 2, 4, 8 or 4096 bits wide, so
+    that the cut falls at every depth of the codes up to length 4, and
+    keys above it carry their least prefixes: over the alphabets 01,
+    {1, 0}, {a, bc} and {0, 1, 2}, on zoo channels and random transducers,
+    for codes that ``make_code`` grows and for random ones, in the full,
+    overlap-free, suffix and random-file universes.  Masks are cached per
+    trellis, so each is built after the width is set."""
+    from chancodes import Trellis, make_code
+    from test_codegen import random_channel, random_layered_dfa
+
+    tail = properties._tail_masks
+    widths = set()
+
+    def recorded(code, t, cut, layers):
+        widths.add((code.length, layers))
+        return tail(code, t, cut, layers)
+
+    monkeypatch.setattr(properties, "_tail_masks", recorded)
+    rng = random.Random(61)
+    zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "ov"]
+    alphabets = [BINARY, Alphabet(("1", "0")), Alphabet(("a", "bc")),
+                 Alphabet(("0", "1", "2"))]
+    answers = set()
+    for k in range(240):
+        alphabet = alphabets[k % 4]
+        if rng.random() < 0.5:
+            channel = random_channel(rng, alphabet)
+        else:
+            channel = channel_from_spec(rng.choice(zoo), alphabet)
+        ell = rng.randint(0, 5 if len(alphabet) == 2 else 4)
+        space = list(alphabet.words_of_length(ell))
+        if rng.random() < 0.6:
+            words = make_code(channel, rng.randint(1, 12), ell,
+                              seed=k).words
+        else:
+            words = rng.sample(space, rng.randint(0, min(len(space), 8)))
+        # a random-file universe is a layered DFA, which needs ell > 0
+        kind = k // 4 % (4 if ell else 3)
+        pattern = rng.choices(alphabet.symbols, k=rng.randint(0, ell))
+        text = random_layered_dfa(rng, alphabet, ell) if ell else None
+        image = set(words)
+        for c in words:
+            image |= oracles.enumerate_image(channel.transducer, c, ell)
+        image |= {w for w in space if not set(words).isdisjoint(
+            oracles.enumerate_image(channel.transducer, w, ell))}
+        for bits in (1, 2, 3, 12):
+            monkeypatch.setattr(automata, "_MASK_BITS", bits)
+            code = trellis_from_words(words, alphabet, length=ell)
+            if kind == 0:
+                universe = universe_trellis(alphabet, ell)
+            elif kind == 1:
+                universe = overlap_free_trellis(alphabet, ell)
+            elif kind == 2:
+                universe = suffix_universe(alphabet, ell, pattern)
+            else:
+                universe = Trellis.from_text(text, alphabet)
+            least = next((w for w in universe.iter_words()
+                          if w not in image), None)
+            expected = Witness.none() if least is None \
+                else Witness.addable(least)
+            assert maximality_witness(code, channel, universe) == expected, \
+                (channel.transducer.to_text(), alphabet, words, bits, kind)
+            answers.add(least is None)
+    assert answers == {True, False}
+    cuts = {(ell, ell - layers) for ell, layers in widths}
+    assert {(ell, h) for ell in range(5) for h in range(ell + 1)} <= cuts
+
+
 def test_tail_masks_count_the_suffixes_of_the_predecessor_walk():
-    """For each set S that the forward walk reaches at the cut, the OR of
+    """For each set S that the forward walk reaches at the cut (counted by
+    ``oracles.layer_counts``), the OR of
     the suffix masks of its pairs has as many bits as there are suffixes
     whose set under the walk along the minimal trellis's predecessor rows
     (``oracles.predecessor_exclusion_steps``) meets S: the sum of the
@@ -840,14 +935,14 @@ def test_tail_masks_count_the_suffixes_of_the_predecessor_walk():
                          BINARY)]
             for code in codes:
                 for tail in range(ell + 1):
-                    cut = properties._layer_counts(
+                    cut = oracles.layer_counts(
                         properties._exclusion_steps(code, t), code,
                         ell - tail)
                     if not cut:
                         continue
                     masks = properties._tail_masks(
                         code, t, frozenset().union(*cut), tail)
-                    behind = properties._layer_counts(
+                    behind = oracles.layer_counts(
                         oracles.predecessor_exclusion_steps(code, t), code,
                         tail)
                     for s in cut:
@@ -1005,7 +1100,7 @@ def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
     visited map, mirrors included, lies outside the live set, and on some
     NONE answer a mirror saves a completion: without mirrors the same
     search runs more of them.  On the ``referee_cases``."""
-    from chancodes import properties
+    from chancodes import automata, properties
 
     completion = properties._completion
     misses = []
@@ -1069,7 +1164,7 @@ def test_a_search_expands_each_triple_once_across_its_completions(
     completion is breadth-first, so it expands the triples it enters in
     the order entered, up to the first accepted one; some completions
     stop at one."""
-    from chancodes import properties
+    from chancodes import automata, properties
 
     completion = properties._completion
     expanded = []  # per completion, the triples it expanded
@@ -1245,9 +1340,9 @@ def test_suffix_masks_are_built_only_for_identity_tails():
 ], ids=["l40-none", "l40-violation", "l10-four-symbols"])
 @pytest.mark.parametrize("spec", ["sub:2", "id:2"])
 def test_detection_memory_stays_bounded_on_long_codes(alphabet, words, spec):
-    """A suffix mask spends at most 256 bits per word it holds, so all of
-    them hold at most 256 (l + 1) |C| bits: about 4 KB on three words of
-    length 40, where a mask at the root would need 2^40 bits.  The whole
+    """Only states with |Sigma|^left <= 2^12 get a suffix mask, so no mask
+    holds more than 2^12 bits: 1.5 KB in all on three words of length 40,
+    where a mask at the root would need 2^40 bits.  The whole
     detection search stays under 4 MB of Python allocations there and on
     a six-word code over four symbols at length 10, and its answers are
     the brute-force ones."""
