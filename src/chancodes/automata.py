@@ -38,8 +38,8 @@ Word = tuple[str, ...]
 
 EPSILON_TOKEN = "@epsilon"  # text-format spelling of the empty label
 
-# a suffix mask (``Trellis._suffix_masks``, ``properties._tail_masks``)
-# holds at most 2 ** _MASK_BITS bits
+# a suffix mask (``Trellis._suffix_masks`` and ``_padded_masks``,
+# ``properties._tail_masks``) holds at most 2 ** _MASK_BITS bits
 _MASK_BITS = 12
 
 
@@ -737,16 +737,24 @@ class Trellis(Dfa):
         alphabet order, the first most significant; ``_unrank`` of the
         words of that length reads a rank back), so two states of one layer
         share such a word exactly when their masks meet.  A state with
-        |Sigma|^left > 2^_MASK_BITS gets -1, which meets every mask.  Built
-        bottom-up in one pass along ``_postorder``."""
+        |Sigma|^left > 2^_MASK_BITS gets -1, which meets every mask.  It
+        is ``_padded_masks(0)``."""
+        return self._padded_masks(0)
+
+    def _padded_masks(self, pad: int) -> tuple[int, ...]:
+        """Per state q, the ``_suffix_masks`` of S(q) Sigma^pad, its suffixes
+        followed by any ``pad`` symbols: ranks in Sigma^(left + pad), -1 where
+        |Sigma|^(left + pad) > 2^_MASK_BITS.  Built bottom-up in one pass
+        along ``_postorder``, from the final state's mask of all
+        |Sigma|^pad words."""
         masks = [-1] * self.num_states
         rows, left, digit = self._rows, self._left, self.alphabet._index
         size = len(self.alphabet)
         for q in self._postorder:  # successors before predecessors
-            if size ** left[q] <= 1 << _MASK_BITS:
-                mask = int(q in self.final)
+            if size ** (left[q] + pad) <= 1 << _MASK_BITS:
+                mask = (1 << size ** pad) - 1 if q in self.final else 0
                 for a, d in rows[q].items():
-                    mask |= masks[d] << digit[a] * size ** left[d]
+                    mask |= masks[d] << digit[a] * size ** (left[d] + pad)
                 masks[q] = mask
         return tuple(masks)
 

@@ -10,15 +10,17 @@ accepted pair is an identity pair (``_identity_violation``).  The
 completions at conflicts (``_completion``) expand their triples inline and
 share one visited map of parents, which keeps the triples proved dead; when
 the channel's states have mirrors (``Transducer._mirror``), each triple
-proved dead proves its mirror dead too.  At a channel state that only copies
-(``Transducer._identity_tails``) one AND of two suffix masks
-(``Trellis._suffix_masks``, one bottom-up pass, read when a search starts
-on a channel that has such a state) settles a triple, and a dead one is
-never entered.  A witness path reads its labels back off the move table
-(``_labels``).  This search, the membership test of ``codegen.Exclusion``
-and the maximality walk all read the channel's ``Transducer._table``, built
-once per block length, and prune by the (input, output) lengths a channel
-state can still read and write.
+proved dead proves its mirror dead too.  At a channel state that copies and
+then appends or drops at most one free symbol (``Transducer._copy_tails``)
+one AND of two suffix masks (``Trellis._padded_masks``, one bottom-up pass
+each, built when a search starts on a channel that has such a state)
+settles a triple, and a dead one is never entered.  A witness path reads
+its labels back off the move table (``_labels``).  This search, the
+membership test of ``codegen.Exclusion`` and the maximality walk all read
+the channel's ``Transducer._table``, built once per block length, and
+prune by the (input, output) lengths a channel state can still read and
+write.  ``correction_witness`` searches sigma^-1 . sigma reduced by
+``Transducer.quotient``.
 
 Exact maximality walks the subset construction of the exclusion automaton
 (channel | channel^-1)(C) without building it: a subset state is a set of
@@ -41,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from fractions import Fraction
+from itertools import compress
 from operator import or_
 from typing import NamedTuple, Optional
 
@@ -151,21 +154,23 @@ class _Search(NamedTuple):
     left_out: tuple  # per trellis state, its ``_left``
     final: int  # the minimal trellis's final state
     accepting: frozenset  # the channel's final states
-    tails: frozenset  # the channel's ``_identity_tails``
-    masks: tuple  # the minimal trellis's ``_suffix_masks``, () if no tails
+    # per channel state, None, or at a ``_copy_tails`` tail (i, o) the
+    # minimal trellis's ``_padded_masks`` (o, i): a triple there is live
+    # exactly when the mask of p in the first meets that of r in the second
+    tests: list
 
 
 def _completion(triple, search: _Search, visited: dict, mirror):
     """The (x, y) labels of a shortest path from ``triple`` to an accepted
     triple, or None when there is none.
 
-    The search enters no triple that ``visited`` holds, nor one at an
-    identity tail whose trellis states' ``search.masks`` do not meet, and
+    The search enters no triple that ``visited`` holds, nor one at a copy
+    tail whose trellis states' masks in ``search.tests`` do not meet, and
     records each one it enters there as successor -> predecessor,
     ``triple`` -> None.  When no path is found every triple (p, q, r) it
     entered is dead, and its entry stays in ``visited`` to mark it so;
     (r, mirror[q], p) is marked dead too unless ``mirror`` is None."""
-    table, rows, left_in, left_out, final, accepting, tails, masks = search
+    table, rows, left_in, left_out, final, accepting, tests = search
     visited[triple] = None
     queue = [triple]
     for s in queue:
@@ -182,8 +187,9 @@ def _completion(triple, search: _Search, visited: dict, mirror):
                 rd = r if y is None else row_r.get(y)
                 if rd is not None and row[base + left_out[rd]]:
                     d = (pd, qd, rd)
-                    if d not in visited and (qd not in tails
-                                             or masks[pd] & masks[rd]):
+                    if d not in visited and (
+                            (test := tests[qd]) is None
+                            or test[0][pd] & test[1][rd]):
                         visited[d] = s
                         queue.append(d)
     if mirror is not None:
@@ -224,15 +230,21 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     (``Transducer._mirror``), so a failed completion marks both; every
     state has a mirror for sub:k, id:k, bsid2 and every sigma^-1 . sigma.
 
-    Those channels also end in an identity tail q
-    (``Transducer._identity_tails``), from which sigma relates each word to
-    itself alone, so (p, q, r) is live exactly when p and r share a suffix;
-    the length rows already put p and r in one layer.  Both searches skip
-    such a triple, unentered, when the suffix masks of p and r
-    (``Trellis._suffix_masks``, read once here when sigma has an identity
-    tail, so del1, ins1, ov and segd:b build none) do not meet, and enter
-    it as any other where one of them has no mask.  Only dead triples are
-    skipped, so by the argument above the witness stays the same.
+    Those channels, del1 and ins1 also end in a copy tail q
+    (``Transducer._copy_tails``), from which sigma relates s x to s y for
+    every s and every x, y of the tail's lengths (i, o): (0, 0) copies,
+    del1's (0, 1) copies and appends a symbol, ins1's (1, 0) copies and
+    drops one.  So (p, q, r) is live exactly when some word is both a
+    suffix of p followed by o symbols and a suffix of r followed by i
+    symbols, that is when the masks of p in ``Trellis._padded_masks(o)``
+    and of r in ``_padded_masks(i)`` meet; the length rows already give
+    left(r) - left(p) = o - i, so both masks rank words of one length.
+    Both searches skip such a triple, unentered, when they do not meet,
+    and enter it as any other where one of them has no mask (-1).  The
+    masks are built once here, those padded by a symbol only for a tail
+    (0, 1) or (1, 0), and none for ov and segd:b, which have no tail.
+    Only dead triples are skipped, so by the argument above the witness
+    stays the same.
     """
     if not code.final:
         return None
@@ -242,10 +254,14 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     table = [tuple(row.items()) for row in moves]
     left_out = machine._left
     left_in = [k * (machine.length + 2) for k in left_out]
-    tails = sigma._identity_tails
-    masks = machine._suffix_masks if tails else ()
+    tails = sigma._copy_tails
+    padded = {d: machine._padded_masks(d) if d else machine._suffix_masks
+              for d in set().union(*tails.values())}
+    tests = [None] * sigma.num_states
+    for q, (i, o) in tails.items():
+        tests[q] = (padded[o], padded[i])
     search = _Search(table, rows, left_in, left_out, machine.final_state,
-                     sigma.final, tails, masks)
+                     sigma.final, tests)
     queue = [(start, q, start) for q in sorted(sigma.initial)
              if feasible[q][left_in[start] + left_out[start]]]
     delays = dict.fromkeys(queue, _SYNCED)
@@ -271,8 +287,9 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 nd = _advance(delay, x, y)
                 seen = delays.get(d)
                 if seen is None:
-                    if qd in tails and not masks[pd] & masks[rd]:
-                        continue  # dead: qd copies, and pd, rd share no suffix
+                    test = tests[qd]
+                    if test is not None and not test[0][pd] & test[1][rd]:
+                        continue  # dead: qd copies, and pd, rd share no end
                     if nd is not None:
                         delays[d] = nd
                         links[d] = s
@@ -329,11 +346,14 @@ def detection_witness(code: Trellis, channel: Channel) -> Witness:
 def correction_witness(code: Trellis, channel: Channel) -> Witness:
     """NONE iff no two distinct codewords share a possible channel output.
 
-    Decided through the detection test against inverse(channel) . channel; a
-    violating pair is post-processed into (u, v, z) with z a shared output.
+    Decided through the detection test against inverse(channel) . channel,
+    reduced by ``Transducer.quotient`` (sub:2, id:2: 9 -> 6 states; the same
+    relation); a violating pair is post-processed into (u, v, z) with z a
+    shared output.
     """
     _require_same_alphabet(code, channel)
-    composed = channel.transducer.inverse().compose(channel.transducer)
+    composed = channel.transducer.inverse().compose(
+        channel.transducer).quotient()
     found = _identity_violation(code, composed)
     if found is None:
         return Witness.none()
@@ -372,10 +392,15 @@ def _exclusion_steps(code: Trellis, t: Transducer):
     """
     machine, ell, n = code.minimal, code.length, t.num_states
     rows, left = machine._rows, machine._left
-    stride = ell + 2
-    # per T state and code length left, the lengths it can write
-    ks = [[[k for k in range(ell + 1) if row[i * stride + k]]
-           for i in range(ell + 1)] for row in t._table(ell)[0]]
+    feasible, stride = t._table(ell)[0], ell + 2
+
+    @cache
+    def lengths(q: int, i: int) -> list[int]:
+        """The lengths that T state q can write while it reads the i
+        symbols left of a codeword."""
+        return list(compress(range(ell + 1),
+                             feasible[q][i * stride:i * stride + ell + 1]))
+
     # per output (None: none), per T state, its (input, target) moves
     by_output = {y: [[] for _ in t.states]
                  for y in (None, *code.alphabet.symbols)}
@@ -405,7 +430,7 @@ def _exclusion_steps(code: Trellis, t: Transducer):
                     stack.append(d)
         for d in seen:
             m, q = divmod(d, n)
-            for k in ks[q][left[m]]:
+            for k in lengths(q, left[m]):
                 fits[k].add(d)
         return frozenset(seen)
 

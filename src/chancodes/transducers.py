@@ -128,13 +128,35 @@ class Transducer(Machine):
             return None
 
     @cached_property
-    def _identity_tails(self) -> frozenset[int]:
-        """The final states whose only moves are the loops a/a, one per
-        symbol a: from each, the relation on to a final state is the
-        identity on Sigma*.  Every budgeted channel of the zoo ends in one."""
-        return frozenset(q for q, row in enumerate(self._moves)
-                         if q in self.final
-                         and row == {a: ((a, q),) for a in self.alphabet})
+    def _copy_tails(self) -> dict[int, tuple[int, int]]:
+        """Per copy tail q, the (i, o) such that the relation from q on to a
+        final state is {(s x, s y) : |x| = i, |y| = o}, x and y free.
+
+        q's only moves are the loops a/a, one per symbol a, and end moves
+        into final states that have no moves; their labels, with
+        epsilon/epsilon when q is final, are exactly {e/e} (0, 0),
+        {e/b : b in Sigma} (0, 1) or {b/e : b in Sigma} (1, 0).  State k of
+        sub:k, id:k and bsid2 is a (0, 0) tail, del1's state 1 a (0, 1)
+        and ins1's a (1, 0) one; ov and segd:b have none."""
+        symbols = self.alphabet.symbols
+        ends = {frozenset({(None, None)}): (0, 0),
+                frozenset((None, b) for b in symbols): (0, 1),
+                frozenset((b, None) for b in symbols): (1, 0)}
+        tails = {}
+        for q, row in enumerate(self._moves):
+            if any((a, q) not in row.get(a, ()) for a in symbols):
+                continue
+            labels = {(None, None)} if q in self.final else set()
+            for x, xmoves in row.items():
+                for y, d in xmoves:
+                    if d in self.final and not self._moves[d]:
+                        labels.add((x, y))
+                    elif not (x == y is not None and d == q):
+                        labels.add(None)  # a move that neither loops nor ends
+            tail = ends.get(frozenset(labels))
+            if tail is not None:
+                tails[q] = tail
+        return tails
 
     # -- core operations -----------------------------------------------------
 

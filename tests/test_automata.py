@@ -983,6 +983,40 @@ class TestMinimal:
                 assert {chain._unrank(i) for i in ranks} == words
         assert unmasked == set(alphabets)
 
+    def test_padded_masks_hold_the_ranks_of_the_padded_suffixes(
+            self, monkeypatch):
+        """``_padded_masks(d)`` has bit i set exactly for the word of rank i
+        in Sigma^(left + d) that is a suffix of the state followed by any d
+        symbols, S(q) Sigma^d, by brute force; it is -1 exactly where
+        |Sigma|^(left + d) > 2^_MASK_BITS, at 12, 4 and 2 bits, and
+        ``_padded_masks(0)`` is ``_suffix_masks``."""
+        from chancodes import automata
+        from itertools import product as words_of
+
+        rng = random.Random(35)
+        alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
+        unmasked = set()
+        for k in range(90):
+            bits = (12, 4, 2)[k // 3 % 3]
+            monkeypatch.setattr(automata, "_MASK_BITS", bits)
+            m = random_block_code(rng, alphabets[k % 3]).minimal
+            size = len(m.alphabet)
+            digit = {a: i for i, a in enumerate(m.alphabet)}
+            assert m._padded_masks(0) == m._suffix_masks
+            for pad in (1, 2):
+                masks = m._padded_masks(pad)
+                tails = list(words_of(m.alphabet.symbols, repeat=pad))
+                for q, words in enumerate(suffix_sets(m)):
+                    if size ** (m._left[q] + pad) > 2 ** bits:
+                        assert masks[q] == -1
+                        unmasked.add((m.alphabet, pad))
+                        continue
+                    ranks = {sum(digit[a] * size ** i
+                                 for i, a in enumerate(reversed(w + x)))
+                             for w in words for x in tails}
+                    assert masks[q] == sum(1 << i for i in ranks), (q, pad)
+        assert unmasked == {(a, pad) for a in alphabets for pad in (1, 2)}
+
     def test_suffix_masks_stay_small_on_long_sparse_codes(self):
         """On three words of length 40 a state gets a mask exactly when it
         has at most 12 symbols left, so no mask holds more than 2^12 bits,

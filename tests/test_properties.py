@@ -1215,41 +1215,123 @@ def zoo_cases():
                 yield words, oracles.prefix_tree(words, BINARY), sigma
 
 
-def test_identity_tails_are_the_copy_states_of_the_zoo():
-    """The states from which a channel only copies: state k of sub:k, id:k
-    and bsid2, one state of each of their sigma^-1 . sigma, and none of
-    del1, ins1, ov or segd:b, nor of their compositions."""
-    for spec, tail in (("sub:1", 1), ("sub:2", 2), ("sub:3", 3),
-                       ("id:1", 1), ("id:2", 2), ("bsid2", 2),
-                       ("del1", None), ("ins1", None), ("ov", None),
-                       ("segd:2", None), ("segd:3", None)):
+# per zoo channel, the ``_copy_tails`` of sigma and of its sigma^-1 . sigma
+# reduced by ``quotient``, as ``correction_witness`` searches it
+ZOO_COPY_TAILS = {
+    "sub:1": ({1: (0, 0)}, {2: (0, 0)}),
+    "sub:2": ({2: (0, 0)}, {5: (0, 0)}),
+    "sub:3": ({3: (0, 0)}, {9: (0, 0)}),
+    "id:1": ({1: (0, 0)}, {1: (0, 0)}),
+    "id:2": ({2: (0, 0)}, {3: (0, 0)}),
+    "bsid2": ({2: (0, 0)}, {14: (0, 0)}),
+    "del1": ({1: (0, 1)}, {4: (0, 0)}),
+    "ins1": ({1: (1, 0)}, {}),
+    "ov": ({}, {}),
+    "segd:2": ({}, {}),
+    "segd:3": ({}, {}),
+}
+
+
+def tail_relation_holds(t: Transducer, q: int, i: int, o: int) -> bool:
+    """From q, t relates each word s x (|x| = i) to the words s y (|y| =
+    o) and to nothing else, on words up to length 4, by path enumeration
+    (``oracles.enumerate_image``)."""
+    from_q = Transducer(t.alphabet, t.num_states, frozenset({q}), t.final,
+                        t.transitions)
+    ends = list(iproduct(t.alphabet.symbols, repeat=o))
+    for n in range(5):
+        for u in iproduct(t.alphabet.symbols, repeat=n):
+            want = {u[:n - i] + y for y in ends} if n >= i else set()
+            if oracles.enumerate_image(from_q, u, n + o) != want:
+                return False
+    return True
+
+
+def planted_tail(rng: random.Random, alphabet: Alphabet, kind) -> Transducer:
+    """A ``random_channel`` transducer with a planted copy tail c of
+    ``kind`` (i, o): a move from a random state into c, the loops a/a at c,
+    and c's end: c final for (0, 0), else the moves e/b (0, 1) or b/e
+    (1, 0), one per symbol b, into a new final state without moves."""
+    from test_codegen import random_channel
+
+    t = random_channel(rng, alphabet).transducer
+    symbols, c = alphabet.symbols, t.num_states
+    word = [(), (rng.choice(symbols),)]
+    moves = [*t.transitions,
+             (rng.randrange(c), rng.choice(word), rng.choice(word), c),
+             *((c, (a,), (a,), c) for a in symbols)]
+    if kind == (0, 0):
+        return Transducer(alphabet, c + 1, t.initial, t.final | {c}, moves)
+    i, o = kind
+    moves += [(c, (b,) * i, (b,) * o, c + 1) for b in symbols]
+    return Transducer(alphabet, c + 2, t.initial, t.final | {c + 1}, moves)
+
+
+def planted_tail_cases():
+    """(words, code, sigma) on ``planted_tail`` transducers of each kind,
+    on random prefix-tree codes of lengths 0-5."""
+    rng = random.Random(47)
+    for k in range(180):
+        alphabet = BINARY if k % 4 else Alphabet(("a", "bc"))
+        sigma = planted_tail(rng, alphabet, ((0, 0), (0, 1), (1, 0))[k % 3])
+        ell = rng.randint(0, 5)
+        words = [tuple(rng.choice(alphabet.symbols) for _ in range(ell))
+                 for _ in range(rng.randint(1, 8))]
+        yield words, oracles.prefix_tree(words, alphabet), sigma
+
+
+def test_copy_tails_of_the_zoo():
+    """The copy tails of every zoo channel and of its sigma^-1 . sigma
+    reduced by ``quotient`` are pinned: state k of sub:k, id:k and bsid2
+    copies (0, 0), del1's state 1 copies and appends a symbol (0, 1) and
+    ins1's copies and drops one (1, 0); ov, segd:b and ins1's sigma^-1 .
+    sigma have none.  From each tail (i, o) the relation is {(s x, s y) :
+    |x| = i, |y| = o}, as it is at the planted tails of random channels,
+    which ``_copy_tails`` finds."""
+    for spec, (tails, reduced_tails) in ZOO_COPY_TAILS.items():
         sigma = channel_from_spec(spec).transducer
-        composed = sigma.inverse().compose(sigma)
-        assert sigma._identity_tails == ({tail} if tail else set()), spec
-        assert len(composed._identity_tails) == (1 if tail else 0), spec
-        for q in composed._identity_tails:
-            assert q in composed.final
-            assert composed._moves[q] == {a: ((a, q),) for a in BINARY}
+        reduced = sigma.inverse().compose(sigma).quotient()
+        assert sigma._copy_tails == tails, spec
+        assert reduced._copy_tails == reduced_tails, spec
+        for t in (sigma, reduced):
+            for q, (i, o) in t._copy_tails.items():
+                assert tail_relation_holds(t, q, i, o), (spec, q)
+    rng = random.Random(19)
+    for k in range(30):
+        alphabet = BINARY if k % 2 else Alphabet(("a", "bc"))
+        kind = ((0, 0), (0, 1), (1, 0))[k % 3]
+        sigma = planted_tail(rng, alphabet, kind)
+        planted = sigma.num_states - (1 if kind == (0, 0) else 2)
+        assert sigma._copy_tails.get(planted) == kind
+        for q, (i, o) in sigma._copy_tails.items():
+            assert tail_relation_holds(sigma, q, i, o), sigma.to_text()
 
 
 def test_suffix_masks_skip_only_dead_triples(monkeypatch):
-    """Every triple (p, q, r) at an identity tail q that the search skips
-    because the suffix masks of p and r do not meet lies outside the live
-    triples (``unpruned_live_triples``), and with no identity tails the
-    search gives the same answer.  On the ``referee_cases`` and the zoo,
-    with and without sigma^-1 . sigma; some skips occur, and on some NONE
-    answer the masks keep triples out of the visited map."""
+    """Every triple (p, q, r) at a copy tail q = (i, o) that the search
+    skips because the masks of p in ``_padded_masks(o)`` and of r in
+    ``_padded_masks(i)`` do not meet lies outside the live triples
+    (``unpruned_live_triples``), and with ``_copy_tails`` emptied the
+    search gives the same answer.  On the ``referee_cases``, the zoo and
+    the ``planted_tail_cases``, with and without sigma^-1 . sigma; skips
+    occur at tails of all three kinds, and on some NONE answer the masks
+    keep triples out of the visited map."""
     from chancodes import Trellis
 
-    masks_of = Trellis._suffix_masks.func
+    padded_masks = Trellis._padded_masks
     reads = []
 
-    class Logged(dict):
-        """Suffix masks that log the states read, two per test."""
+    class Logged(tuple):
+        """Padded masks that log each (pad, state) read, two per test."""
 
         def __getitem__(self, i):
-            reads.append(i)
-            return masks[i]
+            reads.append((self.pad, i))
+            return tuple.__getitem__(self, i)
+
+    def logged(self, pad):
+        masks = Logged(padded_masks(self, pad))
+        masks.pad = pad
+        return masks
 
     sizes = []
     completion = properties._completion
@@ -1259,30 +1341,33 @@ def test_suffix_masks_skip_only_dead_triples(monkeypatch):
         sizes[-1] = len(visited)
         return rest
 
-    monkeypatch.setattr(properties, "_completion", recorded)
-    skips = smaller = 0
-    for words, code, sigma in [*referee_cases(), *zoo_cases()]:
-        masks = masks_of(code.minimal)
-        monkeypatch.setattr(Trellis, "_suffix_masks",
-                            property(lambda self: Logged()))
+    skips: Counter = Counter()
+    smaller = 0
+    for words, code, sigma in [*referee_cases(), *zoo_cases(),
+                               *planted_tail_cases()]:
+        monkeypatch.setattr(properties, "_completion", recorded)
+        monkeypatch.setattr(Trellis, "_padded_masks", logged)
+        masks = {pad: padded_masks(code.minimal, pad) for pad in (0, 1)}
         reads.clear()
         sizes.append(0)
         found = properties._identity_violation(code, sigma)
         alive = unpruned_live_triples(code.minimal, sigma)
-        skipped = {(p, r) for p, r in zip(reads[::2], reads[1::2])
-                   if not masks[p] & masks[r]}
-        skips += len(skipped)
-        for p, r in skipped:
-            for q in sigma._identity_tails:
+        for (o, p), (i, r) in zip(reads[::2], reads[1::2]):
+            if masks[o][p] & masks[i][r]:
+                continue
+            skips[i, o] += 1
+            tails = [q for q, tail in sigma._copy_tails.items()
+                     if tail == (i, o)]
+            assert tails
+            for q in tails:
                 assert (p, q, r) not in alive, (words, sigma.to_text())
-        monkeypatch.setattr(type(sigma), "_identity_tails",
-                            property(lambda self: frozenset()))
+        monkeypatch.setattr(type(sigma), "_copy_tails",
+                            property(lambda self: {}))
         sizes.append(0)
         assert properties._identity_violation(code, sigma) == found
         monkeypatch.undo()
-        monkeypatch.setattr(properties, "_completion", recorded)
         smaller += found is None and sizes[-2] < sizes[-1]
-    assert skips > 0 and smaller > 0
+    assert set(skips) == {(0, 0), (0, 1), (1, 0)} and smaller > 0
 
 
 def test_id1_never_conflicts():
@@ -1308,22 +1393,38 @@ def test_id1_never_conflicts():
                 Witness.addable(outside[0]) if outside else Witness.none())
 
 
-def test_suffix_masks_are_built_only_for_identity_tails():
+def test_suffix_masks_are_built_only_for_copy_tails(monkeypatch):
     """The detection and correction searches build the minimal trellis's
-    suffix masks only for a channel with an identity tail: after del1,
-    ins1, ov and segd:3 it has none, and after sub:2, id:2 and bsid2 they
-    are one int per state in a tuple."""
+    masks only for a channel with a copy tail, and the masks padded by one
+    symbol only for a tail (0, 1) or (1, 0): del1 and ins1 build both for
+    detection, del1's reduced sigma^-1 . sigma (a (0, 0) tail) only
+    ``_suffix_masks``, and ins1's, ov and segd:3 none.  ``_suffix_masks``
+    is one int per state in a tuple."""
+    from chancodes import Trellis
+
+    padded_masks = Trellis._padded_masks
+    pads = []
+
+    def logged(self, pad):
+        pads.append(pad)
+        return padded_masks(self, pad)
+
+    monkeypatch.setattr(Trellis, "_padded_masks", logged)
     rng = random.Random(33)
     words = sorted({"".join(rng.choice("01") for _ in range(8))
                     for _ in range(20)})
-    for spec, tails in [("del1", False), ("ins1", False), ("ov", False),
-                        ("segd:3", False), ("sub:2", True), ("id:2", True),
-                        ("bsid2", True)]:
-        for witness in (detection_witness, correction_witness):
+    for spec, built in [("del1", ({0, 1}, {0})), ("ins1", ({0, 1}, set())),
+                        ("ov", (set(), set())), ("segd:3", (set(), set())),
+                        ("sub:2", ({0}, {0})), ("id:2", ({0}, {0})),
+                        ("bsid2", ({0}, {0}))]:
+        for witness, want in zip((detection_witness, correction_witness),
+                                 built):
             code = trellis_from_words(words, BINARY)
+            pads.clear()
             witness(code, channel_from_spec(spec))
+            assert sorted(pads) == sorted(want), (spec, witness.__name__)
             masks = vars(code.minimal).get("_suffix_masks")
-            if not tails:
+            if 0 not in want:
                 assert masks is None, (spec, witness.__name__)
                 continue
             assert type(masks) is tuple, (spec, witness.__name__)
