@@ -18,17 +18,19 @@ trellis checks, folding and suffix masks).
 A block code is a ``Trellis``.  ``trellis_from_words`` builds the minimal
 trellis of a word list in one pass over the sorted words, ``Trellis.minimal``
 folds any other trellis (both number it in ``_class_trellis``, which hands
-it its ``_rows`` and ``_left``), and ``Trellis.add_word`` grows any trellis
-by one word, cloning the states where paths meet.
+it its ``_rows`` and ``_left``), and ``_Growing`` grows a copy of any trellis
+in place, cloning the states where paths meet: ``codegen.make_code`` splices
+every word it adds into one, and ``Trellis.add_word`` splices one word.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, EmptyLanguageError, FormatError, \
@@ -758,96 +760,92 @@ class Trellis(Dfa):
                 masks[q] = mask
         return tuple(masks)
 
-    @cached_property
-    def _shared(self) -> frozenset[int]:
-        """The non-final states with more than one incoming edge."""
-        entered: set[int] = set()
-        shared: set[int] = set()
-        for _, _, d in self.transitions:
-            (shared if d in entered else entered).add(d)
-        return frozenset(shared - self.final)
-
     def add_word(self, word: "str | Iterable[str]") -> "Trellis":
-        """Trellis accepting C(self) | {word}.
-
-        Returns ``self`` unchanged when the word is already accepted, so
-        ``result is t`` doubles as the "nothing added" flag.  The new word is
-        spliced in by walking its longest existing prefix and branching into
-        fresh states, with the last step redirected into the unique final
-        state; determinism is preserved because only the missing transitions
-        are added.  When the prefix enters a state with more than one
-        incoming edge (``_shared``), that state and the rest of the prefix
-        are cloned first (Carrasco & Forcada, Comput. Linguist. 2002): each
-        clone keeps its original's out-edges and the prefix is redirected
-        through the clones, so no other word gains the branch.  The result
-        need not be minimal.
-
-        The few new edges are inserted into the sorted transitions, and the
-        result gets its ``_rows`` table with them: only the rows that change
-        are copied, so ``self`` keeps its own, and every row keeps its
-        symbols in string order, as a fresh build has them.
-        """
+        """Trellis accepting C(self) | {word}: ``self`` when the word is
+        already accepted (so ``result is t`` flags "nothing added"), else a
+        ``_Growing`` copy of ``self`` with the word spliced in."""
         w = self.alphabet.word(word)
         if len(w) != self.length:
             raise WordError(
                 f"word length {len(w)} does not match block length {self.length}"
             )
-        if self.final and self.accepts(w):
+        if self.accepts(w):
             return self
+        grown = _Growing(self)
+        grown.splice(w)
+        return grown.trellis()
+
+
+class _Growing:
+    """A code grown in place: copies of a trellis's ``_rows``, the number
+    of edges entering each state and the final set.  It reads as a trellis
+    to ``accepts`` and ``codegen.Exclusion``, which test draws on it while
+    ``make_code`` splices, and ``trellis`` builds the one result."""
+
+    accepts = Dfa.accepts
+
+    def __init__(self, trellis: Trellis):
+        self.alphabet, self.length = trellis.alphabet, trellis.length
+        self.initial_state, self.final = trellis.initial_state, trellis.final
+        self._rows = list(map(dict, trellis._rows))
+        self._entering = Counter(map(itemgetter(2), trellis.transitions))
+
+    def splice(self, w: Word) -> None:
+        """Add ``w``, a word of the code's length that it does not accept:
+        walk its longest existing prefix, then branch into fresh states and
+        the final state, so the trellis stays deterministic, trim and
+        layered.  A prefix that enters a state another edge enters too is
+        first cloned from there on (Carrasco & Forcada, Comput. Linguist.
+        2002): each clone keeps its original's out-edges, so no other word
+        gains the branch.  New states are numbered in the order they are
+        made, and every row keeps its symbols in string order."""
+        rows, entering = self._rows, self._entering
         if not w:  # length-0 code: the only word is the empty one
-            return Trellis(self.alphabet, self.num_states, self.initial,
-                           self.initial, self.transitions, length=0)
-        old_rows, shared = self._rows, self._shared
-        transitions = list(self.transitions)
-        rows = list(old_rows)
-        final = self.final_state
-        if final is None:  # the empty code gains its final state
-            final = len(rows)
+            self.final = frozenset({self.initial_state})
+            return
+        if not self.final:  # the empty code gains its final state
+            self.final = frozenset({len(rows)})
             rows.append({})
-        q = self.initial_state
-        path = [q]  # the states of the longest prefix
+        (final,) = self.final
+        path = [self.initial_state]  # the states of the longest prefix
         for sym in w:
-            q = old_rows[q].get(sym)
+            q = rows[path[-1]].get(sym)
             if q is None:
                 break
             path.append(q)
-        i = len(path) - 1
-        q = path[i]
-        first = None  # the first shared state on the prefix
-        if shared:
-            first = next((j for j, p in enumerate(path) if p in shared), None)
-        if first is not None:
-            # path[first:] becomes len(rows), len(rows) + 1, ...; the
-            # initial state has no incoming edge, so first >= 1.  Clone
-            # edges leave new states, so appending keeps the order.
-            p, sym = path[first - 1], w[first - 1]
-            k = bisect.bisect(transitions, (p, sym))  # the edge (p, sym, _)
-            transitions[k] = (p, sym, len(rows))
-            rows[p] = {**rows[p], sym: len(rows)}
+        i, q = len(path) - 1, path[-1]
+        # not accepted, so the prefix misses the final state; the initial
+        # state has no incoming edge, so first >= 1
+        first = next((j for j, p in enumerate(path) if entering[p] > 1), None)
+        if first is not None:  # clone path[first:] as the next new states
+            rows[path[first - 1]][w[first - 1]] = len(rows)
+            entering[path[first]] -= 1
+            entering[len(rows)] += 1
             for j in range(first, i + 1):
-                src, nxt = len(rows), len(rows) + 1
-                row = {a: nxt if j < i and a == w[j] else d
-                       for a, d in old_rows[path[j]].items()}
-                transitions += [(src, a, d) for a, d in row.items()]
-                rows.append(row)
+                nxt = len(rows) + 1
+                rows.append({a: nxt if j < i and a == w[j] else d
+                             for a, d in rows[path[j]].items()})
+                entering.update(rows[-1].values())
             q = len(rows) - 1
         # the unmatched part: fresh interior states, then the final state;
         # only the first row gains a branch among existing symbols
         for i in range(i, len(w)):
             d = final if i == len(w) - 1 else len(rows)
-            bisect.insort(transitions, (q, w[i], d))
             rows[q] = dict(sorted({**rows[q], w[i]: d}.items()))
+            entering[d] += 1
             if d != final:
                 rows.append({})
             q = d
-        # splicing one word of the right length into a valid trellis keeps it
-        # trim, acyclic and layered; plain tuple order is the canonical order
-        # here (no epsilon labels).  Without clones only fresh states and the
-        # final state gained incoming edges, so ``_shared`` carries over.
-        kept = {} if first is not None else {"_shared": shared}
-        return Trellis._trusted(self.alphabet, len(rows), self.initial,
-                                frozenset({final}), tuple(transitions),
-                                length=self.length, _rows=tuple(rows), **kept)
+
+    def trellis(self) -> Trellis:
+        """The grown code.  It shares the rows, in state order and each in
+        string order, so it grows no further and reads canonical edges."""
+        rows = tuple(self._rows)
+        return Trellis._trusted(
+            self.alphabet, len(rows), frozenset({self.initial_state}),
+            self.final, tuple([(q, a, d) for q, row in enumerate(rows)
+                               for a, d in row.items()]),
+            length=self.length, _rows=rows)
 
 
 def _class_trellis(alphabet: Alphabet, rows: Sequence[dict[str, int]],

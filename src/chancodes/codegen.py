@@ -13,9 +13,10 @@ no draw could succeed, so that give-up certifies exact maximality.
 
 ``make_code`` checks its inputs and fixes n once per run, then runs the
 same draw loop (``_draw``) until the requested number of words is added or
-a give-up ends the run; the grown code is detecting by construction, and an
-early stop means the result is f-maximal or a random word is addable with
-probability below eps.
+a give-up ends the run, splicing each word in place into one copy of the
+start code (``automata._Growing``) that the draws are tested on.  The grown
+code is detecting by construction, and an early stop means the result is
+f-maximal or a random word is addable with probability below eps.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, format_word, \
-    trellis_from_words
+from .automata import Alphabet, EPSILON_TOKEN, Trellis, Word, _Growing, \
+    format_word, trellis_from_words
 from .channels import Channel
 from .errors import NotDetectingError, ParameterError
 from .properties import _fitting_universe, _require_same_alphabet, \
@@ -101,7 +102,7 @@ class Exclusion:
         self.blocked: set[Word] = set()
         self._initial = tuple(sorted(self._t.initial))
 
-    def excludes(self, code: Trellis, w: Word) -> bool:
+    def excludes(self, code: "Trellis | _Growing", w: Word) -> bool:
         """True when ``w`` is in T(C) | C; ``w`` must be a valid word."""
         if w in self.blocked:
             return True
@@ -110,7 +111,7 @@ class Exclusion:
             return True
         return False
 
-    def _image_meets(self, code: Trellis, w: Word) -> bool:
+    def _image_meets(self, code: "Trellis | _Growing", w: Word) -> bool:
         """True when T(w) and C share a word.  A search key (t, q, k) holds
         in k the index, in a length row of ``Transducer._table``, of what
         is left: n - i symbols of w to read and l - j to write, where i
@@ -161,7 +162,7 @@ class Exclusion:
         return False
 
 
-def _draw(code: Trellis, universe: Trellis, exclusion: Exclusion,
+def _draw(code: "Trellis | _Growing", universe: Trellis, exclusion: Exclusion,
           rng: random.Random, n: int) -> NextWord:
     """Up to ``n`` uniform draws from ``universe``, one ``rng.randrange``
     each; the first draw that ``exclusion`` leaves open for ``code`` is the
@@ -302,7 +303,9 @@ def make_code(
     from the empty code over the channel's alphabet, in which case
     ``length`` is required.  The inputs are checked, and the universe
     trellis and one ``Exclusion`` built, once per run; each word comes from
-    the draw loop of ``next_word``.  Without a ``seed`` one is drawn from OS
+    the draw loop of ``next_word`` and is spliced into one ``_Growing``
+    copy of the start, built once at the end (a run that adds no word
+    reports the start itself).  Without a ``seed`` one is drawn from OS
     entropy and recorded in the report, so every run can be repeated.
     """
     if n_words < 0:
@@ -331,19 +334,18 @@ def make_code(
     rng = random.Random(seed)
     started = time.perf_counter()
     exclusion = Exclusion(channel)
+    grown = _Growing(code)
     words: list[Word] = []
     trials: list[int] = []
     exhausted = False
     empty_universe = False
     while len(words) < n_words:
-        outcome = _draw(code, universe, exclusion, rng, n)
+        outcome = _draw(grown, universe, exclusion, rng, n)
         if outcome.word is None:
             exhausted = True
             empty_universe = outcome.empty_universe
             break
-        grown = code.add_word(outcome.word)
-        assert grown is not code, "the draw returned a word already in the code"
-        code = grown
+        grown.splice(outcome.word)
         exclusion.blocked.add(outcome.word)
         words.append(outcome.word)
         trials.append(outcome.trials)
@@ -358,7 +360,7 @@ def make_code(
         seed=seed,
         rng=RNG_NAME,
         universe=label,
-        trellis=code,
+        trellis=grown.trellis() if words else code,
         words=tuple(words),
         trials_per_word=tuple(trials),
         exhausted=exhausted,

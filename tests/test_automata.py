@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from chancodes import (
     trellis_from_words,
     universe_trellis,
 )
+from chancodes.automata import _Growing
 
 import oracles
 
@@ -773,9 +775,10 @@ class TestAddWord:
 
     def test_grows_any_trellis(self):
         """On trellises where paths meet (minimal trellises, and DAGs read
-        with ``Trellis.from_text``) the result accepts the set union, passes
-        the validating constructor, and carries the ``_shared`` states that
-        a fresh scan finds."""
+        with ``Trellis.from_text``) the result accepts the set union and
+        passes the validating constructor, and a ``_Growing`` that splices
+        the same words keeps the counts of entering edges that a recount
+        of the built trellis finds."""
         rng = random.Random(53)
         alphabets = [BINARY, REVERSED, Alphabet(("a", "bc", "d"))]
         met = 0  # words whose prefix enters a state with two incoming edges
@@ -792,6 +795,7 @@ class TestAddWord:
                 lines += [f"{s} {a} {d}" for s, a, d in rows]
                 t = Trellis.from_text("\n".join(lines) + "\n", alphabet)
             expected = set(t.iter_words())
+            growing = _Growing(t)
             for _ in range(rng.randint(1, 12)):
                 w = tuple(rng.choice(alphabet.symbols)
                           for _ in range(t.length))
@@ -802,7 +806,12 @@ class TestAddWord:
                 validated = Trellis(alphabet, t.num_states, t.initial,
                                     t.final, t.transitions, length=t.length)
                 assert validated == t
-                assert validated._shared == t._shared
+                if not growing.accepts(w):
+                    growing.splice(w)
+                built = growing.trellis()
+                assert built == t
+                assert growing._entering == \
+                    Counter(d for _, _, d in built.transitions)
         assert met > 100
 
     def test_rows_are_handed_on_as_a_fresh_build_has_them(self):

@@ -13,10 +13,13 @@ from chancodes import (
     ParameterError,
     detection_witness,
     format_word,
+    make_bsid,
     make_code,
     make_del1_insend,
     make_id,
+    make_ins1_delend,
     make_overlap,
+    make_segd,
     make_sub,
     maximality_index,
     next_word,
@@ -34,6 +37,7 @@ from chancodes.codegen import Exclusion, NextWord, derive_seed
 
 import oracles
 from oracles import is_solid_code
+from test_automata import enters_a_shared_state, row_items
 
 
 class TestTrialBound:
@@ -244,6 +248,56 @@ class TestMakeCode:
         # seed code needs the alphabet check (in ``detection_witness``)
         assert calls == {"trial_bound": 1, "_fitting_universe": 1,
                          "_require_same_alphabet": int(seed_code is not None)}
+
+    def test_grows_the_trellis_that_chained_add_word_builds(self):
+        """``make_code`` splices in place and ``add_word`` splices a fresh
+        copy per word; from the same start and over the report's words both
+        give one trellis, ``_rows`` item order included.  The starts are
+        the empty code and minimal seed codes of half the words, where
+        splices clone."""
+        rng = random.Random(61)
+        met = 0  # words whose prefix enters a state with two incoming edges
+        for alphabet in (BINARY, Alphabet(("1", "0")),
+                         Alphabet(("a", "bc", "d"))):
+            zoo = [make_sub(1, alphabet), make_sub(2, alphabet),
+                   make_id(1, alphabet), make_id(2, alphabet),
+                   make_del1_insend(alphabet), make_ins1_delend(alphabet),
+                   make_segd(3, alphabet), make_overlap(alphabet)]
+            zoo += [make_bsid(2)] if alphabet == BINARY else []
+            for ell in range(9):
+                for channel in zoo + [random_channel(rng, alphabet)
+                                      for _ in range(2)]:
+                    n = rng.randint(1, 30)
+                    report = make_code(channel, n, ell, seed=rng.randrange(99))
+                    half = trellis_from_words(
+                        report.words[:len(report.words) // 2], alphabet, ell)
+                    regrown = make_code(channel, n, seed_code=half,
+                                        seed=rng.randrange(99))
+                    for rep, start in ((report, trellis_from_words(
+                            (), alphabet, ell)), (regrown, half)):
+                        chained = start
+                        for w in rep.words:
+                            met += enters_a_shared_state(chained, w)
+                            chained = chained.add_word(w)
+                        assert rep.trellis == chained, (channel.name, ell)
+                        assert row_items(rep.trellis) == row_items(chained)
+        assert met > 100
+
+    def test_leaves_the_seed_code_as_it_was(self):
+        """The in-place splice works on copies of the rows: a seed code and
+        a trellis grown by ``add_word`` keep their transitions and rows, and
+        a run that adds no word reports the seed code itself."""
+        rng = random.Random(67)
+        for channel in (make_sub(1), make_del1_insend(), make_id(2)):
+            start = make_code(channel, 4, 8, seed=rng.randrange(99))
+            for t in (start.trellis, start.trellis.minimal):
+                before = (t.transitions, row_items(t))
+                grown = make_code(channel, 20, seed_code=t, seed=5)
+                assert grown.words and grown.trellis is not t
+                for w in grown.words:
+                    assert t.add_word(w) is not t
+                assert (t.transitions, row_items(t)) == before
+                assert make_code(channel, 0, seed_code=t, seed=5).trellis is t
 
 
 class TestSeedDerivation:
