@@ -41,7 +41,7 @@ Word = tuple[str, ...]
 EPSILON_TOKEN = "@epsilon"  # text-format spelling of the empty label
 
 # a suffix mask (``Trellis._suffix_masks`` and ``_padded_masks``,
-# ``properties._tail_masks``) holds at most 2 ** _MASK_BITS bits
+# ``properties._image_masks``) holds at most 2 ** _MASK_BITS bits
 _MASK_BITS = 12
 
 
@@ -732,7 +732,7 @@ class Trellis(Dfa):
                               layered[self.initial_state],
                               layered[self.final_state], self.length)
 
-    @cached_property
+    @property
     def _suffix_masks(self) -> tuple[int, ...]:
         """Per state, the words that lead from it to the final state as a
         bitmask over their ranks in Sigma^left (symbols as digits in
@@ -741,24 +741,42 @@ class Trellis(Dfa):
         share such a word exactly when their masks meet.  A state with
         |Sigma|^left > 2^_MASK_BITS gets -1, which meets every mask.  It
         is ``_padded_masks(0)``."""
-        return self._padded_masks(0)
+        return self._masks.get(0) or self._padded_masks(0)
+
+    @cached_property
+    def _masks(self) -> dict[int, tuple]:
+        """``_padded_masks`` by pad, each built once."""
+        return {}
 
     def _padded_masks(self, pad: int) -> tuple[int, ...]:
         """Per state q, the ``_suffix_masks`` of S(q) Sigma^pad, its suffixes
         followed by any ``pad`` symbols: ranks in Sigma^(left + pad), -1 where
-        |Sigma|^(left + pad) > 2^_MASK_BITS.  Built bottom-up in one pass
-        along ``_postorder``, from the final state's mask of all
-        |Sigma|^pad words."""
-        masks = [-1] * self.num_states
-        rows, left, digit = self._rows, self._left, self.alphabet._index
-        size = len(self.alphabet)
-        for q in self._postorder:  # successors before predecessors
-            if size ** (left[q] + pad) <= 1 << _MASK_BITS:
-                mask = (1 << size ** pad) - 1 if q in self.final else 0
-                for a, d in rows[q].items():
-                    mask |= masks[d] << digit[a] * size ** (left[d] + pad)
-                masks[q] = mask
-        return tuple(masks)
+        |Sigma|^(left + pad) > 2^_MASK_BITS.  Built bottom-up along
+        ``_postorder`` from the final state's mask of all |Sigma|^pad words,
+        in one pass with pad 0's (a shift per edge serves both), and kept in
+        ``_masks`` with them."""
+        built = self._masks
+        if pad not in built:
+            rows, left, digit = self._rows, self._left, self.alphabet._index
+            size, final = len(self.alphabet), self.final_state
+            grow, width = size ** pad, 1 << _MASK_BITS
+            plain, padded = [-1] * self.num_states, [-1] * self.num_states
+            for q in self._postorder:  # successors before predecessors
+                words = size ** left[q]
+                if words <= width:
+                    span, mask = words // size, q == final  # layered
+                    wide = pad and words * grow <= width
+                    more = (1 << grow) - 1 if mask else 0
+                    for a, d in rows[q].items():
+                        shift = digit[a] * span
+                        mask |= plain[d] << shift
+                        if wide:
+                            more |= padded[d] << shift * grow
+                    plain[q] = +mask  # an int, also at the final state
+                    if wide:
+                        padded[q] = more
+            built[pad], built[0] = tuple(padded), tuple(plain)
+        return built[pad]
 
     def add_word(self, word: "str | Iterable[str]") -> "Trellis":
         """Trellis accepting C(self) | {word}: ``self`` when the word is

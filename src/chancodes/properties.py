@@ -6,35 +6,25 @@ Detection searches the three-way product (code as input language,
 channel, code as output language) for an accepted pair of different words.
 Insertions and deletions desynchronize the two sides, so each triple
 carries the *overhang* by which one side is ahead; with no conflict every
-accepted pair is an identity pair (``_identity_violation``).  The
-completions at conflicts (``_completion``) expand their triples inline and
-share one visited map of parents, which keeps the triples proved dead; when
-the channel's states have mirrors (``Transducer._mirror``), each triple
-proved dead proves its mirror dead too.  At a channel state that copies and
-then appends or drops at most one free symbol (``Transducer._copy_tails``)
-one AND of two suffix masks (``Trellis._padded_masks``, one bottom-up pass
-each, built when a search starts on a channel that has such a state)
-settles a triple, and a dead one is never entered.  A witness path reads
-its labels back off the move table (``_labels``).  This search, the
-membership test of ``codegen.Exclusion`` and the maximality walk all read
-the channel's ``Transducer._table``, built once per block length, and
-prune by the (input, output) lengths a channel state can still read and
-write.  ``correction_witness`` searches sigma^-1 . sigma reduced by
+accepted pair is an identity pair (``_identity_violation``).  A conflict
+is completed to an accepted triple (``_completion``) or proved dead: by a
+failed completion, which leaves what it entered, mirrors too, in one
+shared visited map, and once one has failed by one AND of an image mask
+(``_image_masks``) and a suffix mask (``Trellis._suffix_masks``).  At a
+channel state that copies and then appends or drops at most one free
+symbol (``Transducer._copy_tails``) one AND of two padded suffix masks
+settles a triple.  The search, the membership test of
+``codegen.Exclusion`` and the maximality walk all read the channel's
+``Transducer._table``, built once per block length, and prune by the
+(input, output) lengths a channel state can still read and write.
+``correction_witness`` searches sigma^-1 . sigma reduced by
 ``Transducer.quotient``.
 
 Exact maximality walks the subset construction of the exclusion automaton
-(channel | channel^-1)(C) without building it: a subset state is a set of
-(minimal trellis state, channel state) pairs, each pair's successors are
-built the first time a step meets it, and the ``Transducer._table`` rows
-drop the pairs that cannot finish a word of the block length
-(``_exclusion_steps``).  The witness and the index share one walk
-(``_cut``): it steps keys (universe state, code state, set) forward down
-to a cut above the last layers, which hold at most 2^12 words, keeping
-per key its number of prefixes and its least one, and there reads each
-pair's suffixes as one bitmask (``_tail_masks``).  A key adds its count
-times the bits of the OR of its pairs' masks to the index; the first key
-whose universe suffixes are not all covered by those masks and the
-code's gives the least addable word.  The channel enters reduced by
+(channel | channel^-1)(C) without building it (``_exclusion_steps``).
+The witness and the index share one walk (``_cut``) down to a cut above
+the last layers, which hold at most 2^12 words; below it each pair reads
+its suffixes off the same image masks.  The channel enters reduced by
 ``Transducer.quotient`` (sub:2, id:2: 6 -> 3 states).
 """
 
@@ -209,42 +199,34 @@ def _identity_violation(code: Trellis, sigma: Transducer):
 
     One breadth-first search carries the overhangs over the triples that
     pass a length test (sigma must be able to read and write what is left
-    of two codewords, ``Trellis._left``); every triple on an accepted path
-    passes it.  At an overhang conflict at triple d, a second search
+    of two codewords, ``Trellis._left``), as every triple on an accepted
+    path does.  At an overhang conflict at triple d, a second search
     forward from d completes the witness to a final triple
-    (``_completion``).  When it finds none, every triple it visited is
-    dead, and both searches skip them from then on.  A reached triple with
-    a live successor is itself live, so the live triples are met in the
-    same order, with the same first parent and overhang, as by a search
-    over the live triples alone, and the witness is that of the full
-    product.  Every walk meets successors in ``_moves`` order, so ties
-    always resolve the same way.
+    (``_completion``); when it finds none, every triple it visited is dead
+    and both searches skip it from then on.  A reached triple with a live
+    successor is live, so the live triples are met in the same order, with
+    the same first parent and overhang, as by a search over them alone:
+    skipping dead triples keeps the witness.  Both searches expand triples
+    inline from ``Transducer._table``, in ``_moves`` order, so ties always
+    resolve the same way, and keep each one's parent (``_labels``).
 
-    Both searches expand triples inline from sigma's ``Transducer._table``,
-    whose moves carry each target's length row, and keep only each
-    triple's parent; a witness reads its labels back (``_labels``).  The
-    completions share one map, ``visited``: a failed completion leaves its
-    entries there as the dead set, so no completion enters a triple that an
-    earlier one entered, and each edge costs one lookup.  (p, q, r) is dead
-    exactly when (r, q-bar, p) is, where q-bar relates inversely to q
-    (``Transducer._mirror``), so a failed completion marks both; every
-    state has a mirror for sub:k, id:k, bsid2 and every sigma^-1 . sigma.
+    The completions share one map, ``visited``, where a failed one leaves
+    its entries as the dead set.  (p, q, r) is dead exactly when
+    (r, q-bar, p) is, where q-bar relates inversely to q
+    (``Transducer._mirror``: sub:k, id:k, bsid2, every sigma^-1 . sigma),
+    so each dead mark marks both.  Once a completion has failed (the first
+    runs unchecked, since on a violating code it often succeeds), a later
+    conflict at d = (p, q, r) runs none where image(q, p, left(r)) of
+    ``_image_masks``, the suffixes of p written, misses the suffixes of r
+    (``Trellis._suffix_masks``, where r has one): d is marked dead.
 
-    Those channels, del1 and ins1 also end in a copy tail q
-    (``Transducer._copy_tails``), from which sigma relates s x to s y for
-    every s and every x, y of the tail's lengths (i, o): (0, 0) copies,
-    del1's (0, 1) copies and appends a symbol, ins1's (1, 0) copies and
-    drops one.  So (p, q, r) is live exactly when some word is both a
-    suffix of p followed by o symbols and a suffix of r followed by i
-    symbols, that is when the masks of p in ``Trellis._padded_masks(o)``
-    and of r in ``_padded_masks(i)`` meet; the length rows already give
-    left(r) - left(p) = o - i, so both masks rank words of one length.
-    Both searches skip such a triple, unentered, when they do not meet,
-    and enter it as any other where one of them has no mask (-1).  The
-    masks are built once here, those padded by a symbol only for a tail
-    (0, 1) or (1, 0), and none for ov and segd:b, which have no tail.
-    Only dead triples are skipped, so by the argument above the witness
-    stays the same.
+    At a copy tail q (``Transducer._copy_tails``) sigma relates s x to
+    s y for every s and every x, y of the tail's lengths (i, o): (0, 0)
+    copies, del1's (0, 1) copies and appends a symbol, ins1's (1, 0)
+    copies and drops one.  So (p, q, r) is live exactly when the masks of
+    p in ``Trellis._padded_masks(o)`` and of r in ``_padded_masks(i)``
+    meet (-1, no mask, meets all), and both searches skip it, unentered,
+    when they do not.
     """
     if not code.final:
         return None
@@ -255,8 +237,9 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     left_out = machine._left
     left_in = [k * (machine.length + 2) for k in left_out]
     tails = sigma._copy_tails
-    padded = {d: machine._padded_masks(d) if d else machine._suffix_masks
-              for d in set().union(*tails.values())}
+    # a padded pass also builds pad 0, so it goes first
+    padded = {d: machine._padded_masks(d)
+              for d in sorted(set().union(*tails.values()), reverse=True)}
     tests = [None] * sigma.num_states
     for q, (i, o) in tails.items():
         tests[q] = (padded[o], padded[i])
@@ -267,6 +250,7 @@ def _identity_violation(code: Trellis, sigma: Transducer):
     delays = dict.fromkeys(queue, _SYNCED)
     links = {}
     visited: dict = {}
+    image = None  # ``_image_masks``, once a completion has failed
     # a final triple needs no check of its own: both sides of a path to it
     # have read a whole codeword, all of one length, so neither is ahead
     for s in queue:
@@ -300,8 +284,17 @@ def _identity_violation(code: Trellis, sigma: Transducer):
                 # a mismatch at an aligned position, or a second overhang
                 # at d: the path along this edge, or else the first path to
                 # d, disagrees with any completion, if d has one
+                if image is not None and (mask := suffix[rd]) >= 0 \
+                        and not image(qd, pd, left_out[rd]) & mask:
+                    visited[d] = None  # dead: no suffix of rd is written
+                    if mirror is not None:
+                        visited[rd, mirror[qd], pd] = None
+                    continue
                 rest = _completion(d, search, visited, sigma._mirror)
                 if rest is None:
+                    if image is None:
+                        image, suffix, mirror = _image_masks(machine, sigma), \
+                            machine._suffix_masks, sigma._mirror
                     continue
                 for path in (_labels(links, s, table, rows) + [(x, y)],
                              _labels(links, d, table, rows)):
@@ -453,10 +446,9 @@ def _exclusion_steps(code: Trellis, t: Transducer):
 def _tail_moves(t: Transducer) -> tuple[list, list]:
     """(moves, ends) per state q of t: the moves that read or write a symbol
     from the states that q reaches on epsilon/epsilon moves, q among them,
-    as (input or None, output digit or None, target), and whether one of
-    those states is final.  Such moves can cycle, and folding them in
-    leaves a pair no move that keeps both its trellis state and its
-    layer."""
+    as (input or None, writes, output digit or 0, target), and whether one of
+    those states is final.  Such moves can cycle; folded in, they leave no
+    move that keeps both the trellis state and the length to write."""
     digit = t.alphabet._index
     silent = [[d for y, d in row.get(None, ()) if y is None]
               for row in t._moves]
@@ -464,76 +456,68 @@ def _tail_moves(t: Transducer) -> tuple[list, list]:
     for q in t.states:
         closed = _reach((q,), silent)
         moves.append(tuple(dict.fromkeys(
-            (x, None if y is None else digit[y], d)
+            (x, y is not None, digit.get(y, 0), d)
             for r in sorted(closed) for x, xmoves in t._moves[r].items()
             for y, d in xmoves if x is not None or y is not None)))
         ends.append(not closed.isdisjoint(t.final))
     return moves, ends
 
 
-def _tail_masks(code: Trellis, t: Transducer, cut, layers: int) -> dict:
-    """Per pair of ``cut`` (pairs m * n + q of ``_exclusion_steps`` that
-    have ``layers`` symbols left to write) and per pair that they reach
-    without writing, the words of that length that T can write from it to
-    a final pair, as a bitmask over their ranks in
-    Sigma^layers (symbols as digits in alphabet order, the first most
-    significant; Baeza-Yates & Gonnet, CACM 1992).
+def _image_masks(machine: Trellis, t: Transducer):
+    """image(q, p, k): the words of length k that t can write from state q
+    while it reads a suffix of trellis state p, to a final state, as a
+    bitmask over their ranks in Sigma^k, in ``Trellis._suffix_masks``'
+    order.  A move that writes symbol i shifts the mask one symbol shorter
+    by i |Sigma|^(k-1) (shift-and, Baeza-Yates & Gonnet, CACM 1992), one
+    that reads a symbol and writes none ORs in the mask deeper in the
+    trellis; ``_tail_moves`` folds in the epsilon/epsilon moves, so every
+    move lowers left(p) + k, and the length rows of ``t._table`` drop the
+    keys that cannot end.  One memo of ints serves every call (``_image``)."""
+    ell, size = machine.length, len(machine.alphabet)
+    return partial(_image, (
+        machine._rows, machine._left, machine.final_state, *_tail_moves(t),
+        t._table(ell)[0], ell + 2, [0] + [size ** j for j in range(ell)], {}))
 
-    One pass down collects, per number k of symbols left to write, the
-    pairs that the cut reaches and that pass the length test of
-    ``_exclusion_steps``.  One pass up gives each its mask: a move that
-    writes symbol i shifts the mask of its target, one layer down, by i
-    |Sigma|^(k-1), and a move that reads a symbol and writes none ORs in
-    that of its target, deeper in the trellis and in the same layer.
-    ``_tail_moves`` folds in the epsilon/epsilon moves, and the minimal
-    trellis numbers its states breadth-first, so a layer's pairs taken in
-    decreasing order meet every such target first."""
-    machine, ell, n = code.minimal, code.length, t.num_states
-    rows, left, final = machine._rows, machine._left, machine.final_state
-    feasible, stride = t._table(ell)[0], ell + 2
-    moves, ends = _tail_moves(t)
-    reached, here = [], set(cut)
-    for k in range(layers, -1, -1):
-        below: set = set()
-        stack = list(here)
-        while stack:
-            m, q = divmod(stack.pop(), n)
-            row = rows[m]
-            for x, i, qd in moves[q]:
-                md = m if x is None else row.get(x)
-                if md is None:
-                    continue
-                d = md * n + qd
-                if i is None:
-                    if d not in here and feasible[qd][left[md] * stride + k]:
-                        here.add(d)
-                        stack.append(d)
-                elif k and d not in below \
-                        and feasible[qd][left[md] * stride + k - 1]:
-                    below.add(d)
-        reached.append(here)
-        here = below
-    masks: dict = {}
-    for k, here in enumerate(reversed(reached)):
-        lower, masks = masks, {}
-        span = len(code.alphabet) ** (k - 1) if k else 0
-        for p in sorted(here, reverse=True):
-            m, q = divmod(p, n)
-            row = rows[m]
-            mask = int(m == final and ends[q]) if not k else 0
-            for x, i, qd in moves[q]:
-                md = m if x is None else row.get(x)
-                if md is not None:
-                    if i is None:
-                        mask |= masks.get(md * n + qd, 0)
-                    else:
-                        mask |= lower.get(md * n + qd, 0) << i * span
-            masks[p] = mask
-    return masks
+
+def _image(context: tuple, q: int, p: int, k: int) -> int:
+    """``_image_masks``' image(q, p, k), memoized by key (q, p, k).  A
+    walk scans each key's moves once, in one iterator: at a target not in
+    the memo it pushes the key's frame, enters the target, and resumes the
+    frame with its mask, so no recursion grows with left(p) + k."""
+    rows, left, final, moves, ends, feasible, stride, spans, memo = context
+    enter = q, p, k
+    if enter in memo:
+        return memo[enter]
+    stack = []
+    while True:
+        if enter:
+            key, enter = enter, None
+            q, p, k = key
+            row, span, it = rows[p], spans[k], iter(moves[q])
+            mask = int(not k and p == final and ends[q])
+        for x, writes, i, qd in it:
+            pd = p if x is None else row.get(x)
+            kd = k - writes
+            if pd is None or kd < 0:
+                continue
+            known = memo.get((qd, pd, kd))
+            if known is not None:
+                mask |= known << i * span
+            elif feasible[qd][left[pd] * stride + kd]:
+                stack.append((key, row, span, it, mask, i))
+                enter = qd, pd, kd
+                break
+        else:
+            memo[key] = known = mask
+            if not stack:
+                return mask
+            key, row, span, it, mask, i = stack.pop()
+            _, p, k = key
+            mask |= known << i * span
 
 
 def _cut(code: Trellis, t: Transducer, universe: Trellis):
-    """(keys, masks, tail) of the exclusion walk that ``maximality_witness``
+    """(keys, covered, tail) of the exclusion walk that ``maximality_witness``
     and ``maximality_index`` share.
 
     The tail is the last b layers, b the most with |Sigma|^b <= 2^12
@@ -544,12 +528,11 @@ def _cut(code: Trellis, t: Transducer, universe: Trellis):
     universe reaches at the cut to [number of such prefixes, least such
     prefix], keys in least-prefix order: a key is first met from the key
     with the least prefix and on the least symbol that reach it, in
-    alphabet order.  Below it each pair
-    of the cut sets gets the bitmask of the suffixes it can write to the
-    end (``_tail_masks``; shift-and, Baeza-Yates & Gonnet, CACM 1992), over
-    the ranks of ``Trellis._suffix_masks``, which are exact at the cut.
-    All prefixes of one key share their suffixes' fate, so each answer is
-    read off the keys and the masks."""
+    alphabet order.  Below it ``covered(s)`` ORs image(q, m, b) of T
+    (``_image_masks``, one memo) over the pairs m * n + q of a set s: the
+    suffixes they can write, over the ranks of ``Trellis._suffix_masks``,
+    which are exact at the cut.  All prefixes of one key share their
+    suffixes' fate, so each answer is read off the keys and these masks."""
     size, width, tail = len(code.alphabet), 1 << automata._MASK_BITS, 0
     while tail < code.length and size ** (tail + 1) <= width:
         tail += 1
@@ -570,9 +553,9 @@ def _cut(code: Trellis, t: Transducer, universe: Trellis):
                     else:
                         entry[0] += n
         keys = following
-    masks = _tail_masks(code, t, frozenset().union(*(s for _, _, s in keys)),
-                        tail)
-    return keys, masks, tail
+    image, n = _image_masks(minimal, t), t.num_states
+    return keys, lambda s: reduce(
+        or_, (image(p % n, p // n, tail) for p in s), 0), tail
 
 
 def maximality_witness(
@@ -587,7 +570,7 @@ def maximality_witness(
     non-detecting code with exit 2 before asking).
 
     The first key of ``_cut`` at universe state u and code state m whose
-    free suffixes, the universe's mask of u without the masks of its pairs
+    free suffixes, the universe's mask of u without ``covered`` of its set
     and the code's mask of m (``Trellis._suffix_masks``), are not none
     gives w: its least prefix, then the least free suffix, decoded from
     its rank by ``_unrank`` on Sigma^tail.  Exact but worst-case
@@ -595,12 +578,10 @@ def maximality_witness(
     """
     _require_same_alphabet(code, channel)
     universe = _fitting_universe(code, universe)
-    keys, masks, tail = _cut(code, channel.self_union_inverse(), universe)
+    keys, covered, tail = _cut(code, channel.self_union_inverse(), universe)
     free, coded = universe._suffix_masks, code.minimal._suffix_masks
     for (u, m, s), (_, prefix) in keys.items():
-        used = reduce(or_, map(masks.__getitem__, s), 0 if m is None
-                      else coded[m])
-        rest = free[u] & ~used
+        rest = free[u] & ~covered(s) & ~(0 if m is None else coded[m])
         if rest:
             rank = (rest & -rest).bit_length() - 1
             return Witness.addable(prefix + universe_trellis(
@@ -613,9 +594,8 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
 
     A word is counted exactly when some pair of its prefix's set at the
     cut of ``_cut`` (over Sigma^l) can write its suffix, so the index sums
-    count times the number of bits of the OR of the masks of the key's
-    pairs, one term per key (at l <= 12 on a binary alphabet only the
-    start key).
+    count times the number of bits of ``covered`` of the key's set, one
+    term per key (at l <= 12 on a binary alphabet only the start key).
 
     The count is of (channel | channel^-1)(C) alone, while
     ``maximality_witness`` also excludes C itself.  The two agree whenever
@@ -633,8 +613,8 @@ def maximality_index(code: Trellis, channel: Channel) -> Fraction:
             f"{witness.to_text(code.alphabet)}",
             witness=witness,
         )
-    keys, masks, _ = _cut(code, channel.self_union_inverse(),
-                          universe_trellis(code.alphabet, code.length))
-    used = sum(n * reduce(or_, map(masks.__getitem__, s), 0).bit_count()
+    keys, covered, _ = _cut(code, channel.self_union_inverse(),
+                            universe_trellis(code.alphabet, code.length))
+    used = sum(n * covered(s).bit_count()
                for (_, _, s), (n, _) in keys.items())
     return Fraction(used, len(code.alphabet) ** code.length)

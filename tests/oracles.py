@@ -285,7 +285,7 @@ def predecessor_exclusion_steps(code: Trellis, t: Transducer):
     state, and T reversed.  ``step(s, a, k)`` keeps the pairs whose T state
     can read the depth of m and write exactly k symbols.  A set B reached
     on a suffix holds the pairs that can write it and end, so the suffix
-    masks of the index (``properties._tail_masks``) of the pairs of a set
+    masks of the index (``properties._image_masks``) of the pairs of a set
     S hold, together, as many suffixes as the sets B that meet S count.
     """
     machine, ell, n = code.minimal, code.length, t.num_states

@@ -395,10 +395,13 @@ class TestMaximality:
     def test_index_expands_each_pair_once_per_layer_below_the_cut(
             self, monkeypatch, spec):
         """On a maximal greedy code of length 12 the cut sits at the start
-        set, so the index steps no set, and each pass of the tail expands
-        each pair at most once per layer it can be in: once in all on
-        sub:2, whose every pair writes as many symbols as it reads, and
-        there every pair of the trimmed product is met."""
+        set, so the index steps no set, and inside ``_cut`` the image walk
+        expands each key (q, m, k) exactly once: it reads each key's trellis
+        row and iterates its moves once, and the memo holds one mask per
+        key.  On sub:2, whose every pair writes as many symbols as it
+        reads, that is once per pair, and there every pair of the trimmed
+        product is met.  The detection search that ``index`` runs first
+        also reads ``_tail_moves``; only ``_cut`` is counted."""
         channel = channel_from_spec(spec)
         rng = random.Random(0)
         pool = list(BINARY.words_of_length(12))
@@ -434,44 +437,56 @@ class TestMaximality:
                 read_moves.append(self.q)
                 return tuple.__iter__(self)
 
+        inside = []  # nonempty while ``_cut`` runs
         tail_moves = properties._tail_moves
 
         def logged_moves(t):
             moves, ends = tail_moves(t)
+            if not inside:
+                return moves, ends
             logged = [Moves(row) for row in moves]
             for q, row in enumerate(logged):
                 row.q = q
             return logged, ends
 
-        tail = properties._tail_masks
-        layers = []
+        image_masks = properties._image_masks
+        images = []
 
-        def logged_tail(code, t, cut, width):
-            layers.append(width)
-            m = code.minimal
+        def logged_images(m, t):
+            if not inside:
+                return image_masks(m, t)
             rows = m._rows
             object.__setattr__(m, "_rows", Rows(rows))
             try:
-                return tail(code, t, cut, width)
+                images.append(image_masks(m, t))
             finally:
                 object.__setattr__(m, "_rows", rows)
+            return images[-1]
+
+        cut = properties._cut
+        layers = []
+
+        def logged_cut(code, t, universe):
+            inside.append(True)
+            try:
+                keys, covered, tail = cut(code, t, universe)
+            finally:
+                inside.clear()
+            layers.append(tail)
+            return keys, covered, tail
 
         monkeypatch.setattr(properties, "_exclusion_steps", counting)
         monkeypatch.setattr(properties, "_tail_moves", logged_moves)
-        monkeypatch.setattr(properties, "_tail_masks", logged_tail)
+        monkeypatch.setattr(properties, "_image_masks", logged_images)
+        monkeypatch.setattr(properties, "_cut", logged_cut)
         assert maximality_index(code, channel) == 1
-        assert steps == [] and layers == [12]
+        assert steps == [] and layers == [12] and len(images) == 1
         assert len(read_rows) == len(read_moves) > 0
-        t = channel.self_union_inverse()
-        n, stride = t.num_states, 14
-        feasible, left = t._table(12)[0], code.minimal._left
-        met = Counter(m * n + q for m, q in zip(read_rows, read_moves))
-        for p, times in met.items():
-            m, q = divmod(p, n)
-            fits = sum(feasible[q][left[m] * stride + k] for k in range(13))
-            assert times <= 2 * fits, (spec, p)
+        memo = images[0].args[0][-1]  # the context's memo, keyed (q, m, k)
+        met = Counter(zip(read_rows, read_moves))
+        assert met == Counter((m, q) for q, m, _ in memo), spec
         if spec == "sub:2":
-            assert set(met.values()) == {2}
+            assert set(met.values()) == {1}
             assert len(met) == exclusion_automaton(code, channel).num_states
 
     def test_universe_must_fit_the_code(self):
@@ -794,14 +809,15 @@ def test_index_matches_brute_force_at_every_cut(monkeypatch):
     from chancodes import make_code
     from test_codegen import random_channel
 
-    tail = properties._tail_masks
+    cut = properties._cut
     widths = set()
 
-    def recorded(code, t, cut, layers):
+    def recorded(code, t, universe):
+        keys, covered, layers = cut(code, t, universe)
         widths.add((code.length, layers))
-        return tail(code, t, cut, layers)
+        return keys, covered, layers
 
-    monkeypatch.setattr(properties, "_tail_masks", recorded)
+    monkeypatch.setattr(properties, "_cut", recorded)
     rng = random.Random(59)
     zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "ov"]
     alphabets = [BINARY, Alphabet(("a", "bc")), Alphabet(("0", "1", "2"))]
@@ -846,14 +862,15 @@ def test_witness_matches_brute_force_at_every_cut(monkeypatch):
     from chancodes import Trellis, make_code
     from test_codegen import random_channel, random_layered_dfa
 
-    tail = properties._tail_masks
+    cut = properties._cut
     widths = set()
 
-    def recorded(code, t, cut, layers):
+    def recorded(code, t, universe):
+        keys, covered, layers = cut(code, t, universe)
         widths.add((code.length, layers))
-        return tail(code, t, cut, layers)
+        return keys, covered, layers
 
-    monkeypatch.setattr(properties, "_tail_masks", recorded)
+    monkeypatch.setattr(properties, "_cut", recorded)
     rng = random.Random(61)
     zoo = ["sub:1", "sub:2", "id:1", "id:2", "del1", "ins1", "ov"]
     alphabets = [BINARY, Alphabet(("1", "0")), Alphabet(("a", "bc")),
@@ -907,7 +924,8 @@ def test_witness_matches_brute_force_at_every_cut(monkeypatch):
 def test_tail_masks_count_the_suffixes_of_the_predecessor_walk():
     """For each set S that the forward walk reaches at the cut (counted by
     ``oracles.layer_counts``), the OR of
-    the suffix masks of its pairs has as many bits as there are suffixes
+    the suffix masks of its pairs (``_image_masks`` at the cut's k) has as
+    many bits as there are suffixes
     whose set under the walk along the minimal trellis's predecessor rows
     (``oracles.predecessor_exclusion_steps``) meets S: the sum of the
     counts of those sets.  The same holds for each pair of S alone.  At
@@ -940,8 +958,10 @@ def test_tail_masks_count_the_suffixes_of_the_predecessor_walk():
                         ell - tail)
                     if not cut:
                         continue
-                    masks = properties._tail_masks(
-                        code, t, frozenset().union(*cut), tail)
+                    image, n = properties._image_masks(code.minimal, t), \
+                        t.num_states
+                    masks = {p: image(p % n, p // n, tail)
+                             for p in frozenset().union(*cut)}
                     behind = oracles.layer_counts(
                         oracles.predecessor_exclusion_steps(code, t), code,
                         tail)
@@ -1092,48 +1112,76 @@ def referee_cases():
         yield words, oracles.prefix_tree(words, alphabet), sigma
 
 
+def logged_image_masks(events: list):
+    """A stand-in for ``properties._image_masks`` whose image functions
+    append "test" to ``events`` on each call."""
+    image_masks = properties._image_masks
+
+    def logged(machine, t):
+        image = image_masks(machine, t)
+
+        def tested(q, p, k):
+            events.append("test")
+            return image(q, p, k)
+
+        return tested
+
+    return logged
+
+
 def test_one_pass_search_matches_the_two_pass_referee(monkeypatch):
     """``_identity_violation``, one forward search that decides liveness
     only at a conflict, returns the answer of the two-pass search over the
     live triples, and both NONE and violating answers skip some conflict at
     a dead triple.  Every triple that a failed completion leaves in the
     visited map, mirrors included, lies outside the live set, and on some
-    NONE answer a mirror saves a completion: without mirrors the same
-    search runs more of them.  On the ``referee_cases``."""
+    NONE answer a mirror saves work: with ``Transducer._mirror`` off the
+    same search runs more completions plus image settles (tests of
+    ``_image_masks`` that no completion follows).  On the
+    ``referee_cases``."""
     from chancodes import automata, properties
 
     completion = properties._completion
     misses = []
+    events = []
     buried = set()
-    mirrors_on = [True]
 
     def recorded(triple, search, visited, mirror):
         before = set(visited)
-        rest = completion(triple, search, visited,
-                          mirror if mirrors_on[0] else None)
+        rest = completion(triple, search, visited, mirror)
         misses.append(rest is None)
+        events.append("completion")
         if rest is None:  # what it left in the map is marked dead
             buried.update(visited.keys() - before)
         return rest
 
+    def work() -> int:
+        """Completions plus settles since the last call."""
+        settles = sum(a == "test" != b
+                      for a, b in zip(events, events[1:] + [None]))
+        done = events.count("completion") + settles
+        events.clear()
+        return done
+
     monkeypatch.setattr(properties, "_completion", recorded)
+    monkeypatch.setattr(properties, "_image_masks", logged_image_masks(events))
     skipped = set()
     mirror_saves = 0
     for words, code, sigma in referee_cases():
         misses.clear()
         buried.clear()
+        events.clear()
         found = properties._identity_violation(code, sigma)
         referee = two_pass_violation(code.minimal, sigma)
         assert found == referee, (words, sigma.to_text())
         assert buried.isdisjoint(unpruned_live_triples(code.minimal, sigma))
         if any(misses):
             skipped.add(found is None)
-        completions = len(misses)
-        mirrors_on[0] = False
-        misses.clear()
-        assert properties._identity_violation(code, sigma) == found
-        mirrors_on[0] = True
-        mirror_saves += found is None and completions < len(misses)
+        mirrored = work()
+        with monkeypatch.context() as off:
+            off.setattr(type(sigma), "_mirror", property(lambda self: None))
+            assert properties._identity_violation(code, sigma) == found
+        mirror_saves += found is None and mirrored < work()
     # a dead conflict is skipped on the way to either kind of answer
     assert skipped == {True, False}
     assert mirror_saves > 0
@@ -1395,11 +1443,13 @@ def test_id1_never_conflicts():
 
 def test_suffix_masks_are_built_only_for_copy_tails(monkeypatch):
     """The detection and correction searches build the minimal trellis's
-    masks only for a channel with a copy tail, and the masks padded by one
+    masks for a channel with a copy tail, and the masks padded by one
     symbol only for a tail (0, 1) or (1, 0): del1 and ins1 build both for
-    detection, del1's reduced sigma^-1 . sigma (a (0, 0) tail) only
-    ``_suffix_masks``, and ins1's, ov and segd:3 none.  ``_suffix_masks``
-    is one int per state in a tuple."""
+    detection, in one pass, and del1's reduced sigma^-1 . sigma (a (0, 0)
+    tail) only ``_suffix_masks``.  A channel with no copy tail (ins1's
+    sigma^-1 . sigma, ov and segd:3) builds ``_suffix_masks`` only once a
+    completion has failed, for the image tests, and none otherwise; both
+    happen here.  ``_suffix_masks`` is one int per state in a tuple."""
     from chancodes import Trellis
 
     padded_masks = Trellis._padded_masks
@@ -1409,27 +1459,196 @@ def test_suffix_masks_are_built_only_for_copy_tails(monkeypatch):
         pads.append(pad)
         return padded_masks(self, pad)
 
+    completion = properties._completion
+    failed = []
+
+    def recorded(triple, search, visited, mirror):
+        rest = completion(triple, search, visited, mirror)
+        failed.append(rest is None)
+        return rest
+
     monkeypatch.setattr(Trellis, "_padded_masks", logged)
+    monkeypatch.setattr(properties, "_completion", recorded)
     rng = random.Random(33)
     words = sorted({"".join(rng.choice("01") for _ in range(8))
                     for _ in range(20)})
-    for spec, built in [("del1", ({0, 1}, {0})), ("ins1", ({0, 1}, set())),
-                        ("ov", (set(), set())), ("segd:3", (set(), set())),
-                        ("sub:2", ({0}, {0})), ("id:2", ({0}, {0})),
-                        ("bsid2", ({0}, {0}))]:
+    untailed = set()
+    for spec, built in [("del1", ([1, 0], [0])), ("ins1", ([1, 0], None)),
+                        ("ov", (None, None)), ("segd:3", (None, None)),
+                        ("sub:2", ([0], [0])), ("id:2", ([0], [0])),
+                        ("bsid2", ([0], [0]))]:
         for witness, want in zip((detection_witness, correction_witness),
                                  built):
             code = trellis_from_words(words, BINARY)
             pads.clear()
+            failed.clear()
             witness(code, channel_from_spec(spec))
-            assert sorted(pads) == sorted(want), (spec, witness.__name__)
-            masks = vars(code.minimal).get("_suffix_masks")
+            if want is None:  # no copy tail
+                untailed.add(any(failed))
+                want = [0] if any(failed) else []
+            assert pads == want, (spec, witness.__name__)
+            built_pads = vars(code.minimal).get("_masks", {})
+            assert sorted(built_pads) == sorted(want), (spec, witness.__name__)
             if 0 not in want:
-                assert masks is None, (spec, witness.__name__)
                 continue
+            masks = code.minimal._suffix_masks
             assert type(masks) is tuple, (spec, witness.__name__)
             assert len(masks) == code.minimal.num_states
             assert all(type(mask) is int for mask in masks)
+    assert untailed == {True, False}
+
+
+def suffix_words(machine, p: int, words) -> set:
+    """The words that lead from state p of the minimal trellis of
+    ``words`` to its final state: the codewords' tails past a prefix that
+    reaches p."""
+    depth = machine.length - machine._left[p]
+    tails = set()
+    for w in words:
+        q = machine.initial_state
+        for a in w[:depth]:
+            q = machine._rows[q][a]
+        if q == p:
+            tails.add(tuple(w[depth:]))
+    return tails
+
+
+def test_image_masks_match_brute_force():
+    """image(q, p, k) of ``_image_masks`` holds exactly the words of length
+    k that sigma, started in q, writes while it reads a word from p to the
+    final state, by path enumeration (``oracles.enumerate_image``), for
+    every channel state q, minimal-trellis state p and k <= l: on the zoo,
+    on each zoo channel's sigma^-1 . sigma and on random transducers, over
+    01, {a, bc} and {0, 1, 2}, at l <= 7.  Ranks are those of
+    ``Trellis._suffix_masks``: digits in alphabet order, the first most
+    significant."""
+    from test_codegen import random_channel
+
+    rng = random.Random(37)
+    alphabets = [BINARY, Alphabet(("a", "bc")), Alphabet(("0", "1", "2"))]
+    sigmas = []
+    for spec in BATTERY_SPECS:
+        t = channel_from_spec(spec).transducer
+        sigmas += [(BINARY, t), (BINARY, t.inverse().compose(t))]
+    for k in range(24):
+        alphabet = alphabets[k % 3]
+        sigmas.append((alphabet, random_channel(rng, alphabet).transducer))
+    nonzero = 0
+    for alphabet, sigma in sigmas:
+        ell = rng.randint(0, 7 if len(alphabet) == 2 else 4)
+        space = list(alphabet.words_of_length(ell))
+        words = rng.sample(space, rng.randint(1, min(len(space), 6)))
+        machine = trellis_from_words(words, alphabet, length=ell).minimal
+        image = properties._image_masks(machine, sigma)
+        digit = {a: i for i, a in enumerate(alphabet)}
+        size = len(alphabet)
+        for q in sigma.states:
+            start = Transducer(alphabet, sigma.num_states, {q}, sigma.final,
+                               sigma.transitions)
+            for p in machine.states:
+                written = set()
+                for tail in suffix_words(machine, p, words):
+                    written |= oracles.enumerate_image(start, tail, ell)
+                for k in range(ell + 1):
+                    want = sum(1 << sum(digit[a] * size ** (k - 1 - i)
+                                        for i, a in enumerate(y))
+                               for y in written if len(y) == k)
+                    assert image(q, p, k) == want, \
+                        (sigma.to_text(), words, q, p, k)
+                    nonzero += want > 0
+    assert nonzero > 0
+
+
+def test_image_settles_change_no_witness(monkeypatch):
+    """With every image test disabled (``_image_masks`` answering -1, which
+    meets every suffix mask) each conflict runs its completion, and
+    ``_identity_violation`` gives the same answers on the
+    ``referee_cases`` and the ``zoo_cases``: the settles skip only dead
+    triples.  Some of those searches settle a conflict."""
+    cases = [*referee_cases(), *zoo_cases()]
+    image_masks = properties._image_masks
+    settles = 0
+
+    def counted(machine, t):
+        image = image_masks(machine, t)
+
+        def tested(q, p, k):
+            nonlocal settles
+            mask = image(q, p, k)
+            settles += not mask
+            return mask
+
+        return tested
+
+    monkeypatch.setattr(properties, "_image_masks", counted)
+    found = [properties._identity_violation(code, sigma)
+             for _, code, sigma in cases]
+    monkeypatch.setattr(properties, "_image_masks",
+                        lambda machine, t: lambda q, p, k: -1)
+    for (words, code, sigma), answer in zip(cases, found):
+        assert properties._identity_violation(code, sigma) == answer, \
+            (words, sigma.to_text())
+    assert settles > 0
+
+
+@pytest.mark.parametrize("spec", ["sub:2", "id:2"])
+def test_one_completion_then_image_settles_on_a_maximal_l14_code(
+        monkeypatch, spec):
+    """On a maximal greedy detecting code of length 14 the NONE search
+    runs exactly one completion, which fails; every later conflict starts
+    where r has a suffix mask, and each is settled by one image test, so
+    no second completion runs (a test that settles nothing, or a start
+    without a mask, would run one)."""
+    rng = random.Random(14)
+    pool = list(BINARY.words_of_length(14))
+    rng.shuffle(pool)
+    words: list = []
+    blocked: set = set()
+    for w in pool:
+        if w not in blocked:
+            words.append(w)
+            blocked |= oracles.edit_ball(w, spec, BINARY)
+    code = trellis_from_words(words, BINARY, length=14)
+    completion = properties._completion
+    events = []
+
+    def recorded(triple, search, visited, mirror):
+        rest = completion(triple, search, visited, mirror)
+        events.append("failed" if rest is None else "found")
+        return rest
+
+    monkeypatch.setattr(properties, "_completion", recorded)
+    monkeypatch.setattr(properties, "_image_masks", logged_image_masks(events))
+    assert detection_witness(code, channel_from_spec(spec)) == Witness.none()
+    assert events[0] == "failed" and len(events) > 1
+    assert set(events[1:]) == {"test"}, Counter(events)
+
+
+def test_image_walk_does_not_recurse(monkeypatch):
+    """With the recursion limit below the block length, ``check`` and
+    ``maximal`` under ov on the one-word code {0^L} still answer: NONE,
+    and the least addable word 1 0^(L-2) 1 (ov(0^L) holds every word that
+    starts with 0, ov^-1(0^L) every word that ends with 0).  The
+    maximality tail reads images from code states up to L symbols from
+    the end, which a recursive walk would follow one frame per symbol."""
+    import sys
+
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = depth + 40
+    n = limit + 20
+    code = trellis_from_words(["0" * n], BINARY)
+    channel = channel_from_spec("ov")
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        detected = detection_witness(code, channel)
+        addable = maximality_witness(code, channel)
+    finally:
+        sys.setrecursionlimit(before)
+    assert detected == Witness.none()
+    assert addable == Witness.addable(BINARY.word("1" + "0" * (n - 2) + "1"))
 
 
 @pytest.mark.parametrize("alphabet, words", [
